@@ -10,7 +10,7 @@
 # stays sub-second too.
 BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary topk store viewdelta chaos
 
-.PHONY: all build test race bench fmt vet
+.PHONY: all build test race bench bench-check loc fmt vet
 
 all: build test
 
@@ -39,6 +39,19 @@ bench:
 			| grep -v '^$$' >> BENCH_node.json || exit 1; \
 	done
 	@echo "wrote BENCH_node.json ($$(wc -l < BENCH_node.json) tables)"
+
+# The load benchmark is a module of its own (bench/go.mod), so build and
+# test at the root never compile it — yet it is the only consumer of
+# node.DialRemote/RemoteClient outside this module's packages. This target
+# is what notices when a change here breaks it.
+bench-check:
+	cd bench && go vet ./... && go test ./...
+
+# Net line count is a tracked number (ROADMAP aim 2): non-test and test Go
+# lines outside bench/.
+loc:
+	@echo "non-test $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test     $$(find . -name '*.go' -not -path './bench/*' -name '*_test.go' | xargs cat | wc -l)"
 
 fmt:
 	gofmt -l .

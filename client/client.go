@@ -48,7 +48,7 @@ import (
 )
 
 // The typed failures of the request path, re-exported from the node
-// engine so errors.Is works across both packages.
+// package so errors.Is works across both packages.
 var (
 	// ErrClosed reports a request issued after Close.
 	ErrClosed = node.ErrClosed
@@ -125,12 +125,33 @@ type Result struct {
 	Messages int
 }
 
+// handle is what both modes give the façade: the one query engine of
+// internal/node, hosted by a member (*node.Node) or by a non-serving
+// cluster client (*node.RemoteClient).
+type handle interface {
+	Close() error
+	Members() []string
+	Query(ctx context.Context, key uint64) (node.QueryResult, error)
+	QueryMany(ctx context.Context, keys []uint64) ([]node.QueryResult, error)
+	QueryTopK(ctx context.Context, terms []uint64, k int) (topk.Result, error)
+	Publish(ctx context.Context, key, value uint64) error
+	PublishMany(ctx context.Context, pairs []node.KV) error
+	ClusterReport(ctx context.Context) (obs.FleetReport, error)
+}
+
 // Client is one handle on the partial DHT — a full member node or a
 // non-serving cluster client, depending on the Open options. Safe for
 // concurrent use.
 type Client struct {
-	nd *node.Node         // member mode
-	rc *node.RemoteClient // client-only mode
+	h handle
+}
+
+// member returns the serving node behind the handle, nil in client-only
+// mode — what the member-only surfaces (address, report, debug plane, slow
+// log) ask for.
+func (c *Client) member() *node.Node {
+	nd, _ := c.h.(*node.Node)
+	return nd
 }
 
 // Open builds a handle on the partial DHT. With default options it starts
@@ -158,7 +179,7 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Client{rc: rc}, nil
+		return &Client{h: rc}, nil
 	}
 	// Member mode. Durability first: WithDataDir opens the file-backed
 	// store here — recovery (replay, torn-tail truncation, remaining-TTL
@@ -186,7 +207,7 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 		nodeCfg.Seed = seed
 		nd, err := node.New(cfg.tr, nodeCfg)
 		if err == nil {
-			return &Client{nd: nd}, nil
+			return &Client{h: nd}, nil
 		}
 		lastErr = err
 		if err := ctx.Err(); err != nil {
@@ -201,7 +222,7 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 }
 
 // ctxErr translates a context failure into the typed taxonomy, exactly as
-// the engines do: deadline expiry becomes ErrTimeout, cancellation stays
+// the engine does: deadline expiry becomes ErrTimeout, cancellation stays
 // context.Canceled.
 func ctxErr(err error) error {
 	if errors.Is(err, context.DeadlineExceeded) {
@@ -212,41 +233,32 @@ func ctxErr(err error) error {
 
 // Close releases the handle: a member node departs and shuts down, a
 // client-only handle drops its connections. Idempotent.
-func (c *Client) Close() error {
-	if c.nd != nil {
-		return c.nd.Close()
-	}
-	return c.rc.Close()
-}
+func (c *Client) Close() error { return c.h.Close() }
 
 // Serving reports whether this handle is a full member node (true) or a
 // non-serving client (false).
-func (c *Client) Serving() bool { return c.nd != nil }
+func (c *Client) Serving() bool { return c.member() != nil }
 
 // Addr returns the member node's serving address, empty in client-only
 // mode.
 func (c *Client) Addr() string {
-	if c.nd != nil {
-		return c.nd.Addr()
+	if nd := c.member(); nd != nil {
+		return nd.Addr()
 	}
 	return ""
 }
 
 // Members returns the handle's current view of the cluster membership.
-func (c *Client) Members() []string {
-	if c.nd != nil {
-		return c.nd.Members()
-	}
-	return c.rc.Members()
-}
+func (c *Client) Members() []string { return c.h.Members() }
 
 // Report renders the member node's self-measurement status block, with
 // ok=false in client-only mode (a non-serving client measures nothing).
 func (c *Client) Report() (string, bool) {
-	if c.nd == nil {
+	nd := c.member()
+	if nd == nil {
 		return "", false
 	}
-	return c.nd.Report().String(), true
+	return nd.Report().String(), true
 }
 
 // DebugHandler returns the member node's debug HTTP plane — /metrics
@@ -255,10 +267,11 @@ func (c *Client) Report() (string, bool) {
 // /debug/pprof — ready to mount on any mux or serve on its own port, as
 // cmd/pdht-node's -http flag does. ok=false in client-only mode.
 func (c *Client) DebugHandler() (http.Handler, bool) {
-	if c.nd == nil {
+	nd := c.member()
+	if nd == nil {
 		return nil, false
 	}
-	return c.nd.DebugHandler(), true
+	return nd.DebugHandler(), true
 }
 
 // ClusterReport polls every cluster member for a metrics snapshot (the
@@ -269,20 +282,18 @@ func (c *Client) DebugHandler() (http.Handler, bool) {
 // fail to answer within ctx (or the call timeout) are skipped; the report
 // covers the reachable fleet and fails only when nobody answered.
 func (c *Client) ClusterReport(ctx context.Context) (FleetReport, error) {
-	if c.nd != nil {
-		return c.nd.ClusterReport(ctx)
-	}
-	return c.rc.ClusterReport(ctx)
+	return c.h.ClusterReport(ctx)
 }
 
 // SlowQueries returns the member node's retained slow-query traces, newest
 // first — empty unless WithSlowQueryLog enabled the ring, and always empty
 // in client-only mode.
 func (c *Client) SlowQueries() []QueryTrace {
-	if c.nd == nil {
+	nd := c.member()
+	if nd == nil {
 		return nil
 	}
-	return c.nd.SlowQueries()
+	return nd.SlowQueries()
 }
 
 // Query resolves one key with the paper's selection algorithm: index
@@ -291,15 +302,7 @@ func (c *Client) SlowQueries() []QueryTrace {
 // key is not an error — Answered stays false; errors are the typed
 // lifecycle and context failures.
 func (c *Client) Query(ctx context.Context, key uint64) (Result, error) {
-	var (
-		res node.QueryResult
-		err error
-	)
-	if c.nd != nil {
-		res, err = c.nd.Query(ctx, key)
-	} else {
-		res, err = c.rc.Query(ctx, key)
-	}
+	res, err := c.h.Query(ctx, key)
 	return toResult(key, res), err
 }
 
@@ -310,15 +313,7 @@ func (c *Client) Query(ctx context.Context, key uint64) (Result, error) {
 // On a context failure the results gathered so far are returned with the
 // typed error.
 func (c *Client) QueryMany(ctx context.Context, keys []uint64) ([]Result, error) {
-	var (
-		rs  []node.QueryResult
-		err error
-	)
-	if c.nd != nil {
-		rs, err = c.nd.QueryMany(ctx, keys)
-	} else {
-		rs, err = c.rc.QueryMany(ctx, keys)
-	}
+	rs, err := c.h.QueryMany(ctx, keys)
 	out := make([]Result, len(rs))
 	for i := range rs {
 		out[i] = toResult(keys[i], rs[i])
@@ -332,10 +327,7 @@ func (c *Client) QueryMany(ctx context.Context, keys []uint64) ([]Result, error)
 // installs it at the key's index replica group with keyTtl — it expires
 // unless queries keep it alive or the client republishes.
 func (c *Client) Publish(ctx context.Context, key, value uint64) error {
-	if c.nd != nil {
-		return c.nd.Publish(ctx, key, value)
-	}
-	return c.rc.Publish(ctx, key, value)
+	return c.h.Publish(ctx, key, value)
 }
 
 // PublishMany publishes a batch of pairs; in client-only mode the inserts
@@ -345,10 +337,7 @@ func (c *Client) PublishMany(ctx context.Context, pairs []KV) error {
 	for i, p := range pairs {
 		kvs[i] = node.KV{Key: p.Key, Value: p.Value}
 	}
-	if c.nd != nil {
-		return c.nd.PublishMany(ctx, kvs)
-	}
-	return c.rc.PublishMany(ctx, kvs)
+	return c.h.PublishMany(ctx, kvs)
 }
 
 // QueryTopK runs one distributed top-k query: the k best documents
@@ -359,10 +348,7 @@ func (c *Client) PublishMany(ctx context.Context, pairs []KV) error {
 // sketch-fed term weights and a probe schedule learned from past yield; a
 // client-only handle coordinates the same protocol with uniform weights.
 func (c *Client) QueryTopK(ctx context.Context, terms []uint64, k int) (TopKResult, error) {
-	if c.nd != nil {
-		return c.nd.QueryTopK(ctx, terms, k)
-	}
-	return c.rc.QueryTopK(ctx, terms, k)
+	return c.h.QueryTopK(ctx, terms, k)
 }
 
 // ParseAndQuery parses the paper's query syntax — element=value predicates

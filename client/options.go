@@ -14,14 +14,13 @@ import (
 type Store = store.Store
 
 // config collects what the options build. The zero value plus defaults is
-// a ring-backend member node on TCP, listening on a loopback port.
+// a member node on TCP, listening on a loopback port.
 type config struct {
 	tr         transport.Transport
 	listen     string
 	seeds      []string
 	clientOnly bool
 
-	backend     string
 	repl        int
 	keyTtl      int
 	capacity    int
@@ -78,12 +77,6 @@ func WithSeeds(seeds ...string) Option {
 // seeds and kept fresh through stale-view responses.
 func WithClientOnly() Option {
 	return func(c *config) { c.clientOnly = true }
-}
-
-// WithBackend selects the structured overlay: "ring" (default), "trie" or
-// "kademlia". Every node and client of a cluster must agree on it.
-func WithBackend(name string) Option {
-	return func(c *config) { c.backend = name }
 }
 
 // WithReplication sets the replica-group size (the paper's repl, default
@@ -200,7 +193,7 @@ func WithStore(s Store) Option {
 	}
 }
 
-// build validates the option set and splits it into the two engines'
+// build validates the option set and splits it into the two hosts'
 // configurations.
 func (c *config) build() (node.Config, node.RemoteConfig, error) {
 	if c.tr == nil {
@@ -214,10 +207,6 @@ func (c *config) build() (node.Config, node.RemoteConfig, error) {
 	}
 	nodeCfg := node.DefaultConfig()
 	nodeCfg.Addr = c.listen
-	nodeCfg.Backend = node.Backend(c.backend)
-	if c.backend == "" {
-		nodeCfg.Backend = node.BackendRing
-	}
 	if c.repl != 0 {
 		nodeCfg.Repl = c.repl
 	}
@@ -248,7 +237,6 @@ func (c *config) build() (node.Config, node.RemoteConfig, error) {
 
 	remoteCfg := node.RemoteConfig{
 		Seeds:       c.seeds,
-		Backend:     nodeCfg.Backend,
 		Repl:        c.repl,
 		KeyTtl:      c.keyTtl,
 		CallTimeout: c.callTimeout,

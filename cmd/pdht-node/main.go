@@ -57,7 +57,6 @@ func run(args []string, out io.Writer) error {
 	var (
 		listen      = fs.String("listen", "127.0.0.1:0", "address to serve on")
 		seed        = fs.String("seed", "", "existing cluster member to join")
-		backend     = fs.String("backend", "ring", "structured overlay: ring, trie or kademlia")
 		repl        = fs.Int("replicas", 3, "replica-set size: copies kept of every index entry (the paper's repl)")
 		keyTtl      = fs.Int("ttl", 120, "expiration time attached to inserted keys, in rounds")
 		capacity    = fs.Int("capacity", 1024, "index cache size (the paper's stor)")
@@ -104,7 +103,6 @@ func run(args []string, out io.Writer) error {
 	cfg := node.DefaultConfig()
 	cfg.Addr = *listen
 	cfg.Seed = *seed
-	cfg.Backend = node.Backend(*backend)
 	cfg.Repl = *repl
 	cfg.KeyTtl = *keyTtl
 	cfg.Capacity = *capacity

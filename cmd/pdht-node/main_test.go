@@ -129,9 +129,6 @@ func TestQueryFlagAgainstRunningSeed(t *testing.T) {
 
 func TestBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-backend", "osmosis", "-query", "a=b"}, &buf); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
 	if err := run([]string{"-not-a-flag"}, &buf); err == nil {
 		t.Fatal("unknown flag accepted")
 	}

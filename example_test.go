@@ -68,8 +68,8 @@ func ExampleOpen() {
 // ExampleWithTraceHook attaches a trace hook to a member node and shows the
 // per-leg record of each query: the cold query walks the whole selection
 // algorithm — index probe, broadcast, insert — and the warm repeat is a
-// single probe hit. On a one-node cluster every leg is local, so the
-// timeline is deterministic.
+// probe hit followed by the reset-on-hit refresh. On a one-node cluster
+// every leg is served in-process, so the timeline is deterministic.
 func ExampleWithTraceHook() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -103,7 +103,7 @@ func ExampleWithTraceHook() {
 
 	// Output:
 	// query 1: broadcast — probe:miss broadcast:answered insert:ok
-	// query 2: hit — probe:hit
+	// query 2: hit — probe:hit refresh:ok
 }
 
 // ExampleClient_QueryMany runs batched reads against a replicated cluster

@@ -220,6 +220,11 @@ func (r *MemberRing) RouteHops(from string, key Key) int {
 	if len(r.vnodes) == 0 {
 		return 0
 	}
+	if _, ok := r.members[from]; !ok {
+		// A non-member origin (external client) reaches the primary in one
+		// logical hop: it dials Group[0] directly.
+		return 1
+	}
 	group := r.Group(key)
 	inGroup := make(map[string]struct{}, len(group))
 	for _, a := range group {
@@ -227,11 +232,6 @@ func (r *MemberRing) RouteHops(from string, key Key) int {
 	}
 	if _, ok := inGroup[from]; ok {
 		return 0
-	}
-	if _, ok := r.members[from]; !ok {
-		// A non-member origin (external client) reaches the primary in one
-		// logical hop: it dials Group[0] directly.
-		return 1
 	}
 	cur := uint64(HashString(from + "#0"))
 	curAddr := from

@@ -151,15 +151,9 @@ func BenchmarkHandoff(b *testing.B) {
 	for i := range members {
 		members[i] = "node-" + strconv.Itoa(i)
 	}
-	old, err := buildView(members, BackendRing, 3, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	old := buildView(members, 3, 0)
 	survivors := append(append([]string(nil), members[:3]...), members[4:]...)
-	next, err := buildView(survivors, BackendRing, 3, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	next := buildView(survivors, 3, 0)
 	for _, size := range []int{256, 4096} {
 		b.Run("entries="+strconv.Itoa(size), func(b *testing.B) {
 			entries := make([]core.Entry, size)
@@ -200,10 +194,7 @@ func BenchmarkViewDelta(b *testing.B) {
 		for i := range members {
 			members[i] = fmt.Sprintf("peer-%04d", i)
 		}
-		base, err := buildView(members, BackendRing, 3, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		base := buildView(members, 3, 0)
 		joined := []string{fmt.Sprintf("peer-%04d", n)}
 		left := []string{members[n/2]}
 		alive := make([]string, 0, n)
@@ -215,7 +206,7 @@ func BenchmarkViewDelta(b *testing.B) {
 		alive = append(alive, joined...)
 		sort.Strings(alive)
 		// Sanity: the delta must land on the ring a rebuild produces.
-		if dv := base.applyDelta(alive, joined, left, 2); dv == nil || dv.hash != mustBuildView(b, alive).hash {
+		if dv := base.applyDelta(alive, joined, left, 2); dv == nil || dv.hash != buildView(alive, 3, 0).hash {
 			b.Fatal("delta view diverged from rebuild")
 		}
 		b.Run(fmt.Sprintf("delta/n=%d", n), func(b *testing.B) {
@@ -229,17 +220,8 @@ func BenchmarkViewDelta(b *testing.B) {
 		b.Run(fmt.Sprintf("rebuild/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mustBuildView(b, alive)
+				buildView(alive, 3, 0)
 			}
 		})
 	}
-}
-
-func mustBuildView(b *testing.B, members []string) *view {
-	b.Helper()
-	v, err := buildView(members, BackendRing, 3, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return v
 }

@@ -4,37 +4,34 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pdht/internal/gossip"
 	"pdht/internal/keyspace"
 	"pdht/internal/obs"
-	"pdht/internal/replica"
 	"pdht/internal/topk"
 	"pdht/internal/transport"
 )
 
-// RemoteConfig parameterizes a non-serving client. The Backend and Repl
-// knobs MUST match the cluster's: the view hash only fingerprints the
-// membership list, so a client with a different replica arithmetic would
-// mis-route without any peer noticing.
+// RemoteConfig parameterizes a non-serving client. Repl MUST match the
+// cluster's: the view hash only fingerprints the membership list, so a
+// client with a different replica arithmetic would mis-route without any
+// peer noticing.
 type RemoteConfig struct {
 	// Seeds are cluster members to bootstrap (and re-bootstrap) the
 	// membership view from. At least one is required.
 	Seeds []string
-	// Backend and Repl mirror the cluster's Config fields.
-	Backend Backend
-	Repl    int
+	// Repl mirrors the cluster's Config.Repl.
+	Repl int
 	// KeyTtl is the expiration time, in rounds, this client attaches to
 	// its inserts and refreshes. Default 120.
 	KeyTtl int
 	// CallTimeout bounds each outbound RPC. Default 2s.
 	CallTimeout time.Duration
-	// TraceHook, when set, receives every finished Query's trace — the
-	// per-leg record of probes, the broadcast, the insert and any
-	// stale-view re-sync. Called synchronously at the end of Query; keep
-	// it cheap.
+	// TraceHook, when set, receives every finished query's trace — the
+	// same per-leg record a member's hook gets: probes, the broadcast, the
+	// insert, refreshes, read repairs and any stale-view re-sync. Called
+	// synchronously at the end of Query; keep it cheap.
 	TraceHook func(obs.QueryTrace)
 	// TraceSampling is the fraction of traced queries whose trace also
 	// propagates over the wire, stitching server-side spans from the
@@ -45,9 +42,6 @@ type RemoteConfig struct {
 }
 
 func (c *RemoteConfig) setDefaults() {
-	if c.Backend == "" {
-		c.Backend = BackendRing
-	}
 	if c.Repl == 0 {
 		c.Repl = 3
 	}
@@ -76,23 +70,20 @@ func (c RemoteConfig) validate() error {
 // membership view. It bootstraps the member list with one anti-entropy
 // fetch from a seed (a GossipSync with no sender identity, which the
 // receiving member answers without adopting the asker), builds the same
-// overlay view the members run, and routes queries, batches and inserts
-// client-side — one wire message per probed peer. A StaleView refusal
-// carries the responder's membership state, so the client re-syncs and
-// retries instead of failing.
+// ring view the members run, and resolves queries, batches and top-k with
+// the same engine (engine.go: Query, QueryMany, QueryTopK and ClusterReport
+// are its methods) — as a host with no address of its own, so every leg is
+// a wire message, and with no query stream of its own to fit, so keyTtl is
+// static, every resolved key is indexed and no model prediction rides on
+// its ClusterReport. What it adds to the engine is the view: Resync, and
+// the stale-view recovery that installs the membership state a refusing
+// peer attaches and routes again.
 //
-// It is the engine behind the public client package's non-serving mode.
+// It is the handle behind the public client package's non-serving mode.
 type RemoteClient struct {
-	cfg  RemoteConfig
-	pool *pool
+	engine
 
-	// traceSeq drives wire-trace sampling, as on the serving node.
-	traceSeq atomic.Uint64
-
-	// planner schedules top-k probes. A client observes no query stream,
-	// so it has no count-min sketch: weights stay uniform and the plan is
-	// driven by yield history alone.
-	planner *topk.Planner
+	cfg RemoteConfig
 
 	mu     sync.Mutex
 	view   *view
@@ -107,7 +98,24 @@ func DialRemote(ctx context.Context, tr transport.Transport, cfg RemoteConfig) (
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &RemoteClient{cfg: cfg, pool: newPool(tr), planner: topk.NewPlanner(nil)}
+	c := &RemoteClient{
+		engine: engine{
+			repl:          cfg.Repl,
+			staticTtl:     cfg.KeyTtl,
+			callTimeout:   cfg.CallTimeout,
+			flood:         true,
+			traceSampling: cfg.TraceSampling,
+			traceHook:     cfg.TraceHook,
+			// No query stream to sketch: term weights stay uniform and the
+			// plan is driven by yield history alone.
+			planner: topk.NewPlanner(nil),
+			pool:    newPool(tr),
+			// The engine counts unconditionally; nothing scrapes a client.
+			m: newNodeMetrics(obs.NewRegistry()),
+		},
+		cfg: cfg,
+	}
+	c.snapshot, c.stale = c.currentView, c.staleView
 	if err := c.Resync(ctx); err != nil {
 		c.pool.close()
 		return nil, err
@@ -134,7 +142,8 @@ func (c *RemoteClient) Members() []string {
 	return append([]string(nil), c.view.members...)
 }
 
-// currentView snapshots the installed view, or fails typed.
+// currentView is the engine's snapshot hook: the installed view, or the
+// typed reason there is none.
 func (c *RemoteClient) currentView() (*view, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -147,25 +156,14 @@ func (c *RemoteClient) currentView() (*view, error) {
 	return c.view, nil
 }
 
-// callWithin bounds one RPC by the caller's context and CallTimeout. When
-// the caller's trace has a wire ID, the request carries it and server-side
-// spans in the reply are stitched into the trace — same contract as the
-// serving node's callWithin.
-func (c *RemoteClient) callWithin(ctx context.Context, addr string, req transport.Request) (transport.Response, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-	defer cancel()
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		if id := tr.WireID(); id != 0 {
-			req.TraceID = id
-			start := time.Now()
-			resp, err := c.pool.call(cctx, addr, req)
-			if err == nil {
-				tr.AddSpans(addr, start, resp.Spans)
-			}
-			return resp, err
-		}
+// staleView is the engine's stale hook: the refuser's attached membership
+// state becomes the client's view and the query routes again; a refusal
+// with nothing usable attached leaves the client no way to converge.
+func (c *RemoteClient) staleView(resp transport.Response) staleAction {
+	if resp.Gossip == nil || c.install(resp.Gossip.Updates) != nil {
+		return staleFail
 	}
-	return c.pool.call(cctx, addr, req)
+	return staleReroute
 }
 
 // Resync refetches the membership table from any reachable peer — current
@@ -184,7 +182,7 @@ func (c *RemoteClient) Resync(ctx context.Context) error {
 		}
 	}
 	for _, addr := range candidates {
-		resp, err := c.callWithin(ctx, addr, transport.Request{
+		resp, err := c.call(ctx, addr, transport.Request{
 			Op: transport.OpGossip, Gossip: &transport.Gossip{Kind: transport.GossipSync},
 		})
 		if err != nil || resp.Err != "" || resp.Gossip == nil {
@@ -213,10 +211,7 @@ func (c *RemoteClient) install(updates []transport.PeerState) error {
 	if len(alive) == 0 {
 		return ErrNoMembers
 	}
-	v, err := buildView(alive, c.cfg.Backend, c.cfg.Repl, 0)
-	if err != nil {
-		return err
-	}
+	v := buildView(alive, c.cfg.Repl, 0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -224,518 +219,6 @@ func (c *RemoteClient) install(updates []transport.PeerState) error {
 	}
 	c.view = v
 	return nil
-}
-
-// handleStale folds a StaleView response's attached membership state into
-// a fresh view, reporting whether the caller should retry.
-func (c *RemoteClient) handleStale(resp transport.Response) bool {
-	if resp.Err != transport.StaleView || resp.Gossip == nil {
-		return false
-	}
-	return c.install(resp.Gossip.Updates) == nil
-}
-
-// clientSet orders key's replica group into the probe/write order: the
-// placement-designated responsible peer first, then the rest of the group
-// in the keyspace ranking — the same order the members walk, so client and
-// cluster agree on the primary and the failover sequence.
-func clientSet(v *view, k keyspace.Key) replicaSet {
-	group := v.replicas(k)
-	if len(group) == 0 {
-		return replicaSet{}
-	}
-	return replica.NewSet(k, group[0], group)
-}
-
-// syncHit is the client-side reset-on-hit: refresh every member of the hit
-// key's replica set concurrently (each leg bounded by the caller's ctx
-// capped at CallTimeout) and read-repair members that answered without
-// holding the entry, exactly as a member node's syncHit does.
-func (c *RemoteClient) syncHit(ctx context.Context, v *view, rs replicaSet, key, value uint64, res *QueryResult) {
-	var mu sync.Mutex
-	replica.Fanout(ctx, rs.All(), func(ctx context.Context, addr string) bool {
-		mu.Lock()
-		res.RefreshMsgs++
-		mu.Unlock()
-		resp, err := c.callWithin(ctx, addr, transport.Request{
-			Op: transport.OpRefresh, Key: key, TTL: c.cfg.KeyTtl, ViewHash: v.hash,
-		})
-		if err != nil || resp.Err != "" {
-			return false
-		}
-		if resp.OK {
-			return true
-		}
-		// Answered without the entry: read repair.
-		mu.Lock()
-		res.RepairMsgs++
-		mu.Unlock()
-		rresp, err := c.callWithin(ctx, addr, transport.Request{
-			Op: transport.OpInsert, Key: key, Value: value, TTL: c.cfg.KeyTtl, ViewHash: v.hash,
-		})
-		return err == nil && rresp.Err == "" && rresp.OK
-	})
-}
-
-// Query resolves key with the selection algorithm, driven from outside the
-// cluster: probe the replica group responsible for the key (one wire
-// message per probe — the client routes locally, like the members do),
-// broadcast to the membership on a miss, and insert the resolved value
-// with KeyTtl. A stale view is refreshed from the refusing peer's attached
-// state and the query retried once; a stale view that cannot be refreshed
-// fails with ErrStaleView — the member list is untrustworthy, so routing
-// on it would silently mis-route.
-func (c *RemoteClient) Query(ctx context.Context, key uint64) (QueryResult, error) {
-	tr := obs.TraceFrom(ctx)
-	owned := tr == nil && c.cfg.TraceHook != nil
-	if owned {
-		tr = obs.NewTrace(key)
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	if tr != nil && tr.WireID() == 0 {
-		tr.SetWireID(sampleWireID(&c.traceSeq, c.cfg.TraceSampling))
-	}
-	res, err := c.query(ctx, key)
-	if owned {
-		c.cfg.TraceHook(tr.Finish(queryOutcome(res, err)))
-	}
-	return res, err
-}
-
-// query is the client-side selection algorithm proper; Query wraps it with
-// the optional trace.
-func (c *RemoteClient) query(ctx context.Context, key uint64) (QueryResult, error) {
-	tr := obs.TraceFrom(ctx)
-	var res QueryResult
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return res, ctxErr(err)
-		}
-		v, err := c.currentView()
-		if err != nil {
-			return res, err
-		}
-		k := keyspace.Key(key)
-		rs := clientSet(v, k)
-		res = QueryResult{Responsible: rs.Primary}
-		recovered, unrecoverable := false, false
-		for _, addr := range rs.All() {
-			res.IndexMsgs++
-			var legStart time.Time
-			if tr != nil {
-				legStart = time.Now()
-			}
-			resp, err := c.callWithin(ctx, addr, transport.Request{
-				Op: transport.OpQuery, Key: key, ViewHash: v.hash,
-			})
-			if err != nil {
-				if tr != nil {
-					tr.Leg("probe", addr, "failed", legStart)
-				}
-				continue
-			}
-			if resp.Err == transport.StaleView {
-				if tr != nil {
-					tr.Leg("probe", addr, "refused", legStart)
-				}
-				if c.handleStale(resp) {
-					if tr != nil {
-						tr.Mark("stale-view", addr, "resync")
-					}
-					recovered = true
-					break
-				}
-				unrecoverable = true
-				continue
-			}
-			if resp.Err != "" || !resp.Found {
-				if tr != nil {
-					tr.Leg("probe", addr, "miss", legStart)
-				}
-				continue
-			}
-			if tr != nil {
-				tr.Leg("probe", addr, "hit", legStart)
-			}
-			res.Answered, res.FromIndex = true, true
-			res.Value, res.AnsweredBy = resp.Value, addr
-			// Reset-on-hit across the whole set, with read repair.
-			c.syncHit(ctx, v, rs, key, resp.Value, &res)
-			return res, nil
-		}
-		if recovered && attempt == 0 {
-			continue // fresh view installed; re-route once
-		}
-		if unrecoverable && !recovered {
-			return res, ErrStaleView
-		}
-		return res, c.resolveMiss(ctx, key, &res)
-	}
-}
-
-// QueryTopK coordinates one distributed top-k query from outside the
-// cluster: the same threshold-algorithm round protocol a member node runs
-// (see Node.QueryTopK), with the client as coordinator. Term weights stay
-// uniform — a client observes no query stream to sketch — so the adaptive
-// half is the probe order and depth learned from previous answers' yield.
-// The coordinator itself is not a member, so every probe is a wire leg.
-func (c *RemoteClient) QueryTopK(ctx context.Context, terms []uint64, k int) (topk.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return topk.Result{}, ctxErr(err)
-	}
-	if k < 1 {
-		return topk.Result{}, fmt.Errorf("node: top-k k = %d must be positive", k)
-	}
-	if len(terms) == 0 {
-		return topk.Result{}, fmt.Errorf("node: top-k query without terms")
-	}
-	v, err := c.currentView()
-	if err != nil {
-		return topk.Result{}, err
-	}
-	tr := obs.TraceFrom(ctx)
-	owned := tr == nil && c.cfg.TraceHook != nil
-	if owned {
-		tr = obs.NewTrace(terms[0])
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	if tr != nil && tr.WireID() == 0 {
-		tr.SetWireID(sampleWireID(&c.traceSeq, c.cfg.TraceSampling))
-	}
-
-	cfg := topk.RunConfig{
-		K:     k,
-		Terms: terms,
-		Plan:  c.planner.Plan(v.members, "", k, c.cfg.Repl),
-	}
-	type source struct {
-		addr  string
-		score float64
-	}
-	var bmu sync.Mutex
-	best := make(map[uint64]source)
-	probe := func(pctx context.Context, addr string, req topk.Req) (topk.Resp, error) {
-		r, err := c.callWithin(pctx, addr, transport.Request{Op: transport.OpTopK, TopK: &req})
-		if err != nil {
-			return topk.Resp{}, err
-		}
-		if r.Err != "" || r.TopK == nil {
-			return topk.Resp{}, fmt.Errorf("node: topk probe: %s", r.Err)
-		}
-		bmu.Lock()
-		for _, e := range r.TopK.Entries {
-			if cur, ok := best[e.Doc]; !ok || e.Score > cur.score {
-				best[e.Doc] = source{addr: addr, score: e.Score}
-			}
-		}
-		bmu.Unlock()
-		return *r.TopK, nil
-	}
-	legStart := time.Now()
-	onRound := func(info topk.RoundInfo) {
-		if tr != nil {
-			tr.Leg("topk-round", "",
-				fmt.Sprintf("%d legs, %d candidates", info.Legs, info.Candidates), legStart)
-			legStart = time.Now()
-		}
-	}
-	res := topk.Run(ctx, cfg, probe, onRound)
-	for _, e := range res.Entries {
-		if src, ok := best[e.Doc]; ok {
-			c.planner.Credit(src.addr)
-		}
-	}
-	if owned {
-		outcome := "topk"
-		if res.Early {
-			outcome = "topk-early"
-		}
-		if ctx.Err() != nil {
-			outcome = "error"
-		}
-		c.cfg.TraceHook(tr.Finish(outcome))
-	}
-	if err := ctx.Err(); err != nil {
-		return res, ctxErr(err)
-	}
-	return res, nil
-}
-
-// resolveMiss runs the client's miss path: broadcast to every member, and
-// insert the resolved value at the replica group with KeyTtl. The view is
-// re-snapshotted here — a stale-view refusal on the probe leg may have
-// just installed a fresher one, and the insert must carry its hash.
-func (c *RemoteClient) resolveMiss(ctx context.Context, key uint64, res *QueryResult) error {
-	v, err := c.currentView()
-	if err != nil {
-		return err
-	}
-	tr := obs.TraceFrom(ctx)
-	var legStart time.Time
-	if tr != nil {
-		legStart = time.Now()
-	}
-	type answer struct {
-		addr  string
-		value uint64
-	}
-	var wg sync.WaitGroup
-	answers := make(chan answer, len(v.members))
-	for _, m := range v.members {
-		res.BroadcastMsgs++
-		wg.Add(1)
-		go func(m string) {
-			defer wg.Done()
-			resp, err := c.callWithin(ctx, m, transport.Request{Op: transport.OpBroadcast, Key: key})
-			if err == nil && resp.Err == "" && resp.Found {
-				answers <- answer{m, resp.Value}
-			}
-		}(m)
-	}
-	wg.Wait()
-	close(answers)
-	var foundAt string
-	var value uint64
-	for a := range answers {
-		if foundAt == "" || a.addr < foundAt {
-			value, foundAt = a.value, a.addr
-		}
-	}
-	if foundAt == "" {
-		if tr != nil {
-			tr.Leg("broadcast", "", "unanswered", legStart)
-		}
-		if err := ctx.Err(); err != nil {
-			return ctxErr(err)
-		}
-		return nil // ran to completion; nobody holds the key
-	}
-	if tr != nil {
-		tr.Leg("broadcast", foundAt, "answered", legStart)
-		legStart = time.Now()
-	}
-	res.Answered, res.Value, res.AnsweredBy = true, value, foundAt
-	res.InsertMsgs = c.insert(ctx, v, key, value)
-	if tr != nil {
-		tr.Leg("insert", "", "ok", legStart)
-	}
-	if err := ctx.Err(); err != nil {
-		return ctxErr(err)
-	}
-	return nil
-}
-
-// insert installs key→value with KeyTtl at every member of the replica
-// set, returning the message count. The legs run concurrently
-// (replica.Fanout), each bounded by the caller's ctx capped at
-// CallTimeout — one stalled member cannot serialize the others out of
-// their write.
-func (c *RemoteClient) insert(ctx context.Context, v *view, key, value uint64) (msgs int) {
-	var mu sync.Mutex
-	replica.Fanout(ctx, v.replicas(keyspace.Key(key)), func(ctx context.Context, addr string) bool {
-		mu.Lock()
-		msgs++
-		mu.Unlock()
-		resp, err := c.callWithin(ctx, addr, transport.Request{
-			Op: transport.OpInsert, Key: key, Value: value, TTL: c.cfg.KeyTtl, ViewHash: v.hash,
-		})
-		return err == nil && resp.Err == "" && resp.OK
-	})
-	return msgs
-}
-
-// QueryMany resolves a batch of keys with one OpBatch request per
-// destination peer: group by responsible member, a single round trip per
-// group (query items carry KeyTtl, amortizing the reset-on-hit refresh),
-// and the full per-key fallback — replica flood, broadcast, insert — for
-// keys the batch could not resolve.
-func (c *RemoteClient) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ctxErr(err)
-	}
-	v, err := c.currentView()
-	if err != nil {
-		return nil, err
-	}
-	results := make([]QueryResult, len(keys))
-	groups := make(map[string][]int)
-	for i, key := range keys {
-		rs := clientSet(v, keyspace.Key(key))
-		if rs.Primary == "" {
-			continue
-		}
-		results[i].Responsible = rs.Primary
-		groups[rs.Primary] = append(groups[rs.Primary], i)
-	}
-
-	var staleOnce sync.Once
-	var wg sync.WaitGroup
-	for addr, idxs := range groups {
-		wg.Add(1)
-		go func(addr string, idxs []int) {
-			defer wg.Done()
-			items := make([]transport.BatchItem, len(idxs))
-			for j, i := range idxs {
-				items[j] = transport.BatchItem{Op: transport.OpQuery, Key: keys[i], TTL: c.cfg.KeyTtl}
-			}
-			resp, err := c.callWithin(ctx, addr, transport.Request{
-				Op: transport.OpBatch, ViewHash: v.hash, Batch: items,
-			})
-			if err != nil {
-				return
-			}
-			if resp.Err == transport.StaleView {
-				// Refresh the view once for the whole batch; the keys of
-				// this group resolve through the fallback.
-				staleOnce.Do(func() { c.handleStale(resp) })
-				return
-			}
-			if resp.Err != "" || len(resp.Batch) != len(idxs) {
-				return
-			}
-			for j, i := range idxs {
-				results[i].IndexMsgs++
-				if br := resp.Batch[j]; br.Err == "" && br.Found {
-					results[i].Answered, results[i].FromIndex = true, true
-					results[i].Value, results[i].AnsweredBy = br.Value, addr
-				}
-			}
-		}(addr, idxs)
-	}
-	wg.Wait()
-	// Replica-coherent reset-on-hit for the batch hits, before the
-	// fallbacks run — fallback hits sync through syncHit on their own.
-	c.syncBatchHits(ctx, v, keys, results)
-	if err := ctx.Err(); err != nil {
-		return results, ctxErr(err)
-	}
-
-	var ferr error
-	var errMu sync.Mutex
-	for i := range results {
-		if results[i].Answered {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := c.fallbackQuery(ctx, keys[i], &results[i]); err != nil {
-				errMu.Lock()
-				if ferr == nil {
-					ferr = err
-				}
-				errMu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return results, ferr
-}
-
-// syncBatchHits fans the reset-on-hit refresh of every phase-1 batch hit
-// out to the rest of the key's replica set — one OpBatch of refresh items
-// per destination — and read-repairs members that answered without holding
-// an entry with a follow-up OpBatch of inserts. The client-side counterpart
-// of the member node's syncBatchHits.
-func (c *RemoteClient) syncBatchHits(ctx context.Context, v *view, keys []uint64, results []QueryResult) {
-	type slot struct {
-		i     int
-		key   uint64
-		value uint64
-	}
-	groups := make(map[string][]slot)
-	for i := range results {
-		if !results[i].Answered || !results[i].FromIndex {
-			continue
-		}
-		k := keyspace.Key(keys[i])
-		for _, addr := range clientSet(v, k).All() {
-			if addr == results[i].AnsweredBy {
-				continue // the query item's TTL already refreshed it
-			}
-			groups[addr] = append(groups[addr], slot{i, keys[i], results[i].Value})
-		}
-	}
-	// resMu guards the per-result counters: a key's backups live at
-	// different destinations, so two goroutines may touch the same result.
-	var resMu sync.Mutex
-	var wg sync.WaitGroup
-	for addr, slots := range groups {
-		wg.Add(1)
-		go func(addr string, slots []slot) {
-			defer wg.Done()
-			items := make([]transport.BatchItem, len(slots))
-			for j, s := range slots {
-				items[j] = transport.BatchItem{Op: transport.OpRefresh, Key: s.key, TTL: c.cfg.KeyTtl}
-			}
-			resMu.Lock()
-			for _, s := range slots {
-				results[s.i].RefreshMsgs++
-			}
-			resMu.Unlock()
-			resp, err := c.callWithin(ctx, addr, transport.Request{
-				Op: transport.OpBatch, ViewHash: v.hash, Batch: items,
-			})
-			if err != nil || resp.Err != "" || len(resp.Batch) != len(slots) {
-				return
-			}
-			var repairs []slot
-			for j, s := range slots {
-				if br := resp.Batch[j]; br.Err == "" && !br.OK {
-					repairs = append(repairs, s)
-				}
-			}
-			if len(repairs) == 0 || ctx.Err() != nil {
-				return
-			}
-			items = make([]transport.BatchItem, len(repairs))
-			for j, s := range repairs {
-				items[j] = transport.BatchItem{Op: transport.OpInsert, Key: s.key, Value: s.value, TTL: c.cfg.KeyTtl}
-			}
-			resMu.Lock()
-			for _, s := range repairs {
-				results[s.i].RepairMsgs++
-			}
-			resMu.Unlock()
-			c.callWithin(ctx, addr, transport.Request{
-				Op: transport.OpBatch, ViewHash: v.hash, Batch: items,
-			})
-		}(addr, slots)
-	}
-	wg.Wait()
-}
-
-// fallbackQuery finishes one key the batch probe could not resolve: the
-// failover probes beyond the responsible peer, then broadcast and insert.
-func (c *RemoteClient) fallbackQuery(ctx context.Context, key uint64, res *QueryResult) error {
-	v, err := c.currentView()
-	if err != nil {
-		return err
-	}
-	rs := clientSet(v, keyspace.Key(key))
-	for _, addr := range rs.All() {
-		if addr == res.Responsible {
-			continue // the batch leg already asked it
-		}
-		if err := ctx.Err(); err != nil {
-			return ctxErr(err)
-		}
-		res.IndexMsgs++
-		resp, err := c.callWithin(ctx, addr, transport.Request{
-			Op: transport.OpQuery, Key: key, ViewHash: v.hash,
-		})
-		if err != nil || resp.Err != "" || !resp.Found {
-			continue
-		}
-		res.Answered, res.FromIndex = true, true
-		res.Value, res.AnsweredBy = resp.Value, addr
-		c.syncHit(ctx, v, rs, key, resp.Value, res)
-		return nil
-	}
-	return c.resolveMiss(ctx, key, res)
 }
 
 // Publish makes key→value resolvable through the cluster's index: the
@@ -791,7 +274,7 @@ func (c *RemoteClient) PublishMany(ctx context.Context, pairs []KV) error {
 			for j, s := range slots {
 				items[j] = s.item
 			}
-			resp, err := c.callWithin(ctx, addr, transport.Request{
+			resp, err := c.call(ctx, addr, transport.Request{
 				Op: transport.OpBatch, ViewHash: v.hash, Batch: items,
 			})
 			if err != nil || resp.Err != "" || len(resp.Batch) != len(slots) {
@@ -821,31 +304,4 @@ func (c *RemoteClient) PublishMany(ctx context.Context, pairs []KV) error {
 		return fmt.Errorf("%w: no replica of key %d answered", ErrNoMembers, pairs[i].Key)
 	}
 	return nil
-}
-
-// ClusterReport polls every member of the client's view for a metrics
-// snapshot over OpStats and aggregates them into a fleet-wide report —
-// what pdht-top renders. Members that fail to answer within the context
-// (or CallTimeout) are skipped; the report covers the reachable fleet.
-// Unlike a member node's ClusterReport, no model prediction is attached:
-// the client observes no query stream of its own to fit one to.
-func (c *RemoteClient) ClusterReport(ctx context.Context) (obs.FleetReport, error) {
-	if err := ctx.Err(); err != nil {
-		return obs.FleetReport{}, ctxErr(err)
-	}
-	v, err := c.currentView()
-	if err != nil {
-		return obs.FleetReport{}, err
-	}
-	snaps := fetchFleet(ctx, v.members, func(ctx context.Context, addr string) (obs.Snapshot, error) {
-		resp, err := c.callWithin(ctx, addr, transport.Request{Op: transport.OpStats})
-		return statsFromResponse(addr, resp, err)
-	})
-	if len(snaps) == 0 {
-		if err := ctx.Err(); err != nil {
-			return obs.FleetReport{}, ctxErr(err)
-		}
-		return obs.FleetReport{}, ErrNoMembers
-	}
-	return obs.BuildFleetReport(snaps), nil
 }

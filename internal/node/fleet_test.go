@@ -49,7 +49,7 @@ func TestWireTraceCapturesServerSideFailover(t *testing.T) {
 	for i := 0; i < c.Size(); i++ {
 		n := c.Node(i)
 		n.mu.Lock()
-		rs, _ := n.view.set(n.cfg.Addr, keyspace.Key(key))
+		rs := n.view.set(keyspace.Key(key))
 		n.mu.Unlock()
 		if rs.Primary != "" && !rs.Contains(c.Addr(i)) {
 			querier, primary = i, rs.Primary

@@ -51,7 +51,7 @@ func (n *Node) runHandoff(old, next *view, entries []core.Entry) {
 	defer n.handoffs.Done()
 	// The pushes outlive any request, so the deadline comes from the
 	// node's own lifecycle: a context cancelled when n.stop closes, with
-	// callWithin capping each push at CallTimeout on top.
+	// the engine's call capping each push at CallTimeout on top.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -76,8 +76,8 @@ func (n *Node) runHandoff(old, next *view, entries []core.Entry) {
 				return
 			}
 			n.m.handoffMsgs.Add(1)
-			n.counters.Inc(stats.MsgControl)
-			resp, err := n.callWithin(ctx, p.To, transport.Request{
+			n.m.msgs.Inc(stats.MsgControl)
+			resp, err := n.call(ctx, p.To, transport.Request{
 				Op: transport.OpInsert, Key: uint64(p.Key), Value: p.Value, TTL: p.TTL,
 			})
 			if err != nil {

@@ -11,8 +11,13 @@ import (
 // nodeMetrics holds the node layer's registered instruments. Every counter
 // that Report serves lives here, on the same registry the /metrics endpoint
 // renders — the two surfaces are views over one set of atomics and can never
-// disagree.
+// disagree. The query engine counts into it on both hosts; a RemoteClient's
+// lives on a registry nothing scrapes.
 type nodeMetrics struct {
+	// msgs is the per-class message breakdown (the cost terms of eq. 17),
+	// exposed as gauges on the registry.
+	msgs stats.Counters
+
 	queries, hits, misses                     *obs.Counter
 	broadcasts, broadcastAnswered             *obs.Counter
 	inserts, refreshes                        *obs.Counter
@@ -82,6 +87,13 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		nil, obs.L("outcome", "hit"))
 	m.latencyBroadcast = reg.Histogram("pdht_node_query_seconds", "", nil, obs.L("outcome", "broadcast"))
 	m.latencyMiss = reg.Histogram("pdht_node_query_seconds", "", nil, obs.L("outcome", "miss"))
+	for _, c := range stats.Classes() {
+		c := c
+		reg.GaugeFunc("pdht_node_messages_total",
+			"Messages sent by class, the cost breakdown of the paper's eq. 17.",
+			func() float64 { return float64(m.msgs.Get(c)) },
+			obs.L("class", c.String()))
+	}
 	return m
 }
 
@@ -97,8 +109,7 @@ func (m *nodeMetrics) observeQuery(res QueryResult, d time.Duration) {
 	}
 }
 
-// registerGauges binds the scrape-time views that need the node itself: the
-// content-store size and the per-class message counters Report also serves.
+// registerGauges binds the scrape-time views that need the node itself.
 func (n *Node) registerGauges(reg *obs.Registry) {
 	reg.GaugeFunc("pdht_node_stored_keys",
 		"Keys in the local content store (what broadcasts can resolve here).",
@@ -109,13 +120,6 @@ func (n *Node) registerGauges(reg *obs.Registry) {
 	reg.GaugeFunc("pdht_node_keyttl_rounds",
 		"Expiration time attached to inserts and refreshes from here on: the tuner's recommendation when adaptive, the static knob otherwise.",
 		func() float64 { return float64(n.keyTtl()) })
-	for _, c := range stats.Classes() {
-		c := c
-		reg.GaugeFunc("pdht_node_messages_total",
-			"Messages sent by class, the cost breakdown of the paper's eq. 17.",
-			func() float64 { return float64(n.counters.Get(c)) },
-			obs.L("class", c.String()))
-	}
 }
 
 // Metrics returns the node's registry — every layer's instruments

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pdht/internal/adapt"
@@ -13,7 +12,6 @@ import (
 	"pdht/internal/gossip"
 	"pdht/internal/keyspace"
 	"pdht/internal/obs"
-	"pdht/internal/replica"
 	"pdht/internal/stats"
 	"pdht/internal/store"
 	"pdht/internal/topk"
@@ -27,8 +25,6 @@ type Config struct {
 	// Seed is an existing cluster member to join, empty for the first
 	// node of a cluster.
 	Seed string
-	// Backend selects the structured overlay (default BackendRing).
-	Backend Backend
 	// Repl is the replica-group size (the paper's repl), clamped to the
 	// cluster size. Default 3.
 	Repl int
@@ -130,7 +126,6 @@ type Config struct {
 // DefaultConfig returns the configuration a live deployment starts from.
 func DefaultConfig() Config {
 	return Config{
-		Backend:       BackendRing,
 		Repl:          3,
 		KeyTtl:        120,
 		Capacity:      1024,
@@ -143,9 +138,6 @@ func DefaultConfig() Config {
 
 // setDefaults fills zero fields; FloodOnMiss keeps its explicit value.
 func (c *Config) setDefaults() {
-	if c.Backend == "" {
-		c.Backend = BackendRing
-	}
 	if c.Repl == 0 {
 		c.Repl = 3
 	}
@@ -204,8 +196,13 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Node is one live peer of the partial DHT.
+// Node is one live peer of the partial DHT: the query engine (Query,
+// QueryMany, QueryTopK and ClusterReport are its methods, see engine.go)
+// plus the state a cluster member serves from — index cache, content store,
+// gossip membership and the durability plane.
 type Node struct {
+	engine
+
 	cfg    Config
 	tr     transport.Transport
 	srv    transport.Server
@@ -229,34 +226,9 @@ type Node struct {
 	persist  store.Store
 	closeErr error
 
-	// pool is the outbound connection pool (pool.go), shared logic with
-	// the non-serving RemoteClient.
-	pool *pool
-
-	// The adaptive control plane: nil unless cfg.Adaptive. The tuner owns
-	// the actuator state; the insert/refresh paths read its current keyTtl
-	// recommendation lock-free via keyTtl().
-	tuner *adapt.Tuner
-
-	// planner schedules top-k probes (always present; it reads the tuner's
-	// count-min sketch when the node is adaptive, plans on yield history
-	// alone otherwise). It has its own lock.
-	planner *topk.Planner
-
-	// The telemetry plane: reg is the registry /metrics renders, m the
-	// node-layer instruments on it (Report reads the same atomics), slowLog
-	// the ring of traces that crossed SlowQueryThreshold. counters keeps
-	// the per-class message breakdown, exposed as gauges on reg.
-	reg       *obs.Registry
-	m         *nodeMetrics
-	slowLog   *obs.SlowLog
-	traceHook func(obs.QueryTrace)
-	counters  stats.Counters
-
-	// traceSeq drives wire-trace ID generation and sub-rate sampling
-	// decisions — one atomic add per *traced* query, nothing on the
-	// untraced hot path.
-	traceSeq atomic.Uint64
+	// reg is the registry /metrics renders; the engine's instruments
+	// (engine.m, which Report reads) are registered on it.
+	reg *obs.Registry
 
 	stop      chan struct{}
 	done      sync.WaitGroup
@@ -285,22 +257,31 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 	// transport, so the wire metrics land on the same registry.
 	tr = transport.Instrument(tr, transport.NewMetrics(reg))
 	n := &Node{
+		engine: engine{
+			repl:          cfg.Repl,
+			staticTtl:     cfg.KeyTtl,
+			callTimeout:   cfg.CallTimeout,
+			flood:         cfg.FloodOnMiss,
+			traceSampling: cfg.TraceSampling,
+			traceHook:     cfg.TraceHook,
+			pool:          newPool(tr),
+			m:             newNodeMetrics(reg),
+		},
 		cfg:         cfg,
 		tr:          tr,
 		epoch:       time.Now(),
 		cache:       cache,
 		store:       make(map[keyspace.Key]uint64),
 		queryCounts: make(map[keyspace.Key]uint64),
-		pool:        newPool(tr),
 		reg:         reg,
-		m:           newNodeMetrics(reg),
-		traceHook:   cfg.TraceHook,
 		stop:        make(chan struct{}),
 	}
+	n.snapshot, n.local, n.stale = n.currentView, n.serve, n.staleView
 	if cfg.SlowQueryThreshold > 0 {
 		n.slowLog = obs.NewSlowLog(cfg.SlowQueryCapacity, cfg.SlowQueryThreshold)
 	}
 	n.registerGauges(reg)
+	var termCount func(uint64) uint64 // nil: the planner weights terms uniformly
 	if cfg.Adaptive {
 		t, err := adapt.NewTuner(cfg.Tuner)
 		if err != nil {
@@ -308,12 +289,9 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		}
 		n.tuner = t
 		t.RegisterMetrics(reg)
+		termCount = t.Count
 	}
-	if n.tuner != nil {
-		n.planner = topk.NewPlanner(n.tuner.Count)
-	} else {
-		n.planner = topk.NewPlanner(nil)
-	}
+	n.planner = topk.NewPlanner(termCount)
 	if cfg.Store != nil {
 		n.persist = cfg.Store
 		n.persist.RegisterMetrics(reg)
@@ -332,14 +310,11 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 	}
 	n.srv = srv
 	n.cfg.Addr = srv.Addr() // the transport may have picked the address
+	n.self = n.cfg.Addr
 	// The endpoint is already reachable (a restarted node reuses a known
 	// address), so the view is installed under the lock; until then
 	// handle() answers "starting".
-	v, err := buildView([]string{n.cfg.Addr}, cfg.Backend, cfg.Repl, cfg.MaintainEnv)
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
+	v := buildView([]string{n.cfg.Addr}, cfg.Repl, cfg.MaintainEnv)
 	n.mu.Lock()
 	n.view = v
 	n.mu.Unlock()
@@ -400,19 +375,6 @@ func (n *Node) Config() Config { return n.cfg }
 
 // now is the node's round clock.
 func (n *Node) now() int { return int(time.Since(n.epoch) / n.cfg.RoundDuration) }
-
-// keyTtl is the expiration time attached to inserts and refreshes from here
-// on: the tuner's latest recommendation when the control plane has one, the
-// static config knob otherwise. Entries already granted a TTL keep it — a
-// retune only changes what future inserts and refreshes receive.
-func (n *Node) keyTtl() int {
-	if n.tuner != nil {
-		if ttl, ok := n.tuner.KeyTtl(); ok {
-			return ttl
-		}
-	}
-	return n.cfg.KeyTtl
-}
 
 // Tuner exposes the adaptive control plane, nil unless Config.Adaptive.
 func (n *Node) Tuner() *adapt.Tuner { return n.tuner }
@@ -512,7 +474,7 @@ func (n *Node) Close() error {
 // gossipCall carries one membership-protocol message over the node's
 // pooled connections — the Caller internal/gossip is wired with.
 func (n *Node) gossipCall(ctx context.Context, addr string, msg transport.Gossip) (transport.Gossip, bool, error) {
-	n.counters.Inc(stats.MsgControl)
+	n.m.msgs.Inc(stats.MsgControl)
 	resp, err := n.callCtx(ctx, addr, transport.Request{
 		Op: transport.OpGossip, From: n.cfg.Addr, Gossip: &msg,
 	})
@@ -538,8 +500,8 @@ func (n *Node) gossipCall(ctx context.Context, addr string, msg transport.Gossip
 // The notification carries the full alive set, not a delta — deltas from
 // concurrent out-of-order notifications could not be replayed safely — so
 // the node computes its OWN delta against the view it actually holds (a
-// linear walk of two sorted lists) and applies it incrementally on the
-// ring backend: only the changed members' vnodes are spliced, and only
+// linear walk of two sorted lists) and applies it incrementally: only the
+// changed members' vnodes are spliced, and only
 // cache entries inside the transition's affected arcs are snapshotted for
 // handoff planning. At a thousand members this turns every membership
 // event from an O(n) rebuild plus a full-index scan into work proportional
@@ -564,21 +526,8 @@ func (n *Node) applyMembership(alive []string, version uint64) {
 		n.mu.Unlock()
 		return
 	}
-	arcs := keyspace.Everything()
 	v := old.applyDelta(sorted, joined, left, version)
-	if v != nil {
-		arcs = transitionArcs(old, v, joined, left)
-	} else {
-		built, err := buildView(sorted, n.cfg.Backend, n.cfg.Repl, n.cfg.MaintainEnv)
-		if err != nil {
-			// Cannot happen with a non-empty alive set (it includes self)
-			// and a validated config; keep the old view rather than dying.
-			n.mu.Unlock()
-			return
-		}
-		built.version = version
-		v = built
-	}
+	arcs := transitionArcs(old, v, joined, left)
 	n.view = v
 	var entries []core.Entry
 	if old.hash != v.hash {
@@ -793,33 +742,81 @@ func (n *Node) serve(req transport.Request) transport.Response {
 	}
 }
 
-// ---- RPC client side ----
-
-// callWithin performs one outbound RPC bounded by both the caller's
-// context and the configured per-call timeout: a cancelled request aborts
-// its in-flight legs, and a patient caller still cannot hang on one dead
-// peer longer than CallTimeout. When the caller's trace has a wire ID, the
-// request carries it and any server-side spans in the reply are stitched
-// into the trace under the callee's address.
-func (n *Node) callWithin(ctx context.Context, addr string, req transport.Request) (transport.Response, error) {
-	cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
-	defer cancel()
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		if id := tr.WireID(); id != 0 {
-			req.TraceID = id
-			start := time.Now()
-			resp, err := n.callCtx(cctx, addr, req)
-			if err == nil {
-				tr.AddSpans(addr, start, resp.Spans)
-			}
-			return resp, err
-		}
-	}
-	return n.callCtx(cctx, addr, req)
+// KV is one key→value pair of a batched publish.
+type KV struct {
+	Key   uint64
+	Value uint64
 }
 
-// callCtx is call with the deadline under caller control — the membership
-// layer probes on its own, tighter clock.
+// handleBatch serves one OpBatch request: every item executes against the
+// index cache under a single lock acquisition, and every item gets its own
+// result — one malformed or refused item never fails the round trip. The
+// view-hash check already ran in handle (once, for the whole batch).
+func (n *Node) handleBatch(req transport.Request) transport.Response {
+	results := make([]transport.BatchResult, len(req.Batch))
+	var refreshed uint64
+	n.mu.Lock()
+	now := n.now() // read under mu; see LiveKeys
+	for i, it := range req.Batch {
+		k := keyspace.Key(it.Key)
+		switch it.Op {
+		case transport.OpQuery:
+			v, ok := n.cache.Get(k, now)
+			results[i] = transport.BatchResult{OK: true, Found: ok, Value: v64(v)}
+			if ok && it.TTL > 0 {
+				// The amortized reset-on-hit rule: a batched query carries
+				// the TTL so the refresh the unary path pays a separate
+				// OpRefresh message for rides the same round trip.
+				if n.cache.Refresh(k, now+it.TTL, now) {
+					refreshed++
+				}
+			}
+		case transport.OpInsert:
+			if it.TTL < 1 {
+				results[i] = transport.BatchResult{Err: "insert without ttl"}
+				continue
+			}
+			results[i] = transport.BatchResult{OK: n.cache.Put(k, core.Value(it.Value), now+it.TTL, now)}
+		case transport.OpRefresh:
+			if it.TTL < 1 {
+				results[i] = transport.BatchResult{Err: "refresh without ttl"}
+				continue
+			}
+			ok := n.cache.Refresh(k, now+it.TTL, now)
+			if ok {
+				refreshed++
+			}
+			results[i] = transport.BatchResult{OK: ok}
+		default:
+			results[i] = transport.BatchResult{Err: "op " + it.Op.String() + " not batchable"}
+		}
+	}
+	n.mu.Unlock()
+	n.m.refreshes.Add(refreshed)
+	return transport.Response{OK: true, Batch: results}
+}
+
+// serveTopK answers one OpTopK probe: score the local content store
+// against the request's terms and return the best entries of the asked
+// window. Content is unrouted — any peer may hold any document — so the
+// op is not subject to the ViewHash check.
+func (n *Node) serveTopK(req transport.Request) transport.Response {
+	if req.TopK == nil {
+		return transport.Response{Err: "topk without payload"}
+	}
+	n.mu.Lock()
+	resp := topk.Serve(*req.TopK, func(term uint64) (uint64, bool) {
+		doc, ok := n.store[keyspace.Key(term)]
+		return doc, ok
+	}, n.cfg.TopKScorer)
+	n.mu.Unlock()
+	return transport.Response{OK: true, TopK: &resp}
+}
+
+// ---- RPC client side ----
+
+// callCtx is one outbound RPC with the deadline under caller control — the
+// membership layer probes on its own, tighter clock than the engine's call.
 func (n *Node) callCtx(ctx context.Context, addr string, req transport.Request) (transport.Response, error) {
 	resp, err := n.pool.call(ctx, addr, req)
 	if err != nil {
@@ -903,450 +900,53 @@ func (n *Node) liveEntries() []core.Entry {
 	return n.cache.Entries(n.now())
 }
 
-// ---- the selection algorithm ----
+// ---- the engine's hooks ----
 
-// QueryResult reports one end-to-end query, mirroring core.QueryOutcome
-// with live-deployment detail.
-type QueryResult struct {
-	// Answered reports whether the query resolved at all; FromIndex
-	// whether the index answered it (the pIndxd events of eq. 14).
-	Answered  bool
-	FromIndex bool
-	Value     uint64
-	// Responsible is the peer routing selected; AnsweredBy the peer that
-	// actually supplied the value (a replica on a flood hit, a content
-	// holder on a broadcast).
-	Responsible string
-	AnsweredBy  string
-	// IndexMsgs, BroadcastMsgs and InsertMsgs break down the cost in the
-	// legs of eq. 17; RefreshMsgs counts the reset-on-hit refresh legs a
-	// hit fans out to the key's replica set, and RepairMsgs the read-repair
-	// re-inserts sent to set members that answered the refresh without
-	// holding the entry (the primary after losing it to churn).
-	IndexMsgs     int
-	BroadcastMsgs int
-	InsertMsgs    int
-	RefreshMsgs   int
-	RepairMsgs    int
-	// InsertGated reports that the broadcast resolved the key but the
-	// adaptive control plane refused to index it (estimated rate below
-	// fMin).
-	InsertGated bool
-}
-
-// Total returns the query's full message cost.
-func (r QueryResult) Total() int {
-	return r.IndexMsgs + r.BroadcastMsgs + r.InsertMsgs + r.RefreshMsgs + r.RepairMsgs
-}
-
-// Query resolves key with the selection algorithm of §5.1: search the
-// index (routing locally, asking the responsible peer — and on a miss the
-// rest of the replica group — over the wire), broadcast on a miss, insert
-// the broadcast result with keyTtl, and refresh the TTL on a hit.
-//
-// The context bounds the whole request: cancellation or deadline expiry
-// aborts the in-flight index, broadcast and insert legs and returns
-// context.Canceled or ErrTimeout (every outbound leg is additionally
-// capped at CallTimeout). A query that runs to completion but resolves
-// nothing is not an error — Answered stays false.
-func (n *Node) Query(ctx context.Context, key uint64) (QueryResult, error) {
-	if err := ctx.Err(); err != nil {
-		return QueryResult{}, ctxErr(err)
-	}
-	// Tracing is opt-in per node (hook or slow log) or per call (a trace
-	// already in ctx); the untraced hot path pays one context lookup.
-	tr := obs.TraceFrom(ctx)
-	owned := tr == nil && (n.traceHook != nil || n.slowLog != nil)
-	if owned {
-		tr = obs.NewTrace(key)
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	if tr != nil && tr.WireID() == 0 {
-		// Cluster-wide propagation is sampled per traced query; an
-		// unsampled (or caller-disabled) trace stays client-side only.
-		tr.SetWireID(sampleWireID(&n.traceSeq, n.cfg.TraceSampling))
-	}
-	start := time.Now()
-	res, err := n.query(ctx, key)
-	n.m.observeQuery(res, time.Since(start))
-	if owned {
-		qt := tr.Finish(queryOutcome(res, err))
-		if n.slowLog != nil {
-			n.slowLog.Record(qt)
-		}
-		if n.traceHook != nil {
-			n.traceHook(qt)
-		}
-	}
-	return res, err
-}
-
-// queryOutcome labels a finished query for its trace.
-func queryOutcome(res QueryResult, err error) string {
-	switch {
-	case err != nil:
-		return "error"
-	case res.FromIndex:
-		return "hit"
-	case res.InsertGated:
-		return "gated"
-	case res.Answered:
-		return "broadcast"
-	default:
-		return "unanswered"
-	}
-}
-
-// query is the selection algorithm proper; Query wraps it with the latency
-// histogram and the optional trace.
-func (n *Node) query(ctx context.Context, key uint64) (QueryResult, error) {
-	k := keyspace.Key(key)
-	n.m.queries.Inc()
-	if n.tuner != nil {
-		// Feed the frequency sketches — O(1), allocation-free, before
-		// the lock (the tuner has its own).
-		n.tuner.Observe(key)
-	}
-
+// currentView is the engine's snapshot hook: the installed view, or
+// ErrClosed once Close has started.
+func (n *Node) currentView() (*view, error) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closing {
-		n.mu.Unlock()
-		return QueryResult{}, ErrClosed
+		return nil, ErrClosed
 	}
-	// The per-key counts only feed Report's Zipf fit; cap the tracked
-	// universe so a wide or adversarial key stream cannot grow memory
-	// without bound (the index cache itself is capacity-bounded).
-	if _, tracked := n.queryCounts[k]; tracked || len(n.queryCounts) < 8*n.cfg.Capacity {
-		n.queryCounts[k]++
-	}
-	rs, hops := n.view.set(n.cfg.Addr, k)
-	hash := n.view.hash
-	n.mu.Unlock()
-
-	if !n.cfg.FloodOnMiss && rs.Primary != "" {
-		// No failover probing → no replica coherence to maintain either:
-		// the set collapses to the primary, so the hit path below fans
-		// nothing out (matching the tuner's WriteFanout accounting).
-		rs = replicaSet{Primary: rs.Primary}
-	}
-	probes := rs.All()
-
-	res := QueryResult{Responsible: rs.Primary}
-	res.IndexMsgs = hops
-	n.counters.Add(stats.MsgIndexLookup, int64(hops))
-
-	// 1. Index search: the primary, failing over through the ranked
-	// backups on a miss, refusal or timeout.
-	for i, addr := range probes {
-		if err := ctx.Err(); err != nil {
-			return res, ctxErr(err)
-		}
-		if i > 0 {
-			// Hops already priced the path to the primary; each failover
-			// probe is one more message.
-			res.IndexMsgs++
-			n.counters.Inc(stats.MsgReplicaFlood)
-		}
-		value, ok := n.probeIndex(ctx, addr, k, hash)
-		if !ok {
-			continue
-		}
-		res.Answered, res.FromIndex, res.Value, res.AnsweredBy = true, true, value, addr
-		n.m.hits.Add(1)
-		res.RefreshMsgs, res.RepairMsgs = n.syncHit(ctx, rs, addr, k, value, hash)
-		return res, nil
-	}
-	n.m.misses.Add(1)
-	err := n.missPath(ctx, k, &res, probes, hash)
-	return res, err
+	return n.view, nil
 }
 
-// missPath runs legs 2 and 3 of the selection algorithm after the index
-// came up empty: broadcast the key to the membership, and insert the
-// resolved value with keyTtl at the replica group unless the adaptive
-// control plane gates it. Shared by the unary and batched query paths.
-func (n *Node) missPath(ctx context.Context, k keyspace.Key, res *QueryResult, replicas []string, hash uint64) error {
-	// The membership snapshot is taken here, not on the hit fast path,
-	// which never needs it.
+// staleView is the engine's stale hook: a member does not install views
+// itself, so the refuser's membership state goes to gossip (the "caller
+// refetches the view" half of the protocol) and the refused leg is a miss.
+func (n *Node) staleView(resp transport.Response) staleAction {
+	if resp.Gossip != nil {
+		n.gossip.MergeState(*resp.Gossip)
+	}
+	return staleMiss
+}
+
+// countQueried feeds Report's Zipf fit. The tracked universe is capped so a
+// wide or adversarial key stream cannot grow memory without bound (the index
+// cache itself is capacity-bounded).
+func (n *Node) countQueried(keys ...uint64) {
 	n.mu.Lock()
-	members := append([]string(nil), n.view.members...)
+	for _, key := range keys {
+		k := keyspace.Key(key)
+		if _, tracked := n.queryCounts[k]; tracked || len(n.queryCounts) < 8*n.cfg.Capacity {
+			n.queryCounts[k]++
+		}
+	}
 	n.mu.Unlock()
-	n.m.broadcasts.Add(1)
-	tr := obs.TraceFrom(ctx)
-	var legStart time.Time
-	if tr != nil {
-		legStart = time.Now()
-	}
-	value, foundAt, msgs := n.broadcast(ctx, k, members)
-	res.BroadcastMsgs = msgs
-	if foundAt == "" {
-		if tr != nil {
-			tr.Leg("broadcast", "", "unanswered", legStart)
-		}
-		if err := ctx.Err(); err != nil {
-			// The broadcast was cut short by the caller, not answered
-			// in the negative.
-			return ctxErr(err)
-		}
-		n.m.unanswered.Add(1)
-		return nil
-	}
-	if tr != nil {
-		tr.Leg("broadcast", foundAt, "answered", legStart)
-	}
-	n.m.broadcastAnswered.Add(1)
-	res.Answered, res.Value, res.AnsweredBy = true, value, foundAt
-
-	// Insert the resolved key with keyTtl at every replica — unless the
-	// control plane estimates its query rate below fMin, in which case
-	// indexing it would cost more than the broadcasts it saves (the §2
-	// decision, taken per key, online).
-	if n.tuner != nil && !n.tuner.ShouldIndex(uint64(k)) {
-		n.m.gatedInserts.Add(1)
-		res.InsertGated = true
-		if tr != nil {
-			tr.Mark("insert-gate", "", "gated")
-		}
-		return nil
-	}
-	if tr != nil {
-		if n.tuner != nil {
-			tr.Mark("insert-gate", "", "allowed")
-		}
-		legStart = time.Now()
-	}
-	res.InsertMsgs = n.insert(ctx, k, value, replicas, hash)
-	if tr != nil {
-		tr.Leg("insert", "", "ok", legStart)
-	}
-	n.m.inserts.Add(1)
-	if err := ctx.Err(); err != nil {
-		return ctxErr(err)
-	}
-	return nil
 }
 
-// probeIndex asks one peer (possibly ourselves) whether key is live in its
-// index cache. The probe carries the caller's membership hash; a stale-view
-// refusal is treated as a miss after feeding the peer's state to gossip.
-func (n *Node) probeIndex(ctx context.Context, addr string, k keyspace.Key, hash uint64) (uint64, bool) {
-	tr := obs.TraceFrom(ctx)
-	var legStart time.Time
-	if tr != nil {
-		legStart = time.Now()
-	}
-	if addr == n.cfg.Addr {
-		n.mu.Lock()
-		v, ok := n.cache.Get(k, n.now())
-		n.mu.Unlock()
-		if tr != nil {
-			tr.Leg("probe", addr, hitMiss(ok), legStart)
-		}
-		return v64(v), ok
-	}
-	resp, err := n.callWithin(ctx, addr, transport.Request{Op: transport.OpQuery, Key: uint64(k), ViewHash: hash})
-	switch {
-	case err != nil:
-		if tr != nil {
-			tr.Leg("probe", addr, "failed", legStart)
-		}
-		return 0, false
-	case !n.accept(ctx, resp):
-		if tr != nil {
-			tr.Leg("probe", addr, "refused", legStart)
-		}
-		return 0, false
-	}
-	if tr != nil {
-		tr.Leg("probe", addr, hitMiss(resp.Found), legStart)
-	}
-	return resp.Value, resp.Found
+// Query is the engine's Query, with the key counted for Report.
+func (n *Node) Query(ctx context.Context, key uint64) (QueryResult, error) {
+	n.countQueried(key)
+	return n.engine.Query(ctx, key)
 }
 
-// hitMiss is the probe-leg outcome label.
-func hitMiss(found bool) string {
-	if found {
-		return "hit"
-	}
-	return "miss"
-}
-
-// accept inspects an application-level reply: a StaleView refusal feeds
-// the peer's attached membership state to gossip (the "caller refetches
-// the view" half of the protocol) and reports the reply unusable, as does
-// any other application error. A traced query records the re-sync as an
-// instantaneous "stale-view" leg.
-func (n *Node) accept(ctx context.Context, resp transport.Response) bool {
-	if resp.Err == "" {
-		return true
-	}
-	if resp.Err == transport.StaleView {
-		n.m.staleViews.Add(1)
-		if tr := obs.TraceFrom(ctx); tr != nil {
-			tr.Mark("stale-view", "", "resync")
-		}
-		if resp.Gossip != nil {
-			n.gossip.MergeState(*resp.Gossip)
-		}
-	}
-	return false
-}
-
-// syncHit applies the reset-on-hit rule across the key's whole replica set
-// and read-repairs the holes it finds: every member's TTL is refreshed
-// concurrently (each leg derives its deadline from the caller's ctx, capped
-// at CallTimeout), keeping the set's expiry coherent so a failover probe
-// after the primary dies still finds a live entry. A member that answers
-// the refresh without holding the entry — the primary after losing it to
-// churn, a restart or a failed insert leg — is re-inserted from the value
-// the hit supplied. Members that do not answer at all are left alone:
-// repairing a dead peer would burn a CallTimeout per query on an address
-// the membership layer is already evicting.
-//
-// The fan-out is synchronous — the read-repair guarantee is "the set is
-// whole when Query returns", which the tests pin — so a SILENTLY
-// partitioned member (no RST; a crashed process refuses in microseconds)
-// can hold a hit for up to CallTimeout until suspicion convicts it. The
-// legs run concurrently, so that bound does not stack per member.
-func (n *Node) syncHit(ctx context.Context, rs replicaSet, hitAddr string, k keyspace.Key, value uint64, hash uint64) (refreshMsgs, repairMsgs int) {
-	ttl := n.keyTtl()
-	targets := rs.All()
-	if !rs.Contains(hitAddr) {
-		// Routing resolved no set (cannot happen with self in the view):
-		// fall back to the plain reset-on-hit rule at the answering peer.
-		targets = []string{hitAddr}
-	}
-	tr := obs.TraceFrom(ctx)
-	var mu sync.Mutex
-	replica.Fanout(ctx, targets, func(ctx context.Context, addr string) bool {
-		if addr == n.cfg.Addr {
-			n.mu.Lock()
-			now := n.now()
-			ok := n.cache.Refresh(k, now+ttl, now)
-			if !ok {
-				// Local read repair: no message, and self's share of the
-				// set is populated again.
-				ok = n.cache.Put(k, core.Value(value), now+ttl, now)
-			}
-			n.mu.Unlock()
-			if ok {
-				n.m.refreshes.Add(1)
-			}
-			return ok
-		}
-		mu.Lock()
-		refreshMsgs++
-		mu.Unlock()
-		var legStart time.Time
-		if tr != nil {
-			legStart = time.Now()
-		}
-		n.counters.Inc(stats.MsgUpdate)
-		resp, err := n.callWithin(ctx, addr, transport.Request{Op: transport.OpRefresh, Key: uint64(k), TTL: ttl, ViewHash: hash})
-		if err != nil || !n.accept(ctx, resp) {
-			if tr != nil {
-				tr.Leg("refresh", addr, "failed", legStart)
-			}
-			return false
-		}
-		if resp.OK {
-			if tr != nil {
-				tr.Leg("refresh", addr, "ok", legStart)
-			}
-			return true
-		}
-		// The member answered but does not hold the entry: read repair.
-		if tr != nil {
-			tr.Leg("refresh", addr, "missing", legStart)
-			legStart = time.Now()
-		}
-		mu.Lock()
-		repairMsgs++
-		mu.Unlock()
-		n.m.readRepairs.Add(1)
-		n.counters.Inc(stats.MsgUpdate)
-		rresp, err := n.callWithin(ctx, addr, transport.Request{Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: hash})
-		ok := err == nil && rresp.Err == "" && rresp.OK
-		if tr != nil {
-			if ok {
-				tr.Leg("read-repair", addr, "ok", legStart)
-			} else {
-				tr.Leg("read-repair", addr, "failed", legStart)
-			}
-		}
-		return ok
-	})
-	return refreshMsgs, repairMsgs
-}
-
-// broadcast fans the query out to every known member — the unstructured
-// search (cSUnstr). The local store is checked first for free; remote
-// members are asked concurrently and the lexicographically first answer
-// wins, keeping the result independent of goroutine scheduling. The legs
-// inherit the caller's context: a cancelled request aborts every in-flight
-// leg instead of waiting out CallTimeout on each.
-func (n *Node) broadcast(ctx context.Context, k keyspace.Key, members []string) (value uint64, foundAt string, msgs int) {
-	n.mu.Lock()
-	v, ok := n.store[k]
-	n.mu.Unlock()
-	if ok {
-		return v, n.cfg.Addr, 0
-	}
-	type answer struct {
-		addr  string
-		value uint64
-	}
-	var wg sync.WaitGroup
-	answers := make(chan answer, len(members))
-	for _, m := range members {
-		if m == n.cfg.Addr {
-			continue
-		}
-		msgs++
-		wg.Add(1)
-		go func(m string) {
-			defer wg.Done()
-			resp, err := n.callWithin(ctx, m, transport.Request{Op: transport.OpBroadcast, Key: uint64(k)})
-			if err == nil && resp.Found {
-				answers <- answer{m, resp.Value}
-			}
-		}(m)
-	}
-	n.counters.Add(stats.MsgBroadcast, int64(msgs))
-	wg.Wait()
-	close(answers)
-	for a := range answers {
-		if foundAt == "" || a.addr < foundAt {
-			value, foundAt = a.value, a.addr
-		}
-	}
-	return value, foundAt, msgs
-}
-
-// insert installs key→value with keyTtl at every member of the replica
-// set, returning the number of messages spent. The write legs run
-// concurrently (replica.Fanout), each bounded by the caller's ctx capped at
-// CallTimeout; a cancelled request stops spawning legs, and the replicas
-// already written keep their entries — they expire on their own.
-func (n *Node) insert(ctx context.Context, k keyspace.Key, value uint64, replicas []string, hash uint64) (msgs int) {
-	ttl := n.keyTtl()
-	var mu sync.Mutex
-	replica.Fanout(ctx, replicas, func(ctx context.Context, addr string) bool {
-		if addr == n.cfg.Addr {
-			n.mu.Lock()
-			now := n.now()
-			ok := n.cache.Put(k, core.Value(value), now+ttl, now)
-			n.mu.Unlock()
-			return ok
-		}
-		mu.Lock()
-		msgs++
-		mu.Unlock()
-		n.counters.Inc(stats.MsgUpdate)
-		resp, err := n.callWithin(ctx, addr, transport.Request{Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: hash})
-		return err == nil && n.accept(ctx, resp) && resp.OK
-	})
-	return msgs
+// QueryMany is the engine's QueryMany, with the keys counted for Report.
+func (n *Node) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, error) {
+	n.countQueried(keys...)
+	return n.engine.QueryMany(ctx, keys)
 }
 
 // ---- background work ----
@@ -1366,15 +966,10 @@ func (n *Node) sweeper() {
 		case <-tick.C:
 			n.mu.Lock()
 			live := n.cache.Live(n.now()) // prunes expired entries
-			var probes int
-			if n.cfg.MaintainEnv > 0 {
-				probes = n.view.maintain().Probes
-			}
+			probes := n.view.maintain()   // 0 unless MaintainEnv is set
 			n.mu.Unlock()
 			n.m.indexSize.Set(int64(live))
-			if probes > 0 {
-				n.counters.Add(stats.MsgMaintenance, int64(probes))
-			}
+			n.m.msgs.Add(stats.MsgMaintenance, int64(probes))
 		}
 	}
 }

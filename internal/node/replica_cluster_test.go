@@ -31,7 +31,7 @@ func replicaConfig() Config {
 func setOf(n *Node, key uint64) replica.Set {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	rs, _ := n.view.set(n.cfg.Addr, keyspace.Key(key))
+	rs := n.view.set(keyspace.Key(key))
 	return rs
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"pdht/internal/adapt"
 	"pdht/internal/gossip"
 	"pdht/internal/model"
+	"pdht/internal/obs"
 	"pdht/internal/stats"
 	"pdht/internal/zipf"
 )
@@ -104,6 +106,20 @@ type ModelComparison struct {
 	PredictedMsgsPerQuery float64
 }
 
+// ClusterReport is the engine's fleet aggregation with the paper's headline
+// comparison riding along: when this node's traffic supports a model fit,
+// SolveTTL's prediction for the cluster msgs/query the report measured.
+func (n *Node) ClusterReport(ctx context.Context) (obs.FleetReport, error) {
+	fr, err := n.engine.ClusterReport(ctx)
+	if err != nil {
+		return fr, err
+	}
+	if m := n.Report().Model; m != nil {
+		fr.PredictedMsgsPerQuery = m.PredictedMsgsPerQuery
+	}
+	return fr, nil
+}
+
 // Report assembles the node's current self-measurement.
 func (n *Node) Report() Report {
 	n.mu.Lock()
@@ -140,7 +156,7 @@ func (n *Node) Report() Report {
 		Membership:        n.gossip.Snapshot(),
 		IndexedKeys:       live,
 		StoredKeys:        stored,
-		Messages:          n.counters.Snapshot(),
+		Messages:          n.m.msgs.Snapshot(),
 	}
 	if r.Queries > 0 {
 		r.HitRate = float64(r.Hits) / float64(r.Queries)

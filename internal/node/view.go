@@ -1,18 +1,20 @@
 // Package node is the live peer: the paper's selection algorithm
 // (StrategyPartialTTL — query the index, broadcast on a miss, insert the
 // result with keyTtl, refresh on a hit) executed over a real transport
-// instead of simulated rounds. Node is the serving member engine,
-// RemoteClient the non-serving engine behind the public client package,
-// and Cluster the multi-node harness with kill/restart.
+// instead of simulated rounds. The algorithm exists once, in the unexported
+// engine (engine.go): Node is the engine plus the serving state of a
+// cluster member, RemoteClient the engine plus the view re-sync of a
+// non-serving client behind the public client package, and Cluster the
+// multi-node harness with kill/restart.
 //
-// Each Node serves six RPCs (Query/Insert/Refresh/Broadcast/Gossip/Batch, see
-// internal/transport), keeps a TTL index cache (core.Cache) for the key
-// range it is responsible for, a local content store standing in for the
-// unstructured network's content, and a membership view that decides
-// responsibility and replica placement — an incremental consistent-hash
-// ring (keyspace.MemberRing) for the default ring backend, or a full
-// simulator overlay instance (internal/dht's trie or Kademlia) for the
-// others.
+// Each Node serves the RPCs of internal/transport (Query/Insert/Refresh/
+// Broadcast/Gossip/Batch/TopK/Stats), keeps a TTL index cache (core.Cache)
+// for the key range it is responsible for, a local content store standing
+// in for the unstructured network's content, and a membership view that
+// decides responsibility and replica placement — an incremental
+// consistent-hash ring (keyspace.MemberRing). The trie and Kademlia
+// overlays the paper's DHT-genericity claim is about are compared where
+// that is honest, in internal/sim.
 //
 // Every index entry lives at an r-member replica set (replica.Set: the
 // routing-designated primary plus the keyspace-ranked backups). Writes —
@@ -24,9 +26,9 @@
 //
 // Membership is owned by internal/gossip (SWIM: probing, suspicion,
 // incarnations, anti-entropy). Every confirmed change produces a new view
-// at a new version — by DELTA application on the ring backend (only the
-// changed members' virtual nodes are spliced, and only index entries in
-// the affected key arcs are even considered for handoff) — and a repair
+// at a new version — by DELTA application (only the changed members'
+// virtual nodes are spliced, and only index entries in the affected key
+// arcs are even considered for handoff) — and a repair
 // pass (replica.PlanRepair) pushes index entries whose replica set moved
 // to the set's new members with their remaining TTL, so the paper's expiry
 // semantics survive the transfer.
@@ -38,47 +40,24 @@
 package node
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"sort"
 	"strings"
 
-	"pdht/internal/dht"
 	"pdht/internal/keyspace"
-	"pdht/internal/netsim"
 	"pdht/internal/replica"
-)
-
-// Backend selects which structured overlay the membership view runs.
-type Backend string
-
-const (
-	// BackendRing is the Chord-style ring — the default: responsibility
-	// is fully deterministic in the membership list, so every node with
-	// the same view computes identical replica groups. It is the only
-	// backend with incremental view maintenance (keyspace.MemberRing):
-	// a membership delta splices the changed members' vnodes instead of
-	// rebuilding routing state over all n members, which is what makes
-	// thousand-node fleets affordable.
-	BackendRing Backend = "ring"
-	// BackendTrie is the P-Grid-style binary trie.
-	BackendTrie Backend = "trie"
-	// BackendKademlia is the XOR-metric overlay.
-	BackendKademlia Backend = "kademlia"
 )
 
 // view is a node's local instance of the membership-derived routing state.
 //
-// For the ring backend it wraps a keyspace.MemberRing: virtual-node
-// positions are pure hashes of member ADDRESSES, so a member's placement
-// never depends on the rest of the list and a delta (the usual case: one
-// join or one confirmed death out of a thousand members) is applied by
-// splicing a handful of vnodes — O(changed) hashing plus one merge pass —
-// instead of the former O(n) rebuild per membership event. The trie and
-// Kademlia backends keep the simulator-overlay construction (netsim +
-// dht.Index over rank PeerIDs) and rebuild in full per change.
+// It wraps a keyspace.MemberRing: virtual-node positions are pure hashes of
+// member ADDRESSES, so a member's placement never depends on the rest of
+// the list and a delta (the usual case: one join or one confirmed death out
+// of a thousand members) is applied by splicing a handful of vnodes —
+// O(changed) hashing plus one merge pass — instead of an O(n) rebuild per
+// membership event.
 //
 // THE RANK-SHIFT HAZARD (why agreement still needs a guard): placement
 // agreement holds only while two nodes' membership lists are
@@ -102,10 +81,11 @@ const (
 // without changing which peer answers.
 //
 // A view is immutable once installed (version is fixed at install time
-// under the node lock); concurrent readers — handoff pushers, report
+// under the node lock; only the sweeper draws from mrng, under that same
+// lock); concurrent readers — in-flight queries, handoff pushers, report
 // snapshots — share it freely.
 type view struct {
-	members []string // sorted, includes self
+	members []string // sorted; includes self on a member
 	repl    int      // effective replication (clamped to cluster size)
 	// hash fingerprints the membership list — equal hashes mean equal
 	// lists mean identical replica-group arithmetic on both ends.
@@ -115,16 +95,9 @@ type view struct {
 	// out of order under concurrency) are discarded by comparing it.
 	version uint64
 
-	// ring is the incremental overlay (ring backend only).
-	ring *keyspace.MemberRing
-	env  float64    // maintenance environment (probe probability)
-	mrng *rand.Rand // maintenance cost model rng (ring backend)
-
-	// Legacy full-rebuild overlays (trie, kademlia).
-	rank map[string]netsim.PeerID
-	net  *netsim.Network
-	idx  dht.Index
-	rng  *rand.Rand
+	ring *keyspace.MemberRing // the incremental overlay
+	env  float64              // maintenance environment (probe probability)
+	mrng *rand.Rand           // maintenance cost model rng
 }
 
 // viewSeed derives the shared rng seed from the membership list.
@@ -136,10 +109,7 @@ func viewSeed(members []string) uint64 {
 
 // buildView constructs routing state over members from scratch. repl is
 // clamped to the cluster size — a 2-node cluster cannot hold 3 replicas.
-func buildView(members []string, backend Backend, repl int, env float64) (*view, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("node: view needs at least one member")
-	}
+func buildView(members []string, repl int, env float64) *view {
 	sorted := append([]string(nil), members...)
 	sort.Strings(sorted)
 	if repl < 1 {
@@ -150,54 +120,23 @@ func buildView(members []string, backend Backend, repl int, env float64) (*view,
 		effective = len(sorted)
 	}
 	seed := viewSeed(sorted)
-	v := &view{
+	return &view{
 		members: sorted,
 		repl:    effective,
 		hash:    seed,
-		env:     env,
-	}
-	switch backend {
-	case BackendRing, "":
 		// The ring keeps the UNclamped target so growth past repl members
 		// un-clamps naturally on delta application.
-		v.ring = keyspace.NewMemberRing(sorted, repl)
-		v.mrng = rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
-		return v, nil
-	case BackendTrie, BackendKademlia:
-	default:
-		return nil, fmt.Errorf("node: unknown backend %q", backend)
+		ring: keyspace.NewMemberRing(sorted, repl),
+		env:  env,
+		mrng: rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15)),
 	}
-	v.rank = make(map[string]netsim.PeerID, len(sorted))
-	v.net = netsim.New(len(sorted))
-	v.rng = rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
-	active := make([]netsim.PeerID, len(sorted))
-	for i, addr := range sorted {
-		v.rank[addr] = netsim.PeerID(i)
-		active[i] = netsim.PeerID(i)
-	}
-	var err error
-	switch backend {
-	case BackendTrie:
-		v.idx, err = dht.NewTrie(v.net, active, dht.TrieConfig{GroupSize: effective, Env: env}, v.rng)
-	case BackendKademlia:
-		v.idx, err = dht.NewKademlia(v.net, active, dht.KademliaConfig{K: effective, Env: env}, v.rng)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // applyDelta derives the successor view from this one by splicing a
 // membership delta — the incremental path that replaced the full rebuild
 // per membership event. alive must be sorted; joined/left are the sorted
-// set differences versus v.members. Returns nil when this view has no
-// incremental overlay (trie/kademlia) — the caller falls back to
-// buildView.
+// set differences versus v.members.
 func (v *view) applyDelta(alive, joined, left []string, version uint64) *view {
-	if v.ring == nil {
-		return nil
-	}
 	ring := v.ring.Apply(joined, left)
 	seed := viewSeed(alive)
 	effective := ring.Repl()
@@ -219,12 +158,8 @@ func (v *view) applyDelta(alive, joined, left []string, version uint64) *view {
 // differ across the transition old→next: the arcs owned by leavers on the
 // old ring plus those owned by joiners on the new ring. Keys outside the
 // set provably keep their exact replica group (see keyspace.Affected), so
-// handoff planning skips them without looking. Falls back to the whole key
-// space when either view lacks ring geometry.
+// handoff planning skips them without looking.
 func transitionArcs(old, next *view, joined, left []string) keyspace.ArcSet {
-	if old == nil || next == nil || old.ring == nil || next.ring == nil {
-		return keyspace.Everything()
-	}
 	arcs := old.ring.Affected(left)
 	if arcs.All {
 		return arcs
@@ -259,44 +194,15 @@ func diffSorted(prev, next []string) (joined, left []string) {
 	return joined, left
 }
 
-// route resolves the responsible member for key starting from the member
-// at from, returning the address and the hop count the lookup cost.
-func (v *view) route(from string, key keyspace.Key) (addr string, hops int, ok bool) {
-	if v.ring != nil {
-		if !v.ring.Contains(from) {
-			return "", 0, false
-		}
-		group := v.ring.Group(key)
-		if len(group) == 0 {
-			return "", 0, false
-		}
-		return group[0], v.ring.RouteHops(from, key), true
-	}
-	pid, known := v.rank[from]
-	if !known {
-		return "", 0, false
-	}
-	rt := v.idx.Route(pid, key, v.rng)
-	if !rt.OK {
-		return "", rt.Hops, false
-	}
-	return v.members[rt.Responsible], rt.Hops, true
-}
+// hops prices reaching key's primary from self: the overlay hop count of an
+// ideal lookup when self is a member (0 when it already sits in key's
+// group), one message — the dial to the primary — when it is not (self ==
+// "", a non-serving client).
+func (v *view) hops(self string, key keyspace.Key) int { return v.ring.RouteHops(self, key) }
 
 // replicas returns the addresses of key's replica group, responsible-peer
-// ordering preserved. The slice is freshly allocated — callers hold it
-// across lock boundaries.
-func (v *view) replicas(key keyspace.Key) []string {
-	if v.ring != nil {
-		return v.ring.Group(key)
-	}
-	group := v.idx.ReplicaGroup(key)
-	out := make([]string, len(group))
-	for i, p := range group {
-		out[i] = v.members[p]
-	}
-	return out
-}
+// ordering preserved. The slice is freshly allocated.
+func (v *view) replicas(key keyspace.Key) []string { return v.ring.Group(key) }
 
 // Replicas and Contains make *view a replica.View, the slice the repair
 // planner (replica.PlanRepair) sees of a membership view.
@@ -305,52 +211,42 @@ func (v *view) replicas(key keyspace.Key) []string {
 func (v *view) Replicas(key keyspace.Key) []string { return v.replicas(key) }
 
 // Contains reports whether addr is a member of this view.
-func (v *view) Contains(addr string) bool {
-	if v.ring != nil {
-		return v.ring.Contains(addr)
-	}
-	_, ok := v.rank[addr]
-	return ok
-}
+func (v *view) Contains(addr string) bool { return v.ring.Contains(addr) }
 
-// set returns key's ordered replica set under this view: the
-// routing-designated responsible peer first (resolved from self), then the
-// rest of the group in the keyspace ranking — the probe, failover and
-// write-fanout order of the live replication scheme. hops reports the
-// local routing cost to the primary.
-func (v *view) set(self string, key keyspace.Key) (s replicaSet, hops int) {
-	responsible, hops, ok := v.route(self, key)
-	if !ok {
-		return replicaSet{}, hops
+// set returns key's ordered replica set under this view: the responsible
+// peer first, then the rest of the group in the keyspace ranking — the
+// probe, failover and write-fanout order of the live replication scheme,
+// identical on every member and client that agrees on the membership list.
+func (v *view) set(key keyspace.Key) replicaSet {
+	group := v.replicas(key)
+	if len(group) == 0 {
+		return replicaSet{}
 	}
-	return replica.NewSet(key, responsible, v.replicas(key)), hops
+	return replica.NewSet(key, group[0], group)
 }
 
 // replicaSet aliases the replica package's set type — it appears in enough
 // node signatures that the shorter name keeps them readable.
 type replicaSet = replica.Set
 
-// maintain runs one round of routing-table probing and reports its cost.
-// The legacy overlays walk their materialized finger/trie/bucket tables;
-// the ring backend has no per-peer routing state to repair (fingers are
-// computed on demand from the vnode array), so it charges the same cost
-// model the simulator's ring would — each of ≈ vnodes·log₂(vnodes) ideal
-// finger entries probed with probability env per round — sampled from a
-// normal approximation of the binomial so a thousand-node fleet does not
-// burn CPU drawing per-entry Bernoulli variables.
-func (v *view) maintain() dht.MaintenanceStats {
-	if v.ring == nil {
-		return v.idx.Maintain(v.rng)
-	}
+// maintain runs one round of routing-table probing and reports how many
+// probe messages it cost. The ring has no per-peer routing state to repair
+// (fingers are computed on demand from the vnode array), so it charges the
+// same cost model the simulator's ring would — each of ≈
+// vnodes·log₂(vnodes) ideal finger entries probed with probability env per
+// round — sampled from a normal approximation of the binomial so a
+// thousand-node fleet does not burn CPU drawing per-entry Bernoulli
+// variables.
+func (v *view) maintain() (probes int) {
 	if v.env <= 0 {
-		return dht.MaintenanceStats{}
+		return 0
 	}
 	vn := float64(len(v.members) * keyspace.RingVnodes)
 	entries := vn * math.Ceil(math.Log2(vn+1))
 	mean := entries * v.env
-	probes := int(mean + math.Sqrt(mean*(1-v.env))*v.mrng.NormFloat64() + 0.5)
+	probes = int(mean + math.Sqrt(mean*(1-v.env))*v.mrng.NormFloat64() + 0.5)
 	if probes < 0 {
 		probes = 0
 	}
-	return dht.MaintenanceStats{Probes: probes}
+	return probes
 }

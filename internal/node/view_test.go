@@ -19,14 +19,8 @@ func TestRankShiftDisagreement(t *testing.T) {
 	full := []string{"n0", "n1", "n2", "n3", "n4", "n5"}
 	short := []string{"n0", "n1", "n3", "n4", "n5"} // n2 evicted
 
-	vFull, err := buildView(full, BackendRing, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vShort, err := buildView(short, BackendRing, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vFull := buildView(full, 3, 0)
+	vShort := buildView(short, 3, 0)
 
 	disagreements := 0
 	for k := uint64(0); k < 200; k++ {
@@ -55,10 +49,7 @@ func TestRankShiftDisagreement(t *testing.T) {
 		t.Fatal("different membership lists produced the same view hash")
 	}
 	// And hashing is stable: rebuilding the same list reproduces it.
-	vAgain, err := buildView(append([]string(nil), full...), BackendRing, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vAgain := buildView(append([]string(nil), full...), 3, 0)
 	if vAgain.hash != vFull.hash {
 		t.Fatal("same membership list produced different view hashes")
 	}

@@ -144,7 +144,6 @@ func WithTCP() ClientOption                          { return client.WithTCP() }
 func WithListen(addr string) ClientOption            { return client.WithListen(addr) }
 func WithSeeds(seeds ...string) ClientOption         { return client.WithSeeds(seeds...) }
 func WithClientOnly() ClientOption                   { return client.WithClientOnly() }
-func WithBackend(name string) ClientOption           { return client.WithBackend(name) }
 func WithReplication(repl int) ClientOption          { return client.WithReplication(repl) }
 func WithKeyTtl(rounds int) ClientOption             { return client.WithKeyTtl(rounds) }
 func WithCapacity(entries int) ClientOption          { return client.WithCapacity(entries) }
