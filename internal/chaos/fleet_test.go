@@ -151,8 +151,11 @@ func TestExpiredEntryNotServed(t *testing.T) {
 
 // TestTunerStabilityEnvelope runs an adaptive fleet under a lossy phase
 // with a live Zipf workload and checks the actuated keyTtl stays within
-// the acceptance envelope — 25% of the model solution fitted to the same
-// observed traffic (Report.Model.KeyTtl).
+// the acceptance envelope — 25% of the model's recommendation for the
+// scenario fitted to each node's exact query counts
+// (Report.Model.IdealKeyTtl). Routing maintenance is on (MaintainEnv) so
+// fMin is finite: with free maintenance every key is worth indexing, the
+// tuner saturates at TTLMax and there is nothing to compare.
 func TestTunerStabilityEnvelope(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tuner envelope test skipped in -short mode")
@@ -161,6 +164,7 @@ func TestTunerStabilityEnvelope(t *testing.T) {
 		Adaptive:       true,
 		Tuner:          smallTuner(),
 		RetuneInterval: 2 * time.Second,
+		MaintainEnv:    0.05,
 	}
 	rep, err := Run(RunConfig{
 		N:     16,
@@ -177,10 +181,13 @@ func TestTunerStabilityEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("tuner: %d nodes fitted, actuated ttl %.0f vs model %.0f, median deviation %.3f (queries %d)",
-		rep.TunerNodes, rep.TunerTtl, rep.ModelTtl, rep.TunerDeviation, rep.Queries)
+	t.Logf("tuner: %d nodes fitted (%d unfitted), actuated ttl %.0f vs model %.0f, median deviation %.3f (queries %d)",
+		rep.TunerNodes, rep.TunerUnfitted, rep.TunerTtl, rep.ModelTtl, rep.TunerDeviation, rep.Queries)
 	if rep.TunerNodes == 0 {
 		t.Fatal("no node produced both a retune and a model fit — the envelope check is vacuous")
+	}
+	if rep.TunerDeviation == 0 {
+		t.Error("median deviation is exactly 0 — the reference is not independent of the tuner")
 	}
 	if rep.TunerDeviation > 0.25 {
 		t.Errorf("median tuner deviation %.3f exceeds the 25%% envelope (ttl %.0f vs model %.0f)",
@@ -190,10 +197,10 @@ func TestTunerStabilityEnvelope(t *testing.T) {
 
 // TestChaosHeadline1000 is the nightly headline: a thousand live nodes
 // under 20% loss across a 3-way partition, healed, must re-converge
-// within the computed bound with zero entries lost or resurrected and the
-// tuner inside its envelope. Gated behind PDHT_CHAOS=1 — it needs minutes
-// and many cores. Run with: PDHT_CHAOS=1 go test ./internal/chaos/ -run
-// TestChaosHeadline1000 -v -timeout 10m
+// within the computed bound with zero entries lost or resurrected, with
+// every node's adaptive control loop running. Gated behind PDHT_CHAOS=1 —
+// it needs minutes and many cores. Run with: PDHT_CHAOS=1 go test
+// ./internal/chaos/ -run TestChaosHeadline1000 -v -timeout 10m
 func TestChaosHeadline1000(t *testing.T) {
 	if os.Getenv("PDHT_CHAOS") == "" {
 		t.Skip("set PDHT_CHAOS=1 to run the 1000-node headline scenario")
@@ -220,6 +227,7 @@ func TestChaosHeadline1000(t *testing.T) {
 			Adaptive:         true,
 			Tuner:            smallTuner(),
 			RetuneInterval:   10 * time.Second,
+			MaintainEnv:      0.05, // finite fMin: see TestTunerStabilityEnvelope
 		},
 		Chaos: Config{Seed: 1000},
 		Scenario: Scenario{
@@ -243,10 +251,10 @@ func TestChaosHeadline1000(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("headline: boot %s, heal %s (bound %s), accounting %+v, handoff %d msgs / %d keys, tuner dev %.3f over %d nodes",
+	t.Logf("headline: boot %s, heal %s (bound %s), accounting %+v, handoff %d msgs / %d keys, tuner dev %.3f over %d nodes (%d unfitted, %d queries)",
 		rep.BootConverge.Round(time.Millisecond), rep.HealConverge.Round(time.Millisecond),
 		rep.Bound.Round(time.Millisecond), rep.Accounting, rep.HandoffMsgs, rep.HandoffKeys,
-		rep.TunerDeviation, rep.TunerNodes)
+		rep.TunerDeviation, rep.TunerNodes, rep.TunerUnfitted, rep.Queries)
 	if !rep.Converged || !rep.WithinBound {
 		t.Errorf("1000-node heal convergence %s vs bound %s (converged=%v)", rep.HealConverge, rep.Bound, rep.Converged)
 	}
@@ -259,6 +267,10 @@ func TestChaosHeadline1000(t *testing.T) {
 	if rep.HandoffMsgs == 0 {
 		t.Error("a split longer than the suspicion timeout must evict members and exercise handoff")
 	}
+	// Four workers over a thousand nodes leave each node a handful of
+	// queries, so every tuner is normally unfitted here (minQueriesPerKey) and
+	// this only bites if the workload grows; TestTunerStabilityEnvelope is
+	// where the envelope is asserted on fitted nodes.
 	if rep.TunerNodes > 0 && rep.TunerDeviation > 0.25 {
 		t.Errorf("tuner deviation %.3f exceeds envelope", rep.TunerDeviation)
 	}

@@ -103,7 +103,6 @@ func DialRemote(ctx context.Context, tr transport.Transport, cfg RemoteConfig) (
 			repl:          cfg.Repl,
 			staticTtl:     cfg.KeyTtl,
 			callTimeout:   cfg.CallTimeout,
-			flood:         true,
 			traceSampling: cfg.TraceSampling,
 			traceHook:     cfg.TraceHook,
 			// No query stream to sketch: term weights stay uniform and the

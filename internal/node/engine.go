@@ -37,10 +37,6 @@ type engine struct {
 	staticTtl int
 	// callTimeout caps every outbound RPC.
 	callTimeout time.Duration
-	// flood extends reads from the primary to the rest of the replica set
-	// and, with them, the writes that keep the set coherent
-	// (Config.FloodOnMiss; always on for a client).
-	flood bool
 
 	traceSampling float64
 	traceHook     func(obs.QueryTrace)
@@ -101,18 +97,6 @@ func (e *engine) keyTtl() int {
 	return e.staticTtl
 }
 
-// set is key's replica set as this engine reads and writes it. Without
-// failover probing there is no replica coherence to maintain either: the set
-// collapses to the primary, so hits fan nothing out (matching the tuner's
-// WriteFanout accounting).
-func (e *engine) set(v *view, k keyspace.Key) replicaSet {
-	rs := v.set(k)
-	if !e.flood && rs.Primary != "" {
-		rs = replicaSet{Primary: rs.Primary}
-	}
-	return rs
-}
-
 // call performs one RPC leg. A leg addressed to self is served in-process:
 // no wire, no message, and no view-hash check — a peer always agrees with
 // itself. Every other leg is bounded by both the caller's context and
@@ -144,13 +128,12 @@ func (e *engine) call(ctx context.Context, addr string, req transport.Request) (
 	return resp, err
 }
 
-// sent counts one message of class toward *n unless the leg stays in-process.
-// Counted at send: a leg that fails or is refused still cost its message.
-func (e *engine) sent(addr string, class stats.MsgClass, mu *sync.Mutex, n *int) {
+// sent counts one message toward *n unless the leg stays in-process. Counted
+// at send: a leg that fails or is refused still cost its message.
+func (e *engine) sent(addr string, mu *sync.Mutex, n *int) {
 	if addr == e.self {
 		return
 	}
-	e.m.msgs.Inc(class)
 	mu.Lock()
 	*n++
 	mu.Unlock()
@@ -292,6 +275,9 @@ type QueryResult struct {
 	InsertMsgs    int
 	RefreshMsgs   int
 	RepairMsgs    int
+	// failoverMsgs is the share of IndexMsgs spent on failover probes past
+	// the primary — filed as replica-flood, the rest as lookup.
+	failoverMsgs int
 	// InsertGated reports that the broadcast resolved the key but the
 	// adaptive control plane refused to index it (estimated rate below
 	// fMin).
@@ -330,6 +316,7 @@ func (e *engine) Query(ctx context.Context, key uint64) (QueryResult, error) {
 	var res QueryResult
 	err := e.resolve(ctx, key, &res, "")
 	e.m.observeQuery(res, time.Since(start))
+	e.m.fileMessages(res)
 	if owned {
 		e.deliver(tr, queryOutcome(res, err))
 	}
@@ -367,13 +354,11 @@ func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, aske
 		if err != nil {
 			return err
 		}
-		rs := e.set(v, k)
+		rs := v.set(k)
 		probes := rs.All()
 		if asked == "" {
-			hops := v.hops(e.self, k)
 			res.Responsible = rs.Primary
-			res.IndexMsgs += hops
-			e.m.msgs.Add(stats.MsgIndexLookup, int64(hops))
+			res.IndexMsgs += v.hops(e.self, k)
 		}
 		rerouted, failed := false, false
 	walk:
@@ -388,7 +373,7 @@ func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, aske
 				// Hops priced the path to the primary; each failover probe
 				// is one more message.
 				res.IndexMsgs++
-				e.m.msgs.Inc(stats.MsgReplicaFlood)
+				res.failoverMsgs++
 			}
 			value, found, act := e.probe(ctx, v, addr, k)
 			switch act {
@@ -471,7 +456,7 @@ func (e *engine) syncHit(ctx context.Context, v *view, set []string, k keyspace.
 		refresh, repair int
 	}
 	replica.Fanout(ctx, set, func(ctx context.Context, addr string) bool {
-		e.sent(addr, stats.MsgUpdate, &sent.Mutex, &sent.refresh)
+		e.sent(addr, &sent.Mutex, &sent.refresh)
 		l := startLeg(tr)
 		resp, err := e.call(ctx, addr, transport.Request{Op: transport.OpRefresh, Key: uint64(k), TTL: ttl, ViewHash: v.hash})
 		if err != nil || !e.accept(ctx, addr, resp) {
@@ -485,7 +470,7 @@ func (e *engine) syncHit(ctx context.Context, v *view, set []string, k keyspace.
 		// The member answered but does not hold the entry: read repair.
 		l.end("refresh", addr, "missing")
 		e.m.readRepairs.Add(1)
-		e.sent(addr, stats.MsgUpdate, &sent.Mutex, &sent.repair)
+		e.sent(addr, &sent.Mutex, &sent.repair)
 		l = startLeg(tr)
 		resp, err = e.call(ctx, addr, transport.Request{Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: v.hash})
 		if err != nil || !e.accept(ctx, addr, resp) || !resp.OK {
@@ -589,7 +574,6 @@ func (e *engine) broadcast(ctx context.Context, k keyspace.Key, members []string
 			}
 		}(m)
 	}
-	e.m.msgs.Add(stats.MsgBroadcast, int64(msgs))
 	wg.Wait()
 	close(answers)
 	for a := range answers {
@@ -609,8 +593,8 @@ func (e *engine) broadcast(ctx context.Context, k keyspace.Key, members []string
 func (e *engine) insert(ctx context.Context, v *view, k keyspace.Key, value uint64) (msgs int) {
 	ttl := e.keyTtl()
 	var mu sync.Mutex
-	replica.Fanout(ctx, e.set(v, k).All(), func(ctx context.Context, addr string) bool {
-		e.sent(addr, stats.MsgUpdate, &mu, &msgs)
+	replica.Fanout(ctx, v.set(k).All(), func(ctx context.Context, addr string) bool {
+		e.sent(addr, &mu, &msgs)
 		resp, err := e.call(ctx, addr, transport.Request{Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: v.hash})
 		return err == nil && e.accept(ctx, addr, resp) && resp.OK
 	})
@@ -651,8 +635,10 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	}
 
 	results := make([]QueryResult, len(keys))
+	// Deferred: partial results returned with an error spent their messages
+	// too. The slots are filled in place, so the deferred call sees them.
+	defer e.m.fileMessages(results...)
 	groups := make(map[string][]int) // destination → indexes into keys
-	var hops int64
 	for i, key := range keys {
 		k := keyspace.Key(key)
 		group := v.replicas(k)
@@ -661,10 +647,8 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 		}
 		results[i].Responsible = group[0]
 		results[i].IndexMsgs = v.hops(e.self, k)
-		hops += int64(results[i].IndexMsgs)
 		groups[group[0]] = append(groups[group[0]], i)
 	}
-	e.m.msgs.Add(stats.MsgIndexLookup, hops)
 	ttl := e.keyTtl()
 
 	// Exactly one OpBatch per destination, concurrently. Result slots are
@@ -752,7 +736,7 @@ func (e *engine) syncBatchHits(ctx context.Context, v *view, keys []uint64, resu
 		if !results[i].FromIndex {
 			continue
 		}
-		for _, addr := range e.set(v, keyspace.Key(keys[i])).All() {
+		for _, addr := range v.set(keyspace.Key(keys[i])).All() {
 			if addr != results[i].AnsweredBy {
 				groups[addr] = append(groups[addr], slot{i, keys[i], results[i].Value})
 			}
@@ -773,7 +757,6 @@ func (e *engine) syncBatchHits(ctx context.Context, v *view, keys []uint64, resu
 			}
 		}
 		if addr != e.self {
-			e.m.msgs.Add(stats.MsgUpdate, int64(len(slots)))
 			resMu.Lock()
 			for _, s := range slots {
 				if repair {
@@ -879,15 +862,6 @@ func (e *engine) queryTopK(ctx context.Context, terms []uint64, k int) (topk.Res
 		Plan:    e.planner.Plan(v.members, e.self, k, e.repl),
 	}
 
-	// best tracks, per candidate document, the peer whose probe reported
-	// its winning score — the planner's Credit feedback after the query.
-	type source struct {
-		addr  string
-		score float64
-	}
-	var bmu sync.Mutex
-	best := make(map[uint64]source)
-
 	// Content is unrouted, so probes carry no view hash; the scan of the
 	// host's own store is a self leg like any other.
 	probe := func(pctx context.Context, addr string, req topk.Req) (topk.Resp, error) {
@@ -898,13 +872,6 @@ func (e *engine) queryTopK(ctx context.Context, terms []uint64, k int) (topk.Res
 		if r.Err != "" || r.TopK == nil {
 			return topk.Resp{}, fmt.Errorf("node: topk probe: %s", r.Err)
 		}
-		bmu.Lock()
-		for _, en := range r.TopK.Entries {
-			if cur, ok := best[en.Doc]; !ok || en.Score > cur.score {
-				best[en.Doc] = source{addr: addr, score: en.Score}
-			}
-		}
-		bmu.Unlock()
 		return *r.TopK, nil
 	}
 
@@ -914,7 +881,7 @@ func (e *engine) queryTopK(ctx context.Context, terms []uint64, k int) (topk.Res
 		e.m.topkRounds.Inc()
 		e.m.topkLegs.Add(uint64(info.Legs))
 		e.m.topkCandidates.Set(int64(info.Candidates))
-		e.m.msgs.Add(stats.MsgTopK, int64(info.Legs))
+		e.m.addMsgs(stats.MsgTopK, info.Legs)
 		l.end("topk-round", "", fmt.Sprintf("%d legs, %d candidates", info.Legs, info.Candidates))
 		l = startLeg(tr)
 	}
@@ -928,10 +895,8 @@ func (e *engine) queryTopK(ctx context.Context, terms []uint64, k int) (topk.Res
 	}
 	// Credit the peers whose content made the final answer: tomorrow's
 	// first round starts at today's productive peers.
-	for _, en := range res.Entries {
-		if src, ok := best[en.Doc]; ok {
-			e.planner.Credit(src.addr)
-		}
+	for _, addr := range res.Sources {
+		e.planner.Credit(addr)
 	}
 	if err := ctx.Err(); err != nil {
 		return res, ctxErr(err)

@@ -76,7 +76,7 @@ func (n *Node) runHandoff(old, next *view, entries []core.Entry) {
 				return
 			}
 			n.m.handoffMsgs.Add(1)
-			n.m.msgs.Inc(stats.MsgControl)
+			n.m.addMsgs(stats.MsgControl, 1)
 			resp, err := n.call(ctx, p.To, transport.Request{
 				Op: transport.OpInsert, Key: uint64(p.Key), Value: p.Value, TTL: p.TTL,
 			})

@@ -15,8 +15,8 @@ import (
 // lives on a registry nothing scrapes.
 type nodeMetrics struct {
 	// msgs is the per-class message breakdown (the cost terms of eq. 17),
-	// exposed as gauges on the registry.
-	msgs stats.Counters
+	// indexed by stats.MsgClass, the simulator's and Report's vocabulary.
+	msgs []*obs.Counter
 
 	queries, hits, misses                     *obs.Counter
 	broadcasts, broadcastAnswered             *obs.Counter
@@ -87,14 +87,32 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		nil, obs.L("outcome", "hit"))
 	m.latencyBroadcast = reg.Histogram("pdht_node_query_seconds", "", nil, obs.L("outcome", "broadcast"))
 	m.latencyMiss = reg.Histogram("pdht_node_query_seconds", "", nil, obs.L("outcome", "miss"))
-	for _, c := range stats.Classes() {
-		c := c
-		reg.GaugeFunc("pdht_node_messages_total",
+	classes := stats.Classes()
+	m.msgs = make([]*obs.Counter, len(classes))
+	for _, c := range classes {
+		m.msgs[c] = reg.Counter("pdht_node_messages_total",
 			"Messages sent by class, the cost breakdown of the paper's eq. 17.",
-			func() float64 { return float64(m.msgs.Get(c)) },
 			obs.L("class", c.String()))
 	}
 	return m
+}
+
+// addMsgs counts n messages of class c. Called directly only for traffic
+// that belongs to no QueryResult (top-k legs, gossip and handoff control,
+// the sweeper's maintenance probes); query legs go through fileMessages.
+func (m *nodeMetrics) addMsgs(c stats.MsgClass, n int) {
+	if n > 0 {
+		m.msgs[c].Add(uint64(n))
+	}
+}
+
+// messages is the per-class breakdown as Report serves it.
+func (m *nodeMetrics) messages() map[stats.MsgClass]int64 {
+	out := make(map[stats.MsgClass]int64, len(m.msgs))
+	for c, ctr := range m.msgs {
+		out[stats.MsgClass(c)] = int64(ctr.Value())
+	}
+	return out
 }
 
 // observeQuery files one finished unary query under its outcome bucket.
@@ -107,6 +125,25 @@ func (m *nodeMetrics) observeQuery(res QueryResult, d time.Duration) {
 	default:
 		m.latencyMiss.Observe(d)
 	}
+}
+
+// fileMessages files finished queries' message cost under the per-class
+// counters — the only place a query leg is counted besides its QueryResult,
+// so Σ classes = Σ QueryResult.Total() by construction. It runs on every
+// return path: a message counted at send was spent even if the query failed.
+func (m *nodeMetrics) fileMessages(results ...QueryResult) {
+	var lookup, flood, broadcast, update int
+	for i := range results {
+		r := &results[i]
+		lookup += r.IndexMsgs - r.failoverMsgs
+		flood += r.failoverMsgs
+		broadcast += r.BroadcastMsgs
+		update += r.InsertMsgs + r.RefreshMsgs + r.RepairMsgs
+	}
+	m.addMsgs(stats.MsgIndexLookup, lookup)
+	m.addMsgs(stats.MsgReplicaFlood, flood)
+	m.addMsgs(stats.MsgBroadcast, broadcast)
+	m.addMsgs(stats.MsgUpdate, update)
 }
 
 // registerGauges binds the scrape-time views that need the node itself.

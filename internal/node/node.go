@@ -39,14 +39,6 @@ type Config struct {
 	RoundDuration time.Duration
 	// CallTimeout bounds each outbound RPC. Default 2s.
 	CallTimeout time.Duration
-	// FloodOnMiss extends an index search that misses, is refused or
-	// times out at the primary to the rest of the replica set, in the
-	// deterministic keyspace-ranked failover order — the cSIndx2 flood
-	// the selection algorithm needs because TTL expiry leaves replicas
-	// loosely synchronized, and the failover that masks a dead primary.
-	// It also gates the replica-coherent write fan-out: with it on, hits
-	// refresh (and read-repair) the whole set. DefaultConfig turns it on.
-	FloodOnMiss bool
 	// MaintainEnv is the per-entry per-round probe probability of the
 	// local overlay instance (the paper's env). Zero disables probing.
 	MaintainEnv float64
@@ -131,12 +123,11 @@ func DefaultConfig() Config {
 		Capacity:      1024,
 		RoundDuration: time.Second,
 		CallTimeout:   2 * time.Second,
-		FloodOnMiss:   true,
 		TraceSampling: 1,
 	}
 }
 
-// setDefaults fills zero fields; FloodOnMiss keeps its explicit value.
+// setDefaults fills zero fields.
 func (c *Config) setDefaults() {
 	if c.Repl == 0 {
 		c.Repl = 3
@@ -261,7 +252,6 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 			repl:          cfg.Repl,
 			staticTtl:     cfg.KeyTtl,
 			callTimeout:   cfg.CallTimeout,
-			flood:         cfg.FloodOnMiss,
 			traceSampling: cfg.TraceSampling,
 			traceHook:     cfg.TraceHook,
 			pool:          newPool(tr),
@@ -474,7 +464,7 @@ func (n *Node) Close() error {
 // gossipCall carries one membership-protocol message over the node's
 // pooled connections — the Caller internal/gossip is wired with.
 func (n *Node) gossipCall(ctx context.Context, addr string, msg transport.Gossip) (transport.Gossip, bool, error) {
-	n.m.msgs.Inc(stats.MsgControl)
+	n.m.addMsgs(stats.MsgControl, 1)
 	resp, err := n.callCtx(ctx, addr, transport.Request{
 		Op: transport.OpGossip, From: n.cfg.Addr, Gossip: &msg,
 	})
@@ -667,70 +657,25 @@ func storedRefused(ok bool) string {
 // serve executes one inbound request. It runs on a transport goroutine;
 // everything it touches is behind mu.
 func (n *Node) serve(req transport.Request) transport.Response {
+	switch req.Op {
+	case transport.OpQuery, transport.OpInsert, transport.OpRefresh, transport.OpBatch, transport.OpBroadcast:
+		// Not inlined here: handlers start on fresh goroutine stacks, and a
+		// deeper serve frame measurably slowed QueryTopK (CHANGES, PR 14).
+		return n.serveData(req)
+	}
 	n.mu.Lock()
 	ready := n.view != nil && n.gossip != nil
-	var hash uint64
-	if n.view != nil {
-		hash = n.view.hash
-	}
 	n.mu.Unlock()
 	if !ready {
 		return transport.Response{Err: "node starting"}
 	}
-	// Routed operations are only answered between nodes that agree on
-	// the membership list — and therefore on replica-group arithmetic.
-	// A hash mismatch would silently mis-route (see the rank-shift note
-	// on view), so it is refused with the responder's gossip state
-	// attached: the stale side converges instead of trusting a wrong
-	// answer. Zero skips the check (handoff pushes span view changes by
-	// design).
 	switch req.Op {
-	case transport.OpQuery, transport.OpInsert, transport.OpRefresh, transport.OpBatch:
-		if req.ViewHash != 0 && req.ViewHash != hash {
-			st := n.gossip.State()
-			return transport.Response{Err: transport.StaleView, Gossip: &st}
-		}
-	}
-	switch req.Op {
-	case transport.OpQuery:
-		n.mu.Lock()
-		v, ok := n.cache.Get(keyspace.Key(req.Key), n.now())
-		n.mu.Unlock()
-		return transport.Response{OK: true, Found: ok, Value: v64(v)}
-	case transport.OpInsert:
-		if req.TTL < 1 {
-			return transport.Response{Err: "insert without ttl"}
-		}
-		n.mu.Lock()
-		now := n.now() // read under mu; see LiveKeys
-		stored := n.cache.Put(keyspace.Key(req.Key), core.Value(req.Value), now+req.TTL, now)
-		n.mu.Unlock()
-		return transport.Response{OK: stored}
-	case transport.OpRefresh:
-		if req.TTL < 1 {
-			return transport.Response{Err: "refresh without ttl"}
-		}
-		n.mu.Lock()
-		now := n.now()
-		ok := n.cache.Refresh(keyspace.Key(req.Key), now+req.TTL, now)
-		n.mu.Unlock()
-		if ok {
-			n.m.refreshes.Add(1)
-		}
-		return transport.Response{OK: ok}
-	case transport.OpBroadcast:
-		n.mu.Lock()
-		v, ok := n.store[keyspace.Key(req.Key)]
-		n.mu.Unlock()
-		return transport.Response{OK: true, Found: ok, Value: v}
 	case transport.OpGossip:
 		if req.Gossip == nil {
 			return transport.Response{Err: "gossip without payload"}
 		}
 		reply, ok := n.gossip.HandleMessage(*req.Gossip)
 		return transport.Response{OK: ok, Gossip: &reply}
-	case transport.OpBatch:
-		return n.handleBatch(req)
 	case transport.OpTopK:
 		return n.serveTopK(req)
 	case transport.OpStats:
@@ -742,58 +687,96 @@ func (n *Node) serve(req transport.Request) transport.Response {
 	}
 }
 
+// serveData serves the operations answered from the index cache or the
+// content store. Each takes mu once: the readiness check, the view-hash
+// guard and the operation itself share one critical section.
+func (n *Node) serveData(req transport.Request) transport.Response {
+	results := make([]transport.BatchResult, len(req.Batch)) // before the lock; free when empty
+	n.mu.Lock()
+	if n.view == nil || n.gossip == nil {
+		n.mu.Unlock()
+		return transport.Response{Err: "node starting"}
+	}
+	if req.Op == transport.OpBroadcast {
+		v, ok := n.store[keyspace.Key(req.Key)]
+		n.mu.Unlock()
+		return transport.Response{OK: true, Found: ok, Value: v}
+	}
+	// Routed operations are only answered between nodes that agree on the
+	// membership list — and therefore on replica-group arithmetic. A hash
+	// mismatch would silently mis-route (see the rank-shift note on view),
+	// so it is refused with the responder's gossip state attached: the
+	// stale side converges instead of trusting a wrong answer. Zero skips
+	// the check (handoff pushes span view changes by design).
+	if req.ViewHash != 0 && req.ViewHash != n.view.hash {
+		n.mu.Unlock() // gossip has its own lock; never nest it under mu
+		st := n.gossip.State()
+		return transport.Response{Err: transport.StaleView, Gossip: &st}
+	}
+	now := n.now() // read under mu; see LiveKeys
+	var refreshed uint64
+	if req.Op == transport.OpBatch {
+		// Every item gets its own result — one malformed or refused item
+		// never fails the round trip.
+		for i, it := range req.Batch {
+			results[i] = n.applyItem(now, it, &refreshed)
+		}
+		n.mu.Unlock()
+		n.m.refreshes.Add(refreshed)
+		return transport.Response{OK: true, Batch: results}
+	}
+	it := transport.BatchItem{Op: req.Op, Key: req.Key, Value: req.Value, TTL: req.TTL}
+	if req.Op == transport.OpQuery {
+		it.TTL = 0 // only a batched query piggybacks the refresh
+	}
+	r := n.applyItem(now, it, &refreshed)
+	n.mu.Unlock()
+	if refreshed > 0 {
+		n.m.refreshes.Inc()
+	}
+	return transport.Response{OK: r.OK, Found: r.Found, Value: r.Value, Err: r.Err}
+}
+
+// applyItem executes one index operation against the cache — a unary
+// OpQuery/OpInsert/OpRefresh request or one item of an OpBatch. The caller
+// holds mu, read now under it, and counts *refreshed after releasing it.
+func (n *Node) applyItem(now int, it transport.BatchItem, refreshed *uint64) transport.BatchResult {
+	k := keyspace.Key(it.Key)
+	switch it.Op {
+	case transport.OpQuery:
+		v, ok := n.cache.Get(k, now)
+		if ok && it.TTL > 0 {
+			// The amortized reset-on-hit rule: a batched query carries
+			// the TTL so the refresh the unary path pays a separate
+			// OpRefresh message for rides the same round trip.
+			if n.cache.Refresh(k, now+it.TTL, now) {
+				*refreshed++
+			}
+		}
+		return transport.BatchResult{OK: true, Found: ok, Value: uint64(v)}
+	case transport.OpInsert:
+		if it.TTL < 1 {
+			return transport.BatchResult{Err: "insert without ttl"}
+		}
+		return transport.BatchResult{OK: n.cache.Put(k, core.Value(it.Value), now+it.TTL, now)}
+	case transport.OpRefresh:
+		if it.TTL < 1 {
+			return transport.BatchResult{Err: "refresh without ttl"}
+		}
+		ok := n.cache.Refresh(k, now+it.TTL, now)
+		if ok {
+			*refreshed++
+		}
+		return transport.BatchResult{OK: ok}
+	default:
+		return transport.BatchResult{Err: "op " + it.Op.String() + " not batchable"}
+	}
+}
+
 // KV is one key→value pair of a batched publish.
 type KV struct {
 	Key   uint64
 	Value uint64
-}
-
-// handleBatch serves one OpBatch request: every item executes against the
-// index cache under a single lock acquisition, and every item gets its own
-// result — one malformed or refused item never fails the round trip. The
-// view-hash check already ran in handle (once, for the whole batch).
-func (n *Node) handleBatch(req transport.Request) transport.Response {
-	results := make([]transport.BatchResult, len(req.Batch))
-	var refreshed uint64
-	n.mu.Lock()
-	now := n.now() // read under mu; see LiveKeys
-	for i, it := range req.Batch {
-		k := keyspace.Key(it.Key)
-		switch it.Op {
-		case transport.OpQuery:
-			v, ok := n.cache.Get(k, now)
-			results[i] = transport.BatchResult{OK: true, Found: ok, Value: v64(v)}
-			if ok && it.TTL > 0 {
-				// The amortized reset-on-hit rule: a batched query carries
-				// the TTL so the refresh the unary path pays a separate
-				// OpRefresh message for rides the same round trip.
-				if n.cache.Refresh(k, now+it.TTL, now) {
-					refreshed++
-				}
-			}
-		case transport.OpInsert:
-			if it.TTL < 1 {
-				results[i] = transport.BatchResult{Err: "insert without ttl"}
-				continue
-			}
-			results[i] = transport.BatchResult{OK: n.cache.Put(k, core.Value(it.Value), now+it.TTL, now)}
-		case transport.OpRefresh:
-			if it.TTL < 1 {
-				results[i] = transport.BatchResult{Err: "refresh without ttl"}
-				continue
-			}
-			ok := n.cache.Refresh(k, now+it.TTL, now)
-			if ok {
-				refreshed++
-			}
-			results[i] = transport.BatchResult{OK: ok}
-		default:
-			results[i] = transport.BatchResult{Err: "op " + it.Op.String() + " not batchable"}
-		}
-	}
-	n.mu.Unlock()
-	n.m.refreshes.Add(refreshed)
-	return transport.Response{OK: true, Batch: results}
 }
 
 // serveTopK answers one OpTopK probe: score the local content store
@@ -969,7 +952,7 @@ func (n *Node) sweeper() {
 			probes := n.view.maintain()   // 0 unless MaintainEnv is set
 			n.mu.Unlock()
 			n.m.indexSize.Set(int64(live))
-			n.m.msgs.Add(stats.MsgMaintenance, int64(probes))
+			n.m.addMsgs(stats.MsgMaintenance, probes)
 		}
 	}
 }
@@ -1007,9 +990,8 @@ func (n *Node) retuner() {
 				Repl:         n.cfg.Repl,
 				Env:          n.cfg.MaintainEnv,
 				WindowRounds: window,
-				// Hits fan the refresh out to the whole set whenever
-				// reads can fail over to it.
-				RefreshFanout: n.cfg.FloodOnMiss,
+				// Hits fan the refresh out to the whole replica set.
+				RefreshFanout: true,
 			}
 			if _, err := n.tuner.Retune(in); err == nil {
 				n.m.retunes.Add(1)
@@ -1020,6 +1002,3 @@ func (n *Node) retuner() {
 		}
 	}
 }
-
-// v64 narrows a core.Value to the wire representation.
-func v64(v core.Value) uint64 { return uint64(v) }

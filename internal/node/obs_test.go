@@ -15,6 +15,7 @@ import (
 
 	"pdht/internal/keyspace"
 	"pdht/internal/obs"
+	"pdht/internal/stats"
 	"pdht/internal/transport"
 	"pdht/internal/zipf"
 )
@@ -126,6 +127,24 @@ func TestMetricsMatchReport(t *testing.T) {
 	} {
 		if got := metricValue(t, exposition, check.series); got != float64(check.want) {
 			t.Errorf("%s = %v, Report says %d", check.series, got, check.want)
+		}
+	}
+	// The per-class message breakdown is a counter family — monotone, so a
+	// scraper may rate() it — with one series per class, each equal to the
+	// Report's entry for that class.
+	if !strings.Contains(exposition, "# TYPE pdht_node_messages_total counter\n") {
+		t.Error("/metrics does not expose pdht_node_messages_total as a counter")
+	}
+	for _, class := range stats.Classes() {
+		series := fmt.Sprintf("pdht_node_messages_total{class=%q}", class)
+		got := metricValue(t, exposition, series) // fatal when the series is absent
+		if _, inReport := report.Messages[class]; !inReport {
+			t.Errorf("Report.Messages lacks class %s", class)
+		}
+		// Gossip keeps sending control messages between the two reads; the
+		// classes queries are filed under stand still.
+		if class != stats.MsgControl && got != float64(report.Messages[class]) {
+			t.Errorf("%s = %v, Report says %d", series, got, report.Messages[class])
 		}
 	}
 	// Every unary query lands in exactly one outcome bucket of the latency

@@ -91,6 +91,11 @@ type ModelComparison struct {
 	Alpha        float64
 	FQry         float64
 	KeyTtl       float64
+	// IdealKeyTtl is 1/fMin of model.Solve at the fitted scenario — what
+	// the expiration time should be, where KeyTtl is the one in force. It
+	// comes from the node's exact per-key counts, so the tuner's sketches
+	// are checked against it. Zero when the model gives no finite TTL.
+	IdealKeyTtl float64
 	// PredictedHitRate is eq. 14's pIndxd; PredictedIndexSize eq. 15 —
 	// both evaluated at the fitted scenario.
 	PredictedHitRate   float64
@@ -156,7 +161,7 @@ func (n *Node) Report() Report {
 		Membership:        n.gossip.Snapshot(),
 		IndexedKeys:       live,
 		StoredKeys:        stored,
-		Messages:          n.m.msgs.Snapshot(),
+		Messages:          n.m.messages(),
 	}
 	if r.Queries > 0 {
 		r.HitRate = float64(r.Hits) / float64(r.Queries)
@@ -196,13 +201,15 @@ func (n *Node) modelComparison(r Report, members, repl, distinct int, counts []i
 		Env:  n.cfg.MaintainEnv,
 		Dup:  1.8,
 		Dup2: 1.8,
-	}
-	if n.cfg.FloodOnMiss {
 		// Hits fan the reset-on-hit refresh out to the whole replica set;
 		// the prediction must pay the same extra write legs the node does.
-		p.WriteFanout = float64(repl - 1)
+		WriteFanout: float64(repl - 1),
 	}
-	sol, err := model.SolveTTL(p, nil, float64(n.keyTtl()))
+	dist, err := zipf.New(alpha, distinct) // built once, for both solves
+	if err != nil {
+		return nil
+	}
+	sol, err := model.SolveTTL(p, dist, float64(n.keyTtl()))
 	if err != nil {
 		return nil
 	}
@@ -219,6 +226,9 @@ func (n *Node) modelComparison(r Report, members, repl, distinct int, counts []i
 	}
 	if clusterQPS := float64(members) * p.FQry; clusterQPS > 0 {
 		mc.PredictedMsgsPerQuery = sol.Cost / clusterQPS
+	}
+	if ideal, err := model.Solve(p, dist); err == nil {
+		mc.IdealKeyTtl = model.IdealKeyTtl(ideal)
 	}
 	return mc
 }

@@ -21,8 +21,7 @@
 // inserts and the reset-on-hit refresh, unary and batched — fan out to the
 // whole set concurrently; reads probe the primary and fail over through
 // the backups before any broadcast, and a hit read-repairs set members
-// that answered without holding the entry. Config.Repl sizes the set,
-// Config.FloodOnMiss gates the failover probing.
+// that answered without holding the entry. Config.Repl sizes the set.
 //
 // Membership is owned by internal/gossip (SWIM: probing, suspicion,
 // incarnations, anti-entropy). Every confirmed change produces a new view

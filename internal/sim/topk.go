@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"pdht/internal/netsim"
 	"pdht/internal/stats"
@@ -127,30 +126,16 @@ func (t *topkSim) answer(q workload.TopKQuery, measuring bool) (exact bool) {
 	for i := range online {
 		online[i] = t.net.Online(netsim.PeerID(i))
 	}
-	type source struct {
-		addr  string
-		score float64
-	}
-	var bmu sync.Mutex
-	best := make(map[uint64]source)
 	probe := func(_ context.Context, addr string, req topk.Req) (topk.Resp, error) {
 		p := t.byAddr[addr]
 		if !online[p] {
 			return topk.Resp{}, fmt.Errorf("sim: peer %s offline", addr)
 		}
 		st := t.stores[p]
-		resp := topk.Serve(req, func(term uint64) (uint64, bool) {
+		return topk.Serve(req, func(term uint64) (uint64, bool) {
 			doc, ok := st[term]
 			return doc, ok
-		}, nil)
-		bmu.Lock()
-		for _, e := range resp.Entries {
-			if cur, ok := best[e.Doc]; !ok || e.Score > cur.score {
-				best[e.Doc] = source{addr: addr, score: e.Score}
-			}
-		}
-		bmu.Unlock()
-		return resp, nil
+		}, nil), nil
 	}
 
 	res := topk.Run(context.Background(), topk.RunConfig{
@@ -162,10 +147,8 @@ func (t *topkSim) answer(q workload.TopKQuery, measuring bool) (exact bool) {
 
 	t.net.Send(stats.MsgTopK, int64(res.Legs))
 	if t.planner != nil {
-		for _, e := range res.Entries {
-			if src, ok := best[e.Doc]; ok {
-				t.planner.Credit(src.addr)
-			}
+		for _, addr := range res.Sources {
+			t.planner.Credit(addr)
 		}
 	}
 	if measuring {

@@ -43,8 +43,11 @@ type RoundInfo struct {
 // Result is one resolved top-k query.
 type Result struct {
 	// Entries are the k best documents, (score desc, doc asc); fewer when
-	// the whole cluster holds fewer matches.
+	// the whole cluster holds fewer matches. Sources aligns with it: the
+	// peer whose probe reported the entry's winning score — whom a planner
+	// credits for the answer.
 	Entries []Entry
+	Sources []string
 	// Rounds and Legs measure the protocol: probe rounds run and wire
 	// legs paid (local self-scans are free).
 	Rounds int
@@ -113,7 +116,7 @@ func Run(ctx context.Context, cfg RunConfig, probe ProbeFunc, onRound func(Round
 	for i := range st {
 		st[i].more = maxScore
 	}
-	cand := make(map[uint64]float64)
+	cand := make(map[uint64]candidate)
 
 	batch := cfg.Plan.FirstBatch
 	if batch < 1 {
@@ -188,8 +191,8 @@ func Run(ctx context.Context, cfg RunConfig, probe ProbeFunc, onRound func(Round
 				continue
 			}
 			for _, e := range resps[j].Entries {
-				if cur, ok := cand[e.Doc]; !ok || e.Score > cur {
-					cand[e.Doc] = e.Score
+				if cur, ok := cand[e.Doc]; !ok || e.Score > cur.score {
+					cand[e.Doc] = candidate{e.Score, probes[idx].Addr}
 				}
 			}
 			s.offset += len(resps[j].Entries)
@@ -226,26 +229,37 @@ func Run(ctx context.Context, cfg RunConfig, probe ProbeFunc, onRound func(Round
 	res.Candidates = len(cand)
 
 	all := make([]Entry, 0, len(cand))
-	for doc, sc := range cand {
-		all = append(all, Entry{Doc: doc, Score: sc})
+	for doc, c := range cand {
+		all = append(all, Entry{Doc: doc, Score: c.score})
 	}
 	sortEntries(all)
 	if len(all) > k {
 		all = all[:k]
 	}
 	res.Entries = all
+	res.Sources = make([]string, len(all))
+	for i, e := range all {
+		res.Sources[i] = cand[e.Doc].source
+	}
 	return res
+}
+
+// candidate is one document's merged state: its best reported score and
+// the peer that reported it.
+type candidate struct {
+	score  float64
+	source string
 }
 
 // kthScore returns the k-th best candidate score, or -Inf while fewer
 // than k candidates exist.
-func kthScore(cand map[uint64]float64, k int) float64 {
+func kthScore(cand map[uint64]candidate, k int) float64 {
 	if len(cand) < k {
 		return math.Inf(-1)
 	}
 	scores := make([]float64, 0, len(cand))
-	for _, s := range cand {
-		scores = append(scores, s)
+	for _, c := range cand {
+		scores = append(scores, c.score)
 	}
 	// Selection by full sort: candidate sets are a few times k.
 	sort.Float64s(scores)
