@@ -10,7 +10,7 @@
 # stays sub-second too.
 BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary topk store viewdelta chaos
 
-.PHONY: all build test race bench bench-check live-deps loc fmt vet
+.PHONY: all build test race fuzz-smoke bench bench-check live-deps loc fmt vet
 
 all: build test
 
@@ -20,12 +20,27 @@ build:
 test:
 	go test ./...
 
-# The live subsystem under the race detector — the CI race matrix.
+# The live subsystem under the race detector — the CI race matrix — and
+# ten rounds of the one test that hammers a shared connection, where a
+# pooled frame buffer aliasing a returned value would race.
 race:
 	go test -race ./client/ ./internal/adapt/ ./internal/chaos/ \
 		./internal/gossip/... ./internal/node/ ./internal/obs/ \
 		./internal/replica/ ./internal/store/ ./internal/topk/ \
 		./internal/transport/ ./cmd/pdht-node/
+	go test -race -count=10 -run TestTCPSharedConnectionNeverAliases ./internal/transport/
+
+# Each wire-decoder fuzz target for 20 s from the committed seed corpus
+# (internal/transport/testdata/fuzz). `go test -fuzz` takes one target per
+# run. New inputs land in the Go build cache; only a crasher is written
+# into testdata.
+FUZZ_TARGETS := FuzzReadFrame FuzzFrameRoundTrip
+
+fuzz-smoke:
+	@for f in $(FUZZ_TARGETS); do \
+		echo "fuzz: $$f"; \
+		go test ./internal/transport/ -run '^$$' -fuzz "^$$f$$" -fuzztime 20s || exit 1; \
+	done
 
 # The perf trajectory artifact: one JSON object per experiment table, in
 # the {title, header, rows} schema pdht-bench -format json emits, written

@@ -26,8 +26,14 @@ var queryClasses = []stats.MsgClass{
 // exactly the messages its per-class counters gained — Σ Total() = Δ(lookup
 // + replica-flood + broadcast + update) — across unary and batched hits,
 // misses, unanswered keys, gated inserts and a failover with read repair.
-func TestMessageAccountingParity(t *testing.T) {
-	tr := transport.NewMemory()
+func TestMessageAccountingParity(t *testing.T) { messageAccountingParity(t, transport.NewMemory()) }
+
+// TestMessageAccountingParityTCP is the same ledger over real sockets: the
+// gated-insert, batched and failover scenarios cross the wire codec, and
+// what a message costs changes nothing about how many are counted.
+func TestMessageAccountingParityTCP(t *testing.T) { messageAccountingParity(t, transport.NewTCP()) }
+
+func messageAccountingParity(t *testing.T, tr transport.Transport) {
 	cfg := engineConfig()
 	cfg.Adaptive = true
 	cfg.RetuneInterval = time.Hour // the test retunes by hand

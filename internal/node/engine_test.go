@@ -34,8 +34,16 @@ func engineConfig() Config {
 // the primary is priced at the overlay route for a member, one message for
 // a client. Each host gets its own key per scenario — twins with the same
 // ordered replica set — so one host's inserts do not warm the other's keys.
-func TestEngineParity(t *testing.T) {
-	tr := transport.NewMemory()
+func TestEngineParity(t *testing.T) { engineParity(t, transport.NewMemory()) }
+
+// TestEngineParityTCP runs the same scenario list over real sockets, so
+// every leg kind — probe, refresh, failover probe, read repair, broadcast,
+// insert, batch, top-k, a stale-view refusal with its table attached, a
+// traced reply with its spans — crosses the wire codec, which the Memory
+// transport never touches.
+func TestEngineParityTCP(t *testing.T) { engineParity(t, transport.NewTCP()) }
+
+func engineParity(t *testing.T, tr transport.Transport) {
 	cfg := engineConfig()
 	c, err := NewCluster(tr, 5, cfg)
 	if err != nil {
@@ -213,6 +221,56 @@ func TestEngineParity(t *testing.T) {
 		}
 		if len(m.Entries) != 2 || m.Entries[0].Doc != 301 || !reflect.DeepEqual(m.Entries, cl.Entries) {
 			t.Fatalf("member ranks %+v, client %+v; want 301 then 302 from both", m.Entries, cl.Entries)
+		}
+	})
+	t.Run("traced query", func(t *testing.T) {
+		// A client whose traces propagate: the probed member's spans ride
+		// back on the reply and are stitched in under its address.
+		var got []obs.QueryTrace
+		traced, err := DialRemote(ctx, tr, RemoteConfig{
+			Seeds: []string{c.Addr(1)}, Repl: cfg.Repl, KeyTtl: cfg.KeyTtl, TraceSampling: 1,
+			TraceHook: func(qt obs.QueryTrace) { got = append(got, qt) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer traced.Close()
+		keys, rs := twins(false)
+		indexAt(keys[1], 17, rs.All()...)
+		res, err := traced.Query(ctx, keys[1])
+		if err != nil || !res.FromIndex || len(got) != 1 {
+			t.Fatalf("traced query = %+v, %v with %d traces; want one traced hit", res, err, len(got))
+		}
+		remote := false
+		for _, l := range got[0].Legs {
+			remote = remote || (l.Peer == rs.Primary && l.Name == "index-lookup" && l.Outcome == "hit")
+		}
+		if !remote {
+			t.Fatalf("trace carries no index-lookup span recorded at %s:\n%s", rs.Primary, got[0].Timeline())
+		}
+	})
+	t.Run("stale view re-route", func(t *testing.T) {
+		// The client forgets a member: its view hash no longer matches, the
+		// first probe is refused with the refuser's table attached, and the
+		// query routes again over the installed view.
+		keys, rs := twins(false)
+		indexAt(keys[1], 18, rs.All()...)
+		var short []transport.PeerState
+		for _, addr := range client.Members() {
+			if addr != rs.Backups[1] {
+				short = append(short, transport.PeerState{Addr: addr})
+			}
+		}
+		if err := client.install(short); err != nil {
+			t.Fatal(err)
+		}
+		before := client.m.staleViews.Value()
+		res, err := client.Query(ctx, keys[1])
+		if err != nil || !res.FromIndex || res.AnsweredBy != rs.Primary || res.Value != 18 {
+			t.Fatalf("query on a stale view = %+v, %v; want the hit at %s after a re-route", res, err, rs.Primary)
+		}
+		if client.m.staleViews.Value() == before || len(client.Members()) != c.Size() {
+			t.Fatalf("no stale-view refusal was recovered from: %d members, counter at %d", len(client.Members()), before)
 		}
 	})
 	// Last: it kills a member for good.

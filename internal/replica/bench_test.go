@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -67,6 +68,20 @@ func BenchmarkNewSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewSet(key, group[2], group)
+	}
+}
+
+func BenchmarkFanout(b *testing.B) {
+	// The live hot path: every index hit fans the reset-on-hit refresh out
+	// to a 3-member set. The legs do nothing, so this is Fanout's own cost.
+	set := []string{"10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001"}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if Fanout(ctx, set, func(context.Context, string) bool { return true }) != len(set) {
+			b.Fatal("a leg went missing")
+		}
 	}
 }
 

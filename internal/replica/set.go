@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"pdht/internal/keyspace"
 )
@@ -98,37 +99,35 @@ func (s Set) Contains(addr string) bool {
 // receives the caller's context (callers derive per-leg deadlines from it,
 // e.g. capping at their RPC timeout) and reports success; Fanout returns
 // how many legs succeeded. Once ctx is done, remaining legs are not
-// spawned — a cancelled request stops paying for replication it no longer
+// started — a cancelled request stops paying for replication it no longer
 // needs — but legs already in flight run to their own deadline.
+//
+// The last leg runs on the calling goroutine: Fanout waits for every leg
+// anyway, so a goroutine of its own would buy no overlap, and a fresh
+// goroutine's stack grows (runtime.newstack) on its way down into the
+// socket write. A single-member set therefore spawns nothing.
 func Fanout(ctx context.Context, addrs []string, leg func(ctx context.Context, addr string) bool) int {
-	if len(addrs) == 1 {
-		// Single-member set (r=1, or failover probing off): no
-		// concurrency to buy, skip the goroutine.
-		if ctx.Err() != nil {
-			return 0
-		}
-		if leg(ctx, addrs[0]) {
-			return 1
-		}
-		return 0
-	}
-	var ok int
-	var mu sync.Mutex
+	var ok atomic.Int32
 	var wg sync.WaitGroup
-	for _, addr := range addrs {
+	run := func(addr string) {
+		if leg(ctx, addr) {
+			ok.Add(1)
+		}
+	}
+	for i, addr := range addrs {
 		if ctx.Err() != nil {
 			break
 		}
+		if i == len(addrs)-1 {
+			run(addr)
+			break
+		}
 		wg.Add(1)
-		go func(addr string) {
+		go func() {
 			defer wg.Done()
-			if leg(ctx, addr) {
-				mu.Lock()
-				ok++
-				mu.Unlock()
-			}
-		}(addr)
+			run(addr)
+		}()
 	}
 	wg.Wait()
-	return ok
+	return int(ok.Load())
 }

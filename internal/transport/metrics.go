@@ -10,7 +10,7 @@ import (
 
 // opSlots covers the Op range plus slot 0 for anything out of range, so the
 // per-op metric lookup is an array index, not a map access, on the hot path.
-const opSlots = int(OpStats) + 1
+const opSlots = int(opEnd)
 
 // opLabel is the label value of slot i ("other" for the out-of-range slot).
 func opLabel(i int) string {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -131,5 +132,59 @@ func TestInstrumentCountsFailures(t *testing.T) {
 	}
 	if got := m.failures[opSlot(OpQuery)].Value(); got != 1 {
 		t.Errorf("failures = %d, want 1", got)
+	}
+}
+
+// TestEveryOpHasItsOwnMetricSlot walks the Op constants: each must land in
+// a slot of its own, labelled with its String(), in all four per-op
+// families — an op added without growing the tables would otherwise be
+// filed under op="other" in silence.
+func TestEveryOpHasItsOwnMetricSlot(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	tr := Instrument(NewMemory(), m)
+	srv, err := tr.Serve("", func(Request) Response { return Response{OK: true} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := tr.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	seen := make(map[int]Op)
+	for op := OpQuery; op < opEnd; op++ {
+		slot := opSlot(op)
+		if prev, dup := seen[slot]; dup || slot == 0 {
+			t.Fatalf("%v shares slot %d with %v (slot 0 is \"other\")", op, slot, prev)
+		}
+		seen[slot] = op
+		label := opLabel(slot)
+		if label != op.String() || strings.HasPrefix(label, "op(") {
+			t.Errorf("op %d is labelled %q, String() says %q", int(op), label, op.String())
+		}
+		if _, err := c.Call(context.Background(), Request{Op: op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if opSlot(opEnd) != 0 || opSlot(0) != 0 {
+		t.Error("an undefined op must fall into the \"other\" slot")
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range seen {
+		for _, family := range []string{"requests_total", "served_total", "request_seconds_count"} {
+			series := fmt.Sprintf("pdht_transport_%s{op=%q} 1\n", family, op)
+			if !strings.Contains(b.String(), series) {
+				t.Errorf("exposition lacks %q", strings.TrimSpace(series))
+			}
+		}
+	}
+	if strings.Contains(b.String(), `pdht_transport_requests_total{op="other"} 1`) {
+		t.Error("a defined op was filed under op=\"other\"")
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -11,10 +12,14 @@ import (
 	"time"
 )
 
-// TCP is the socket transport: length-prefixed JSON frames (wire.go) over
-// one TCP connection per dialed peer. Concurrent Calls from any number of
+// TCP is the socket transport: versioned binary frames (wire.go) over one
+// TCP connection per dialed peer. Concurrent Calls from any number of
 // goroutines are multiplexed on that connection and matched back to their
 // callers by frame ID, so a slow request does not block an unrelated one.
+// Each frame leaves in one Write, and each connection is read through one
+// bufio.Reader that sits above the byte-counting wrapper, so the byte
+// counters see every socket byte and a small frame costs one syscall each
+// way.
 type TCP struct {
 	// Dialer customizes outbound connections (timeouts, local address).
 	// The zero value is ready to use.
@@ -54,10 +59,16 @@ func (t *TCP) Serve(addr string, h Handler) (Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &tcpServer{ln: ln, handler: h, conns: make(map[net.Conn]bool), wrap: t.countConn}
+	return serveTCP(ln, h, t.countConn), nil
+}
+
+// serveTCP starts the accept loop on ln; wrap is applied to every accepted
+// connection before any frame crosses it.
+func serveTCP(ln net.Listener, h Handler, wrap func(net.Conn) net.Conn) *tcpServer {
+	s := &tcpServer{ln: ln, handler: h, conns: make(map[net.Conn]bool), wrap: wrap}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // defaultDialTimeout bounds Dial when the Dialer has no timeout of its
@@ -77,9 +88,14 @@ func (t *TCP) Dial(addr string) (Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", classifyDialError(err), addr, err)
 	}
-	c := &tcpClient{conn: t.countConn(conn), pending: make(map[uint64]chan Response)}
+	return newTCPClient(t.countConn(conn)), nil
+}
+
+// newTCPClient starts the read loop on an established connection.
+func newTCPClient(conn net.Conn) *tcpClient {
+	c := &tcpClient{conn: conn, pending: make(map[uint64]chan Response)}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // classifyDialError maps a net dial failure onto the transport's error
@@ -143,11 +159,12 @@ func (s *tcpServer) serveConn(raw net.Conn) {
 		s.mu.Unlock()
 	}()
 	conn := s.wrap(raw) // byte counting; raw stays the map key
+	br := bufio.NewReader(conn)
 	var writeMu sync.Mutex
 	for {
-		f, err := readFrame(conn)
+		f, err := readFrame(br)
 		if err != nil {
-			return // EOF, reset, or garbage: drop the connection
+			return // EOF, reset, garbage or another wire version: drop the connection
 		}
 		if f.Req == nil {
 			continue // not a request; a confused peer, ignore
@@ -203,10 +220,11 @@ type tcpClient struct {
 // readLoop routes response frames to their waiting callers. On connection
 // death every outstanding and future call fails with the terminal error.
 func (c *tcpClient) readLoop() {
+	br := bufio.NewReader(c.conn)
 	for {
-		f, err := readFrame(c.conn)
+		f, err := readFrame(br)
 		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrUnreachable, err))
+			c.fail(fmt.Errorf("%w: %w", ErrUnreachable, err))
 			return
 		}
 		if f.Resp == nil {
@@ -256,8 +274,9 @@ func (c *tcpClient) Call(ctx context.Context, req Request) (Response, error) {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		c.fail(fmt.Errorf("%w: %v", ErrUnreachable, err))
-		return Response{}, ErrUnreachable
+		err = fmt.Errorf("%w: %w", ErrUnreachable, err)
+		c.fail(err)
+		return Response{}, err
 	}
 
 	select {

@@ -13,10 +13,13 @@
 //     revived to model churn, and everything is deterministic — the
 //     substrate of the multi-node cluster tests.
 //
-//   - TCP: length-prefixed JSON frames over real sockets, one multiplexed
-//     connection per peer pair with request-ID correlation, so concurrent
-//     calls from many goroutines share a connection without head-of-line
-//     coupling between caller goroutines.
+//   - TCP: versioned binary frames (wire.go; JSON only for the control
+//     payloads, inside the same envelope) over real sockets, one
+//     multiplexed connection per peer pair with request-ID correlation, so
+//     concurrent calls from many goroutines share a connection without
+//     head-of-line coupling between caller goroutines. One frame is one
+//     Write; a peer speaking another wire version is refused with
+//     ErrWireVersion.
 //
 // Failure model: a Call either returns the peer's Response or an error
 // (unreachable peer, closed endpoint, timeout via context). Callers treat

@@ -203,7 +203,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readFrame(&buf)
+	out, err := decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,8 @@ func TestFrameLengthGuard(t *testing.T) {
 	// A length prefix claiming 512 MiB must be rejected before any
 	// allocation, not trusted.
 	hostile := []byte{0x20, 0x00, 0x00, 0x00}
-	if _, err := readFrame(bytes.NewReader(hostile)); err == nil {
-		t.Fatal("oversized frame length accepted")
+	if _, err := decode(hostile); !errors.Is(err, ErrFrame) {
+		t.Fatalf("oversized frame length: err = %v, want ErrFrame", err)
 	}
 }
 
