@@ -2,13 +2,12 @@
 # .github/workflows/ci.yml); keeping them here means the local invocation
 # and the gate can never drift apart.
 
-# The model-backed experiments: deterministic, sub-second each, no
-# simulator population to churn — the stable subset the perf trajectory
-# records on every run. The sim-backed experiments (validate, sweep,
-# adapt, ...) stay interactive-only; they are minutes, not seconds. topk
-# is the exception: its A/B is pinned to a small fixed population, so it
-# stays sub-second too.
-BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary topk store viewdelta chaos
+# The paper's tables BENCH_node.json pins: deterministic, sub-second each.
+# The model-backed experiments have no simulator population to churn; the
+# other sim-backed ones (validate, sweep, adapt, ...) stay interactive-only
+# — they are minutes, not seconds. topk is the exception: its A/B is pinned
+# to a small fixed population, so it stays sub-second too.
+BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary topk
 
 .PHONY: all build test race fuzz-smoke bench bench-check live-deps loc fmt vet
 
@@ -30,22 +29,26 @@ race:
 		./internal/transport/ ./cmd/pdht-node/
 	go test -race -count=10 -run TestTCPSharedConnectionNeverAliases ./internal/transport/
 
-# Each wire-decoder fuzz target for 20 s from the committed seed corpus
-# (internal/transport/testdata/fuzz). `go test -fuzz` takes one target per
+# Each fuzz target, as package:target, for 20 s from its committed seed
+# corpus (<package>/testdata/fuzz). `go test -fuzz` takes one target per
 # run. New inputs land in the Go build cache; only a crasher is written
 # into testdata.
-FUZZ_TARGETS := FuzzReadFrame FuzzFrameRoundTrip
+FUZZ_TARGETS := ./internal/transport:FuzzReadFrame \
+	./internal/transport:FuzzFrameRoundTrip \
+	./internal/chaos:FuzzParseSchedule
 
 fuzz-smoke:
-	@for f in $(FUZZ_TARGETS); do \
-		echo "fuzz: $$f"; \
-		go test ./internal/transport/ -run '^$$' -fuzz "^$$f$$" -fuzztime 20s || exit 1; \
+	@for pt in $(FUZZ_TARGETS); do \
+		echo "fuzz: $$pt"; \
+		go test "$${pt%%:*}" -run '^$$' -fuzz "^$${pt##*:}$$" -fuzztime 20s || exit 1; \
 	done
 
-# The perf trajectory artifact: one JSON object per experiment table, in
-# the {title, header, rows} schema pdht-bench -format json emits, written
-# to BENCH_node.json at the repo root so successive PRs can be charted
-# against each other.
+# The paper's figures as a golden file: one JSON object per experiment
+# table, in the {title, header, rows} schema pdht-bench -format json emits,
+# written to BENCH_node.json at the repo root. TestBenchGoldenIsCurrent
+# (cmd/pdht-bench) regenerates the same tables in-process and requires byte
+# equality, and CI fails on a diff after this target. Wall-clock numbers of
+# the live node are bench/'s business (bench/run.sh), not this file's.
 bench:
 	@: > BENCH_node.json
 	@for e in $(BENCH_EXPERIMENTS); do \
@@ -62,14 +65,21 @@ bench:
 bench-check:
 	cd bench && go vet ./... && go test ./...
 
-# The live node imports no simulator package directly: trie/Kademlia
-# overlays and the simulated network stay in internal/sim's half of the tree
-# (ROADMAP "one live overlay"). Fails naming the offending import.
+# The one-way rule between the two trees (DESIGN.md "Layer map"): nothing a
+# live root links — transitively — is a simulator package. On a hit, names
+# the packages reached and the import edges that cross from live to
+# simulator code.
+LIVE_ROOTS := ./internal/node ./client ./cmd/pdht-node ./cmd/pdht-top ./cmd/pdht-chaos
+SIM_TREE := pdht/internal/(netsim|dht|overlay|sim|churn|workload|experiments)([/ ]|$$)
+
 live-deps:
-	@bad=$$(go list -f '{{join .Imports "\n"}}' ./internal/node \
-		| grep -E '^pdht/internal/(netsim|dht|overlay|sim)$$'); \
+	@bad=$$(go list -deps $(LIVE_ROOTS) | grep -E '^$(SIM_TREE)'); \
 	if [ -n "$$bad" ]; then \
-		echo "internal/node imports simulator packages:"; echo "$$bad"; exit 1; \
+		echo "live code reaches simulator packages:"; echo "$$bad"; \
+		echo "through:"; \
+		go list -deps -f '{{$$p := .ImportPath}}{{range .Imports}}{{$$p}} -> {{.}}{{"\n"}}{{end}}' $(LIVE_ROOTS) \
+			| grep -E ' -> $(SIM_TREE)' | grep -vE '^$(SIM_TREE)'; \
+		exit 1; \
 	fi
 
 # Net line count is a tracked number (ROADMAP aim 2): non-test and test Go

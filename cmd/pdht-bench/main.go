@@ -1,15 +1,14 @@
 // pdht-bench regenerates every table and figure of the paper's evaluation,
 // plus the validation and ablation experiments listed in DESIGN.md. It is
-// the one command behind EXPERIMENTS.md.
+// the one command behind EXPERIMENTS.md. Everything it prints is a model or
+// simulator result — deterministic for a given -scale and -seed; wall-clock
+// numbers of the live node come from bench/ and pdht-chaos.
 //
 // Usage:
 //
 //	pdht-bench                    # run everything
-//	pdht-bench -experiment fig1   # one experiment
+//	pdht-bench -experiment fig1   # one experiment (-h lists them)
 //	pdht-bench -scale 2000        # simulator population for V1/S2/A1/A3
-//
-// Experiments: table1 fig1 fig2 fig3 fig4 ttlsens alpha validate sweep
-// adapt backends selftune topk store viewdelta chaos all
 package main
 
 import (
@@ -24,203 +23,118 @@ import (
 	"pdht/internal/stats"
 )
 
+// experiment is one named table; run regenerates it.
+type experiment struct {
+	name string
+	run  func() (*stats.Table, error)
+}
+
+// table drops the raw-numbers middle result most experiments return beside
+// their table.
+func table[T any](t *stats.Table, _ T, err error) (*stats.Table, error) { return t, err }
+
+// experimentList is the single list behind dispatch, -experiment
+// validation and the usage text. simBase is called at run time, after the
+// flags it depends on are parsed.
+func experimentList(simBase func() sim.Config) []experiment {
+	p := model.DefaultScenario()
+	return []experiment{
+		{"table1", func() (*stats.Table, error) { return experiments.Table1(p), nil }},
+		{"fig1", func() (*stats.Table, error) { return table(experiments.Fig1(p)) }},
+		{"fig2", func() (*stats.Table, error) { return table(experiments.Fig2(p)) }},
+		{"fig3", func() (*stats.Table, error) { return table(experiments.Fig3(p)) }},
+		{"fig4", func() (*stats.Table, error) { return table(experiments.Fig4(p)) }},
+		{"ttlsens", func() (*stats.Table, error) { return table(experiments.TTLSens(p)) }},
+		{"alpha", func() (*stats.Table, error) { return experiments.AlphaSweep(p, nil) }},
+		{"kary", func() (*stats.Table, error) { return experiments.KarySweep(p) }},
+		{"maintenance", func() (*stats.Table, error) {
+			return table(experiments.MaintenanceTradeoff(simBase(), nil))
+		}},
+		{"validate", func() (*stats.Table, error) { return table(experiments.Validate(simBase())) }},
+		{"sweep", func() (*stats.Table, error) {
+			cfg := simBase()
+			cfg.Strategy = sim.StrategyPartialTTL
+			return table(experiments.SimSweep(cfg, nil))
+		}},
+		{"adapt", func() (*stats.Table, error) {
+			cfg := simBase()
+			cfg.Rounds = 600
+			cfg.WarmupRounds = 100
+			cfg.KeyTtl = 120
+			cfg.TraceEvery = 50
+			return table(experiments.Adaptation(cfg, 400))
+		}},
+		{"backends", func() (*stats.Table, error) { return table(experiments.Backends(simBase())) }},
+		{"selftune", func() (*stats.Table, error) {
+			cfg := simBase()
+			cfg.Rounds = 500
+			return table(experiments.SelfTuning(cfg))
+		}},
+		{"calibrate", func() (*stats.Table, error) {
+			cfg := simBase()
+			cfg.Rounds = 600
+			return table(experiments.Calibration(cfg))
+		}},
+		{"topk", func() (*stats.Table, error) { return table(experiments.TopKAB(simBase())) }},
+	}
+}
+
+// The -scale and -seed defaults, which BENCH_node.json is generated at.
+const (
+	defaultScale = 2000
+	defaultSeed  = 1
+)
+
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id (see doc comment)")
-	scale := flag.Int("scale", 2000, "simulator population for the sim-backed experiments")
-	seed := flag.Uint64("seed", 1, "random seed for the sim-backed experiments")
+	scale := flag.Int("scale", defaultScale, "simulator population for the sim-backed experiments")
+	seed := flag.Uint64("seed", defaultSeed, "random seed for the sim-backed experiments")
 	format := flag.String("format", "table", "output format: table | csv | json")
+	list := experimentList(func() sim.Config { return simConfigFor(*scale, *seed) })
+	names := make([]string, len(list))
+	for i, e := range list {
+		names[i] = e.name
+	}
+	known := strings.Join(names, " ") + " all"
+	which := flag.String("experiment", "all", "experiment id: "+known)
 	flag.Parse()
 	if *format != "table" && *format != "csv" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "unknown format %q (want table, csv or json)\n", *format)
 		os.Exit(2)
 	}
 
-	p := model.DefaultScenario()
-	simBase := simConfigFor(*scale, *seed)
-
-	run := func(name string, fn func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
+	ran := false
+	for _, e := range list {
+		if *which != "all" && *which != e.name {
+			continue
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		ran = true
+		t, err := e.run()
+		if err == nil {
+			err = render(t, *format)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
-
-	render := func(t *stats.Table) error {
-		switch *format {
-		case "csv":
-			return t.RenderCSV(os.Stdout)
-		case "json":
-			// One JSON object per experiment table: the machine-readable
-			// stream the benchmark-trajectory CI step records.
-			return t.RenderJSON(os.Stdout)
-		}
-		t.Render(os.Stdout)
-		return nil
-	}
-
-	run("table1", func() error { return render(experiments.Table1(p)) })
-	run("fig1", func() error {
-		t, _, err := experiments.Fig1(p)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("fig2", func() error {
-		t, _, err := experiments.Fig2(p)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("fig3", func() error {
-		t, _, err := experiments.Fig3(p)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("fig4", func() error {
-		t, _, err := experiments.Fig4(p)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("ttlsens", func() error {
-		t, _, err := experiments.TTLSens(p)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("alpha", func() error {
-		t, err := experiments.AlphaSweep(p, nil)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("kary", func() error {
-		t, err := experiments.KarySweep(p)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("maintenance", func() error {
-		t, _, err := experiments.MaintenanceTradeoff(simBase, nil)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("validate", func() error {
-		t, _, err := experiments.Validate(simBase)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("sweep", func() error {
-		cfg := simBase
-		cfg.Strategy = sim.StrategyPartialTTL
-		t, _, err := experiments.SimSweep(cfg, nil)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("adapt", func() error {
-		cfg := simBase
-		cfg.Rounds = 600
-		cfg.WarmupRounds = 100
-		cfg.KeyTtl = 120
-		cfg.TraceEvery = 50
-		t, _, err := experiments.Adaptation(cfg, 400)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("backends", func() error {
-		t, _, err := experiments.Backends(simBase)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("selftune", func() error {
-		cfg := simBase
-		cfg.Rounds = 500
-		t, _, err := experiments.SelfTuning(cfg)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("calibrate", func() error {
-		cfg := simBase
-		cfg.Rounds = 600
-		t, _, err := experiments.Calibration(cfg)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("topk", func() error {
-		t, _, err := experiments.TopKAB(simBase)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("store", func() error {
-		t, err := experiments.StoreBench(0)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("viewdelta", func() error {
-		t, err := experiments.ViewDeltaBench()
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-	run("chaos", func() error {
-		t, err := experiments.ChaosBench(0, *seed)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	})
-
-	if *experiment != "all" && !knownExperiment(*experiment) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n",
-			*experiment, strings.Join(knownExperiments, " "))
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", *which, known)
 		os.Exit(2)
 	}
 }
 
-var knownExperiments = []string{
-	"table1", "fig1", "fig2", "fig3", "fig4", "ttlsens", "alpha", "kary",
-	"maintenance", "validate", "sweep", "adapt", "backends", "selftune",
-	"calibrate", "topk", "store", "viewdelta", "chaos", "all",
-}
-
-func knownExperiment(name string) bool {
-	for _, k := range knownExperiments {
-		if k == name {
-			return true
-		}
+func render(t *stats.Table, format string) error {
+	switch format {
+	case "csv":
+		return t.RenderCSV(os.Stdout)
+	case "json":
+		// One JSON object per experiment table: the stream `make bench`
+		// concatenates into BENCH_node.json.
+		return t.RenderJSON(os.Stdout)
 	}
-	return false
+	t.Render(os.Stdout)
+	return nil
 }
 
 // simConfigFor scales the Table 1 proportions to the given population:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,6 +84,26 @@ func TestParseSchedule(t *testing.T) {
 	if err != nil || back.String() != s.String() {
 		t.Fatalf("round trip: %q vs %q (%v)", back.String(), s.String(), err)
 	}
+}
+
+// FuzzParseSchedule feeds the schedule parser arbitrary text (it takes
+// -chaos-schedule and pdht-chaos -schedule straight from the command line):
+// it must never panic, and whatever it accepts must survive String and a
+// second parse phase for phase. Seeds: testdata/fuzz/FuzzParseSchedule.
+func FuzzParseSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseSchedule(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseSchedule(sc.String())
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", s, sc.String(), err)
+		}
+		if !slices.Equal(back, sc) {
+			t.Fatalf("%q round trip changed the schedule:\n got %+v\nwant %+v", s, back, sc)
+		}
+	})
 }
 
 // echoNet is a Memory transport with an echoing endpoint at each listed

@@ -1,18 +1,15 @@
-// Package core implements the paper's primary contribution: the
-// query-adaptive partial DHT (Section 5). Keys enter the distributed index
-// when a broadcast search resolves them, live there with an expiration time
-// keyTtl that is reset whenever the storing peer receives a query for them,
-// and silently fall out when they stop being queried. The effect is that
-// exactly the keys worth indexing — those queried at least about once per
-// keyTtl — stay in the index, with no global coordination.
+// Package core is the paper's index storage, one peer's worth: Cache, a
+// capacity-bounded key→value map in which every entry carries an expiration
+// round. Keys enter when a broadcast search resolves them, live for keyTtl
+// rounds, have that lease reset whenever the storing peer is queried for
+// them, and silently fall out when they stop being queried (Section 5) — so
+// exactly the keys worth indexing, those queried at least about once per
+// keyTtl, stay, with no global coordination.
 //
-// The package is written against the dht.Index interface, so the selection
-// algorithm runs unchanged over the P-Grid-style trie or the Chord-style
-// ring (the paper: "generic enough such that it can be used for any of the
-// DHT based systems"). PDHT is the simulator-side selection algorithm;
-// Cache is the capacity-bounded TTL index one peer holds (the live node
-// subsystem reuses it verbatim); TTLEstimator is the online keyTtl
-// self-tuner of §5.1.1.
+// Both trees hold their index in it: a live node (internal/node) owns one
+// Cache, and the simulator (internal/sim/simcore) one per simulated peer.
+// The selection algorithm that decides what to Put and when to Refresh
+// lives with its substrate, not here; this package imports only keyspace.
 package core
 
 import (

@@ -8,7 +8,7 @@
 // Two implementations are provided behind one interface: Trie, a P-Grid-
 // style binary-trie DHT (the authors' own system, and the binary key space
 // eq. 7 assumes), and Ring, a Chord-style ring. The selection algorithm in
-// internal/core is written against the interface only, realizing the
+// internal/sim/simcore is written against the interface only, realizing the
 // paper's claim that the scheme "can be used for any of the DHT based
 // systems".
 package dht

@@ -27,7 +27,7 @@ type Network struct {
 	online   []bool
 	nOnline  int
 	round    int
-	counters stats.Counters
+	counters Counters
 }
 
 // New returns a network of n peers, all online.
@@ -84,7 +84,7 @@ func (nw *Network) Send(class stats.MsgClass, n int64) {
 }
 
 // Counters exposes the cumulative message counters.
-func (nw *Network) Counters() *stats.Counters { return &nw.counters }
+func (nw *Network) Counters() *Counters { return &nw.counters }
 
 // RandomOnline returns a uniformly random online peer. ok is false if the
 // whole network is offline.

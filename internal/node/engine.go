@@ -251,7 +251,7 @@ func mix64(x uint64) uint64 {
 
 // ---- the selection algorithm ----
 
-// QueryResult reports one end-to-end query, mirroring core.QueryOutcome
+// QueryResult reports one end-to-end query, mirroring simcore.QueryOutcome
 // with live-deployment detail.
 type QueryResult struct {
 	// Answered reports whether the query resolved at all; FromIndex

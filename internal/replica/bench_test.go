@@ -2,62 +2,10 @@ package replica
 
 import (
 	"context"
-	"math/rand/v2"
 	"testing"
 
 	"pdht/internal/keyspace"
-	"pdht/internal/netsim"
-	"pdht/internal/stats"
 )
-
-func benchSubnet(b *testing.B, members int) (*Subnet, *netsim.Network, *rand.Rand) {
-	b.Helper()
-	net := netsim.New(members * 3)
-	rng := rand.New(rand.NewPCG(1, 2))
-	s, err := NewSubnet(net, membersRange(members), 2, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s, net, rng
-}
-
-func BenchmarkSubnetFlood(b *testing.B) {
-	s, _, _ := benchSubnet(b, 50)
-	origin := s.Members()[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Flood(origin, nil, stats.MsgReplicaFlood)
-	}
-}
-
-func BenchmarkVersionedUpdate(b *testing.B) {
-	s, net, _ := benchSubnet(b, 50)
-	v := NewVersioned(net, s)
-	key := keyspace.HashString("bench")
-	origin := s.Members()[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Update(origin, key)
-	}
-}
-
-func BenchmarkPullSync(b *testing.B) {
-	s, net, rng := benchSubnet(b, 50)
-	v := NewVersioned(net, s)
-	for i := 0; i < 20; i++ {
-		v.Update(s.Members()[0], keyspace.Key(uint64(i)*0x9e3779b97f4a7c15))
-	}
-	p := s.Members()[1]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := v.PullSync(p, rng); !ok {
-			b.Fatal("pull failed")
-		}
-	}
-}
 
 func BenchmarkNewSet(b *testing.B) {
 	// The live hot path: every query builds the probe order from the

@@ -3,11 +3,8 @@
 // fail over between them, and how the set is repaired when churn punches
 // holes in it.
 //
-// It has two halves, one per substrate:
-//
-// The live half places and maintains replica sets over real peers. Set is
-// the ordered replica set of one key — the routing-designated primary
-// first, then the backups in the deterministic keyspace ranking
+// Set is the ordered replica set of one key — the routing-designated
+// primary first, then the backups in the deterministic keyspace ranking
 // (keyspace.RankClosest over hashed peer addresses), so every node that
 // agrees on the membership list agrees on the failover order with no extra
 // protocol. Fanout runs write legs (insert, reset-on-hit refresh) against
@@ -18,9 +15,7 @@
 // an orphaned copy — its entire former replica set gone — pushes it back
 // into the current set rather than letting the index lose the key.
 //
-// The simulation half models the paper's replica subnetwork (§3.3.2,
-// [DaHa03]) over internal/netsim: Subnet is the unstructured gossip graph
-// among one replica group's members, carrying the update floods of eq. 9
-// and the query floods of eq. 16, and Versioned tracks per-member key
-// versions under the hybrid push/pull update scheme.
+// The paper's replica subnetwork (§3.3.2) — gossip floods among a group's
+// members over simulated peers — is the simulator's and lives in
+// internal/sim/simcore; this package imports only keyspace.
 package replica

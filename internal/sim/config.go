@@ -184,7 +184,7 @@ type Config struct {
 	// choice 1/fMin from the analytical model.
 	KeyTtl int
 	// SelfTuneTTL replaces the model-derived keyTtl with the online
-	// estimator (core.TTLEstimator): the run starts from a deliberately
+	// estimator (simcore.TTLEstimator): the run starts from a deliberately
 	// coarse initial TTL and retunes every TunePeriod rounds from
 	// observed costs — the paper's §5.1.1 future-work mechanism.
 	// StrategyPartialTTL only.

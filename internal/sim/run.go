@@ -13,12 +13,13 @@ import (
 	"pdht/internal/model"
 	"pdht/internal/netsim"
 	"pdht/internal/overlay"
+	"pdht/internal/sim/simcore"
 	"pdht/internal/stats"
 	"pdht/internal/workload"
 	"pdht/internal/zipf"
 )
 
-// overlayBroadcaster adapts the unstructured overlay to core.Broadcaster.
+// overlayBroadcaster adapts the unstructured overlay to simcore.Broadcaster.
 type overlayBroadcaster struct {
 	graph *overlay.Graph
 	store *overlay.Store
@@ -47,9 +48,9 @@ type run struct {
 	updates *workload.UpdateGen
 
 	// Index-bearing strategies.
-	index *core.PartialIndex
-	pdht  *core.PDHT
-	tuner *core.TTLEstimator
+	index *simcore.PartialIndex
+	pdht  *simcore.PDHT
+	tuner *simcore.TTLEstimator
 	// The adaptive control plane (StrategyPartialAdaptive): one tuner
 	// observing the whole population's stream, as if every peer ran the
 	// same control loop over its share.
@@ -158,7 +159,7 @@ func setup(cfg Config) (*run, error) {
 	case StrategyIndexAll:
 		r.modelMsg = model.IndexAllCost(p)
 		r.activePeers = numActiveFor(p, float64(cfg.Keys))
-		if err := r.buildIndex(core.IndexConfig{
+		if err := r.buildIndex(simcore.IndexConfig{
 			KeyTtl:       0,
 			PeerCapacity: cfg.Stor,
 			SubnetDegree: cfg.SubnetDegree,
@@ -173,7 +174,7 @@ func setup(cfg Config) (*run, error) {
 	case StrategyPartialIdeal:
 		r.modelMsg = model.PartialCost(sol)
 		r.activePeers = numActiveFor(p, float64(max(sol.MaxRank, 1)))
-		if err := r.buildIndex(core.IndexConfig{
+		if err := r.buildIndex(simcore.IndexConfig{
 			KeyTtl:       0,
 			PeerCapacity: cfg.Stor,
 			SubnetDegree: cfg.SubnetDegree,
@@ -202,7 +203,7 @@ func setup(cfg Config) (*run, error) {
 			}
 		}
 		if cfg.SelfTuneTTL {
-			r.tuner, err = core.NewTTLEstimator(0.1)
+			r.tuner, err = simcore.NewTTLEstimator(0.1)
 			if err != nil {
 				return nil, err
 			}
@@ -228,7 +229,7 @@ func setup(cfg Config) (*run, error) {
 		}
 		r.modelMsg = ttlSol.Cost
 		r.activePeers = numActiveFor(p, ttlSol.IndexSize)
-		if err := r.buildIndex(core.IndexConfig{
+		if err := r.buildIndex(simcore.IndexConfig{
 			KeyTtl:        r.keyTtl,
 			PeerCapacity:  cfg.Stor,
 			SubnetDegree:  cfg.SubnetDegree,
@@ -237,7 +238,7 @@ func setup(cfg Config) (*run, error) {
 		}); err != nil {
 			return nil, err
 		}
-		r.pdht = core.NewPDHT(r.index, r.bc, r.rng)
+		r.pdht = simcore.NewPDHT(r.index, r.bc, r.rng)
 		if t := r.adaptTuner; t != nil {
 			r.pdht.SetInsertGate(func(k keyspace.Key) bool { return t.ShouldIndex(uint64(k)) })
 		}
@@ -266,7 +267,7 @@ func setup(cfg Config) (*run, error) {
 
 // buildIndex provisions the configured DHT backend over the first
 // activePeers peers and the partial-index layer above it.
-func (r *run) buildIndex(icfg core.IndexConfig) error {
+func (r *run) buildIndex(icfg simcore.IndexConfig) error {
 	active := make([]netsim.PeerID, r.activePeers)
 	for i := range active {
 		active[i] = netsim.PeerID(i)
@@ -296,7 +297,7 @@ func (r *run) buildIndex(icfg core.IndexConfig) error {
 	if err != nil {
 		return err
 	}
-	r.index, err = core.NewPartialIndex(r.net, idx, icfg, r.rng)
+	r.index, err = simcore.NewPartialIndex(r.net, idx, icfg, r.rng)
 	return err
 }
 

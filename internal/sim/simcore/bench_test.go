@@ -1,0 +1,106 @@
+package simcore
+
+import (
+	"math/rand/v2"
+	"testing"
+
+	"pdht/internal/core"
+	"pdht/internal/keyspace"
+	"pdht/internal/netsim"
+	"pdht/internal/stats"
+)
+
+func BenchmarkIndexLookupHit(b *testing.B) {
+	pi, net, rng := benchIndex(b)
+	key := keyspace.HashString("hot")
+	pi.Insert(0, key, 1)
+	_ = net
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lr := pi.Lookup(netsim.PeerID(i%256), key)
+		if !lr.Hit {
+			b.Fatal("miss on a hot key")
+		}
+	}
+	_ = rng
+}
+
+func BenchmarkIndexLookupMiss(b *testing.B) {
+	pi, _, rng := benchIndex(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lr := pi.Lookup(netsim.PeerID(i%256), keyspace.Key(rng.Uint64()))
+		if lr.Hit {
+			b.Fatal("hit on a random key")
+		}
+	}
+}
+
+func BenchmarkIndexInsert(b *testing.B) {
+	pi, _, rng := benchIndex(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pi.Insert(netsim.PeerID(i%256), keyspace.Key(rng.Uint64()), core.Value(i))
+	}
+}
+
+func benchIndex(b *testing.B) (*PartialIndex, *netsim.Network, interface{ Uint64() uint64 }) {
+	b.Helper()
+	pi, net, rng := testIndex(b, IndexConfig{
+		KeyTtl: 1 << 30, PeerCapacity: 4096,
+		FloodOnMiss: true, ResetTTLOnHit: true,
+	}, 99)
+	return pi, net, rng
+}
+
+func benchSubnet(b *testing.B, members int) (*Subnet, *netsim.Network, *rand.Rand) {
+	b.Helper()
+	net := netsim.New(members * 3)
+	rng := rand.New(rand.NewPCG(1, 2))
+	s, err := NewSubnet(net, membersRange(members), 2, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, net, rng
+}
+
+func BenchmarkSubnetFlood(b *testing.B) {
+	s, _, _ := benchSubnet(b, 50)
+	origin := s.Members()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Flood(origin, nil, stats.MsgReplicaFlood)
+	}
+}
+
+func BenchmarkVersionedUpdate(b *testing.B) {
+	s, net, _ := benchSubnet(b, 50)
+	v := NewVersioned(net, s)
+	key := keyspace.HashString("bench")
+	origin := s.Members()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.Update(origin, key)
+	}
+}
+
+func BenchmarkPullSync(b *testing.B) {
+	s, net, rng := benchSubnet(b, 50)
+	v := NewVersioned(net, s)
+	for i := 0; i < 20; i++ {
+		v.Update(s.Members()[0], keyspace.Key(uint64(i)*0x9e3779b97f4a7c15))
+	}
+	p := s.Members()[1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := v.PullSync(p, rng); !ok {
+			b.Fatal("pull failed")
+		}
+	}
+}

@@ -1,4 +1,4 @@
-package core
+package simcore
 
 import (
 	"fmt"
@@ -34,7 +34,7 @@ type TTLEstimator struct {
 // slow enough to smooth Poisson noise.
 func NewTTLEstimator(alpha float64) (*TTLEstimator, error) {
 	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		return nil, fmt.Errorf("core: EWMA weight %v must be in (0,1]", alpha)
+		return nil, fmt.Errorf("simcore: EWMA weight %v must be in (0,1]", alpha)
 	}
 	return &TTLEstimator{alpha: alpha}, nil
 }

@@ -1,8 +1,9 @@
-package core
+package simcore
 
 import (
 	"testing"
 
+	"pdht/internal/core"
 	"pdht/internal/keyspace"
 	"pdht/internal/netsim"
 )
@@ -44,7 +45,7 @@ func TestQueryFallsBackToBroadcastWhenDHTDead(t *testing.T) {
 	// the unstructured network. Queries must still be answered — at
 	// broadcast price — and the failed insert must not corrupt anything.
 	pi, net, rng := testIndex(t, ttlConfig(), 42)
-	bc := &fakeBroadcaster{net: net, existing: map[keyspace.Key]Value{k("news"): 9}, fee: 50}
+	bc := &fakeBroadcaster{net: net, existing: map[keyspace.Key]core.Value{k("news"): 9}, fee: 50}
 	p := NewPDHT(pi, bc, rng)
 	for _, peer := range pi.DHT().ActivePeers() {
 		net.SetOnline(peer, false)
@@ -66,7 +67,7 @@ func TestRecoveryAfterBlackout(t *testing.T) {
 	// it via the ordinary miss-broadcast-insert path: self-healing with
 	// no special recovery code.
 	pi, net, rng := testIndex(t, ttlConfig(), 43)
-	bc := &fakeBroadcaster{net: net, existing: map[keyspace.Key]Value{k("phoenix"): 7}, fee: 50}
+	bc := &fakeBroadcaster{net: net, existing: map[keyspace.Key]core.Value{k("phoenix"): 7}, fee: 50}
 	p := NewPDHT(pi, bc, rng)
 
 	if out := p.Query(1, k("phoenix")); !out.Answered {
@@ -97,14 +98,14 @@ func TestCapacityPressureEvictsColdestNotHottest(t *testing.T) {
 	cfg := ttlConfig()
 	cfg.PeerCapacity = 2
 	pi, net, rng := testIndex(t, cfg, 44)
-	bc := &fakeBroadcaster{net: net, existing: make(map[keyspace.Key]Value), fee: 50}
+	bc := &fakeBroadcaster{net: net, existing: make(map[keyspace.Key]core.Value), fee: 50}
 	p := NewPDHT(pi, bc, rng)
 
 	hot := k("hot")
 	bc.existing[hot] = 1
 	for i := 0; i < 40; i++ {
 		cold := keyspace.Key(uint64(i+1000) * 0x9e3779b97f4a7c15)
-		bc.existing[cold] = Value(i)
+		bc.existing[cold] = core.Value(i)
 	}
 	p.Query(0, hot)
 	for i := 0; i < 40; i++ {

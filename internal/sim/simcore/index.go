@@ -1,14 +1,30 @@
-package core
+// Package simcore is the simulator's side of the paper's contribution: the
+// query-adaptive partial DHT of Section 5 over simulated peers. PartialIndex
+// is the distributed index — one core.Cache per active peer of a dht.Index,
+// wired together by replica subnetworks — and PDHT the selection algorithm
+// on top of it. It is written against the dht.Index interface, so the
+// algorithm runs unchanged over the P-Grid-style trie, the Chord-style ring
+// or Kademlia (the paper: "generic enough such that it can be used for any
+// of the DHT based systems"). Subnet is the unstructured gossip graph among
+// one replica group's members (§3.3.2, [DaHa03]), carrying the update
+// floods of eq. 9 and the query floods of eq. 16; Versioned tracks
+// per-member key versions under the hybrid push/pull update scheme;
+// TTLEstimator is the online keyTtl self-tuner of §5.1.1.
+//
+// Nothing here is reachable from a live node: internal/node runs the same
+// selection algorithm over real peers with core.Cache, replica.Set and
+// internal/adapt, and `make live-deps` keeps it that way.
+package simcore
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
 
+	"pdht/internal/core"
 	"pdht/internal/dht"
 	"pdht/internal/keyspace"
 	"pdht/internal/netsim"
-	"pdht/internal/replica"
 	"pdht/internal/stats"
 )
 
@@ -43,10 +59,10 @@ func (c *IndexConfig) setDefaults() {
 
 func (c IndexConfig) validate() error {
 	if c.PeerCapacity < 1 {
-		return fmt.Errorf("core: PeerCapacity %d must be positive", c.PeerCapacity)
+		return fmt.Errorf("simcore: PeerCapacity %d must be positive", c.PeerCapacity)
 	}
 	if c.SubnetDegree < 1 {
-		return fmt.Errorf("core: SubnetDegree %d must be positive", c.SubnetDegree)
+		return fmt.Errorf("simcore: SubnetDegree %d must be positive", c.SubnetDegree)
 	}
 	return nil
 }
@@ -58,7 +74,7 @@ type LookupResult struct {
 	// Hit reports whether the key was found live in the index.
 	Hit bool
 	// Value is the stored value when Hit.
-	Value Value
+	Value core.Value
 	// AnsweredBy is the peer that held the live entry when Hit.
 	AnsweredBy netsim.PeerID
 	// RouteHops and FloodMsgs break down the message cost (also recorded
@@ -76,9 +92,9 @@ type PartialIndex struct {
 	cfg IndexConfig
 	rng *rand.Rand
 
-	caches  map[netsim.PeerID]*Cache
-	subnets map[uint64]*replica.Subnet
-	byKey   map[keyspace.Key]*replica.Subnet
+	caches  map[netsim.PeerID]*core.Cache
+	subnets map[uint64]*Subnet
+	byKey   map[keyspace.Key]*Subnet
 	// liveUntil tracks, per key, the latest expiry of any replica — the
 	// index-size bookkeeping behind Fig. 3's "index size" series.
 	liveUntil map[keyspace.Key]int
@@ -95,13 +111,13 @@ func NewPartialIndex(net *netsim.Network, idx dht.Index, cfg IndexConfig, rng *r
 		idx:       idx,
 		cfg:       cfg,
 		rng:       rng,
-		caches:    make(map[netsim.PeerID]*Cache),
-		subnets:   make(map[uint64]*replica.Subnet),
-		byKey:     make(map[keyspace.Key]*replica.Subnet),
+		caches:    make(map[netsim.PeerID]*core.Cache),
+		subnets:   make(map[uint64]*Subnet),
+		byKey:     make(map[keyspace.Key]*Subnet),
 		liveUntil: make(map[keyspace.Key]int),
 	}
 	for _, p := range idx.ActivePeers() {
-		c, err := NewCache(cfg.PeerCapacity)
+		c, err := core.NewCache(cfg.PeerCapacity)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +133,7 @@ func (pi *PartialIndex) DHT() dht.Index { return pi.idx }
 func (pi *PartialIndex) Config() IndexConfig { return pi.cfg }
 
 // SetKeyTtl changes the TTL attached to future inserts and refreshes —
-// the knob a self-tuning deployment (core.TTLEstimator) turns. Entries
+// the knob a self-tuning deployment (TTLEstimator) turns. Entries
 // already in the index keep their current expiry until their next hit.
 // ttl ≤ 0 means future entries never expire.
 func (pi *PartialIndex) SetKeyTtl(ttl int) { pi.cfg.KeyTtl = ttl }
@@ -125,7 +141,7 @@ func (pi *PartialIndex) SetKeyTtl(ttl int) { pi.cfg.KeyTtl = ttl }
 // expiry converts the configured TTL into an absolute round.
 func (pi *PartialIndex) expiry(now int) int {
 	if pi.cfg.KeyTtl <= 0 {
-		return NeverExpires
+		return core.NeverExpires
 	}
 	return now + pi.cfg.KeyTtl
 }
@@ -147,7 +163,7 @@ func groupSignature(members []netsim.PeerID) uint64 {
 
 // subnetFor returns (building lazily) the replica subnetwork of key's
 // group.
-func (pi *PartialIndex) subnetFor(key keyspace.Key) (*replica.Subnet, error) {
+func (pi *PartialIndex) subnetFor(key keyspace.Key) (*Subnet, error) {
 	if s, ok := pi.byKey[key]; ok {
 		return s, nil
 	}
@@ -156,7 +172,7 @@ func (pi *PartialIndex) subnetFor(key keyspace.Key) (*replica.Subnet, error) {
 	s, ok := pi.subnets[sig]
 	if !ok {
 		var err error
-		s, err = replica.NewSubnet(pi.net, group, pi.cfg.SubnetDegree, pi.rng)
+		s, err = NewSubnet(pi.net, group, pi.cfg.SubnetDegree, pi.rng)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +247,7 @@ type InsertResult struct {
 // the replica subnetwork, installing it with the configured TTL at every
 // online member the rumor reaches — the insert leg of the selection
 // algorithm (the second cSIndx2 of eq. 17).
-func (pi *PartialIndex) Insert(from netsim.PeerID, key keyspace.Key, value Value) InsertResult {
+func (pi *PartialIndex) Insert(from netsim.PeerID, key keyspace.Key, value core.Value) InsertResult {
 	res := InsertResult{}
 	now := pi.net.Round()
 	rt := pi.idx.Route(from, key, pi.rng)
@@ -266,7 +282,7 @@ func (pi *PartialIndex) Insert(from netsim.PeerID, key keyspace.Key, value Value
 // Seed installs key at every member of its replica group without sending
 // messages: initial state for the index-everything and oracle baselines
 // (their indexes exist before the measurement window opens).
-func (pi *PartialIndex) Seed(key keyspace.Key, value Value) error {
+func (pi *PartialIndex) Seed(key keyspace.Key, value core.Value) error {
 	subnet, err := pi.subnetFor(key)
 	if err != nil {
 		return err
@@ -286,7 +302,7 @@ func (pi *PartialIndex) Seed(key keyspace.Key, value Value) error {
 // to the replicas — the proactive consistency traffic (cUpd, eq. 9) the
 // index-everything baseline pays for every key update. Only peers already
 // holding the key (or with room) store the new version.
-func (pi *PartialIndex) Update(from netsim.PeerID, key keyspace.Key, value Value) InsertResult {
+func (pi *PartialIndex) Update(from netsim.PeerID, key keyspace.Key, value core.Value) InsertResult {
 	res := InsertResult{}
 	now := pi.net.Round()
 	rt := pi.idx.Route(from, key, pi.rng)
@@ -341,13 +357,8 @@ func (pi *PartialIndex) ExactIndexedKeys() int {
 	now := pi.net.Round()
 	live := make(map[keyspace.Key]bool)
 	for _, c := range pi.caches {
-		for key := range c.entries {
-			if live[key] {
-				continue
-			}
-			if _, ok := c.Get(key, now); ok {
-				live[key] = true
-			}
+		for _, key := range c.Keys(now) {
+			live[key] = true
 		}
 	}
 	return len(live)

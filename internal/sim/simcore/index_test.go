@@ -1,14 +1,17 @@
-package core
+package simcore
 
 import (
 	"math/rand/v2"
 	"testing"
 
+	"pdht/internal/core"
 	"pdht/internal/dht"
 	"pdht/internal/keyspace"
 	"pdht/internal/netsim"
 	"pdht/internal/stats"
 )
+
+func k(s string) keyspace.Key { return keyspace.HashString(s) }
 
 // testIndex builds a small trie-backed partial index: 256 active peers in
 // groups of 8.
@@ -158,7 +161,7 @@ func TestSeedIsFreeAndPermanentWithoutTTL(t *testing.T) {
 	pi, net, _ := testIndex(t, cfg, 7)
 	before := net.Counters().Total()
 	for i := 0; i < 100; i++ {
-		if err := pi.Seed(keyspace.Key(uint64(i)*0x9e3779b97f4a7c15), Value(i)); err != nil {
+		if err := pi.Seed(keyspace.Key(uint64(i)*0x9e3779b97f4a7c15), core.Value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +239,7 @@ func TestFloodOnMissFindsDriftedReplica(t *testing.T) {
 func TestIndexedKeysMatchesExactCount(t *testing.T) {
 	pi, net, rng := testIndex(t, ttlConfig(), 10)
 	for i := 0; i < 60; i++ {
-		pi.Insert(netsim.PeerID(rng.IntN(256)), keyspace.Key(rng.Uint64()), Value(i))
+		pi.Insert(netsim.PeerID(rng.IntN(256)), keyspace.Key(rng.Uint64()), core.Value(i))
 		if i%10 == 0 {
 			net.AdvanceRound()
 		}

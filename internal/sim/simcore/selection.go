@@ -1,8 +1,9 @@
-package core
+package simcore
 
 import (
 	"math/rand/v2"
 
+	"pdht/internal/core"
 	"pdht/internal/keyspace"
 	"pdht/internal/netsim"
 )
@@ -16,7 +17,7 @@ type Broadcaster interface {
 	// from. It returns the value found (the content pointer a real
 	// system would return) and the number of messages spent; messages
 	// are also recorded on the network counters.
-	Search(from netsim.PeerID, key keyspace.Key, rng *rand.Rand) (value Value, found bool, msgs int)
+	Search(from netsim.PeerID, key keyspace.Key, rng *rand.Rand) (value core.Value, found bool, msgs int)
 }
 
 // QueryOutcome reports one end-to-end query through the selection
@@ -28,7 +29,7 @@ type QueryOutcome struct {
 	// eq. 14).
 	FromIndex bool
 	// Value is the resolved value when Answered.
-	Value Value
+	Value core.Value
 	// IndexMsgs, BroadcastMsgs and InsertMsgs break down the cost in the
 	// three legs of eq. 17: cSIndx2, cSUnstr, cSIndx2.
 	IndexMsgs     int

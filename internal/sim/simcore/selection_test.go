@@ -1,9 +1,10 @@
-package core
+package simcore
 
 import (
 	"math/rand/v2"
 	"testing"
 
+	"pdht/internal/core"
 	"pdht/internal/keyspace"
 	"pdht/internal/netsim"
 	"pdht/internal/stats"
@@ -13,12 +14,12 @@ import (
 // exist and charges a fixed fee per search.
 type fakeBroadcaster struct {
 	net      *netsim.Network
-	existing map[keyspace.Key]Value
+	existing map[keyspace.Key]core.Value
 	fee      int
 	searches int
 }
 
-func (b *fakeBroadcaster) Search(from netsim.PeerID, key keyspace.Key, rng *rand.Rand) (Value, bool, int) {
+func (b *fakeBroadcaster) Search(from netsim.PeerID, key keyspace.Key, rng *rand.Rand) (core.Value, bool, int) {
 	b.searches++
 	b.net.Send(stats.MsgBroadcast, int64(b.fee))
 	v, ok := b.existing[key]
@@ -28,7 +29,7 @@ func (b *fakeBroadcaster) Search(from netsim.PeerID, key keyspace.Key, rng *rand
 func testPDHT(t *testing.T, seed uint64) (*PDHT, *fakeBroadcaster, *netsim.Network) {
 	t.Helper()
 	pi, net, rng := testIndex(t, ttlConfig(), seed)
-	bc := &fakeBroadcaster{net: net, existing: make(map[keyspace.Key]Value), fee: 100}
+	bc := &fakeBroadcaster{net: net, existing: make(map[keyspace.Key]core.Value), fee: 100}
 	return NewPDHT(pi, bc, rng), bc, net
 }
 
@@ -124,8 +125,8 @@ func TestAdaptationToDistributionShift(t *testing.T) {
 	for i := range oldKeys {
 		oldKeys[i] = keyspace.Key(uint64(i+1) * 0x9e3779b97f4a7c15)
 		newKeys[i] = keyspace.Key(uint64(i+100) * 0x9e3779b97f4a7c15)
-		bc.existing[oldKeys[i]] = Value(i)
-		bc.existing[newKeys[i]] = Value(i + 100)
+		bc.existing[oldKeys[i]] = core.Value(i)
+		bc.existing[newKeys[i]] = core.Value(i + 100)
 	}
 	// Phase 1: old keys are hot.
 	for r := 0; r < 100; r++ {

@@ -1,13 +1,4 @@
-// This file is the simulation half's replica subnetwork (§3.3.2,
-// [DaHa03]): the peers responsible for a key maintain "an unstructured
-// replica subnetwork among each other"; an update reaches one responsible
-// peer through the index and is then gossiped to the others, costing
-// repl·dup2 messages. Peers that were offline pull missed updates when
-// they come back — the hybrid push/pull scheme. The same subnetwork
-// carries the query floods of the selection algorithm (eq. 16): a
-// responsible peer that cannot answer a query floods its replica group,
-// because TTL expiry leaves replicas poorly synchronized.
-package replica
+package simcore
 
 import (
 	"fmt"
@@ -18,8 +9,14 @@ import (
 )
 
 // Subnet is the unstructured gossip graph among one replica group's
-// members. Adjacency is by member index, so a subnet costs O(members)
-// regardless of the network size.
+// members (§3.3.2, [DaHa03]): the peers responsible for a key maintain "an
+// unstructured replica subnetwork among each other"; an update reaches one
+// responsible peer through the index and is then gossiped to the others,
+// costing repl·dup2 messages. The same subnetwork carries the query floods
+// of the selection algorithm (eq. 16): a responsible peer that cannot
+// answer a query floods its replica group, because TTL expiry leaves
+// replicas poorly synchronized. Adjacency is by member index, so a subnet
+// costs O(members) regardless of the network size.
 type Subnet struct {
 	net     *netsim.Network
 	members []netsim.PeerID
@@ -48,10 +45,10 @@ type FloodStats struct {
 func NewSubnet(net *netsim.Network, members []netsim.PeerID, degree int, rng *rand.Rand) (*Subnet, error) {
 	n := len(members)
 	if n < 1 {
-		return nil, fmt.Errorf("replica: subnet needs at least one member")
+		return nil, fmt.Errorf("simcore: subnet needs at least one member")
 	}
 	if degree < 1 && n > 1 {
-		return nil, fmt.Errorf("replica: degree %d must be positive", degree)
+		return nil, fmt.Errorf("simcore: degree %d must be positive", degree)
 	}
 	if degree >= n && n > 1 {
 		degree = n - 1
@@ -64,7 +61,7 @@ func NewSubnet(net *netsim.Network, members []netsim.PeerID, degree int, rng *ra
 	}
 	for i, p := range s.members {
 		if _, dup := s.index[p]; dup {
-			return nil, fmt.Errorf("replica: duplicate member %d", p)
+			return nil, fmt.Errorf("simcore: duplicate member %d", p)
 		}
 		s.index[p] = i
 	}

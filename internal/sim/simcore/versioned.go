@@ -1,4 +1,4 @@
-package replica
+package simcore
 
 import (
 	"math/rand/v2"

@@ -1,19 +1,20 @@
-// Package stats provides the measurement plumbing shared by the simulator,
-// the benchmarks and the example programs: message counters keyed by class,
-// streaming mean/variance accumulators, fixed-bucket histograms and plain-text
-// table rendering.
+// Package stats is the cost vocabulary the live node and the simulator both
+// speak, plus the reporting helpers the experiment and CLI layers share:
+// streaming mean/variance accumulators (Welford) and plain-text, CSV and
+// JSON table rendering (Table).
 //
 // The paper's unit of cost is the number of messages sent per round (one
 // round = one second), broken down by what the message was for. MsgClass
-// enumerates those purposes; Counters accumulates per-class totals so that a
-// simulation run can be compared line-by-line against the analytical model.
+// enumerates those purposes, so a live node's Report.Messages and a
+// simulation run's counters (netsim.Counters) can both be compared
+// line-by-line against the analytical model; Diff and FormatSnapshot work
+// on the per-class maps either side produces.
 package stats
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // MsgClass identifies what a simulated message was sent for. The classes
@@ -98,71 +99,7 @@ func Classes() []MsgClass {
 	return out
 }
 
-// Counters accumulates message counts by class. The zero value is ready to
-// use. Counters is safe for concurrent use.
-type Counters struct {
-	mu     sync.Mutex
-	counts [numMsgClasses]int64
-}
-
-// Add records n messages of class c. n may be any non-negative count;
-// negative values are rejected with a panic because a message, once sent,
-// cannot be unsent.
-func (ct *Counters) Add(c MsgClass, n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("stats: negative message count %d for class %s", n, c))
-	}
-	if c < 0 || c >= numMsgClasses {
-		panic(fmt.Sprintf("stats: unknown message class %d", int(c)))
-	}
-	ct.mu.Lock()
-	ct.counts[c] += n
-	ct.mu.Unlock()
-}
-
-// Inc records a single message of class c.
-func (ct *Counters) Inc(c MsgClass) { ct.Add(c, 1) }
-
-// Get returns the accumulated count for class c.
-func (ct *Counters) Get(c MsgClass) int64 {
-	if c < 0 || c >= numMsgClasses {
-		panic(fmt.Sprintf("stats: unknown message class %d", int(c)))
-	}
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	return ct.counts[c]
-}
-
-// Total returns the sum over all classes.
-func (ct *Counters) Total() int64 {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	var t int64
-	for _, v := range ct.counts {
-		t += v
-	}
-	return t
-}
-
-// Snapshot returns a copy of the per-class counts, indexed by MsgClass.
-func (ct *Counters) Snapshot() map[MsgClass]int64 {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	out := make(map[MsgClass]int64, numMsgClasses)
-	for i, v := range ct.counts {
-		out[MsgClass(i)] = v
-	}
-	return out
-}
-
-// Reset zeroes all counters.
-func (ct *Counters) Reset() {
-	ct.mu.Lock()
-	ct.counts = [numMsgClasses]int64{}
-	ct.mu.Unlock()
-}
-
-// Diff returns the per-class difference ct − prev. It is used to compute
+// Diff returns the per-class difference cur − prev. It is used to compute
 // per-round rates from two snapshots of cumulative counters.
 func Diff(cur, prev map[MsgClass]int64) map[MsgClass]int64 {
 	out := make(map[MsgClass]int64, len(cur))

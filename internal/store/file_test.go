@@ -220,17 +220,3 @@ func TestFileStoreMetricsExposition(t *testing.T) {
 		}
 	}
 }
-
-func TestNoopStoreIsFree(t *testing.T) {
-	n := NewNoop()
-	if err := n.Append(Record{Op: OpInsert, Key: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Recovered(); got != nil {
-		t.Fatalf("Noop recovered %v", got)
-	}
-	n.RegisterMetrics(obs.NewRegistry())
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

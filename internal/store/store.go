@@ -16,13 +16,13 @@
 // restart-invariant: a retune changes only what future inserts receive,
 // on disk exactly as in memory.
 //
-// Two implementations ship: Noop (the default — nothing persists, every
-// operation is free, so an in-memory node pays nothing for the seam) and
-// FileStore (file.go — an append-only WAL of CRC32-framed records with a
-// configurable fsync policy, periodically compacted into a snapshot file,
-// with torn-tail-tolerant crash recovery). The node writes through the
-// core.Cache mutation hook; nothing else in the system knows durability
-// exists.
+// One implementation ships: FileStore (file.go — an append-only WAL of
+// CRC32-framed records with a configurable fsync policy, periodically
+// compacted into a snapshot file, with torn-tail-tolerant crash recovery).
+// The default is no store at all: a node whose Config.Store is nil installs
+// no cache hook, so an in-memory node pays nothing for the seam. A node
+// with a store writes through the core.Cache mutation hook; nothing else in
+// the system knows durability exists.
 package store
 
 import (
@@ -117,19 +117,3 @@ type Store interface {
 	// Close flushes, compacts if possible, and releases the store.
 	Close() error
 }
-
-// Noop is the default store: nothing persists and every operation is free.
-// It exists so call sites can treat "no persistence" uniformly; the node
-// additionally skips the write-through hook entirely when its store is nil,
-// so the hot path pays nothing either way.
-type Noop struct{}
-
-// NewNoop returns the no-op store.
-func NewNoop() Noop { return Noop{} }
-
-func (Noop) Recovered() []Entry            { return nil }
-func (Noop) Stats() RecoveryStats          { return RecoveryStats{} }
-func (Noop) Append(Record) error           { return nil }
-func (Noop) Sync() error                   { return nil }
-func (Noop) RegisterMetrics(*obs.Registry) {}
-func (Noop) Close() error                  { return nil }

@@ -18,7 +18,7 @@
 //     with no global knowledge: query the index first, broadcast on a
 //     miss, insert the result with an expiration time keyTtl that is
 //     refreshed by queries, so unqueried keys silently fall out
-//     (StrategyPartialTTL in the simulator; internal/core implements it
+//     (StrategyPartialTTL in the simulator; internal/sim/simcore implements it
 //     against pluggable DHT backends).
 //
 // The package exposes four layers:
