@@ -35,7 +35,8 @@ race:
 # into testdata.
 FUZZ_TARGETS := ./internal/transport:FuzzReadFrame \
 	./internal/transport:FuzzFrameRoundTrip \
-	./internal/chaos:FuzzParseSchedule
+	./internal/chaos:FuzzParseSchedule \
+	./internal/core:FuzzCacheOps
 
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \

@@ -160,6 +160,50 @@ func TestCacheNeverExpires(t *testing.T) {
 	}
 }
 
+// TestCachePinnedEntries is the rule in Put's doc comment: a never-expiring
+// entry is never a victim, a cache full of them admits one more beyond its
+// capacity without reporting an eviction it did not make, and a finite-TTL
+// entry among them is the victim as usual. (The full sweep this replaces
+// picked no victim here, then "evicted" key 0 — a phantom MutEvict at the
+// hook — and grew all the same.)
+func TestCachePinnedEntries(t *testing.T) {
+	c, _ := NewCache(2)
+	var muts []Mutation
+	c.SetHook(func(m Mutation) { muts = append(muts, m) })
+	for i, name := range []string{"a", "b", "c", "d", "e"} {
+		if !c.Put(k(name), Value(i), NeverExpires, 0) {
+			t.Fatalf("pinned put %d refused", i)
+		}
+	}
+	if got := c.Live(1 << 40); got != 5 {
+		t.Errorf("Live = %d, want all 5 pinned entries", got)
+	}
+	for _, m := range muts {
+		if m.Kind != MutInsert {
+			t.Errorf("pinned puts emitted %+v, want inserts only", m)
+		}
+	}
+	if c.Put(k("finite"), 9, 100, 0) {
+		t.Error("finite-TTL entry accepted by a cache of pinned entries, all of which outlast it")
+	}
+
+	c, _ = NewCache(3)
+	muts = nil
+	c.SetHook(func(m Mutation) { muts = append(muts, m) })
+	c.Put(k("a"), 1, NeverExpires, 0)
+	c.Put(k("b"), 2, 50, 0)
+	c.Put(k("c"), 3, NeverExpires, 0)
+	if !c.Put(k("d"), 4, NeverExpires, 0) {
+		t.Fatal("pinned put refused although a finite-TTL victim exists")
+	}
+	if last := muts[len(muts)-2]; last.Kind != MutEvict || last.Key != k("b") {
+		t.Errorf("eviction was %+v, want MutEvict of b", last)
+	}
+	if _, ok := c.Get(k("b"), 0); ok || c.Live(0) != 3 {
+		t.Errorf("finite-TTL entry b survived among pinned ones (Live = %d)", c.Live(0))
+	}
+}
+
 // Property: a cache never reports more live entries than its capacity, and
 // Get never returns an expired entry.
 func TestCacheInvariants(t *testing.T) {

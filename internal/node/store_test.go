@@ -179,6 +179,138 @@ func TestNodeCrashMidAppendRecovers(t *testing.T) {
 	}
 }
 
+// countingStore journals through a FileStore and tallies, by Op, the records
+// it was handed — the WAL's contents as the node wrote them.
+type countingStore struct {
+	*store.FileStore
+	mu      sync.Mutex
+	appends map[store.Op]int
+}
+
+func (s *countingStore) Append(rec store.Record) error {
+	s.mu.Lock()
+	s.appends[rec.Op]++
+	s.mu.Unlock()
+	return s.FileStore.Append(rec)
+}
+
+// TestNodeEvictionAndExpiryOrderSurviveCrash journals a full cache's life —
+// capacity evictions in expiry order, two waves of TTL expiry collected off
+// the head of that order, overwrites that shorten a deadline — and replays
+// it from a crash image. The WAL must hold one OpInsert per accepted insert
+// and one OpExpire per eviction or expiry (so a resolved miss on a full
+// index costs its replica exactly two appends), and the recovered index must
+// be the pre-crash one key for key at its remaining TTL: nothing evicted or
+// expired comes back.
+func TestNodeEvictionAndExpiryOrderSurviveCrash(t *testing.T) {
+	const capacity = 8
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	cfg := durableConfig()
+	cfg.Capacity = capacity
+	st := &countingStore{FileStore: openStore(t, dir1), appends: make(map[store.Op]int)}
+	cfg.Store = st
+	nd, err := New(transport.NewMemory(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	insert := func(key uint64, ttl int) bool {
+		t.Helper()
+		resp := nd.serve(transport.Request{Op: transport.OpInsert, Key: key, Value: key * 10, TTL: ttl})
+		if resp.Err != "" {
+			t.Fatalf("insert %d: %s", key, resp.Err)
+		}
+		return resp.OK
+	}
+	liveCount := func(want int) func() bool {
+		return func() bool { return len(nd.liveEntries()) == want }
+	}
+	accepted, dropped := 0, 0
+
+	// Fill: half the cache lapses within two rounds, half is long-lived.
+	for i := uint64(0); i < capacity; i++ {
+		ttl := 2
+		if i%2 == 1 {
+			ttl = 500 + int(i)
+		}
+		if !insert(i, ttl) {
+			t.Fatalf("insert %d into a cache with room refused", i)
+		}
+		accepted++
+	}
+	waitFor(t, 5*time.Second, liveCount(capacity/2), "the short-lived half to expire")
+	dropped += capacity / 2
+
+	// Five capacities of inserts, each outliving everything stored: the
+	// first four take the room expiry left, every later one evicts.
+	for i := uint64(0); i < 5*capacity; i++ {
+		if !insert(100+i, 1000+int(i)) {
+			t.Fatalf("insert %d with the latest deadline refused", 100+i)
+		}
+		accepted++
+	}
+	dropped += 5*capacity - capacity/2
+	if insert(999, 1) {
+		t.Fatal("insert expiring before everything stored was accepted by a full cache")
+	}
+
+	// Three survivors are overwritten with a two-round lease — to the head
+	// of the order they go — and lapse.
+	for i := uint64(0); i < 3; i++ {
+		if !insert(100+5*capacity-1-i, 2) {
+			t.Fatal("overwrite with a shorter lease refused")
+		}
+		accepted++
+	}
+	waitFor(t, 5*time.Second, liveCount(capacity-3), "the shortened leases to expire")
+	dropped += 3
+
+	before := wallDeadlines(nd)
+	st.mu.Lock()
+	inserts, expires, total := st.appends[store.OpInsert], st.appends[store.OpExpire], 0
+	for _, n := range st.appends {
+		total += n
+	}
+	st.mu.Unlock()
+	if inserts != accepted || expires != dropped || total != accepted+dropped {
+		t.Fatalf("WAL holds %d OpInsert, %d OpExpire, %d records in all; want %d accepted inserts, %d evictions and expiries, nothing else",
+			inserts, expires, total, accepted, dropped)
+	}
+
+	// The crash image: the WAL as it stands, no Close, no compaction.
+	wal, err := os.ReadFile(filepath.Join(dir1, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir2, "wal.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg2 := durableConfig()
+	cfg2.Capacity = capacity
+	cfg2.Store = openStore(t, dir2)
+	if got := cfg2.Store.Stats().Recovered; got != len(before) {
+		t.Fatalf("store recovered %d index entries, want the %d live before the crash", got, len(before))
+	}
+	nd2, err := New(transport.NewMemory(), cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd2.Close()
+	after := wallDeadlines(nd2)
+	if len(after) != len(before) {
+		t.Fatalf("post-crash index holds %d entries, want %d: %v", len(after), len(before), after)
+	}
+	for k, d0 := range before {
+		d1, ok := after[k]
+		if !ok {
+			t.Fatalf("key %d lost in the crash", k)
+		}
+		if d1.Before(d0.Add(-time.Millisecond)) || d1.After(d0.Add(cfg.RoundDuration)) {
+			t.Errorf("key %d deadline moved %v across the crash, want within one round", k, d1.Sub(d0))
+		}
+	}
+}
+
 // TestClusterRestartStorm is the ISSUE's headline scenario: a 3-node
 // cluster warms its index under a repeating workload, every node is killed
 // and restarted (a rolling crash-loop), and the warm fleet — per-slot data
