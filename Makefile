@@ -36,7 +36,9 @@ race:
 FUZZ_TARGETS := ./internal/transport:FuzzReadFrame \
 	./internal/transport:FuzzFrameRoundTrip \
 	./internal/chaos:FuzzParseSchedule \
-	./internal/core:FuzzCacheOps
+	./internal/core:FuzzCacheOps \
+	./client:FuzzParseTopK \
+	./client:FuzzParseQuery
 
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \

@@ -77,7 +77,7 @@ type KV struct {
 // QueryTrace is one finished query's per-leg causality record, delivered to
 // a WithTraceHook hook and retained by the slow-query log: the key, the
 // wall-clock span, the end-to-end outcome, and every leg — index probes
-// primary → ranked backups, the broadcast fan-out, the insert-gate verdict,
+// primary → backups in ring order, the broadcast fan-out, the insert-gate verdict,
 // refreshes, read repairs and stale-view re-syncs — with its offset,
 // duration and outcome. Timeline() renders it for humans.
 type QueryTrace = obs.QueryTrace
@@ -359,9 +359,9 @@ func (c *Client) QueryTopK(ctx context.Context, terms []uint64, k int) (TopKResu
 // the string is predicates joined by AND, each hashed to its own term key,
 // and the whole resolved via QueryTopK. The returned Result carries the
 // best document (Value) under the first term's key; callers that want the
-// full ranked list parse with ParseTopK and call QueryTopK directly. A
-// malformed topk: query fails with ErrBadQuery — it never falls back to
-// the conjunctive parser.
+// full ranked list parse with ParseTopK and call QueryTopK directly. Text
+// neither parser accepts fails with ErrBadQuery, and a malformed topk:
+// query never falls back to the conjunctive parser.
 func (c *Client) ParseAndQuery(ctx context.Context, query string) (Result, error) {
 	if hasTopKPrefix(query) {
 		k, terms, err := ParseTopK(query)
@@ -379,11 +379,21 @@ func (c *Client) ParseAndQuery(ctx context.Context, query string) (Result, error
 		}
 		return out, nil
 	}
-	q, err := metadata.ParseQuery(query)
+	key, err := parseKey(query)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.Query(ctx, uint64(q.Key()))
+	return c.Query(ctx, key)
+}
+
+// parseKey maps a conjunctive query to its index key. Like ParseTopK's,
+// its failures are ErrBadQuery.
+func parseKey(query string) (uint64, error) {
+	q, err := metadata.ParseQuery(query)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	return uint64(q.Key()), nil
 }
 
 // hasTopKPrefix reports whether the query text opts into the top-k form.

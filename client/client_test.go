@@ -215,8 +215,8 @@ func TestParseAndQuery(t *testing.T) {
 	if res.Answered {
 		t.Fatalf("unpublished metadata query answered: %+v", res)
 	}
-	if _, err := members[0].ParseAndQuery(ctx, "no-equals-sign"); err == nil {
-		t.Fatal("malformed query accepted")
+	if _, err := members[0].ParseAndQuery(ctx, "no-equals-sign"); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("malformed query error = %v, want ErrBadQuery", err)
 	}
 }
 

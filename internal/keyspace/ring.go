@@ -2,6 +2,7 @@ package keyspace
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -16,7 +17,9 @@ import (
 // The ring answers three questions for the live node layer:
 //
 //   - Group(key): the first repl distinct members clockwise from the key —
-//     the replica set, with Group[0] the route primary.
+//     the replica set, Group[0] the route primary and the rest the backups
+//     in the order reads fail over through them. It is the only replica
+//     order the live tree has.
 //   - RouteHops(from, key): how many overlay hops an ideal-finger Chord
 //     walk from `from` needs to land inside Group(key) — the hop metric the
 //     simulator's materialized finger tables used to provide, now computed
@@ -190,7 +193,7 @@ func (r *MemberRing) Group(key Key) []string {
 	i := r.successor(key)
 	for len(out) < want {
 		v := r.vnodes[i]
-		if !containsAddr(out, v.addr) {
+		if !slices.Contains(out, v.addr) {
 			out = append(out, v.addr)
 		}
 		i++
@@ -199,15 +202,6 @@ func (r *MemberRing) Group(key Key) []string {
 		}
 	}
 	return out
-}
-
-func containsAddr(s []string, a string) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // RouteHops simulates an ideal-finger Chord walk from `from` to the replica
@@ -226,19 +220,12 @@ func (r *MemberRing) RouteHops(from string, key Key) int {
 		return 1
 	}
 	group := r.Group(key)
-	inGroup := make(map[string]struct{}, len(group))
-	for _, a := range group {
-		inGroup[a] = struct{}{}
-	}
-	if _, ok := inGroup[from]; ok {
-		return 0
-	}
 	cur := uint64(HashString(from + "#0"))
 	curAddr := from
 	target := uint64(key)
 	hops := 0
 	for iter := 0; iter < 96; iter++ {
-		if _, ok := inGroup[curAddr]; ok {
+		if slices.Contains(group, curAddr) {
 			return hops
 		}
 		want := target - cur

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -25,9 +26,9 @@ func TestMemberRingDeltaEqualsRebuild(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 
 	base := NewMemberRing(addrs[:48], 3)
-	shuffled := append([]string(nil), addrs[:48]...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	if !reflect.DeepEqual(base.vnodes, NewMemberRing(shuffled, 3).vnodes) {
+	backwards := append([]string(nil), addrs[:48]...)
+	rng.Shuffle(len(backwards), func(i, j int) { backwards[i], backwards[j] = backwards[j], backwards[i] })
+	if !reflect.DeepEqual(base.vnodes, NewMemberRing(backwards, 3).vnodes) {
 		t.Fatal("construction order changed the ring")
 	}
 
@@ -60,6 +61,9 @@ func TestMemberRingDeltaEqualsRebuild(t *testing.T) {
 func TestMemberRingGroup(t *testing.T) {
 	addrs := ringAddrs(20)
 	r := NewMemberRing(addrs, 3)
+	reversed := append([]string(nil), addrs...)
+	slices.Reverse(reversed)
+	backwards := NewMemberRing(reversed, 3)
 	for i := 0; i < 200; i++ {
 		k := Key(mix64(uint64(i) * 0x9e3779b97f4a7c15))
 		g := r.Group(k)
@@ -72,6 +76,23 @@ func TestMemberRingGroup(t *testing.T) {
 				t.Fatalf("duplicate member %s in group", a)
 			}
 			seen[a] = true
+		}
+		// The order is the clockwise walk — members by the distance from
+		// the key to their nearest vnode — whatever order the member list
+		// arrived in: it is the failover order every peer must agree on.
+		dist := func(a string) uint64 {
+			best := ^uint64(0)
+			for _, vn := range memberVnodes(a) {
+				if d := uint64(vn.pos) - uint64(k); d < best {
+					best = d
+				}
+			}
+			return best
+		}
+		walk := append([]string(nil), addrs...)
+		sort.Slice(walk, func(x, y int) bool { return dist(walk[x]) < dist(walk[y]) })
+		if !reflect.DeepEqual(g, walk[:3]) || !reflect.DeepEqual(g, backwards.Group(k)) {
+			t.Fatalf("key %d: group %v, clockwise walk %v, ring built from the reversed list %v", k, g, walk[:3], backwards.Group(k))
 		}
 	}
 	// Tiny cluster: group clamps to the member count.
@@ -100,7 +121,7 @@ func TestMemberRingRouteHops(t *testing.T) {
 		if h > maxHops {
 			maxHops = h
 		}
-		if containsAddr(r.Group(k), from) && h != 0 {
+		if slices.Contains(r.Group(k), from) && h != 0 {
 			t.Fatalf("origin in group but hops = %d", h)
 		}
 	}
@@ -168,7 +189,7 @@ func TestAffectedArcsExactForOneMember(t *testing.T) {
 		}
 		for i := 0; i < 4000; i++ {
 			k := Key(rng.Uint64())
-			inGroup := containsAddr(r.Group(k), m)
+			inGroup := slices.Contains(r.Group(k), m)
 			if inGroup != arcs.Contains(k) {
 				t.Fatalf("member %s key %v: inGroup=%v inArcs=%v", m, k, inGroup, !inGroup)
 			}

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -216,18 +217,18 @@ func messageAccountingParity(t *testing.T, tr transport.Transport) {
 	t.Run("failover with read repair", func(t *testing.T) {
 		// Pick keys whose set excludes the querying member, so the dead
 		// primary is never the host itself.
-		var rs replicaSet
+		var rs []string
 		perHost := make(map[*host][]uint64)
 		for serial := 0; len(perHost[hosts[0]]) < 3 || len(perHost[hosts[1]]) < 3; serial++ {
 			k := uint64(keyspace.HashString("failover:" + strconv.Itoa(serial)))
-			s := setOf(member, k)
-			if s.Size() != 3 || s.Contains(member.Addr()) {
+			s := member.ReplicaSet(k)
+			if len(s) != 3 || slices.Contains(s, member.Addr()) {
 				continue
 			}
-			if rs.Primary == "" {
+			if rs == nil {
 				rs = s
 			}
-			if s.Primary != rs.Primary {
+			if s[0] != rs[0] {
 				continue
 			}
 			h := hosts[serial%2]
@@ -235,11 +236,11 @@ func messageAccountingParity(t *testing.T, tr transport.Transport) {
 				perHost[h] = append(perHost[h], k)
 				// The entry survives only at the last backup: the first
 				// backup answers the refresh without it and gets repaired.
-				rawInsert(t, tr, s.Backups[1], k, 77, cfg.KeyTtl)
+				rawInsert(t, tr, s[2], k, 77, cfg.KeyTtl)
 			}
 		}
 		for i := 0; i < c.Size(); i++ {
-			if c.Addr(i) == rs.Primary {
+			if c.Addr(i) == rs[0] {
 				if err := c.Kill(i); err != nil {
 					t.Fatal(err)
 				}

@@ -41,15 +41,17 @@ type RemoteConfig struct {
 	TraceSampling float64
 }
 
+// setDefaults fills zero fields with the serving node's defaults.
 func (c *RemoteConfig) setDefaults() {
+	d := DefaultConfig()
 	if c.Repl == 0 {
-		c.Repl = 3
+		c.Repl = d.Repl
 	}
 	if c.KeyTtl == 0 {
-		c.KeyTtl = 120
+		c.KeyTtl = d.KeyTtl
 	}
 	if c.CallTimeout == 0 {
-		c.CallTimeout = 2 * time.Second
+		c.CallTimeout = d.CallTimeout
 	}
 }
 
@@ -59,8 +61,8 @@ func (c RemoteConfig) validate() error {
 		return fmt.Errorf("node: remote client needs at least one seed")
 	case c.Repl < 1:
 		return fmt.Errorf("node: Repl %d must be positive", c.Repl)
-	case c.KeyTtl < 1:
-		return fmt.Errorf("node: KeyTtl %d must be positive", c.KeyTtl)
+	case c.KeyTtl < 1 || c.KeyTtl > maxWireTTL:
+		return fmt.Errorf("node: KeyTtl %d must be in [1, %d]", c.KeyTtl, maxWireTTL)
 	}
 	return nil
 }
@@ -233,29 +235,37 @@ func (c *RemoteClient) Publish(ctx context.Context, key, value uint64) error {
 // PublishMany installs a batch of pairs with one OpBatch request per
 // destination peer: each pair targets its replica group, items are grouped
 // by destination, and a single round trip per destination carries them
-// all. A pair counts as published when at least one replica stored it.
+// all. A pair counts as published when at least one replica stored it. Like
+// Query, a publish refused as stale installs the membership state attached
+// to the refusal and routes again, once.
 func (c *RemoteClient) PublishMany(ctx context.Context, pairs []KV) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return ctxErr(err)
+	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return ctxErr(err)
+		}
+		v, err := c.currentView()
+		if err != nil {
+			return err
+		}
+		err = c.publish(ctx, v, pairs)
+		if err == nil || attempt > 0 {
+			return err
+		}
+		if now, _ := c.currentView(); now == v {
+			return err // no refusal installed a fresher view to route by
+		}
 	}
-	v, err := c.currentView()
-	if err != nil {
-		return err
-	}
-	type slot struct {
-		item transport.BatchItem
-		pair int // index into pairs
-	}
-	groups := make(map[string][]slot)
+}
+
+// publish is one routing pass of PublishMany under view v.
+func (c *RemoteClient) publish(ctx context.Context, v *view, pairs []KV) error {
+	groups := make(map[string][]int) // destination → indexes into pairs
 	for i, p := range pairs {
-		for _, addr := range v.replicas(keyspace.Key(p.Key)) {
-			groups[addr] = append(groups[addr], slot{
-				item: transport.BatchItem{Op: transport.OpInsert, Key: p.Key, Value: p.Value, TTL: c.cfg.KeyTtl},
-				pair: i,
-			})
+		for _, addr := range v.Replicas(keyspace.Key(p.Key)) {
+			groups[addr] = append(groups[addr], i)
 		}
 	}
 	// stored: at least one replica accepted the pair; acked: at least one
@@ -265,29 +275,27 @@ func (c *RemoteClient) PublishMany(ctx context.Context, pairs []KV) error {
 	acked := make([]bool, len(pairs))
 	var statusMu sync.Mutex
 	var wg sync.WaitGroup
-	for addr, slots := range groups {
+	for addr, idxs := range groups {
 		wg.Add(1)
-		go func(addr string, slots []slot) {
+		go func(addr string, idxs []int) {
 			defer wg.Done()
-			items := make([]transport.BatchItem, len(slots))
-			for j, s := range slots {
-				items[j] = s.item
+			items := make([]transport.BatchItem, len(idxs))
+			for j, i := range idxs {
+				items[j] = transport.BatchItem{Op: transport.OpInsert, Key: pairs[i].Key, Value: pairs[i].Value, TTL: c.cfg.KeyTtl}
 			}
-			resp, err := c.call(ctx, addr, transport.Request{
-				Op: transport.OpBatch, ViewHash: v.hash, Batch: items,
-			})
-			if err != nil || resp.Err != "" || len(resp.Batch) != len(slots) {
+			results := c.batch(ctx, v, addr, items)
+			if results == nil {
 				return
 			}
 			statusMu.Lock()
-			for j, s := range slots {
-				acked[s.pair] = true
-				if resp.Batch[j].OK {
-					stored[s.pair] = true
+			for j, i := range idxs {
+				acked[i] = true
+				if results[j].OK {
+					stored[i] = true
 				}
 			}
 			statusMu.Unlock()
-		}(addr, slots)
+		}(addr, idxs)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"pdht/internal/transport"
 )
@@ -88,5 +89,75 @@ func TestRemoteClientStaleRecoveryRetries(t *testing.T) {
 	}
 	if !res.Answered || !res.FromIndex || res.Value != 99 || !answered {
 		t.Fatalf("post-recovery query = %+v (answered=%v), want index hit 99 at the fresh member", res, answered)
+	}
+}
+
+// TestRemoteClientPublishRecoversFromStaleView pins the publish half of the
+// stale-view contract: a client that only ever publishes learns of a new
+// member from the refusals its batch legs collect — every OpBatch leg goes
+// through the engine's accept, like a probe's — installs the attached table
+// and routes again, once. Before the legs were one method, PublishMany read
+// resp.Err itself, the refusal never reached the view, and the client kept
+// failing with ErrNoMembers until something else re-synced it.
+func TestRemoteClientPublishRecoversFromStaleView(t *testing.T) {
+	publishRecovers(t, transport.NewMemory())
+}
+
+func TestRemoteClientPublishRecoversFromStaleViewTCP(t *testing.T) {
+	publishRecovers(t, transport.NewTCP())
+}
+
+func publishRecovers(t *testing.T, tr transport.Transport) {
+	cfg := engineConfig()
+	c, err := NewCluster(tr, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	client, err := DialRemote(ctx, tr, RemoteConfig{Seeds: []string{c.Addr(0)}, Repl: cfg.Repl, KeyTtl: cfg.KeyTtl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	joinCfg := cfg
+	joinCfg.Seed = c.Addr(0)
+	joiner, err := New(tr, joinCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	waitFor(t, 5*time.Second, func() bool {
+		for i := 0; i < c.Size(); i++ {
+			if len(c.Node(i).Members()) != 4 {
+				return false
+			}
+		}
+		return len(joiner.Members()) == 4
+	}, "the cluster to adopt the joiner")
+	if got := len(client.Members()); got != 3 {
+		t.Fatalf("client already sees %d members; the test needs its view stale", got)
+	}
+
+	pairs := []KV{{Key: 11, Value: 1}, {Key: 22, Value: 2}, {Key: 33, Value: 3}}
+	if err := client.PublishMany(ctx, pairs); err != nil {
+		t.Fatalf("PublishMany on a stale view: %v, want the refusal's table installed and the retry to land", err)
+	}
+	if got := len(client.Members()); got != 4 {
+		t.Fatalf("client sees %d members after the refused publish, want 4", got)
+	}
+	members := append([]*Node{joiner}, c.Node(0), c.Node(1), c.Node(2))
+	for _, p := range pairs {
+		for _, addr := range joiner.ReplicaSet(p.Key) {
+			for _, m := range members {
+				if m.Addr() == addr && !m.IndexHas(p.Key) {
+					t.Errorf("key %d missing at replica %s", p.Key, addr)
+				}
+			}
+		}
 	}
 }

@@ -340,8 +340,8 @@ func queryOutcome(res QueryResult, err error) string {
 }
 
 // resolve runs the selection algorithm for one key into res: the index
-// search — the primary, failing over through the ranked backups on a miss,
-// refusal or timeout — then the miss path. asked names a peer the caller's
+// search — the primary, failing over through the backups in ring order on a
+// miss, refusal or timeout — then the miss path. asked names a peer the caller's
 // batch leg has already probed for this key ("" on the unary path): the
 // walk skips it, and the route to the primary is already priced in res.
 func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, asked string) error {
@@ -354,10 +354,11 @@ func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, aske
 		if err != nil {
 			return err
 		}
-		rs := v.set(k)
-		probes := rs.All()
+		probes := v.Replicas(k)
 		if asked == "" {
-			res.Responsible = rs.Primary
+			if len(probes) > 0 {
+				res.Responsible = probes[0]
+			}
 			res.IndexMsgs += v.hops(e.self, k)
 		}
 		rerouted, failed := false, false
@@ -593,7 +594,7 @@ func (e *engine) broadcast(ctx context.Context, k keyspace.Key, members []string
 func (e *engine) insert(ctx context.Context, v *view, k keyspace.Key, value uint64) (msgs int) {
 	ttl := e.keyTtl()
 	var mu sync.Mutex
-	replica.Fanout(ctx, v.set(k).All(), func(ctx context.Context, addr string) bool {
+	replica.Fanout(ctx, v.Replicas(k), func(ctx context.Context, addr string) bool {
 		e.sent(addr, &mu, &msgs)
 		resp, err := e.call(ctx, addr, transport.Request{Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: v.hash})
 		return err == nil && e.accept(ctx, addr, resp) && resp.OK
@@ -602,6 +603,20 @@ func (e *engine) insert(ctx context.Context, v *view, k keyspace.Key, value uint
 }
 
 // ---- the batched form ----
+
+// batch is the one OpBatch leg: items go to addr in a single request under
+// the hash of v, the view they were routed by, and the reply passes through
+// accept like every routed leg's. Nil means the reply was unusable — the
+// call failed, the peer refused it, or the results do not align with items.
+func (e *engine) batch(ctx context.Context, v *view, addr string, items []transport.BatchItem) []transport.BatchResult {
+	resp, err := e.call(ctx, addr, transport.Request{
+		Op: transport.OpBatch, From: e.self, ViewHash: v.hash, Batch: items,
+	})
+	if err != nil || !e.accept(ctx, addr, resp) || len(resp.Batch) != len(items) {
+		return nil
+	}
+	return resp.Batch
+}
 
 // QueryMany resolves a batch of keys with one OpBatch request per
 // destination peer: keys are grouped by responsible node, each group
@@ -639,15 +654,19 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	// too. The slots are filled in place, so the deferred call sees them.
 	defer e.m.fileMessages(results...)
 	groups := make(map[string][]int) // destination → indexes into keys
+	// sets keeps each key's placement from this one routing pass: the
+	// refresh fan-out of the hits reads it instead of routing again.
+	sets := make([][]string, len(keys))
 	for i, key := range keys {
 		k := keyspace.Key(key)
-		group := v.replicas(k)
-		if len(group) == 0 {
+		sets[i] = v.Replicas(k)
+		if len(sets[i]) == 0 {
 			continue // no route; the fallback still broadcasts
 		}
-		results[i].Responsible = group[0]
+		primary := sets[i][0]
+		results[i].Responsible = primary
 		results[i].IndexMsgs = v.hops(e.self, k)
-		groups[group[0]] = append(groups[group[0]], i)
+		groups[primary] = append(groups[primary], i)
 	}
 	ttl := e.keyTtl()
 
@@ -662,14 +681,9 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 			for j, i := range idxs {
 				items[j] = transport.BatchItem{Op: transport.OpQuery, Key: keys[i], TTL: ttl}
 			}
-			resp, err := e.call(ctx, addr, transport.Request{
-				Op: transport.OpBatch, From: e.self, ViewHash: v.hash, Batch: items,
-			})
-			if err != nil || !e.accept(ctx, addr, resp) || len(resp.Batch) != len(idxs) {
-				return // the whole group falls back per key
-			}
-			for j, i := range idxs {
-				if br := resp.Batch[j]; br.Err == "" && br.Found {
+			// An unusable reply leaves the whole group to fall back per key.
+			for j, br := range e.batch(ctx, v, addr, items) {
+				if i := idxs[j]; br.Err == "" && br.Found {
 					results[i].Answered, results[i].FromIndex = true, true
 					results[i].Value, results[i].AnsweredBy = br.Value, addr
 				}
@@ -691,7 +705,7 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	}
 	// Replica-coherent reset-on-hit for the batch hits, before the
 	// fallbacks run — fallback hits sync through syncHit on their own.
-	e.syncBatchHits(ctx, v, keys, results, ttl)
+	e.syncBatchHits(ctx, v, keys, sets, results, ttl)
 	if err := ctx.Err(); err != nil {
 		return results, ctxErr(err)
 	}
@@ -721,80 +735,69 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 // answering peer, the TTL rode with them — and read-repairs members that
 // answered without holding an entry with a follow-up OpBatch of inserts.
 // The batched counterpart of syncHit: same coherence, one round trip per
-// destination instead of one RPC per (key, member). Placement and the hash
-// come from the view the batch was routed under — stamping one view's hash
-// onto placements computed from another would get every leg refused
-// mid-transition.
-func (e *engine) syncBatchHits(ctx context.Context, v *view, keys []uint64, results []QueryResult, ttl int) {
-	type slot struct {
-		i     int // index into keys/results
-		key   uint64
-		value uint64
-	}
-	groups := make(map[string][]slot)
+// destination instead of one RPC per (key, member). Placement (sets, aligned
+// with keys) and the hash come from the view the batch was routed under —
+// stamping one view's hash onto placements computed from another would get
+// every leg refused mid-transition.
+func (e *engine) syncBatchHits(ctx context.Context, v *view, keys []uint64, sets [][]string, results []QueryResult, ttl int) {
+	groups := make(map[string][]int) // destination → indexes into keys
 	for i := range results {
 		if !results[i].FromIndex {
 			continue
 		}
-		for _, addr := range v.set(keyspace.Key(keys[i])).All() {
+		for _, addr := range sets[i] {
 			if addr != results[i].AnsweredBy {
-				groups[addr] = append(groups[addr], slot{i, keys[i], results[i].Value})
+				groups[addr] = append(groups[addr], i)
 			}
 		}
 	}
 	// resMu guards the per-result counters: a key's backups live at
 	// different destinations, so two goroutines may touch the same result.
 	var resMu sync.Mutex
-	// batch sends slots to addr as one OpBatch of refresh items, or of
-	// read-repair inserts, counting one message per item unless the leg
-	// stays in-process; nil means the reply was unusable.
-	batch := func(addr string, slots []slot, repair bool) []transport.BatchResult {
-		items := make([]transport.BatchItem, len(slots))
-		for j, s := range slots {
-			items[j] = transport.BatchItem{Op: transport.OpRefresh, Key: s.key, TTL: ttl}
+	// send ships the keys at idxs to addr as one batch of refresh items, or
+	// of read-repair inserts, counting one message per item unless the leg
+	// stays in-process.
+	send := func(addr string, idxs []int, repair bool) []transport.BatchResult {
+		items := make([]transport.BatchItem, len(idxs))
+		for j, i := range idxs {
+			items[j] = transport.BatchItem{Op: transport.OpRefresh, Key: keys[i], TTL: ttl}
 			if repair {
-				items[j].Op, items[j].Value = transport.OpInsert, s.value
+				items[j].Op, items[j].Value = transport.OpInsert, results[i].Value
 			}
 		}
 		if addr != e.self {
 			resMu.Lock()
-			for _, s := range slots {
+			for _, i := range idxs {
 				if repair {
-					results[s.i].RepairMsgs++
+					results[i].RepairMsgs++
 				} else {
-					results[s.i].RefreshMsgs++
+					results[i].RefreshMsgs++
 				}
 			}
 			resMu.Unlock()
 		}
-		resp, err := e.call(ctx, addr, transport.Request{
-			Op: transport.OpBatch, From: e.self, ViewHash: v.hash, Batch: items,
-		})
-		if err != nil || !e.accept(ctx, addr, resp) || len(resp.Batch) != len(slots) {
-			return nil
-		}
-		return resp.Batch
+		return e.batch(ctx, v, addr, items)
 	}
 	var wg sync.WaitGroup
-	for addr, slots := range groups {
+	for addr, idxs := range groups {
 		wg.Add(1)
-		go func(addr string, slots []slot) {
+		go func(addr string, idxs []int) {
 			defer wg.Done()
-			refreshed := batch(addr, slots, false)
+			refreshed := send(addr, idxs, false)
 			// Read repair: members that answered the refresh without the
 			// entry get it re-inserted, one more round trip.
-			var repairs []slot
+			var repairs []int
 			for j, br := range refreshed {
 				if br.Err == "" && !br.OK {
-					repairs = append(repairs, slots[j])
+					repairs = append(repairs, idxs[j])
 				}
 			}
 			if len(repairs) == 0 || ctx.Err() != nil {
 				return
 			}
 			e.m.readRepairs.Add(uint64(len(repairs)))
-			batch(addr, repairs, true)
-		}(addr, slots)
+			send(addr, repairs, true)
+		}(addr, idxs)
 	}
 	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -11,7 +12,6 @@ import (
 
 	"pdht/internal/keyspace"
 	"pdht/internal/obs"
-	"pdht/internal/replica"
 	"pdht/internal/transport"
 )
 
@@ -65,16 +65,16 @@ func engineParity(t *testing.T, tr transport.Transport) {
 	// twins finds two keys with the same ordered replica set, the member
 	// inside or outside it as asked.
 	serial := 0
-	twins := func(memberInSet bool) (keys [2]uint64, rs replica.Set) {
+	twins := func(memberInSet bool) (keys [2]uint64, rs []string) {
 		t.Helper()
 		seen := make(map[string]uint64)
 		for ; serial < 100000; serial++ {
 			k := uint64(keyspace.HashString("parity:" + strconv.Itoa(serial)))
-			s := setOf(member, k)
-			if s.Size() != 3 || s.Contains(member.Addr()) != memberInSet {
+			s := member.ReplicaSet(k)
+			if len(s) != 3 || slices.Contains(s, member.Addr()) != memberInSet {
 				continue
 			}
-			id := s.Primary + "|" + s.Backups[0] + "|" + s.Backups[1]
+			id := s[0] + "|" + s[1] + "|" + s[2]
 			if first, ok := seen[id]; ok {
 				serial++
 				return [2]uint64{first, k}, s
@@ -91,14 +91,14 @@ func engineParity(t *testing.T, tr transport.Transport) {
 	}
 
 	// same asserts the parity contract for one key pair.
-	same := func(t *testing.T, rs replica.Set, key uint64, m, cl QueryResult) {
+	same := func(t *testing.T, rs []string, key uint64, m, cl QueryResult) {
 		t.Helper()
 		if m.Answered != cl.Answered || m.FromIndex != cl.FromIndex || m.Value != cl.Value ||
 			m.AnsweredBy != cl.AnsweredBy || m.Responsible != cl.Responsible || m.InsertGated != cl.InsertGated {
 			t.Fatalf("hosts disagree on the outcome:\nmember %+v\nclient %+v", m, cl)
 		}
 		self := 0 // set legs the member serves itself
-		if rs.Contains(member.Addr()) {
+		if slices.Contains(rs, member.Addr()) {
 			self = 1
 		}
 		if cl.RefreshMsgs > 0 && m.RefreshMsgs != cl.RefreshMsgs-self {
@@ -122,7 +122,7 @@ func engineParity(t *testing.T, tr transport.Transport) {
 			t.Errorf("index legs: member %d (route %d), client %d (route 1)", m.IndexMsgs, hops, cl.IndexMsgs)
 		}
 	}
-	unary := func(t *testing.T, rs replica.Set, keys [2]uint64) (m, cl QueryResult) {
+	unary := func(t *testing.T, rs []string, keys [2]uint64) (m, cl QueryResult) {
 		t.Helper()
 		m = mustQuery(t, member, keys[0])
 		cl, err := client.Query(ctx, keys[1])
@@ -136,17 +136,17 @@ func engineParity(t *testing.T, tr transport.Transport) {
 	t.Run("index hit", func(t *testing.T) {
 		keys, rs := twins(false)
 		for _, k := range keys {
-			indexAt(k, 11, rs.All()...)
+			indexAt(k, 11, rs...)
 		}
 		m, cl := unary(t, rs, keys)
-		if !m.FromIndex || m.AnsweredBy != rs.Primary || cl.RefreshMsgs != 3 || cl.IndexMsgs != 1 {
+		if !m.FromIndex || m.AnsweredBy != rs[0] || cl.RefreshMsgs != 3 || cl.IndexMsgs != 1 {
 			t.Fatalf("member %+v client %+v, want a hit at the primary and 3 refresh legs", m, cl)
 		}
 	})
 	t.Run("index hit from inside the set", func(t *testing.T) {
 		keys, rs := twins(true)
 		for _, k := range keys {
-			indexAt(k, 12, rs.All()...)
+			indexAt(k, 12, rs...)
 		}
 		m, cl := unary(t, rs, keys)
 		if !m.FromIndex || m.RefreshMsgs != 2 || cl.RefreshMsgs != 3 {
@@ -187,7 +187,7 @@ func engineParity(t *testing.T, tr transport.Transport) {
 		hit, hitSet := twins(false)
 		miss, missSet := twins(false)
 		for i := range hit {
-			indexAt(hit[i], 14, hitSet.All()...)
+			indexAt(hit[i], 14, hitSet...)
 			mustPublish(t, holder, miss[i], 15)
 		}
 		ms, err := member.QueryMany(ctx, []uint64{hit[0], miss[0]})
@@ -236,17 +236,17 @@ func engineParity(t *testing.T, tr transport.Transport) {
 		}
 		defer traced.Close()
 		keys, rs := twins(false)
-		indexAt(keys[1], 17, rs.All()...)
+		indexAt(keys[1], 17, rs...)
 		res, err := traced.Query(ctx, keys[1])
 		if err != nil || !res.FromIndex || len(got) != 1 {
 			t.Fatalf("traced query = %+v, %v with %d traces; want one traced hit", res, err, len(got))
 		}
 		remote := false
 		for _, l := range got[0].Legs {
-			remote = remote || (l.Peer == rs.Primary && l.Name == "index-lookup" && l.Outcome == "hit")
+			remote = remote || (l.Peer == rs[0] && l.Name == "index-lookup" && l.Outcome == "hit")
 		}
 		if !remote {
-			t.Fatalf("trace carries no index-lookup span recorded at %s:\n%s", rs.Primary, got[0].Timeline())
+			t.Fatalf("trace carries no index-lookup span recorded at %s:\n%s", rs[0], got[0].Timeline())
 		}
 	})
 	t.Run("stale view re-route", func(t *testing.T) {
@@ -254,10 +254,10 @@ func engineParity(t *testing.T, tr transport.Transport) {
 		// first probe is refused with the refuser's table attached, and the
 		// query routes again over the installed view.
 		keys, rs := twins(false)
-		indexAt(keys[1], 18, rs.All()...)
+		indexAt(keys[1], 18, rs...)
 		var short []transport.PeerState
 		for _, addr := range client.Members() {
-			if addr != rs.Backups[1] {
+			if addr != rs[2] {
 				short = append(short, transport.PeerState{Addr: addr})
 			}
 		}
@@ -266,8 +266,8 @@ func engineParity(t *testing.T, tr transport.Transport) {
 		}
 		before := client.m.staleViews.Value()
 		res, err := client.Query(ctx, keys[1])
-		if err != nil || !res.FromIndex || res.AnsweredBy != rs.Primary || res.Value != 18 {
-			t.Fatalf("query on a stale view = %+v, %v; want the hit at %s after a re-route", res, err, rs.Primary)
+		if err != nil || !res.FromIndex || res.AnsweredBy != rs[0] || res.Value != 18 {
+			t.Fatalf("query on a stale view = %+v, %v; want the hit at %s after a re-route", res, err, rs[0])
 		}
 		if client.m.staleViews.Value() == before || len(client.Members()) != c.Size() {
 			t.Fatalf("no stale-view refusal was recovered from: %d members, counter at %d", len(client.Members()), before)
@@ -279,24 +279,24 @@ func engineParity(t *testing.T, tr transport.Transport) {
 		// The entry survives only at the last backup; the first backup lost
 		// it and the primary is dead.
 		for _, k := range keys {
-			indexAt(k, 16, rs.Backups[1])
+			indexAt(k, 16, rs[2])
 		}
 		for i := 0; i < c.Size(); i++ {
-			if c.Addr(i) == rs.Primary {
+			if c.Addr(i) == rs[0] {
 				if err := c.Kill(i); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		m, cl := unary(t, rs, keys)
-		if !m.FromIndex || m.AnsweredBy != rs.Backups[1] || cl.IndexMsgs != 3 || cl.RefreshMsgs != 3 || cl.RepairMsgs != 1 {
-			t.Fatalf("member %+v client %+v, want a hit at %s after 3 probes, 3 refresh legs and 1 repair", m, cl, rs.Backups[1])
+		if !m.FromIndex || m.AnsweredBy != rs[2] || cl.IndexMsgs != 3 || cl.RefreshMsgs != 3 || cl.RepairMsgs != 1 {
+			t.Fatalf("member %+v client %+v, want a hit at %s after 3 probes, 3 refresh legs and 1 repair", m, cl, rs[2])
 		}
 		for i := 0; i < c.Size(); i++ {
-			if c.Addr(i) == rs.Backups[0] {
+			if c.Addr(i) == rs[1] {
 				for _, k := range keys {
 					if _, ok := remainingTTL(c.Node(i), k); !ok {
-						t.Errorf("read repair did not re-insert key %d at %s", k, rs.Backups[0])
+						t.Errorf("read repair did not re-insert key %d at %s", k, rs[1])
 					}
 				}
 			}
@@ -337,7 +337,7 @@ func TestRemoteClientTraceHasRefreshLegs(t *testing.T) {
 	defer client.Close()
 
 	const key = 31337
-	rs := setOf(c.Node(0), key)
+	rs := c.Node(0).ReplicaSet(key)
 	c.PublishReplicated([]uint64{key}, 4)
 	// legs runs one traced query and returns its legs named name, by target.
 	legs := func(name string) map[string]string {
@@ -361,10 +361,10 @@ func TestRemoteClientTraceHasRefreshLegs(t *testing.T) {
 	legs("insert") // miss → broadcast → insert at the whole set
 
 	refreshes := legs("refresh")
-	if len(refreshes) != rs.Size() {
-		t.Fatalf("hit recorded refresh legs %v, want one per set member %v", refreshes, rs.All())
+	if len(refreshes) != len(rs) {
+		t.Fatalf("hit recorded refresh legs %v, want one per set member %v", refreshes, rs)
 	}
-	for _, addr := range rs.All() {
+	for _, addr := range rs {
 		if refreshes[addr] != "ok" {
 			t.Errorf("refresh leg at %s = %q, want ok", addr, refreshes[addr])
 		}
@@ -373,7 +373,7 @@ func TestRemoteClientTraceHasRefreshLegs(t *testing.T) {
 	// Empty a backup: a restart without a store brings its cache back cold,
 	// and nobody convicts it in between, so no view changes and no handoff
 	// refills it.
-	victim := rs.Backups[0]
+	victim := rs[1]
 	for i := 0; i < c.Size(); i++ {
 		if c.Addr(i) == victim {
 			if err := c.Kill(i); err != nil {
@@ -392,15 +392,112 @@ func TestRemoteClientTraceHasRefreshLegs(t *testing.T) {
 	}
 }
 
-// TestRemoteClientHitPathAllocs holds the client's hit path at the
-// allocation count it had before Node and RemoteClient shared one engine,
-// as TestQueryHitPathAllocsUnchangedBySampling holds the member's: the
-// indirection through the engine must not quietly add allocations.
-// AllocsPerRun reads process-wide mallocs, so the minimum of several
-// measurements keeps background gossip ticks out of the verdict.
+// TestProbeOrderIsReplicaSetOrder pins the one placement order: the peers a
+// query's index search visits, in the order it visits them, are exactly
+// Node.ReplicaSet(key) — on a member and on a RemoteClient, with the whole
+// set up, with the primary dead and with the first backup dead too — and
+// every member reports the same slice. Nothing is indexed or published, so
+// every walk runs the full set (a dead peer's leg fails and the walk moves
+// on) before the broadcast comes back empty.
+func TestProbeOrderIsReplicaSetOrder(t *testing.T) { probeOrder(t, transport.NewMemory()) }
+
+func TestProbeOrderIsReplicaSetOrderTCP(t *testing.T) { probeOrder(t, transport.NewTCP()) }
+
+func probeOrder(t *testing.T, tr transport.Transport) {
+	cfg := engineConfig()
+	c, err := NewCluster(tr, 5, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	member := c.Node(0)
+	client, err := DialRemote(ctx, tr, RemoteConfig{Seeds: []string{c.Addr(0)}, Repl: cfg.Repl, KeyTtl: cfg.KeyTtl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	keys := make([]uint64, 200)
+	sets := make([][]string, len(keys))
+	for i := range keys {
+		keys[i] = uint64(keyspace.HashString("probe-order:" + strconv.Itoa(i)))
+		sets[i] = member.ReplicaSet(keys[i])
+		if len(sets[i]) != 3 {
+			t.Fatalf("key %d placed at %v, want 3 replicas", keys[i], sets[i])
+		}
+		for j := 1; j < c.Size(); j++ {
+			if got := c.Node(j).ReplicaSet(keys[i]); !reflect.DeepEqual(got, sets[i]) {
+				t.Fatalf("key %d: %s places it at %v, %s at %v", keys[i], c.Addr(j), got, member.Addr(), sets[i])
+			}
+		}
+	}
+	walk := func(phase string) {
+		t.Helper()
+		bad := 0
+		for _, h := range []struct {
+			name  string
+			query func(context.Context, uint64) (QueryResult, error)
+		}{{"member", member.Query}, {"client", client.Query}} {
+			for i, key := range keys {
+				trace := obs.NewTrace(key)
+				if _, err := h.query(obs.WithTrace(ctx, trace), key); err != nil {
+					t.Fatalf("%s, %s: Query(%d): %v", phase, h.name, key, err)
+				}
+				var visited []string
+				for _, l := range trace.Finish("").Legs {
+					if l.Name == "probe" && l.Peer == "" {
+						visited = append(visited, l.Target)
+					}
+				}
+				if !reflect.DeepEqual(visited, sets[i]) {
+					if bad++; bad <= 3 {
+						t.Errorf("%s, %s: key %d probed %v, ReplicaSet says %v", phase, h.name, key, visited, sets[i])
+					}
+				}
+			}
+		}
+		if bad > 0 {
+			t.Fatalf("%s: %d of %d walks left the ReplicaSet order", phase, bad, 2*len(keys))
+		}
+	}
+	walk("all up")
+
+	// Kill the primary, then the first backup, of a key whose first two
+	// replicas are not the querying member. The suspicion window outlasts
+	// the test, so placement stays on the pre-kill view throughout.
+	var victims []string
+	for _, rs := range sets {
+		if rs[0] != member.Addr() && rs[1] != member.Addr() {
+			victims = rs[:2]
+			break
+		}
+	}
+	for n, phase := range []string{"primary down", "first backup down too"} {
+		for i := 0; i < c.Size(); i++ {
+			if c.Addr(i) == victims[n] {
+				if err := c.Kill(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		walk(phase)
+	}
+}
+
+// TestRemoteClientHitPathAllocs holds the client's hit path at its
+// measured allocation count, as TestQueryHitPathAllocsUnchangedBySampling
+// holds the member's: nothing between Query and the wire may quietly add
+// allocations. AllocsPerRun reads process-wide mallocs, so the minimum of
+// several measurements keeps background gossip ticks out of the verdict.
 func TestRemoteClientHitPathAllocs(t *testing.T) {
 	// 3 members, r=3, memory transport: one probe and three refresh legs.
-	const parentAllocs = 53
+	// 40 measured (47 while the engine re-ranked the replica group per
+	// query).
+	const ceiling = 41
 	cfg := DefaultConfig()
 	cfg.KeyTtl = 1 << 20
 	cfg.GossipInterval = 10 * time.Millisecond
@@ -435,8 +532,8 @@ func TestRemoteClientHitPathAllocs(t *testing.T) {
 			best = allocs
 		}
 	}
-	if best > parentAllocs {
-		t.Errorf("client hit path allocates %.0f per query, want at most %d", best, parentAllocs)
+	if best > ceiling {
+		t.Errorf("client hit path allocates %.0f per query, want at most %d", best, ceiling)
 	}
 	t.Logf("client hit path: %.0f allocs/query", best)
 }

@@ -10,13 +10,6 @@ import (
 	"pdht/internal/transport"
 )
 
-// replicasOf reads a node's current replica group for key.
-func replicasOf(n *Node, key uint64) []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.view.replicas(keyspace.Key(key))
-}
-
 // remainingTTL reads the remaining lifetime, in rounds, of key in a node's
 // index cache.
 func remainingTTL(n *Node, key uint64) (int, bool) {
@@ -90,7 +83,7 @@ func TestHandoffOnDeathServesFromNewOwner(t *testing.T) {
 	var key uint64
 	var oldGroup []string
 	for _, k := range keys {
-		group := replicasOf(c.Node(0), k)
+		group := c.Node(0).ReplicaSet(k)
 		if slices.Contains(group, victimAddr) {
 			key, oldGroup = k, group
 			break
@@ -116,7 +109,7 @@ func TestHandoffOnDeathServesFromNewOwner(t *testing.T) {
 			break
 		}
 	}
-	newGroup := replicasOf(live, key)
+	newGroup := live.ReplicaSet(key)
 	var newcomer string
 	for _, a := range newGroup {
 		if !slices.Contains(oldGroup, a) {
@@ -190,7 +183,7 @@ func TestHandoffTCPSmoke(t *testing.T) {
 	victimAddr := c.Addr(victim)
 	var key uint64
 	for _, k := range keys {
-		if slices.Contains(replicasOf(c.Node(0), k), victimAddr) {
+		if slices.Contains(c.Node(0).ReplicaSet(k), victimAddr) {
 			key = k
 			break
 		}

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -127,22 +128,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// setDefaults fills zero fields.
+// setDefaults fills zero fields — from DefaultConfig where it names a
+// value, except TraceSampling, whose zero means "keep traces local".
 func (c *Config) setDefaults() {
+	d := DefaultConfig()
 	if c.Repl == 0 {
-		c.Repl = 3
+		c.Repl = d.Repl
 	}
 	if c.KeyTtl == 0 {
-		c.KeyTtl = 120
+		c.KeyTtl = d.KeyTtl
 	}
 	if c.Capacity == 0 {
-		c.Capacity = 1024
+		c.Capacity = d.Capacity
 	}
 	if c.RoundDuration == 0 {
-		c.RoundDuration = time.Second
+		c.RoundDuration = d.RoundDuration
 	}
 	if c.CallTimeout == 0 {
-		c.CallTimeout = 2 * time.Second
+		c.CallTimeout = d.CallTimeout
 	}
 	if c.GossipInterval == 0 {
 		c.GossipInterval = c.RoundDuration
@@ -165,8 +168,8 @@ func (c Config) validate() error {
 	switch {
 	case c.Repl < 1:
 		return fmt.Errorf("node: Repl %d must be positive", c.Repl)
-	case c.KeyTtl < 1:
-		return fmt.Errorf("node: KeyTtl %d must be positive", c.KeyTtl)
+	case c.KeyTtl < 1 || c.KeyTtl > maxWireTTL:
+		return fmt.Errorf("node: KeyTtl %d must be in [1, %d]", c.KeyTtl, maxWireTTL)
 	case c.Capacity < 1:
 		return fmt.Errorf("node: Capacity %d must be positive", c.Capacity)
 	case c.RoundDuration < 0:
@@ -559,12 +562,13 @@ func (n *Node) ViewHash() uint64 {
 }
 
 // ReplicaSet returns the addresses this node's current view places key's
-// replica group on, primary first — the placement oracle chaos accounting
-// compares across a fleet to detect double ownership.
+// replica group on, primary first and in the order a query fails over
+// through them — the placement oracle chaos accounting compares across a
+// fleet to detect double ownership.
 func (n *Node) ReplicaSet(key uint64) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view.replicas(keyspace.Key(key))
+	return n.view.Replicas(keyspace.Key(key))
 }
 
 // IndexHas reports whether the node's index currently holds an unexpired
@@ -737,10 +741,21 @@ func (n *Node) serveData(req transport.Request) transport.Response {
 	return transport.Response{OK: r.OK, Found: r.Found, Value: r.Value, Err: r.Err}
 }
 
+// maxWireTTL is the longest lifetime, in rounds, a peer accepts on an index
+// operation: 68 years of one-second rounds, four orders of magnitude past
+// the tuner's ceiling (adapt.Config.TTLMax). A TTL arrives as a varint the
+// sender controls, and now+TTL must stay clear of core.NeverExpires — an
+// entry with that expiry is pinned, never evicted, and admitted over
+// capacity once the cache holds nothing else.
+const maxWireTTL = math.MaxInt32
+
 // applyItem executes one index operation against the cache — a unary
 // OpQuery/OpInsert/OpRefresh request or one item of an OpBatch. The caller
 // holds mu, read now under it, and counts *refreshed after releasing it.
 func (n *Node) applyItem(now int, it transport.BatchItem, refreshed *uint64) transport.BatchResult {
+	if it.TTL > maxWireTTL {
+		return transport.BatchResult{Err: "ttl out of range"}
+	}
 	k := keyspace.Key(it.Key)
 	switch it.Op {
 	case transport.OpQuery:

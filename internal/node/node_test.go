@@ -1,11 +1,13 @@
 package node
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"pdht/internal/core"
 	"pdht/internal/transport"
 )
 
@@ -295,6 +297,112 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range bad {
 		if _, err := New(transport.NewMemory(), cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// TestConfigDefaultsAgree pins the defaults to one place: the zero Config,
+// the zero RemoteConfig and DefaultConfig() name the same Repl, KeyTtl,
+// Capacity, RoundDuration and CallTimeout. TraceSampling is not in the
+// table: zero is a value there, not "unset".
+func TestConfigDefaultsAgree(t *testing.T) {
+	want := DefaultConfig()
+	var cfg Config
+	cfg.setDefaults()
+	var rc RemoteConfig
+	rc.setDefaults()
+	for _, row := range []struct {
+		field     string
+		got, want any
+	}{
+		{"Config.Repl", cfg.Repl, want.Repl},
+		{"Config.KeyTtl", cfg.KeyTtl, want.KeyTtl},
+		{"Config.Capacity", cfg.Capacity, want.Capacity},
+		{"Config.RoundDuration", cfg.RoundDuration, want.RoundDuration},
+		{"Config.CallTimeout", cfg.CallTimeout, want.CallTimeout},
+		{"RemoteConfig.Repl", rc.Repl, want.Repl},
+		{"RemoteConfig.KeyTtl", rc.KeyTtl, want.KeyTtl},
+		{"RemoteConfig.CallTimeout", rc.CallTimeout, want.CallTimeout},
+	} {
+		if row.got != row.want {
+			t.Errorf("%s defaults to %v, DefaultConfig says %v", row.field, row.got, row.want)
+		}
+	}
+	if err := want.validate(); err != nil {
+		t.Errorf("DefaultConfig does not validate: %v", err)
+	}
+}
+
+// TestWireTTLIsBounded holds the index against lifetimes only a hostile
+// peer would send: a TTL crosses the wire as a varint, and now+TTL equal to
+// core.NeverExpires would pin the entry — never evicted, and admitted over
+// capacity once the cache holds nothing else. Every form an index
+// operation arrives in refuses such an item, nothing pinned is ever
+// created, and the cache never outgrows Capacity.
+func TestWireTTLIsBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RoundDuration = time.Hour // now stays 0: core.NeverExpires-0 lands exactly
+	cfg.Capacity = 8
+	tr := transport.NewMemory()
+	n, err := New(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	cl, err := tr.Dial(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	call := func(req transport.Request) transport.Response {
+		t.Helper()
+		resp, err := cl.Call(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	const held = 1 // a live entry the refresh forms aim at
+	if resp := call(transport.Request{Op: transport.OpInsert, Key: held, Value: 1, TTL: maxWireTTL}); !resp.OK {
+		t.Fatalf("insert at the bound itself refused: %+v", resp)
+	}
+	for _, ttl := range []int{maxWireTTL + 1, 1 << 40, core.NeverExpires - 1, core.NeverExpires} {
+		for key := uint64(100); key < 100+4*uint64(cfg.Capacity); key++ {
+			if resp := call(transport.Request{Op: transport.OpInsert, Key: key, Value: 1, TTL: ttl}); resp.OK || resp.Err == "" {
+				t.Fatalf("unary insert with ttl %d: %+v, want a refusal", ttl, resp)
+			}
+		}
+		if resp := call(transport.Request{Op: transport.OpRefresh, Key: held, TTL: ttl}); resp.OK || resp.Err == "" {
+			t.Fatalf("unary refresh with ttl %d: %+v, want a refusal", ttl, resp)
+		}
+		items := []transport.BatchItem{
+			{Op: transport.OpInsert, Key: 50, Value: 1, TTL: ttl},
+			{Op: transport.OpRefresh, Key: held, TTL: ttl},
+			{Op: transport.OpQuery, Key: held, TTL: ttl},         // the piggybacked refresh
+			{Op: transport.OpInsert, Key: 51, Value: 1, TTL: 10}, // a sane neighbour still lands
+		}
+		resp := call(transport.Request{Op: transport.OpBatch, Batch: items})
+		if len(resp.Batch) != len(items) {
+			t.Fatalf("batch with ttl %d: %+v", ttl, resp)
+		}
+		for j, br := range resp.Batch[:3] {
+			if br.OK || br.Err == "" {
+				t.Errorf("batch item %d (%s) with ttl %d: %+v, want a refusal", j, items[j].Op, ttl, br)
+			}
+		}
+		if !resp.Batch[3].OK {
+			t.Errorf("sane item next to ttl %d refused: %+v", ttl, resp.Batch[3])
+		}
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	entries := n.cache.Entries(n.now())
+	if len(entries) > cfg.Capacity {
+		t.Errorf("cache holds %d entries, capacity %d", len(entries), cfg.Capacity)
+	}
+	for _, e := range entries {
+		if e.Expires > n.now()+maxWireTTL {
+			t.Errorf("key %d expires at round %d, past any lifetime the wire may grant", e.Key, e.Expires)
 		}
 	}
 }

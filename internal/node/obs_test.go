@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -313,11 +314,9 @@ func TestTraceCapturesFailover(t *testing.T) {
 	querier, primary := -1, ""
 	for i := 0; i < c.Size(); i++ {
 		n := c.Node(i)
-		n.mu.Lock()
-		rs := n.view.set(keyspace.Key(key))
-		n.mu.Unlock()
-		if rs.Primary != "" && rs.Primary != c.Addr(i) && !rs.Contains(c.Addr(i)) {
-			querier, primary = i, rs.Primary
+		rs := n.ReplicaSet(key)
+		if len(rs) > 0 && rs[0] != c.Addr(i) && !slices.Contains(rs, c.Addr(i)) {
+			querier, primary = i, rs[0]
 			break
 		}
 	}

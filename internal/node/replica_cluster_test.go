@@ -2,12 +2,12 @@ package node
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"pdht/internal/keyspace"
-	"pdht/internal/replica"
 	"pdht/internal/transport"
 )
 
@@ -24,15 +24,6 @@ func replicaConfig() Config {
 	cfg.SuspicionTimeout = 30 * time.Second // the view must NOT converge mid-test
 	cfg.SyncInterval = 200 * time.Millisecond
 	return cfg
-}
-
-// setOf reads a node's current replica set for key: primary first, then
-// the keyspace-ranked backups.
-func setOf(n *Node, key uint64) replica.Set {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rs := n.view.set(keyspace.Key(key))
-	return rs
 }
 
 // rawInsert installs key→value directly at one peer with ViewHash 0 (the
@@ -86,13 +77,13 @@ func TestReplicaFailoverServesWithoutBroadcast(t *testing.T) {
 	// crosses the wire and the RPC arithmetic is exact.
 	querier := c.Node(0)
 	var hot uint64
-	var hotSet replica.Set
+	var hotSet []string
 	var victim int
 	for _, k := range keys {
-		rs := setOf(querier, k)
-		if rs.Size() == 2 && rs.Primary != querier.Addr() && !rs.Contains(querier.Addr()) {
+		rs := querier.ReplicaSet(k)
+		if len(rs) == 2 && rs[0] != querier.Addr() && !slices.Contains(rs, querier.Addr()) {
 			for i := 0; i < c.Size(); i++ {
-				if c.Addr(i) == rs.Primary {
+				if c.Addr(i) == rs[0] {
 					hot, hotSet, victim = k, rs, i
 				}
 			}
@@ -107,8 +98,8 @@ func TestReplicaFailoverServesWithoutBroadcast(t *testing.T) {
 
 	// Pre-kill baseline: a hit at the primary, at hops index messages.
 	base := mustQuery(t, querier, hot)
-	if !base.FromIndex || base.AnsweredBy != hotSet.Primary {
-		t.Fatalf("pre-kill query = %+v, want a hit at primary %s", base, hotSet.Primary)
+	if !base.FromIndex || base.AnsweredBy != hotSet[0] {
+		t.Fatalf("pre-kill query = %+v, want a hit at primary %s", base, hotSet[0])
 	}
 
 	preVersion := querier.ViewVersion()
@@ -122,8 +113,8 @@ func TestReplicaFailoverServesWithoutBroadcast(t *testing.T) {
 	if !res.FromIndex {
 		t.Fatalf("post-kill query = %+v, want an index hit from the backup", res)
 	}
-	if res.AnsweredBy != hotSet.Backups[0] {
-		t.Fatalf("answered by %s, want backup %s", res.AnsweredBy, hotSet.Backups[0])
+	if res.AnsweredBy != hotSet[1] {
+		t.Fatalf("answered by %s, want backup %s", res.AnsweredBy, hotSet[1])
 	}
 	if res.BroadcastMsgs != 0 {
 		t.Fatalf("failover paid %d broadcast messages, want none", res.BroadcastMsgs)
@@ -176,24 +167,24 @@ func TestReadRepairHealsPrimary(t *testing.T) {
 
 	querier := c.Node(0)
 	var key uint64
-	var rs replica.Set
+	var rs []string
 	for i := 0; ; i++ {
 		if i > 1000 {
 			t.Fatal("no key found with a fully remote r=2 set")
 		}
 		k := uint64(keyspace.HashString("readrepair:" + strconv.Itoa(i)))
-		if s := setOf(querier, k); s.Size() == 2 && !s.Contains(querier.Addr()) {
+		if s := querier.ReplicaSet(k); len(s) == 2 && !slices.Contains(s, querier.Addr()) {
 			key, rs = k, s
 			break
 		}
 	}
 
 	// Build the hole: the entry exists only at the backup.
-	rawInsert(t, tr, rs.Backups[0], key, 77, cfg.KeyTtl)
+	rawInsert(t, tr, rs[1], key, 77, cfg.KeyTtl)
 
 	res := mustQuery(t, querier, key)
-	if !res.FromIndex || res.AnsweredBy != rs.Backups[0] {
-		t.Fatalf("query = %+v, want a failover hit at backup %s", res, rs.Backups[0])
+	if !res.FromIndex || res.AnsweredBy != rs[1] {
+		t.Fatalf("query = %+v, want a failover hit at backup %s", res, rs[1])
 	}
 	if res.RepairMsgs != 1 {
 		t.Fatalf("hit sent %d repair messages, want exactly 1 (the primary)", res.RepairMsgs)
@@ -205,15 +196,15 @@ func TestReadRepairHealsPrimary(t *testing.T) {
 	// The primary holds the entry again, and the next query hits it.
 	var primaryNode *Node
 	for i := 0; i < c.Size(); i++ {
-		if c.Addr(i) == rs.Primary {
+		if c.Addr(i) == rs[0] {
 			primaryNode = c.Node(i)
 		}
 	}
 	if _, ok := remainingTTL(primaryNode, key); !ok {
 		t.Fatal("read repair did not re-insert the entry at the primary")
 	}
-	if res := mustQuery(t, querier, key); res.AnsweredBy != rs.Primary {
-		t.Fatalf("post-repair query answered by %s, want the healed primary %s", res.AnsweredBy, rs.Primary)
+	if res := mustQuery(t, querier, key); res.AnsweredBy != rs[0] {
+		t.Fatalf("post-repair query answered by %s, want the healed primary %s", res.AnsweredBy, rs[0])
 	}
 }
 
@@ -236,13 +227,13 @@ func TestBatchRefreshFanoutRepairsBackups(t *testing.T) {
 
 	querier := c.Node(0)
 	var key uint64
-	var rs replica.Set
+	var rs []string
 	for i := 0; ; i++ {
 		if i > 1000 {
 			t.Fatal("no key found with a fully remote r=2 set")
 		}
 		k := uint64(keyspace.HashString("batchrepair:" + strconv.Itoa(i)))
-		if s := setOf(querier, k); s.Size() == 2 && !s.Contains(querier.Addr()) {
+		if s := querier.ReplicaSet(k); len(s) == 2 && !slices.Contains(s, querier.Addr()) {
 			key, rs = k, s
 			break
 		}
@@ -250,15 +241,15 @@ func TestBatchRefreshFanoutRepairsBackups(t *testing.T) {
 
 	// The entry exists only at the primary: the batch leg will hit there,
 	// and the backup's refresh must come back "not held".
-	rawInsert(t, tr, rs.Primary, key, 88, cfg.KeyTtl)
+	rawInsert(t, tr, rs[0], key, 88, cfg.KeyTtl)
 
 	results, err := querier.QueryMany(context.Background(), []uint64{key})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := results[0]
-	if !res.FromIndex || res.AnsweredBy != rs.Primary {
-		t.Fatalf("batch query = %+v, want a hit at primary %s", res, rs.Primary)
+	if !res.FromIndex || res.AnsweredBy != rs[0] {
+		t.Fatalf("batch query = %+v, want a hit at primary %s", res, rs[0])
 	}
 	if res.RefreshMsgs != 1 || res.RepairMsgs != 1 {
 		t.Fatalf("batch hit fanned refresh=%d repair=%d, want 1 and 1 (the backup)", res.RefreshMsgs, res.RepairMsgs)
@@ -266,7 +257,7 @@ func TestBatchRefreshFanoutRepairsBackups(t *testing.T) {
 
 	var backupNode *Node
 	for i := 0; i < c.Size(); i++ {
-		if c.Addr(i) == rs.Backups[0] {
+		if c.Addr(i) == rs[1] {
 			backupNode = c.Node(i)
 		}
 	}
@@ -276,13 +267,13 @@ func TestBatchRefreshFanoutRepairsBackups(t *testing.T) {
 
 	// The repaired backup carries the set through a primary death.
 	for i := 0; i < c.Size(); i++ {
-		if c.Addr(i) == rs.Primary {
+		if c.Addr(i) == rs[0] {
 			if err := c.Kill(i); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if res := mustQuery(t, querier, key); !res.FromIndex || res.AnsweredBy != rs.Backups[0] {
-		t.Fatalf("post-kill query = %+v, want the repaired backup %s to answer", res, rs.Backups[0])
+	if res := mustQuery(t, querier, key); !res.FromIndex || res.AnsweredBy != rs[1] {
+		t.Fatalf("post-kill query = %+v, want the repaired backup %s to answer", res, rs[1])
 	}
 }

@@ -16,12 +16,13 @@
 // overlays the paper's DHT-genericity claim is about are compared where
 // that is honest, in internal/sim.
 //
-// Every index entry lives at an r-member replica set (replica.Set: the
-// routing-designated primary plus the keyspace-ranked backups). Writes —
-// inserts and the reset-on-hit refresh, unary and batched — fan out to the
-// whole set concurrently; reads probe the primary and fail over through
-// the backups before any broadcast, and a hit read-repairs set members
-// that answered without holding the entry. Config.Repl sizes the set.
+// Every index entry lives at an r-member replica set: the first r distinct
+// members clockwise from the key on the ring (view.Replicas), the first of
+// them the primary. Writes — inserts and the reset-on-hit refresh, unary
+// and batched — fan out to the whole set concurrently; reads probe the
+// primary and fail over through the backups in that same ring order before
+// any broadcast, and a hit read-repairs set members that answered without
+// holding the entry. Config.Repl sizes the set.
 //
 // Membership is owned by internal/gossip (SWIM: probing, suspicion,
 // incarnations, anti-entropy). Every confirmed change produces a new view
@@ -46,7 +47,6 @@ import (
 	"strings"
 
 	"pdht/internal/keyspace"
-	"pdht/internal/replica"
 )
 
 // view is a node's local instance of the membership-derived routing state.
@@ -199,34 +199,18 @@ func diffSorted(prev, next []string) (joined, left []string) {
 // "", a non-serving client).
 func (v *view) hops(self string, key keyspace.Key) int { return v.ring.RouteHops(self, key) }
 
-// replicas returns the addresses of key's replica group, responsible-peer
-// ordering preserved. The slice is freshly allocated.
-func (v *view) replicas(key keyspace.Key) []string { return v.ring.Group(key) }
+// Replicas returns key's replica set in the ring's clockwise walk order:
+// the responsible peer first, then the backups in the order reads fail over
+// through them. It is the one placement answer of the live node — probes,
+// write fan-outs, handoff's designated-pusher rule (replica.PlanRepair
+// reads it through replica.View) and the chaos placement audit all use this
+// slice, identical on every member and client that agrees on the membership
+// list. The slice is freshly allocated.
+func (v *view) Replicas(key keyspace.Key) []string { return v.ring.Group(key) }
 
-// Replicas and Contains make *view a replica.View, the slice the repair
-// planner (replica.PlanRepair) sees of a membership view.
-
-// Replicas returns the addresses of key's replica group.
-func (v *view) Replicas(key keyspace.Key) []string { return v.replicas(key) }
-
-// Contains reports whether addr is a member of this view.
+// Contains reports whether addr is a member of this view; with Replicas it
+// makes *view a replica.View.
 func (v *view) Contains(addr string) bool { return v.ring.Contains(addr) }
-
-// set returns key's ordered replica set under this view: the responsible
-// peer first, then the rest of the group in the keyspace ranking — the
-// probe, failover and write-fanout order of the live replication scheme,
-// identical on every member and client that agrees on the membership list.
-func (v *view) set(key keyspace.Key) replicaSet {
-	group := v.replicas(key)
-	if len(group) == 0 {
-		return replicaSet{}
-	}
-	return replica.NewSet(key, group[0], group)
-}
-
-// replicaSet aliases the replica package's set type — it appears in enough
-// node signatures that the shorter name keeps them readable.
-type replicaSet = replica.Set
 
 // maintain runs one round of routing-table probing and reports how many
 // probe messages it cost. The ring has no per-peer routing state to repair

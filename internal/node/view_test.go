@@ -26,7 +26,7 @@ func TestRankShiftDisagreement(t *testing.T) {
 	for k := uint64(0); k < 200; k++ {
 		key := keyspace.HashString("rank-shift-probe")
 		key ^= keyspace.Key(k * 0x9e3779b97f4a7c15)
-		a, b := vFull.replicas(key), vShort.replicas(key)
+		a, b := vFull.Replicas(key), vShort.Replicas(key)
 		if len(a) != len(b) {
 			disagreements++
 			continue

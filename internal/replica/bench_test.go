@@ -7,18 +7,6 @@ import (
 	"pdht/internal/keyspace"
 )
 
-func BenchmarkNewSet(b *testing.B) {
-	// The live hot path: every query builds the probe order from the
-	// routed primary and the replica group.
-	group := []string{"10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001", "10.0.0.4:7001"}
-	key := keyspace.HashString("bench-set")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewSet(key, group[2], group)
-	}
-}
-
 func BenchmarkFanout(b *testing.B) {
 	// The live hot path: every index hit fans the reset-on-hit refresh out
 	// to a 3-member set. The legs do nothing, so this is Fanout's own cost.

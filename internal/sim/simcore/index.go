@@ -12,8 +12,8 @@
 // TTLEstimator is the online keyTtl self-tuner of §5.1.1.
 //
 // Nothing here is reachable from a live node: internal/node runs the same
-// selection algorithm over real peers with core.Cache, replica.Set and
-// internal/adapt, and `make live-deps` keeps it that way.
+// selection algorithm over real peers with core.Cache, the member ring's
+// replica sets and internal/adapt, and `make live-deps` keeps it that way.
 package simcore
 
 import (

@@ -46,7 +46,7 @@
 // and internal/transport serve the selection algorithm as a live system —
 // peers exchanging Query/Insert/Refresh/Broadcast/Gossip RPCs over TCP,
 // every index entry replicated at an r-member replica set (writes fan out,
-// reads fail over from the primary through the keyspace-ranked backups
+// reads fail over from the primary through the backups in ring order
 // before any broadcast, hits read-repair the holes churn punches), with
 // SWIM-style membership detecting crashes, evicting dead peers and
 // re-replicating moved index keys to the set's new members with their
