@@ -9,7 +9,7 @@
 # to a small fixed population, so it stays sub-second too.
 BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary topk
 
-.PHONY: all build test race fuzz-smoke bench bench-check live-deps loc fmt vet
+.PHONY: all build test race fuzz-smoke examples bench bench-check live-deps loc fmt vet
 
 all: build test
 
@@ -38,12 +38,23 @@ FUZZ_TARGETS := ./internal/transport:FuzzReadFrame \
 	./internal/chaos:FuzzParseSchedule \
 	./internal/core:FuzzCacheOps \
 	./client:FuzzParseTopK \
-	./client:FuzzParseQuery
+	./client:FuzzParseQuery \
+	./internal/store:FuzzWALReplay \
+	./internal/obs:FuzzFleetReport
 
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \
 		echo "fuzz: $$pt"; \
 		go test "$${pt%%:*}" -run '^$$' -fuzz "^$${pt##*:}$$" -fuzztime 20s || exit 1; \
+	done
+
+# The example programs are executed, not just compiled: each boots what it
+# shows (a loopback cluster, a data directory, a debug plane) and must exit
+# 0 within a minute.
+examples:
+	@for d in examples/*/; do \
+		echo "example: $$d"; \
+		timeout 60 go run ./$$d >/dev/null || exit 1; \
 	done
 
 # The paper's figures as a golden file: one JSON object per experiment

@@ -182,23 +182,6 @@ func BenchmarkAdaptation(b *testing.B) {
 	b.ReportMetric(res.HitRate, "hit-rate")
 }
 
-// BenchmarkDHTBackends runs ablation A1: trie versus ring under the
-// selection algorithm.
-func BenchmarkDHTBackends(b *testing.B) {
-	cfg := benchSimConfig()
-	b.ReportAllocs()
-	var rows []sim.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, rows, err = experiments.Backends(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].HitRate, "hit-trie")
-	b.ReportMetric(rows[1].HitRate, "hit-ring")
-}
-
 // BenchmarkSelfTuning runs ablation A3: the online keyTtl estimator versus
 // the model-derived setting.
 func BenchmarkSelfTuning(b *testing.B) {

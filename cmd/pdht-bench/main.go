@@ -8,7 +8,7 @@
 //
 //	pdht-bench                    # run everything
 //	pdht-bench -experiment fig1   # one experiment (-h lists them)
-//	pdht-bench -scale 2000        # simulator population for V1/S2/A1/A3
+//	pdht-bench -scale 2000        # simulator population for V1/S2/A3/A4
 package main
 
 import (
@@ -64,7 +64,6 @@ func experimentList(simBase func() sim.Config) []experiment {
 			cfg.TraceEvery = 50
 			return table(experiments.Adaptation(cfg, 400))
 		}},
-		{"backends", func() (*stats.Table, error) { return table(experiments.Backends(simBase())) }},
 		{"selftune", func() (*stats.Table, error) {
 			cfg := simBase()
 			cfg.Rounds = 500

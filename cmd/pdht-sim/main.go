@@ -22,7 +22,6 @@ import (
 func main() {
 	base := sim.DefaultConfig()
 	strategy := flag.String("strategy", "partialTTL", "noIndex | indexAll | partial | partialTTL | partialAdaptive | partialTopK")
-	backend := flag.String("backend", "trie", "trie | ring")
 	peers := flag.Int("peers", base.Peers, "total peers")
 	keys := flag.Int("keys", base.Keys, "unique keys")
 	stor := flag.Int("stor", base.Stor, "index storage per peer")
@@ -69,10 +68,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if cfg.Backend, err = sim.ParseBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	res, err := sim.Run(cfg)
 	if err != nil {
@@ -80,7 +75,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("strategy    %s over %s DHT\n", cfg.Strategy, cfg.Backend)
+	fmt.Printf("strategy    %s over trie DHT\n", cfg.Strategy)
 	fmt.Printf("network     %d peers, %d keys, repl %d, fQry %s\n",
 		cfg.Peers, cfg.Keys, cfg.Repl, model.FormatFrequency(cfg.FQry))
 	if res.ActivePeers > 0 {

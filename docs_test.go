@@ -2,6 +2,7 @@ package pdht_test
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,9 +14,10 @@ import (
 // verifies every relative link in the documentation set points at a file
 // that exists, and TestReadmeQuickstartIsCompiled pins the README's
 // quickstart code block byte-for-byte to examples/readme/main.go — which
-// the examples CI job builds and vets, so "the quickstart compiles as
-// written" is machine-checked, not aspirational. The docs CI job runs
-// exactly these tests.
+// the examples CI job builds, vets and runs, so "the quickstart compiles as
+// written" is machine-checked, not aspirational. TestDocsCiteRealThings
+// holds the three main documents to the tree: what they cite exists. The
+// docs CI job runs exactly these tests.
 
 // docsFiles is the documentation set under the link check.
 var docsFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPERS.md", "PAPER.md", "ROADMAP.md", "CHANGES.md"}
@@ -115,6 +117,82 @@ func TestDocsNameShippedFlags(t *testing.T) {
 	for _, flag := range []string{"seed", "interval", "once", "json"} {
 		if !strings.Contains(string(top), fmt.Sprintf("%q", flag)) {
 			t.Errorf("README documents -%s but cmd/pdht-top does not define it", flag)
+		}
+	}
+}
+
+// What TestDocsCiteRealThings reads out of the prose: repo paths under the
+// three source roots, `make` targets (in backticks or at the start of a
+// command line), and test-function names.
+var (
+	docPath   = regexp.MustCompile(`\b(?:internal|cmd|examples)/[A-Za-z0-9_./-]+`)
+	docMake   = regexp.MustCompile("(?m)(?:^|`)make ([a-z][a-z-]*)")
+	docTest   = regexp.MustCompile(`\b(?:Test|Example|Fuzz|Benchmark)[A-Z_][A-Za-z0-9_]*`)
+	makeRule  = regexp.MustCompile(`(?m)^([a-z][a-z-]*):`)
+	testFuncs = regexp.MustCompile(`(?m)^func ((?:Test|Example|Fuzz|Benchmark)[A-Za-z0-9_]*)\(`)
+)
+
+// TestDocsCiteRealThings guards README, DESIGN and EXPERIMENTS against
+// citing what a later change deleted: every internal/…, cmd/…, examples/…
+// path they mention exists, every `make <target>` is a Makefile rule, and
+// every Test/Example/Fuzz/Benchmark name is — as a prefix, since the docs
+// quote -run patterns — a function some _test.go file declares.
+func TestDocsCiteRealThings(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make(map[string]bool)
+	for _, m := range makeRule.FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+	var declared []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		body, err := os.ReadFile(path)
+		for _, m := range testFuncs.FindAllStringSubmatch(string(body), -1) {
+			declared = append(declared, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := string(raw)
+		for _, cited := range docPath.FindAllString(body, -1) {
+			path := strings.TrimRight(cited, "./")
+			if _, err := os.Stat(path); err == nil {
+				continue
+			}
+			// internal/node.Node, or a file name that ends a sentence: the
+			// last segment up to its first dot.
+			dir, last := filepath.Split(path)
+			last, _, _ = strings.Cut(last, ".")
+			if _, err := os.Stat(dir + last); err != nil {
+				t.Errorf("%s cites %s, which does not exist", doc, cited)
+			}
+		}
+		for _, m := range docMake.FindAllStringSubmatch(body, -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s cites `make %s`, which the Makefile does not define", doc, m[1])
+			}
+		}
+		for _, cited := range docTest.FindAllString(body, -1) {
+			found := false
+			for _, name := range declared {
+				found = found || strings.HasPrefix(name, cited)
+			}
+			if !found {
+				t.Errorf("%s cites %s, which no _test.go file declares", doc, cited)
+			}
 		}
 	}
 }

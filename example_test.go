@@ -243,3 +243,78 @@ func ExampleClient_QueryTopK() {
 	// #2 article 302 (score 2.0)
 	// early=false
 }
+
+// ExampleClient_ParseAndQuery is the paper's motivating application (§1,
+// §4) — a decentralized news system whose articles are described by
+// metadata files — served by a live cluster. Members host a generated
+// corpus under its element=value metadata keys, and a non-serving reader
+// asks for an article in the paper's own query syntax: the first ask
+// misses the index and is resolved by broadcast, which inserts the key
+// with keyTtl, so the repeat is an index hit.
+func ExampleClient_ParseAndQuery() {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// A 3-member cluster over TCP loopback.
+	opts := []pdht.ClientOption{pdht.WithTCP(), pdht.WithRoundDuration(100 * time.Millisecond)}
+	seed, err := pdht.Open(ctx, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer seed.Close()
+	members := []*pdht.Client{seed}
+	for i := 0; i < 2; i++ {
+		m, err := pdht.Open(ctx, append(opts, pdht.WithSeeds(seed.Addr()))...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer m.Close()
+		members = append(members, m)
+	}
+	for converged := false; !converged; time.Sleep(10 * time.Millisecond) {
+		converged = true
+		for _, m := range members {
+			if len(m.Members()) != len(members) {
+				converged = false
+			}
+		}
+	}
+
+	// The corpus: every article's metadata keys (single predicates and
+	// their conjunctions), published round-robin, value = article ID.
+	articles := pdht.GenerateArticles(60, 7)
+	batches := make([][]pdht.ClientKV, len(members))
+	for i := range articles {
+		for _, ik := range articles[i].Keys(20) {
+			m := i % len(members)
+			batches[m] = append(batches[m], pdht.ClientKV{Key: uint64(ik.Key), Value: uint64(articles[i].ID)})
+		}
+	}
+	for i, m := range members {
+		if err := m.PublishMany(ctx, batches[i]); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	// A reader speaks the wire protocol but joins nothing.
+	reader, err := pdht.Open(ctx, pdht.WithTCP(), pdht.WithClientOnly(), pdht.WithSeeds(seed.Addr()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reader.Close()
+
+	query := fmt.Sprintf("title=%s AND date=%s", articles[0].Title, articles[0].Date)
+	fmt.Println(query)
+	for _, ask := range []string{"first", "repeat"} {
+		res, err := reader.ParseAndQuery(ctx, query)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s: article %d, from index %v\n", ask, res.Value, res.FromIndex)
+	}
+
+	// Output:
+	// title=election at chania AND date=2004/03/28
+	// first: article 0, from index false
+	// repeat: article 0, from index true
+}

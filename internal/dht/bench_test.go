@@ -19,35 +19,12 @@ func benchTrie(b *testing.B, nActive int) (*Trie, *rand.Rand) {
 	return trie, rng
 }
 
-func benchRing(b *testing.B, nActive int) (*Ring, *rand.Rand) {
-	b.Helper()
-	net := netsim.New(nActive)
-	rng := rand.New(rand.NewPCG(1, 2))
-	ring, err := NewRing(net, activeRange(nActive), RingConfig{Repl: 16, Env: 1.0 / 14.0}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ring, rng
-}
-
 func BenchmarkTrieRoute(b *testing.B) {
 	trie, rng := benchTrie(b, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := trie.Route(netsim.PeerID(i%4096), keyspace.Key(rng.Uint64()), rng)
-		if !res.OK {
-			b.Fatal("route failed")
-		}
-	}
-}
-
-func BenchmarkRingRoute(b *testing.B) {
-	ring, rng := benchRing(b, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := ring.Route(netsim.PeerID(i%4096), keyspace.Key(rng.Uint64()), rng)
 		if !res.OK {
 			b.Fatal("route failed")
 		}
@@ -63,15 +40,6 @@ func BenchmarkTrieMaintainRound(b *testing.B) {
 	}
 }
 
-func BenchmarkRingMaintainRound(b *testing.B) {
-	ring, rng := benchRing(b, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ring.Maintain(rng)
-	}
-}
-
 func BenchmarkTrieReplicaGroup(b *testing.B) {
 	trie, rng := benchTrie(b, 4096)
 	keys := make([]keyspace.Key, 1024)
@@ -82,35 +50,5 @@ func BenchmarkTrieReplicaGroup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trie.ReplicaGroup(keys[i%len(keys)])
-	}
-}
-
-func BenchmarkRingReplicaGroup(b *testing.B) {
-	ring, rng := benchRing(b, 4096)
-	keys := make([]keyspace.Key, 1024)
-	for i := range keys {
-		keys[i] = keyspace.Key(rng.Uint64())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ring.ReplicaGroup(keys[i%len(keys)])
-	}
-}
-
-func BenchmarkTrieJoinLeave(b *testing.B) {
-	trie, rng := benchTrie(b, 2048)
-	net := trie.net
-	_ = net
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := netsim.PeerID(2048) // churner outside initial membership
-		if err := trie.Join(p, rng); err != nil {
-			b.Fatal(err)
-		}
-		if err := trie.Leave(p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -5,18 +5,18 @@
 // keeping routing tables alive under churn by probing entries [MaCa03]
 // (eq. 8).
 //
-// Two implementations are provided behind one interface: Trie, a P-Grid-
-// style binary-trie DHT (the authors' own system, and the binary key space
-// eq. 7 assumes), and Ring, a Chord-style ring. The selection algorithm in
-// internal/sim/simcore is written against the interface only, realizing the
-// paper's claim that the scheme "can be used for any of the DHT based
-// systems".
+// The one implementation is Trie, a P-Grid-style binary-trie DHT: the
+// authors' own system, and the binary key space eq. 7 assumes. The
+// selection algorithm in internal/sim/simcore runs on it and touches only
+// routing, replica groups and maintenance — the paper's claim that the
+// scheme "can be used for any of the DHT based systems"; the live node
+// runs the same algorithm over a consistent-hash ring
+// (keyspace.MemberRing).
 package dht
 
 import (
 	"math/rand/v2"
 
-	"pdht/internal/keyspace"
 	"pdht/internal/netsim"
 )
 
@@ -42,28 +42,6 @@ type MaintenanceStats struct {
 	// Repairs are free in message terms: the paper assumes replacement
 	// information is piggybacked on queries.
 	Repaired int
-}
-
-// Index is a structured overlay: route lookups, identify replica groups,
-// and keep routing state alive under churn. Implementations count every
-// message they would send on the underlying network's counters.
-type Index interface {
-	// Route routes a lookup for key, starting at from (which need not be
-	// an active DHT peer — the paper only requires it to know one online
-	// active peer). It returns the online responsible peer reached.
-	Route(from netsim.PeerID, key keyspace.Key, rng *rand.Rand) RouteResult
-	// ReplicaGroup returns every peer — online or not — responsible for
-	// key. The slice is owned by the index.
-	ReplicaGroup(key keyspace.Key) []netsim.PeerID
-	// Maintain runs one round of probing: each online active peer checks
-	// each routing entry with the configured per-round probability.
-	Maintain(rng *rand.Rand) MaintenanceStats
-	// ActivePeers returns the peers participating in the DHT. The slice
-	// is owned by the index.
-	ActivePeers() []netsim.PeerID
-	// RoutingEntries returns the total number of routing-table entries
-	// across active peers (the quantity maintenance cost scales with).
-	RoutingEntries() int
 }
 
 // randomOnlineOf returns a random online member of peers, or ok=false if

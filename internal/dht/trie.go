@@ -161,15 +161,18 @@ func (t *Trie) leafOf(key keyspace.Key) int {
 	return int(uint64(key) >> (keyspace.Bits - t.depth))
 }
 
-// ReplicaGroup implements Index.
+// ReplicaGroup returns every peer — online or not — responsible for key.
+// The slice is owned by the trie.
 func (t *Trie) ReplicaGroup(key keyspace.Key) []netsim.PeerID {
 	return t.leaves[t.leafOf(key)]
 }
 
-// ActivePeers implements Index.
+// ActivePeers returns the peers participating in the DHT. The slice is
+// owned by the trie.
 func (t *Trie) ActivePeers() []netsim.PeerID { return t.active }
 
-// RoutingEntries implements Index.
+// RoutingEntries returns the total number of routing-table entries across
+// active peers (the quantity maintenance cost scales with).
 func (t *Trie) RoutingEntries() int {
 	total := 0
 	for i := range t.state {
@@ -180,9 +183,11 @@ func (t *Trie) RoutingEntries() int {
 	return total
 }
 
-// Route implements Index: prefix routing, resolving at least one bit per
-// hop. A query from a non-active peer first hops to a random online active
-// peer (the entry point the paper requires non-participants to know).
+// Route routes a lookup for key by prefix routing, resolving at least one
+// bit per hop, and returns the online responsible peer reached. A query
+// from a non-active peer first hops to a random online active peer (the
+// entry point the paper requires non-participants to know). Every hop is
+// counted on the network's counters.
 func (t *Trie) Route(from netsim.PeerID, key keyspace.Key, rng *rand.Rand) RouteResult {
 	res := RouteResult{}
 	curIdx, okIdx := t.peers[from]
@@ -239,18 +244,13 @@ func (t *Trie) divergenceLevel(a, b int) int {
 	return t.depth - bits.Len(diff)
 }
 
-// liveRef returns a usable ref at the given level — online and still a
-// trie member (Leave can orphan refs just like going offline can stale
-// them) — preferring a uniformly random one.
+// liveRef returns a uniformly random online ref at the given level.
 func (t *Trie) liveRef(tp *triePeer, lvl int, rng *rand.Rand) (netsim.PeerID, bool) {
 	refs := tp.table[lvl]
 	var pick netsim.PeerID
 	count := 0
 	for _, r := range refs {
 		if !t.net.Online(r.peer) {
-			continue
-		}
-		if _, member := t.peers[r.peer]; !member {
 			continue
 		}
 		count++
@@ -264,10 +264,10 @@ func (t *Trie) liveRef(tp *triePeer, lvl int, rng *rand.Rand) (netsim.PeerID, bo
 	return pick, true
 }
 
-// Maintain implements Index: every online active peer probes each routing
-// entry with probability Env; probes that hit an offline peer trigger a
-// (message-free, piggybacked) repair — the entry is re-pointed at a random
-// peer of the same complementary subtree.
+// Maintain runs one round of probing: every online active peer probes each
+// routing entry with probability Env; probes that hit an offline peer
+// trigger a (message-free, piggybacked) repair — the entry is re-pointed at
+// a random peer of the same complementary subtree.
 func (t *Trie) Maintain(rng *rand.Rand) MaintenanceStats {
 	var ms MaintenanceStats
 	for i := range t.state {
@@ -282,7 +282,7 @@ func (t *Trie) Maintain(rng *rand.Rand) MaintenanceStats {
 				}
 				ms.Probes++
 				ref := &tp.table[lvl][j]
-				if _, member := t.peers[ref.peer]; member && t.net.Online(ref.peer) {
+				if t.net.Online(ref.peer) {
 					continue
 				}
 				ms.Stale++

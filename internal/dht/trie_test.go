@@ -9,12 +9,6 @@ import (
 	"pdht/internal/stats"
 )
 
-// Compile-time interface checks.
-var (
-	_ Index = (*Trie)(nil)
-	_ Index = (*Ring)(nil)
-)
-
 func activeRange(n int) []netsim.PeerID {
 	out := make([]netsim.PeerID, n)
 	for i := range out {
@@ -306,6 +300,20 @@ func TestTrieSubtreeRangeInvariants(t *testing.T) {
 					t.Fatalf("leaf %d vs %d: divergence %d, want %d", leaf, l, got, lvl)
 				}
 			}
+		}
+	}
+}
+
+// A replica group never names a peer twice.
+func TestGroupsHaveNoDuplicates(t *testing.T) {
+	trie, _, rng := newTestTrie(t, 512, 512, TrieConfig{GroupSize: 8, Env: 0.1}, 11)
+	for i := 0; i < 100; i++ {
+		seen := make(map[netsim.PeerID]bool)
+		for _, p := range trie.ReplicaGroup(keyspace.Key(rng.Uint64())) {
+			if seen[p] {
+				t.Fatalf("duplicate peer %d in group", p)
+			}
+			seen[p] = true
 		}
 	}
 }

@@ -161,22 +161,6 @@ func TestAdaptation(t *testing.T) {
 	}
 }
 
-func TestBackends(t *testing.T) {
-	_, results, err := Backends(quickSim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 { // trie, ring, kademlia
-		t.Fatalf("results = %d", len(results))
-	}
-	for i := 1; i < len(results); i++ {
-		if diff := results[0].HitRate - results[i].HitRate; diff > 0.15 || diff < -0.15 {
-			t.Errorf("backend hit rates diverge: %v vs %v",
-				results[0].HitRate, results[i].HitRate)
-		}
-	}
-}
-
 func TestKarySweepTable(t *testing.T) {
 	tb, err := KarySweep(model.DefaultScenario())
 	if err != nil {

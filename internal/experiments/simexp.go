@@ -104,29 +104,6 @@ func Adaptation(base sim.Config, shiftRound int) (*stats.Table, sim.Result, erro
 	return t, res, nil
 }
 
-// Backends is ablation A1: the same TTL-selection scenario over the trie,
-// the ring and the Kademlia DHT. The dynamics (hit rate, index size) must
-// match; the absolute message rates may differ with the backends'
-// routing-table sizes and lookup styles.
-func Backends(base sim.Config) (*stats.Table, []sim.Result, error) {
-	t := stats.NewTable("A1 — DHT backends under the selection algorithm",
-		"backend", "msg/s", "hit rate", "E[index]", "answered")
-	var out []sim.Result
-	for _, b := range []sim.Backend{sim.BackendTrie, sim.BackendRing, sim.BackendKademlia} {
-		cfg := base
-		cfg.Strategy = sim.StrategyPartialTTL
-		cfg.Backend = b
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, res)
-		t.AddRow(b.String(), res.MsgPerRound, res.HitRate, res.MeanIndexedKeys,
-			fmt.Sprintf("%d/%d", res.Answered, res.Queries))
-	}
-	return t, out, nil
-}
-
 // MaintenanceTradeoff is ablation A4: eq. 8's premise probed directly. The
 // routing-maintenance constant env buys routing-table freshness under
 // churn; sweeping the probe rate shows the trade between maintenance

@@ -21,25 +21,25 @@ import (
 //     in the order reads fail over through them. It is the only replica
 //     order the live tree has.
 //   - RouteHops(from, key): how many overlay hops an ideal-finger Chord
-//     walk from `from` needs to land inside Group(key) — the hop metric the
-//     simulator's materialized finger tables used to provide, now computed
-//     on demand from the vnode array (a binary search per hop) instead of
-//     from per-peer state that would need O(n) repair on every change.
+//     walk from `from` needs to land inside Group(key) — computed on
+//     demand from the vnode array (a binary search per hop), not from
+//     materialized per-peer finger tables that would need O(n) repair on
+//     every change.
 //   - Affected(changed): the exact set of key arcs whose replica group can
 //     differ because of the changed members — the basis for handoff
 //     planning that scans only the affected fraction of the index instead
 //     of every entry (see internal/replica.PlanRepair and node.planHandoff).
 //
-// Why ranks were the scaling bug: the simulator's dht.Ring hashes vnode
-// positions from the peer's *rank* in the sorted member list, so one join
-// shifts every later rank and silently re-positions almost every vnode —
-// any "incremental" update on top of that is a lie. Hashing addresses makes
-// a member's vnodes a function of the member alone, which is what makes
-// delta application sound.
+// Why addresses and not ranks: a ring that hashes vnode positions from a
+// peer's *rank* in the sorted member list lets one join shift every later
+// rank and silently re-position almost every vnode — any "incremental"
+// update on top of that is a lie. Hashing addresses makes a member's vnodes
+// a function of the member alone, which is what makes delta application
+// sound.
 
 // RingVnodes is the number of virtual nodes each member projects onto the
 // ring. More vnodes smooth load at the cost of proportionally more splice
-// work per membership change; 4 matches the simulator's ring default.
+// work per membership change.
 const RingVnodes = 4
 
 // ringVnode is one virtual node: a position owned by a member address.
@@ -257,7 +257,7 @@ func (a Arc) Contains(k Key) bool {
 
 // ArcSet is a union of arcs, with All short-circuiting to the whole key
 // space (the conservative answer when a change touches everything — tiny
-// clusters, or backends without arc geometry).
+// clusters).
 type ArcSet struct {
 	All  bool
 	Arcs []Arc

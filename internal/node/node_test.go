@@ -179,10 +179,10 @@ func TestRefreshCountsAtStoringPeer(t *testing.T) {
 }
 
 // TestBackendGenericity runs the miss→insert→hit cycle over the live
-// overlay. The ring is the only one a live node runs; the paper's claim that
-// the selection algorithm is indifferent to the DHT underneath is checked
-// across ring, trie and Kademlia where the comparison is honest, in
-// internal/sim (TestBackendsAgreeOnDynamics).
+// overlay, the ring. The simulator runs the same cycle over the trie
+// (internal/sim/simcore TestQueryMissThenBroadcastThenInsert): the paper's
+// claim that the selection algorithm is indifferent to the DHT underneath,
+// on the two geometries the repo has.
 func TestBackendGenericity(t *testing.T) {
 	t.Run("ring", func(t *testing.T) {
 		c, err := NewCluster(transport.NewMemory(), 4, testConfig())

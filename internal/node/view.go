@@ -12,9 +12,9 @@
 // for the key range it is responsible for, a local content store standing
 // in for the unstructured network's content, and a membership view that
 // decides responsibility and replica placement — an incremental
-// consistent-hash ring (keyspace.MemberRing). The trie and Kademlia
-// overlays the paper's DHT-genericity claim is about are compared where
-// that is honest, in internal/sim.
+// consistent-hash ring (keyspace.MemberRing). The simulator runs the same
+// selection algorithm over a P-Grid-style trie (internal/dht): two routing
+// geometries, one algorithm, which is the paper's DHT-genericity claim.
 //
 // Every index entry lives at an r-member replica set: the first r distinct
 // members clockwise from the key on the ring (view.Replicas), the first of
@@ -214,8 +214,8 @@ func (v *view) Contains(addr string) bool { return v.ring.Contains(addr) }
 
 // maintain runs one round of routing-table probing and reports how many
 // probe messages it cost. The ring has no per-peer routing state to repair
-// (fingers are computed on demand from the vnode array), so it charges the
-// same cost model the simulator's ring would — each of ≈
+// (fingers are computed on demand from the vnode array), so it charges
+// eq. 8's cost model for the tables a Chord ring would keep — each of ≈
 // vnodes·log₂(vnodes) ideal finger entries probed with probability env per
 // round — sampled from a normal approximation of the binomial so a
 // thousand-node fleet does not burn CPU drawing per-entry Bernoulli

@@ -103,13 +103,10 @@ func BuildFleetReport(snaps []Snapshot) FleetReport {
 	sort.Slice(fr.Peers, func(i, j int) bool { return fr.Peers[i].Addr < fr.Peers[j].Addr })
 
 	fr.Merged = Merge(snaps...)
-	queries, _ := fr.Merged.Value(fleetQueries)
-	hits, _ := fr.Merged.Value(fleetHits)
+	queries, hits := count(fr.Merged, fleetQueries), count(fr.Merged, fleetHits)
 	fr.Queries, fr.Hits = uint64(queries), uint64(hits)
-	if queries > 0 {
-		fr.HitRate = hits / queries
-		fr.MsgsPerQuery = fr.Merged.SumAcross(fleetMessages) / queries
-	}
+	fr.HitRate = ratio(hits, queries)
+	fr.MsgsPerQuery = ratio(count(fr.Merged, fleetMessages), queries)
 	if pooled, ok := fr.Merged.MergeHistograms(fleetQuerySeconds); ok {
 		if d, ok := pooled.Quantile(0.50); ok {
 			fr.P50 = d
@@ -138,22 +135,19 @@ func BuildFleetReport(snaps []Snapshot) FleetReport {
 	return fr
 }
 
-// peerRow distills one peer's snapshot into its report row. Absent series
-// read as zero — a client-mode snapshot simply has no node counters — and
-// non-finite tuner gauges (fMin before the first fit) are dropped rather
-// than poisoning the row's JSON.
+// peerRow distills one peer's snapshot into its report row. The peer wrote
+// every number in it, so absent series read as zero — a client-mode
+// snapshot simply has no node counters — and so does whatever would poison
+// the row's JSON: counters that are not counts, non-finite tuner gauges
+// (fMin before the first fit), ratios that overflow.
 func peerRow(s Snapshot) FleetPeer {
 	row := FleetPeer{Addr: s.Addr}
-	queries, _ := s.Value(fleetQueries)
-	hits, _ := s.Value(fleetHits)
+	queries, hits := count(s, fleetQueries), count(s, fleetHits)
 	row.Queries, row.Hits = uint64(queries), uint64(hits)
-	if queries > 0 {
-		row.HitRate = hits / queries
-		row.MsgsPerQuery = s.SumAcross(fleetMessages) / queries
-	}
-	if up, ok := s.Value(fleetUptime); ok && up > 0 {
-		row.QPS = queries / up
-	}
+	row.HitRate = ratio(hits, queries)
+	row.MsgsPerQuery = ratio(count(s, fleetMessages), queries)
+	up, _ := s.Value(fleetUptime)
+	row.QPS = ratio(queries, up)
 	if pooled, ok := s.MergeHistograms(fleetQuerySeconds); ok {
 		if d, ok := pooled.Quantile(0.99); ok {
 			row.P99 = d
@@ -171,11 +165,27 @@ func peerRow(s Snapshot) FleetPeer {
 	if v, ok := s.Value(fleetAlive); ok {
 		row.MembersAlive = int64(v)
 	}
-	if q, ok := s.Value(fleetTopKQueries); ok && q > 0 {
-		legs, _ := s.Value(fleetTopKLegs)
-		row.TopKLegsPerQuery = legs / q
-	}
+	row.TopKLegsPerQuery = ratio(count(s, fleetTopKLegs), count(s, fleetTopKQueries))
 	return row
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// count reads the named counter family's total out of a snapshot a peer
+// wrote: what no count can be — NaN, ±Inf, negative, beyond uint64 — reads
+// as absent.
+func count(s Snapshot, name string) float64 {
+	if v := s.SumAcross(name); v >= 0 && v < 1<<64 {
+		return v
+	}
+	return 0
+}
+
+// ratio returns num/den, or zero when den is not positive or the quotient
+// is not finite.
+func ratio(num, den float64) float64 {
+	if r := num / den; den > 0 && finite(r) {
+		return r
+	}
+	return 0
+}

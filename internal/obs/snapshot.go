@@ -68,7 +68,7 @@ func (p *SnapPoint) setSample(v float64) {
 // interpolation, the same estimator Histogram.Quantile uses, so a merged
 // fleet histogram answers p99 exactly as a single node's would. Returns
 // ok=false for non-histogram points, empty histograms, or a point whose
-// bucket vector was dropped by a bounds-mismatched merge.
+// bucket vector a merge dropped (mismatched or malformed ladder).
 func (p SnapPoint) Quantile(q float64) (time.Duration, bool) {
 	if len(p.Bounds) == 0 || len(p.Counts) != len(p.Bounds)+1 || p.Count == 0 || math.IsNaN(q) {
 		return 0, false
@@ -139,7 +139,12 @@ func (r *Registry) Snapshot() Snapshot {
 				}
 				p.Counts[len(h.bounds)] = h.over.Load()
 				p.Sum = h.Sum().Seconds()
-				p.Count = h.Count()
+				// The buckets just read, not h.Count(): observations
+				// landing mid-scrape must not break Σ Counts == Count,
+				// which Merge holds every peer's ladder to.
+				for _, c := range p.Counts {
+					p.Count += c
+				}
 			}
 			snap.Points = append(snap.Points, p)
 		}
@@ -190,6 +195,7 @@ func (s Snapshot) MergeHistograms(name string) (SnapPoint, bool) {
 		if p.Kind != "histogram" {
 			continue
 		}
+		p = checkLadder(p)
 		if !found {
 			merged = p
 			merged.Labels = nil
@@ -206,33 +212,40 @@ func (s Snapshot) MergeHistograms(name string) (SnapPoint, bool) {
 // and gauge samples sum, histograms with identical bucket ladders merge
 // bucket-wise (so quantiles of the merged point are quantiles of the pooled
 // observations). Histograms whose ladders disagree — a mid-upgrade fleet —
-// degrade to Sum/Count only, and the degradation is sticky, which together
-// with the sorted output makes Merge associative and independent of peer
-// order. The merged snapshot has no Addr.
+// or that no Registry could have emitted (checkLadder) degrade to Sum/Count
+// only, and the degradation is sticky, which together with the sorted
+// output makes Merge associative and independent of peer order. A series a
+// snapshot repeats counts once, as Value reads it. The merged snapshot has
+// no Addr.
 func Merge(snaps ...Snapshot) Snapshot {
 	type key struct {
 		name string
 		sig  string
 	}
-	byKey := make(map[key]*SnapPoint)
+	type acc struct {
+		SnapPoint
+		snap int // the last snapshot that contributed
+	}
+	byKey := make(map[key]*acc)
 	var order []key
-	for _, s := range snaps {
+	for i, s := range snaps {
 		for _, p := range s.Points {
+			p = checkLadder(p)
 			k := key{p.Name, labelSignature(p.Labels)}
-			acc, ok := byKey[k]
-			if !ok {
-				cp := p
-				cp.Labels = append([]Label(nil), p.Labels...)
-				cp.Bounds = append([]float64(nil), p.Bounds...)
-				cp.Counts = append([]uint64(nil), p.Counts...)
-				byKey[k] = &cp
+			a, ok := byKey[k]
+			switch {
+			case !ok:
+				p.Labels = append([]Label(nil), p.Labels...)
+				p.Bounds = append([]float64(nil), p.Bounds...)
+				p.Counts = append([]uint64(nil), p.Counts...)
+				byKey[k] = &acc{p, i}
 				order = append(order, k)
-				continue
-			}
-			if acc.Kind == "histogram" || p.Kind == "histogram" {
-				*acc = mergeHistogramPoints(*acc, p)
-			} else {
-				acc.setSample(acc.Sample() + p.Sample())
+			case a.snap == i: // a repeat within one snapshot
+			case a.Kind == "histogram" || p.Kind == "histogram":
+				a.SnapPoint, a.snap = mergeHistogramPoints(a.SnapPoint, p), i
+			default:
+				a.setSample(a.Sample() + p.Sample())
+				a.snap = i
 			}
 		}
 	}
@@ -244,16 +257,19 @@ func Merge(snaps ...Snapshot) Snapshot {
 	})
 	out := Snapshot{Points: make([]SnapPoint, 0, len(order))}
 	for _, k := range order {
-		out.Points = append(out.Points, *byKey[k])
+		out.Points = append(out.Points, byKey[k].SnapPoint)
 	}
 	return out
 }
 
 // mergeHistogramPoints merges b into a. Identical bounds merge bucket-wise;
-// anything else (mismatched ladders, an already-degraded side) drops the
-// bucket vector and keeps the exact Sum/Count totals.
+// anything else (mismatched ladders, an already-degraded side, a side that
+// is no histogram) drops the bucket vector and keeps the exact Sum/Count
+// totals. The result is a histogram and carries no sample, whichever side
+// came first.
 func mergeHistogramPoints(a, b SnapPoint) SnapPoint {
 	out := a
+	out.Kind, out.Value, out.Special = "histogram", 0, ""
 	out.Sum = a.Sum + b.Sum
 	out.Count = a.Count + b.Count
 	if len(a.Bounds) > 0 && floatsEqual(a.Bounds, b.Bounds) &&
@@ -267,6 +283,29 @@ func mergeHistogramPoints(a, b SnapPoint) SnapPoint {
 	}
 	out.Bounds, out.Counts = nil, nil
 	return out
+}
+
+// checkLadder returns p with its bucket vector only if a Registry could have
+// emitted it: finite, strictly increasing bounds, one count per bound plus
+// the overflow, counts that sum to Count. A peer controls every field, and
+// Quantile must not interpolate over a ladder one invented; anything else
+// keeps Sum/Count alone, like a bounds-mismatched merge.
+func checkLadder(p SnapPoint) SnapPoint {
+	if len(p.Bounds) == 0 && len(p.Counts) == 0 {
+		return p
+	}
+	ok := len(p.Counts) == len(p.Bounds)+1
+	for i, b := range p.Bounds {
+		ok = ok && finite(b) && (i == 0 || b > p.Bounds[i-1])
+	}
+	var total uint64
+	for _, c := range p.Counts {
+		total += c
+	}
+	if !ok || total != p.Count {
+		p.Bounds, p.Counts = nil, nil
+	}
+	return p
 }
 
 func floatsEqual(a, b []float64) bool {

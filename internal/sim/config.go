@@ -87,44 +87,6 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("sim: unknown strategy %q (want noIndex, indexAll, partial, partialTTL, partialAdaptive or partialTopK)", name)
 }
 
-// ParseBackend resolves a backend name as printed by Backend.String.
-func ParseBackend(name string) (Backend, error) {
-	for _, b := range []Backend{BackendTrie, BackendRing, BackendKademlia} {
-		if b.String() == name {
-			return b, nil
-		}
-	}
-	return 0, fmt.Errorf("sim: unknown backend %q (want trie, ring or kademlia)", name)
-}
-
-// Backend selects the structured overlay under the index — the paper's
-// scheme is DHT-agnostic, and running all backends through the same
-// experiments demonstrates it.
-type Backend int
-
-const (
-	// BackendTrie is the P-Grid-style binary-trie DHT [Aber01].
-	BackendTrie Backend = iota
-	// BackendRing is the Chord-style ring DHT [StMo01].
-	BackendRing
-	// BackendKademlia is the XOR-metric DHT with iterative lookups.
-	BackendKademlia
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendTrie:
-		return "trie"
-	case BackendRing:
-		return "ring"
-	case BackendKademlia:
-		return "kademlia"
-	default:
-		return fmt.Sprintf("backend(%d)", int(b))
-	}
-}
-
 // KeySource selects where the simulated key universe comes from.
 type KeySource int
 
@@ -154,8 +116,6 @@ func (k KeySource) String() string {
 // DefaultConfig as a starting point.
 type Config struct {
 	Strategy Strategy
-	// Backend selects the DHT implementation (default BackendTrie).
-	Backend Backend
 	// KeySource selects the key universe (default KeysSynthetic).
 	KeySource KeySource
 
@@ -316,8 +276,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: WarmupRounds %d must be non-negative", c.WarmupRounds)
 	case c.KeyTtl < 0:
 		return fmt.Errorf("sim: KeyTtl %d must be non-negative", c.KeyTtl)
-	case c.Backend != BackendTrie && c.Backend != BackendRing && c.Backend != BackendKademlia:
-		return fmt.Errorf("sim: unknown backend %d", int(c.Backend))
 	case c.KeySource != KeysSynthetic && c.KeySource != KeysCorpus:
 		return fmt.Errorf("sim: unknown key source %d", int(c.KeySource))
 	case c.TunePeriod < 0:

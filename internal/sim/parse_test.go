@@ -16,15 +16,3 @@ func TestParseStrategy(t *testing.T) {
 		t.Error("empty strategy accepted")
 	}
 }
-
-func TestParseBackend(t *testing.T) {
-	for _, b := range []Backend{BackendTrie, BackendRing} {
-		got, err := ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Errorf("ParseBackend(%q) = %v, %v", b.String(), got, err)
-		}
-	}
-	if _, err := ParseBackend("chord"); err == nil {
-		t.Error("unknown backend accepted")
-	}
-}

@@ -265,39 +265,22 @@ func setup(cfg Config) (*run, error) {
 	return r, nil
 }
 
-// buildIndex provisions the configured DHT backend over the first
-// activePeers peers and the partial-index layer above it.
+// buildIndex provisions the trie DHT over the first activePeers peers and
+// the partial-index layer above it.
 func (r *run) buildIndex(icfg simcore.IndexConfig) error {
 	active := make([]netsim.PeerID, r.activePeers)
 	for i := range active {
 		active[i] = netsim.PeerID(i)
 	}
-	var (
-		idx dht.Index
-		err error
-	)
-	switch r.cfg.Backend {
-	case BackendRing:
-		idx, err = dht.NewRing(r.net, active, dht.RingConfig{
-			Repl: r.cfg.Repl,
-			Env:  r.cfg.Env,
-		}, r.rng)
-	case BackendKademlia:
-		idx, err = dht.NewKademlia(r.net, active, dht.KademliaConfig{
-			K:   r.cfg.Repl,
-			Env: r.cfg.Env,
-		}, r.rng)
-	default:
-		idx, err = dht.NewTrie(r.net, active, dht.TrieConfig{
-			GroupSize:  r.cfg.Repl,
-			Redundancy: r.cfg.Redundancy,
-			Env:        r.cfg.Env,
-		}, r.rng)
-	}
+	trie, err := dht.NewTrie(r.net, active, dht.TrieConfig{
+		GroupSize:  r.cfg.Repl,
+		Redundancy: r.cfg.Redundancy,
+		Env:        r.cfg.Env,
+	}, r.rng)
 	if err != nil {
 		return err
 	}
-	r.index, err = simcore.NewPartialIndex(r.net, idx, icfg, r.rng)
+	r.index, err = simcore.NewPartialIndex(r.net, trie, icfg, r.rng)
 	return err
 }
 

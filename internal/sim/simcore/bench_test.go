@@ -76,31 +76,3 @@ func BenchmarkSubnetFlood(b *testing.B) {
 		s.Flood(origin, nil, stats.MsgReplicaFlood)
 	}
 }
-
-func BenchmarkVersionedUpdate(b *testing.B) {
-	s, net, _ := benchSubnet(b, 50)
-	v := NewVersioned(net, s)
-	key := keyspace.HashString("bench")
-	origin := s.Members()[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Update(origin, key)
-	}
-}
-
-func BenchmarkPullSync(b *testing.B) {
-	s, net, rng := benchSubnet(b, 50)
-	v := NewVersioned(net, s)
-	for i := 0; i < 20; i++ {
-		v.Update(s.Members()[0], keyspace.Key(uint64(i)*0x9e3779b97f4a7c15))
-	}
-	p := s.Members()[1]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := v.PullSync(p, rng); !ok {
-			b.Fatal("pull failed")
-		}
-	}
-}

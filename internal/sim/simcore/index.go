@@ -1,15 +1,13 @@
 // Package simcore is the simulator's side of the paper's contribution: the
 // query-adaptive partial DHT of Section 5 over simulated peers. PartialIndex
-// is the distributed index — one core.Cache per active peer of a dht.Index,
+// is the distributed index — one core.Cache per active peer of a dht.Trie,
 // wired together by replica subnetworks — and PDHT the selection algorithm
-// on top of it. It is written against the dht.Index interface, so the
-// algorithm runs unchanged over the P-Grid-style trie, the Chord-style ring
-// or Kademlia (the paper: "generic enough such that it can be used for any
-// of the DHT based systems"). Subnet is the unstructured gossip graph among
-// one replica group's members (§3.3.2, [DaHa03]), carrying the update
-// floods of eq. 9 and the query floods of eq. 16; Versioned tracks
-// per-member key versions under the hybrid push/pull update scheme;
-// TTLEstimator is the online keyTtl self-tuner of §5.1.1.
+// on top of it. It asks the overlay only to route, to name a key's replica
+// group and to maintain itself (the paper: "generic enough such that it
+// can be used for any of the DHT based systems"). Subnet is the
+// unstructured gossip graph among one replica group's members (§3.3.2,
+// [DaHa03]), carrying the update floods of eq. 9 and the query floods of
+// eq. 16; TTLEstimator is the online keyTtl self-tuner of §5.1.1.
 //
 // Nothing here is reachable from a live node: internal/node runs the same
 // selection algorithm over real peers with core.Cache, the member ring's
@@ -88,7 +86,7 @@ type LookupResult struct {
 // All methods count their messages on the underlying network.
 type PartialIndex struct {
 	net *netsim.Network
-	idx dht.Index
+	idx *dht.Trie
 	cfg IndexConfig
 	rng *rand.Rand
 
@@ -101,7 +99,7 @@ type PartialIndex struct {
 }
 
 // NewPartialIndex builds the index layer over a DHT.
-func NewPartialIndex(net *netsim.Network, idx dht.Index, cfg IndexConfig, rng *rand.Rand) (*PartialIndex, error) {
+func NewPartialIndex(net *netsim.Network, idx *dht.Trie, cfg IndexConfig, rng *rand.Rand) (*PartialIndex, error) {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -127,7 +125,7 @@ func NewPartialIndex(net *netsim.Network, idx dht.Index, cfg IndexConfig, rng *r
 }
 
 // DHT exposes the underlying structured overlay.
-func (pi *PartialIndex) DHT() dht.Index { return pi.idx }
+func (pi *PartialIndex) DHT() *dht.Trie { return pi.idx }
 
 // Config returns the index configuration.
 func (pi *PartialIndex) Config() IndexConfig { return pi.cfg }

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"pdht/internal/keyspace"
 	"pdht/internal/netsim"
 	"pdht/internal/stats"
 )
@@ -128,106 +127,5 @@ func TestRandomOnlineMember(t *testing.T) {
 	net.SetOnline(s.Members()[0], false)
 	if _, ok := s.RandomOnlineMember(rng); ok {
 		t.Error("found an online member in a dead group")
-	}
-}
-
-func TestVersionedUpdatePropagates(t *testing.T) {
-	s, net, _ := newTestSubnet(t, 300, 50, 2, 9)
-	v := NewVersioned(net, s)
-	key := keyspace.HashString("article-7")
-	fs := v.Update(s.Members()[0], key)
-	if fs.Reached != 50 {
-		t.Fatalf("update reached %d members", fs.Reached)
-	}
-	if v.Latest(key) != 1 {
-		t.Errorf("Latest = %d, want 1", v.Latest(key))
-	}
-	if got := v.StaleMembers(key); got != 0 {
-		t.Errorf("%d stale members after full propagation", got)
-	}
-	for _, p := range s.Members() {
-		if v.VersionAt(p, key) != 1 {
-			t.Errorf("member %d at version %d", p, v.VersionAt(p, key))
-		}
-	}
-}
-
-func TestVersionedOfflineMembersGoStale(t *testing.T) {
-	s, net, _ := newTestSubnet(t, 300, 40, 2, 10)
-	v := NewVersioned(net, s)
-	key := keyspace.HashString("k")
-	offline := s.Members()[:10]
-	for _, p := range offline {
-		net.SetOnline(p, false)
-	}
-	v.Update(s.Members()[20], key)
-	if got := v.StaleMembers(key); got != 10 {
-		t.Errorf("StaleMembers = %d, want 10", got)
-	}
-	for _, p := range offline {
-		if v.VersionAt(p, key) != 0 {
-			t.Errorf("offline member %d received the update", p)
-		}
-	}
-}
-
-func TestVersionedPullSyncOnRejoin(t *testing.T) {
-	s, net, rng := newTestSubnet(t, 300, 40, 2, 11)
-	v := NewVersioned(net, s)
-	k1, k2 := keyspace.HashString("a"), keyspace.HashString("b")
-	p := s.Members()[5]
-	net.SetOnline(p, false)
-	v.Update(s.Members()[0], k1)
-	v.Update(s.Members()[0], k2)
-	v.Update(s.Members()[0], k1) // k1 twice: version 2
-
-	net.SetOnline(p, true)
-	before := net.Counters().Get(stats.MsgUpdate)
-	refreshed, ok := v.PullSync(p, rng)
-	if !ok {
-		t.Fatal("pull failed with the group online")
-	}
-	if refreshed != 2 {
-		t.Errorf("refreshed %d keys, want 2", refreshed)
-	}
-	if net.Counters().Get(stats.MsgUpdate) != before+1 {
-		t.Error("pull must cost exactly one request message")
-	}
-	if v.VersionAt(p, k1) != 2 || v.VersionAt(p, k2) != 1 {
-		t.Errorf("versions after pull: k1=%d k2=%d", v.VersionAt(p, k1), v.VersionAt(p, k2))
-	}
-	if v.StaleMembers(k1) != 0 {
-		t.Errorf("still %d stale members for k1", v.StaleMembers(k1))
-	}
-}
-
-func TestVersionedPullSyncEdgeCases(t *testing.T) {
-	s, net, rng := newTestSubnet(t, 100, 5, 2, 12)
-	v := NewVersioned(net, s)
-	if _, ok := v.PullSync(99, rng); ok {
-		t.Error("non-member pulled successfully")
-	}
-	for _, p := range s.Members() {
-		net.SetOnline(p, false)
-	}
-	if _, ok := v.PullSync(s.Members()[0], rng); ok {
-		t.Error("pull succeeded from a dead group")
-	}
-}
-
-func TestVersionedUpdateFromOfflinePeerIsLost(t *testing.T) {
-	s, net, _ := newTestSubnet(t, 100, 10, 2, 13)
-	v := NewVersioned(net, s)
-	p := s.Members()[0]
-	net.SetOnline(p, false)
-	key := keyspace.HashString("k")
-	fs := v.Update(p, key)
-	if fs.Reached != 0 {
-		t.Errorf("offline origin reached %d members", fs.Reached)
-	}
-	// The version counter advanced but nobody holds it — the paper's
-	// poorly synchronized replicas, measurable as staleness.
-	if v.StaleMembers(key) != 10 {
-		t.Errorf("StaleMembers = %d, want 10", v.StaleMembers(key))
 	}
 }

@@ -19,7 +19,7 @@
 //     miss, insert the result with an expiration time keyTtl that is
 //     refreshed by queries, so unqueried keys silently fall out
 //     (StrategyPartialTTL in the simulator; internal/sim/simcore implements it
-//     against pluggable DHT backends).
+//     over the P-Grid-style trie DHT).
 //
 // The package exposes four layers:
 //
@@ -35,7 +35,7 @@
 //
 //   - The simulator: Simulate runs a message-level simulation of a full
 //     peer-to-peer system (unstructured overlay with flooding and random
-//     walks, trie or ring DHT, replica gossip, churn) under any of the
+//     walks, trie DHT, replica gossip, churn) under any of the
 //     four strategies and reports measured message rates, hit rates and
 //     index sizes next to the model's predictions.
 //
@@ -257,17 +257,6 @@ const (
 	StrategyPartialIdeal    = sim.StrategyPartialIdeal
 	StrategyPartialTTL      = sim.StrategyPartialTTL
 	StrategyPartialAdaptive = sim.StrategyPartialAdaptive
-)
-
-// Backend selects the DHT implementation under the index.
-type Backend = sim.Backend
-
-// The three structured-overlay backends; the selection algorithm is
-// indifferent to the choice (the paper's DHT-genericity claim).
-const (
-	BackendTrie     = sim.BackendTrie
-	BackendRing     = sim.BackendRing
-	BackendKademlia = sim.BackendKademlia
 )
 
 // SimConfig describes one message-level simulation run.
