@@ -9,7 +9,7 @@
 # to a small fixed population, so it stays sub-second too.
 BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary topk
 
-.PHONY: all build test race fuzz-smoke examples bench bench-check live-deps loc fmt vet
+.PHONY: all build test race fuzz-smoke examples bench bench-check live-deps orphans loc fmt vet
 
 all: build test
 
@@ -95,6 +95,12 @@ live-deps:
 			| grep -E ' -> $(SIM_TREE)' | grep -vE '^$(SIM_TREE)'; \
 		exit 1; \
 	fi
+
+# What only its own test reaches: exported functions and methods under
+# internal/ and client/ that no non-test Go file names. The allow-list, with
+# a reason per entry, is in orphans_test.go.
+orphans:
+	go test -count=1 -run TestNoOrphanedExports .
 
 # Net line count is a tracked number (ROADMAP aim 2): non-test and test Go
 # lines outside bench/.

@@ -182,24 +182,6 @@ func BenchmarkAdaptation(b *testing.B) {
 	b.ReportMetric(res.HitRate, "hit-rate")
 }
 
-// BenchmarkSelfTuning runs ablation A3: the online keyTtl estimator versus
-// the model-derived setting.
-func BenchmarkSelfTuning(b *testing.B) {
-	cfg := benchSimConfig()
-	cfg.Rounds = 300
-	b.ReportAllocs()
-	var rows []sim.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, rows, err = experiments.SelfTuning(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows[0].KeyTtlUsed), "ttl-model")
-	b.ReportMetric(float64(rows[1].KeyTtlUsed), "ttl-tuned")
-}
-
 // BenchmarkKarySweep runs ablation A5: the footnote-3 k-ary key-space
 // generalization.
 func BenchmarkKarySweep(b *testing.B) {

@@ -185,7 +185,7 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 	// store here — recovery (replay, torn-tail truncation, remaining-TTL
 	// accounting) runs once, and the node built below re-admits the
 	// recovered entries before it joins the cluster.
-	st := cfg.store
+	var st store.Store
 	if cfg.dataDir != "" {
 		fs, err := store.OpenFile(store.FileOptions{Dir: cfg.dataDir})
 		if err != nil {

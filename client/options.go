@@ -5,13 +5,8 @@ import (
 	"time"
 
 	"pdht/internal/node"
-	"pdht/internal/store"
 	"pdht/internal/transport"
 )
-
-// Store is the persistence plane a member node journals through,
-// re-exported so WithStore users can supply their own implementation.
-type Store = store.Store
 
 // config collects what the options build. The zero value plus defaults is
 // a member node on TCP, listening on a loopback port.
@@ -38,7 +33,6 @@ type config struct {
 	traceSampling *float64 // nil: default 1.0; pointer so explicit 0 disables
 
 	dataDir string
-	store   Store
 }
 
 // Option configures Open. Options are applied in order; later options win.
@@ -174,23 +168,9 @@ func WithSlowQueryLog(threshold time.Duration, capacity int) Option {
 // on the same directory rejoins warm — index entries re-admitted at their
 // remaining TTL, published content served again without republishing.
 // Incompatible with client-only mode (a non-serving client holds nothing
-// to persist). Later WithDataDir/WithStore options win.
+// to persist).
 func WithDataDir(dir string) Option {
-	return func(c *config) {
-		c.dataDir = dir
-		c.store = nil
-	}
-}
-
-// WithStore injects a persistence implementation directly — the seam for
-// custom stores and for sharing one preopened store with its recovery
-// stats. The member node owns s once Open succeeds and closes it on
-// Close. Incompatible with client-only mode.
-func WithStore(s Store) Option {
-	return func(c *config) {
-		c.store = s
-		c.dataDir = ""
-	}
+	return func(c *config) { c.dataDir = dir }
 }
 
 // build validates the option set and splits it into the two hosts'
@@ -202,7 +182,7 @@ func (c *config) build() (node.Config, node.RemoteConfig, error) {
 	if c.clientOnly && len(c.seeds) == 0 {
 		return node.Config{}, node.RemoteConfig{}, fmt.Errorf("client: client-only mode needs WithSeeds")
 	}
-	if c.clientOnly && (c.dataDir != "" || c.store != nil) {
+	if c.clientOnly && c.dataDir != "" {
 		return node.Config{}, node.RemoteConfig{}, fmt.Errorf("client: client-only mode cannot persist (no index or content of its own)")
 	}
 	nodeCfg := node.DefaultConfig()

@@ -1,14 +1,15 @@
 // pdht-bench regenerates every table and figure of the paper's evaluation,
-// plus the validation and ablation experiments listed in DESIGN.md. It is
-// the one command behind EXPERIMENTS.md. Everything it prints is a model or
-// simulator result — deterministic for a given -scale and -seed; wall-clock
-// numbers of the live node come from bench/ and pdht-chaos.
+// plus the validation and ablation experiments. It is the one command
+// behind EXPERIMENTS.md, whose "Regeneration" section indexes every
+// experiment id against the table it prints. Everything it prints is a
+// model or simulator result — deterministic for a given -scale and -seed;
+// wall-clock numbers of the live node come from bench/ and pdht-chaos.
 //
 // Usage:
 //
 //	pdht-bench                    # run everything
 //	pdht-bench -experiment fig1   # one experiment (-h lists them)
-//	pdht-bench -scale 2000        # simulator population for V1/S2/A3/A4
+//	pdht-bench -scale 2000        # population of the sim-backed experiments
 package main
 
 import (
@@ -63,11 +64,6 @@ func experimentList(simBase func() sim.Config) []experiment {
 			cfg.KeyTtl = 120
 			cfg.TraceEvery = 50
 			return table(experiments.Adaptation(cfg, 400))
-		}},
-		{"selftune", func() (*stats.Table, error) {
-			cfg := simBase()
-			cfg.Rounds = 500
-			return table(experiments.SelfTuning(cfg))
 		}},
 		{"calibrate", func() (*stats.Table, error) {
 			cfg := simBase()

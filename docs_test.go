@@ -16,8 +16,10 @@ import (
 // quickstart code block byte-for-byte to examples/readme/main.go — which
 // the examples CI job builds, vets and runs, so "the quickstart compiles as
 // written" is machine-checked, not aspirational. TestDocsCiteRealThings
-// holds the three main documents to the tree: what they cite exists. The
-// docs CI job runs exactly these tests.
+// holds the three main documents to the tree: what they cite exists;
+// TestDesignNamesRealPackages does the same for DESIGN.md's layer map and
+// package list, and TestExperimentIndexIsCurrent for the experiment index
+// of EXPERIMENTS.md. The docs CI job runs exactly these tests.
 
 // docsFiles is the documentation set under the link check.
 var docsFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPERS.md", "PAPER.md", "ROADMAP.md", "CHANGES.md"}
@@ -194,5 +196,155 @@ func TestDocsCiteRealThings(t *testing.T) {
 				t.Errorf("%s cites %s, which no _test.go file declares", doc, cited)
 			}
 		}
+	}
+}
+
+// section returns the part of a markdown body from the heading line to the
+// next heading of the same level.
+func section(t *testing.T, body, heading string) string {
+	t.Helper()
+	_, rest, found := strings.Cut(body, "\n"+heading+"\n")
+	if !found {
+		t.Fatalf("no %q section", heading)
+	}
+	level, _, _ := strings.Cut(heading, " ")
+	rest, _, _ = strings.Cut(rest, "\n"+level+" ")
+	return rest
+}
+
+// mapProse is every lowercase word of DESIGN.md's layer-map diagram that is
+// annotation rather than the name of a package, binary or directory.
+var mapProse = strings.Fields(`engine serving state view re sync six strategies round by
+	peers rounds live leaves the simulator also runs sketches public façade go import only`)
+
+// TestDesignNamesRealPackages holds DESIGN.md's two inventories to the
+// tree, both ways: every lowercase name in the layer-map diagram is an
+// internal package, `client`, a cmd/ binary or a known annotation word;
+// every package DESIGN.md introduces in bold (**`internal/…`**, from
+// "Packages" on) is a directory of Go source; every exported identifier
+// the diagram shows is declared somewhere in the tree; and no package under
+// internal/ is missing from either.
+func TestDesignNamesRealPackages(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, diagram, _ := strings.Cut(section(t, string(raw), "## Layer map"), "```\n")
+	diagram, _, found := strings.Cut(diagram, "```")
+	if !found {
+		t.Fatal("DESIGN.md layer map has no diagram")
+	}
+	// The package list: "## Packages" and the sections after it, which
+	// introduce each package in bold.
+	_, list, found := strings.Cut(string(raw), "\n## Packages\n")
+	if !found {
+		t.Fatal("DESIGN.md has no Packages section")
+	}
+
+	// The packages on disk by last path element, and every exported type,
+	// function and method they declare.
+	byBase := map[string]string{"client": "client", "pdht": "."}
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^(?:type|func(?: \([^)]*\))?) ([A-Z]\w*)`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			byBase[filepath.Base(dir)] = dir
+		} else if strings.HasPrefix(dir, "cmd/") {
+			byBase[strings.TrimPrefix(filepath.Base(dir), "pdht-")] = dir
+		}
+		body, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(body, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	named := map[string]bool{"cmd": true, "examples": true}
+	for _, w := range mapProse {
+		named[w] = true
+	}
+	for _, w := range regexp.MustCompile(`\p{L}[\p{L}0-9]*`).FindAllString(diagram, -1) {
+		switch {
+		case w == strings.ToUpper(w): // LIVE TREE, SHARED LEAVES
+		case w != strings.ToLower(w):
+			if !declared[w] {
+				t.Errorf("DESIGN.md layer map shows %s, which no package declares", w)
+			}
+		case byBase[w] != "":
+			named[byBase[w]] = true
+		case !named[w]:
+			t.Errorf("DESIGN.md layer map names %q: not a package, a cmd/ binary or an annotation word (mapProse)", w)
+		}
+	}
+
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile("\\*\\*`(internal/[a-z/]+)`\\*\\*").FindAllStringSubmatch(list, -1) {
+		listed[m[1]] = true
+		if byBase[filepath.Base(m[1])] != m[1] {
+			t.Errorf("DESIGN.md package list has %s, which holds no Go source", m[1])
+		}
+	}
+	for _, dir := range byBase {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		if !named[dir] {
+			t.Errorf("%s is missing from DESIGN.md's layer map", dir)
+		}
+		if !listed[dir] {
+			t.Errorf("%s is missing from DESIGN.md's package list", dir)
+		}
+	}
+}
+
+// TestExperimentIndexIsCurrent holds the experiment index of EXPERIMENTS.md
+// "Regeneration" to the binary and the Makefile: its ids are exactly those
+// pdht-bench -experiment accepts, in order, and its last column says
+// BENCH_node.json exactly for the ids BENCH_EXPERIMENTS pins.
+func TestExperimentIndexIsCurrent(t *testing.T) {
+	read := func(path string) string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	var accepted []string
+	for _, m := range regexp.MustCompile(`(?m)^\t\t\{"([a-z0-9]+)", func`).FindAllStringSubmatch(read(filepath.Join("cmd", "pdht-bench", "main.go")), -1) {
+		accepted = append(accepted, m[1])
+	}
+	if len(accepted) == 0 {
+		t.Fatal("found no experiment ids in cmd/pdht-bench/main.go")
+	}
+	m := regexp.MustCompile(`(?m)^BENCH_EXPERIMENTS := (.*)$`).FindStringSubmatch(read("Makefile"))
+	if m == nil {
+		t.Fatal("Makefile has no BENCH_EXPERIMENTS line")
+	}
+	pinned := map[string]bool{}
+	for _, id := range strings.Fields(m[1]) {
+		pinned[id] = true
+	}
+
+	_, table, found := strings.Cut(section(t, read("EXPERIMENTS.md"), "## Regeneration"), "| experiment id | table | pinned |\n")
+	if !found {
+		t.Fatal("EXPERIMENTS.md Regeneration has no experiment index table")
+	}
+	var indexed []string
+	for _, row := range regexp.MustCompile("(?m)^\\| `([a-z0-9]+)` \\|.*\\| ([^|]+) \\|$").FindAllStringSubmatch(table, -1) {
+		id, where := row[1], row[2]
+		indexed = append(indexed, id)
+		if want := pinned[id]; (where == "`BENCH_node.json`") != want {
+			t.Errorf("experiment index says %s is %q, but BENCH_EXPERIMENTS pins it: %v", id, where, want)
+		}
+	}
+	if strings.Join(indexed, " ") != strings.Join(accepted, " ") {
+		t.Errorf("experiment index lists %v\npdht-bench -experiment accepts %v", indexed, accepted)
 	}
 }

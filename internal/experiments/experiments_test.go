@@ -245,18 +245,3 @@ func TestTopKAB(t *testing.T) {
 		}
 	}
 }
-
-func TestSelfTuning(t *testing.T) {
-	cfg := quickSim()
-	cfg.Rounds = 300
-	_, results, err := SelfTuning(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	if results[1].KeyTtlUsed == 600 {
-		t.Error("self-tuner never moved off the initial guess")
-	}
-}

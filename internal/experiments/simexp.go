@@ -197,9 +197,6 @@ func Calibration(base sim.Config) (*stats.Table, CalibrationResult, error) {
 	return t, out, nil
 }
 
-// SelfTuning is ablation A3: the model-derived keyTtl versus the online
-// estimator that starts from a coarse guess (the paper's future-work
-// mechanism).
 // TopKAB is experiment T1, the distributed top-k A/B: the adaptive
 // planner (yield history plus sketch-fed term weights) against the
 // uniform full-fan-out baseline at identical workloads and identical
@@ -239,28 +236,6 @@ func TopKAB(base sim.Config) (*stats.Table, []sim.Result, error) {
 		}
 		t.AddRow(name, res.TopKLegsPerQuery, 100*res.TopKEarlyRate,
 			res.MsgPerRound, fmt.Sprintf("%d/%d", res.Answered, res.Queries))
-	}
-	return t, out, nil
-}
-
-func SelfTuning(base sim.Config) (*stats.Table, []sim.Result, error) {
-	t := stats.NewTable("A3 — model-derived vs self-tuned keyTtl",
-		"mode", "final keyTtl", "msg/s", "hit rate", "E[index]")
-	var out []sim.Result
-	for _, tune := range []bool{false, true} {
-		cfg := base
-		cfg.Strategy = sim.StrategyPartialTTL
-		cfg.SelfTuneTTL = tune
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, res)
-		mode := "model 1/fMin"
-		if tune {
-			mode = "self-tuned"
-		}
-		t.AddRow(mode, res.KeyTtlUsed, res.MsgPerRound, res.HitRate, res.MeanIndexedKeys)
 	}
 	return t, out, nil
 }

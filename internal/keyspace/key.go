@@ -4,14 +4,13 @@
 // obtained "by hashing single or concatenated key-value pairs" of metadata
 // (§1). A Key here is a 64-bit identifier; peers in the trie DHT are
 // responsible for all keys sharing their binary path prefix, so the package
-// also provides the prefix algebra (bit extraction, common-prefix length,
-// path containment) that routing is written against.
+// also provides the prefix algebra (bit extraction, path containment) that
+// routing is written against.
 package keyspace
 
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 )
 
 // Bits is the width of the key space. 64 bits is far beyond the paper's
@@ -56,20 +55,6 @@ func (k Key) Bit(i int) byte {
 	return byte(k>>(Bits-1-i)) & 1
 }
 
-// BitString returns the n most significant bits of k as a string of '0' and
-// '1' runes — the representation used for trie paths.
-func (k Key) BitString(n int) string {
-	if n < 0 || n > Bits {
-		panic(fmt.Sprintf("keyspace: bit-string length %d out of [0,%d]", n, Bits))
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i := 0; i < n; i++ {
-		b.WriteByte('0' + k.Bit(i))
-	}
-	return b.String()
-}
-
 // HasPrefix reports whether the binary expansion of k starts with path, a
 // string of '0'/'1' runes. An empty path matches every key. It panics on a
 // malformed path because a typo'd path would silently misroute every lookup.
@@ -93,52 +78,3 @@ func (k Key) HasPrefix(path string) bool {
 // String renders the key as fixed-width hex, so logs sort lexically in key
 // order.
 func (k Key) String() string { return fmt.Sprintf("%016x", uint64(k)) }
-
-// ValidPath reports whether path is a well-formed binary path: only '0' and
-// '1' runes and no longer than the key space.
-func ValidPath(path string) bool {
-	if len(path) > Bits {
-		return false
-	}
-	for i := 0; i < len(path); i++ {
-		if path[i] != '0' && path[i] != '1' {
-			return false
-		}
-	}
-	return true
-}
-
-// CommonPrefixLen returns the length of the longest common prefix of two
-// binary paths.
-func CommonPrefixLen(a, b string) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
-// FlipAt returns path with the bit at index i flipped and truncated to i+1
-// bits: the complementary subtree at level i, which is exactly the region a
-// trie routing entry at level i must cover. i must be in [0, len(path)).
-func FlipAt(path string, i int) string {
-	if i < 0 || i >= len(path) {
-		panic(fmt.Sprintf("keyspace: FlipAt index %d out of [0,%d)", i, len(path)))
-	}
-	b := []byte(path[:i+1])
-	if b[i] == '0' {
-		b[i] = '1'
-	} else {
-		b[i] = '0'
-	}
-	return string(b)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

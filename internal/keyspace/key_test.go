@@ -59,19 +59,6 @@ func TestBitPanics(t *testing.T) {
 	}
 }
 
-func TestBitString(t *testing.T) {
-	k := Key(0xA000000000000000) // 1010...
-	if got := k.BitString(4); got != "1010" {
-		t.Errorf("BitString(4) = %q, want 1010", got)
-	}
-	if got := k.BitString(0); got != "" {
-		t.Errorf("BitString(0) = %q, want empty", got)
-	}
-	if got := Key(0).BitString(3); got != "000" {
-		t.Errorf("zero key BitString(3) = %q", got)
-	}
-}
-
 func TestHasPrefix(t *testing.T) {
 	k := Key(0xA000000000000000) // 1010...
 	cases := []struct {
@@ -105,62 +92,13 @@ func TestHasPrefixMalformedPanics(t *testing.T) {
 	Key(0).HasPrefix("01x")
 }
 
-func TestValidPath(t *testing.T) {
-	cases := []struct {
-		path string
-		want bool
-	}{
-		{"", true},
-		{"0101", true},
-		{"012", false},
-		{"ab", false},
-		{strings.Repeat("0", 64), true},
-		{strings.Repeat("0", 65), false},
+// bitString is the n most significant bits of k as a trie path.
+func bitString(k Key, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = '0' + k.Bit(i)
 	}
-	for _, c := range cases {
-		if got := ValidPath(c.path); got != c.want {
-			t.Errorf("ValidPath(%q) = %v, want %v", c.path, got, c.want)
-		}
-	}
-}
-
-func TestCommonPrefixLen(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"0", "1", 0},
-		{"01", "01", 2},
-		{"0110", "0111", 3},
-		{"01", "0110", 2},
-	}
-	for _, c := range cases {
-		if got := CommonPrefixLen(c.a, c.b); got != c.want {
-			t.Errorf("CommonPrefixLen(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestFlipAt(t *testing.T) {
-	if got := FlipAt("0110", 0); got != "1" {
-		t.Errorf("FlipAt(0110,0) = %q, want 1", got)
-	}
-	if got := FlipAt("0110", 2); got != "010" {
-		t.Errorf("FlipAt(0110,2) = %q, want 010", got)
-	}
-	if got := FlipAt("0110", 3); got != "0111" {
-		t.Errorf("FlipAt(0110,3) = %q, want 0111", got)
-	}
-}
-
-func TestFlipAtPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FlipAt out of range did not panic")
-		}
-	}()
-	FlipAt("01", 2)
+	return string(b)
 }
 
 // Property: a key always has its own bit-string as a prefix, and flipping
@@ -170,29 +108,13 @@ func TestPrefixProperty(t *testing.T) {
 	f := func() bool {
 		k := Key(rng.Uint64())
 		n := rng.IntN(Bits) + 1
-		p := k.BitString(n)
+		p := bitString(k, n)
 		if !k.HasPrefix(p) {
 			return false
 		}
-		i := rng.IntN(n)
-		return !k.HasPrefix(FlipAt(p, i))
-	}
-	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CommonPrefixLen is symmetric and bounded by both lengths.
-func TestCommonPrefixLenProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	f := func() bool {
-		a := Key(rng.Uint64()).BitString(rng.IntN(32))
-		b := Key(rng.Uint64()).BitString(rng.IntN(32))
-		n := CommonPrefixLen(a, b)
-		if n != CommonPrefixLen(b, a) {
-			return false
-		}
-		return n <= len(a) && n <= len(b)
+		flipped := []byte(p[:rng.IntN(n)+1])
+		flipped[len(flipped)-1] ^= 1 // '0' ↔ '1'
+		return !k.HasPrefix(string(flipped))
 	}
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

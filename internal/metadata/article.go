@@ -31,17 +31,6 @@ type Article struct {
 	Body     string
 }
 
-// Elements returns the article's metadata as element→value pairs.
-func (a *Article) Elements() map[string]string {
-	return map[string]string{
-		ElemTitle:    a.Title,
-		ElemAuthor:   a.Author,
-		ElemDate:     a.Date,
-		ElemCategory: a.Category,
-		ElemSize:     fmt.Sprintf("%d", a.Size),
-	}
-}
-
 // Predicate is a single element = value condition.
 type Predicate struct {
 	Element string

@@ -77,14 +77,3 @@ func generateOne(id int, rng *rand.Rand) Article {
 		Body:     body,
 	}
 }
-
-// CorpusKeys generates the index keys of every article, capped at
-// keysPerArticle each (the paper's scenario: 2,000 articles × 20 keys =
-// 40,000 keys). Keys are returned grouped per article, in article order.
-func CorpusKeys(articles []Article, keysPerArticle int) [][]IndexKey {
-	out := make([][]IndexKey, len(articles))
-	for i := range articles {
-		out[i] = articles[i].Keys(keysPerArticle)
-	}
-	return out
-}

@@ -7,19 +7,6 @@ import (
 	"pdht/internal/keyspace"
 )
 
-func TestIsStopWord(t *testing.T) {
-	for _, w := range []string{"the", "The", "AND", "of"} {
-		if !IsStopWord(w) {
-			t.Errorf("IsStopWord(%q) = false, want true", w)
-		}
-	}
-	for _, w := range []string{"weather", "iraklion", ""} {
-		if IsStopWord(w) {
-			t.Errorf("IsStopWord(%q) = true, want false", w)
-		}
-	}
-}
-
 func TestContentTerms(t *testing.T) {
 	got := ContentTerms("The Weather in Iráklion, today!")
 	want := []string{"weather", "iráklion", "today"}
@@ -95,7 +82,7 @@ func TestArticleKeysPaperExample(t *testing.T) {
 	}
 	// Stop words never become term keys.
 	for c := range byCanon {
-		if strings.HasPrefix(c, "term=") && IsStopWord(strings.TrimPrefix(c, "term=")) {
+		if strings.HasPrefix(c, "term=") && stopWords[strings.TrimPrefix(c, "term=")] {
 			t.Errorf("stop word indexed: %q", c)
 		}
 	}
@@ -174,19 +161,10 @@ func TestCorpusKeysScenarioScale(t *testing.T) {
 	// The paper's scenario: 2,000 articles × 20 keys = 40,000 keys.
 	// Our generator must be able to supply 20 distinct keys per article.
 	arts := GenerateArticles(100, 3)
-	grouped := CorpusKeys(arts, 20)
-	for i, keys := range grouped {
-		if len(keys) != 20 {
+	for i := range arts {
+		if keys := arts[i].Keys(20); len(keys) != 20 {
 			t.Fatalf("article %d generated %d keys, want 20 (title %q)",
 				i, len(keys), arts[i].Title)
 		}
-	}
-}
-
-func TestElements(t *testing.T) {
-	a := Article{Title: "t", Author: "au", Date: "d", Category: "c", Size: 5}
-	e := a.Elements()
-	if e[ElemTitle] != "t" || e[ElemSize] != "5" {
-		t.Errorf("Elements() = %v", e)
 	}
 }

@@ -23,12 +23,6 @@ var stopWords = map[string]bool{
 	"with": true, "not": true, "no": true, "so": true, "we": true,
 }
 
-// IsStopWord reports whether w (case-insensitive) is in the shared stop-word
-// set.
-func IsStopWord(w string) bool {
-	return stopWords[strings.ToLower(w)]
-}
-
 // ContentTerms tokenizes s on whitespace, lowercases, strips surrounding
 // punctuation, and removes stop words and empty tokens — the terms worth
 // considering as index keys.

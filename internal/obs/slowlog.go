@@ -28,9 +28,6 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 	return &SlowLog{threshold: threshold, ring: make([]QueryTrace, capacity)}
 }
 
-// Threshold returns the admission threshold.
-func (l *SlowLog) Threshold() time.Duration { return l.threshold }
-
 // Record admits t if it crossed the threshold, reporting whether it did.
 func (l *SlowLog) Record(t QueryTrace) bool {
 	if t.Duration < l.threshold {

@@ -20,15 +20,6 @@ type FloodResult struct {
 	FoundAt netsim.PeerID
 }
 
-// DupFactor returns Messages/Reached — the paper's message duplication
-// factor dup, measured rather than assumed.
-func (r FloodResult) DupFactor() float64 {
-	if r.Reached == 0 {
-		return 0
-	}
-	return float64(r.Messages) / float64(r.Reached)
-}
-
 // Flood performs a Gnutella-style breadth-first flood from origin with the
 // given TTL: every online peer that sees the query for the first time
 // forwards it to all neighbors except the one it came from, until the TTL

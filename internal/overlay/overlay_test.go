@@ -70,7 +70,7 @@ func TestFloodReachesEveryoneWhenConnected(t *testing.T) {
 	if res.Messages <= res.Reached {
 		t.Errorf("flood sent %d messages for %d peers — no duplicates in a random graph is implausible", res.Messages, res.Reached)
 	}
-	if d := res.DupFactor(); d < 1 || d > 10 {
+	if d := float64(res.Messages) / float64(res.Reached); d < 1 || d > 10 {
 		t.Errorf("dup factor = %v, want a small multiple of 1", d)
 	}
 	if got := net.Counters().Get(stats.MsgBroadcast); got != int64(res.Messages) {
@@ -293,7 +293,7 @@ func TestMeasuredDupFactorPlausible(t *testing.T) {
 	// (dup = 1.8 [LvCa02]) instead of flooding.
 	g, _, rng := newGraph(t, 5000, 3, 20)
 	res := g.Flood(0, 30, nil, stats.MsgBroadcast)
-	if d := res.DupFactor(); d < g.MeanDegree()-2 || d > g.MeanDegree() {
+	if d := float64(res.Messages) / float64(res.Reached); d < g.MeanDegree()-2 || d > g.MeanDegree() {
 		t.Errorf("flood dup factor = %v, want ≈ meanDegree−1 = %v", d, g.MeanDegree()-1)
 	}
 

@@ -56,12 +56,6 @@ func (s *Store) ReplicateRandom(key keyspace.Key, repl int, rng *rand.Rand) ([]n
 	return chosen, nil
 }
 
-// Holders returns the peers holding key (online or not). The slice is owned
-// by the store.
-func (s *Store) Holders(key keyspace.Key) []netsim.PeerID {
-	return s.holders[key]
-}
-
 // HasAt reports whether peer p holds a replica of key.
 func (s *Store) HasAt(p netsim.PeerID, key keyspace.Key) bool {
 	return s.at[p][key]

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"pdht/internal/model"
 	"pdht/internal/workload"
 )
 
@@ -87,5 +88,34 @@ func TestAdaptiveBeatsStaticUnderShift(t *testing.T) {
 	if adaptiveCost >= staticCost {
 		t.Fatalf("adaptive pays %.2f msgs/query, static %.2f — the control plane does not pay for itself",
 			adaptiveCost, staticCost)
+	}
+}
+
+// TestAdaptiveTTLLandsNearModelIdeal pins the one online keyTtl controller
+// to the claim it can meet: started from the coarse 600-round guess
+// (KeyTtl 0), the tuner ends within the paper's own ±50 % tolerance
+// (§5.1.1) of the model's 1/fMin, on every seed.
+func TestAdaptiveTTLLandsNearModelIdeal(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		cfg := quickConfig(StrategyPartialAdaptive)
+		cfg.Rounds = 400
+		cfg.Seed = seed
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := model.Solve(cfg.ModelParams(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ideal := model.IdealKeyTtl(sol)
+		got := float64(res.KeyTtlUsed)
+		t.Logf("seed %d: keyTtl 600→%d, model 1/fMin %.0f (%+.0f%%)", seed, res.KeyTtlUsed, ideal, 100*(got/ideal-1))
+		if res.KeyTtlUsed == 600 {
+			t.Errorf("seed %d: the tuner never moved off the initial guess", seed)
+		}
+		if got < 0.5*ideal || got > 1.5*ideal {
+			t.Errorf("seed %d: keyTtl %d outside ±50%% of the model's %.0f", seed, res.KeyTtlUsed, ideal)
+		}
 	}
 }

@@ -1,12 +1,13 @@
 // Package sim runs message-level simulations of the paper's scenario: a
 // population of churning peers holding randomly replicated content,
-// querying with Zipf-distributed frequencies, under one of five strategies —
+// querying with Zipf-distributed frequencies, under one of six strategies —
 // broadcast everything (noIndex, eq. 12), index everything (indexAll,
 // eq. 11), ideal partial indexing with oracle knowledge (eq. 13), the
 // decentralized TTL selection algorithm (eq. 17, the paper's contribution),
-// and the selection algorithm under the live adaptive control plane
+// the selection algorithm under the live adaptive control plane
 // (internal/adapt), which retunes keyTtl and gates below-fMin inserts from
-// online frequency sketches.
+// online frequency sketches, and the distributed top-k query plane
+// (internal/topk) over the same population.
 //
 // It is the measurement side of the reproduction: the analytical package
 // predicts message rates, this package counts actual messages from actual
@@ -87,37 +88,22 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("sim: unknown strategy %q (want noIndex, indexAll, partial, partialTTL, partialAdaptive or partialTopK)", name)
 }
 
-// KeySource selects where the simulated key universe comes from.
-type KeySource int
-
+// The substrate every run is built on: constants, not Config fields.
 const (
-	// KeysSynthetic uses hashed synthetic identifiers ("key:0" …) —
-	// cheap and sufficient for the cost experiments.
-	KeysSynthetic KeySource = iota
-	// KeysCorpus draws keys from a generated news corpus: the metadata
-	// predicates of synthetic articles, exactly the key population the
-	// paper's news system would index (2,000 articles × 20 keys).
-	KeysCorpus
+	// overlayDegree is the unstructured graph's connections per peer.
+	overlayDegree = 4
+	// walkers is the random-walk search width.
+	walkers = 16
+	// trieRedundancy is the trie's refs per routing level. The model's
+	// routing-table size is log₂(numActivePeers) ≈ depth·1.7, so 2 keeps
+	// the probing volume near eq. 8 while surviving churn.
+	trieRedundancy = 2
 )
-
-// String names the key source.
-func (k KeySource) String() string {
-	switch k {
-	case KeysSynthetic:
-		return "synthetic"
-	case KeysCorpus:
-		return "corpus"
-	default:
-		return fmt.Sprintf("keysource(%d)", int(k))
-	}
-}
 
 // Config describes one simulation run. The zero value is not runnable; use
 // DefaultConfig as a starting point.
 type Config struct {
 	Strategy Strategy
-	// KeySource selects the key universe (default KeysSynthetic).
-	KeySource KeySource
 
 	// Scenario parameters, mirroring model.Params/Table 1.
 	Peers int
@@ -128,33 +114,15 @@ type Config struct {
 	FQry  float64
 	FUpd  float64
 	Env   float64
-	Dup   float64 // used only for the model prediction columns
-	Dup2  float64
 
-	// Substrate knobs.
-	OverlayDegree int // unstructured graph connections per peer
-	SubnetDegree  int // replica gossip connections per member
-	Walkers       int // random-walk search width
-	// Redundancy is the trie's refs per routing level. The model's
-	// routing-table size is log₂(numActivePeers) ≈ depth·1.7, so 2 keeps
-	// the probing volume near eq. 8 while surviving churn.
-	Redundancy int
-
-	// KeyTtl for StrategyPartialTTL, in rounds. Zero derives the paper's
-	// choice 1/fMin from the analytical model.
+	// KeyTtl in rounds. Zero derives the paper's choice 1/fMin from the
+	// analytical model under StrategyPartialTTL; StrategyPartialAdaptive
+	// then starts from a coarse 600-round guess its tuner corrects.
 	KeyTtl int
-	// SelfTuneTTL replaces the model-derived keyTtl with the online
-	// estimator (simcore.TTLEstimator): the run starts from a deliberately
-	// coarse initial TTL and retunes every TunePeriod rounds from
-	// observed costs — the paper's §5.1.1 future-work mechanism.
-	// StrategyPartialTTL only.
-	SelfTuneTTL bool
-	// TunePeriod is the retuning interval in rounds (default 50), shared
-	// by SelfTuneTTL and StrategyPartialAdaptive.
+	// TunePeriod is the interval in rounds (default 50) at which
+	// StrategyPartialAdaptive retunes and StrategyPartialTopK's planner
+	// decays its yield history.
 	TunePeriod int
-	// Adapt parameterizes the StrategyPartialAdaptive control plane;
-	// zero fields take adapt.DefaultConfig.
-	Adapt adapt.Config
 
 	// Run length.
 	Rounds       int
@@ -217,12 +185,6 @@ func DefaultConfig() Config {
 		FQry:          1.0 / 30.0,
 		FUpd:          1.0 / 86400.0,
 		Env:           1.0 / 14.0,
-		Dup:           1.8,
-		Dup2:          1.8,
-		OverlayDegree: 4,
-		SubnetDegree:  1,
-		Walkers:       16,
-		Redundancy:    2,
 		Rounds:        300,
 		WarmupRounds:  50,
 		TopKK:         5,
@@ -234,8 +196,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// ModelParams translates the scenario into the analytical model's Params.
+// ModelParams translates the scenario into the analytical model's Params;
+// the duplication factors, which only the prediction columns read, are the
+// paper's (model.DefaultScenario).
 func (c Config) ModelParams() model.Params {
+	d := model.DefaultScenario()
 	return model.Params{
 		NumPeers: c.Peers,
 		Keys:     c.Keys,
@@ -245,8 +210,8 @@ func (c Config) ModelParams() model.Params {
 		FQry:     c.FQry,
 		FUpd:     c.FUpd,
 		Env:      c.Env,
-		Dup:      c.Dup,
-		Dup2:     c.Dup2,
+		Dup:      d.Dup,
+		Dup2:     d.Dup2,
 	}
 }
 
@@ -258,16 +223,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Strategy < StrategyNoIndex || c.Strategy > StrategyPartialTopK:
 		return fmt.Errorf("sim: unknown strategy %d", int(c.Strategy))
-	case c.SelfTuneTTL && c.Strategy == StrategyPartialAdaptive:
-		return fmt.Errorf("sim: SelfTuneTTL is a StrategyPartialTTL mechanism; partialAdaptive has its own tuner")
-	case c.OverlayDegree < 1 || c.OverlayDegree >= c.Peers:
-		return fmt.Errorf("sim: OverlayDegree %d out of [1,%d)", c.OverlayDegree, c.Peers)
-	case c.SubnetDegree < 1:
-		return fmt.Errorf("sim: SubnetDegree %d must be positive", c.SubnetDegree)
-	case c.Walkers < 1:
-		return fmt.Errorf("sim: Walkers %d must be positive", c.Walkers)
-	case c.Redundancy < 1:
-		return fmt.Errorf("sim: Redundancy %d must be positive", c.Redundancy)
+	case c.Peers <= overlayDegree:
+		return fmt.Errorf("sim: Peers %d must exceed the overlay degree %d", c.Peers, overlayDegree)
 	case c.TraceEvery < 0:
 		return fmt.Errorf("sim: TraceEvery %d must be non-negative", c.TraceEvery)
 	case c.Rounds < 1:
@@ -276,8 +233,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: WarmupRounds %d must be non-negative", c.WarmupRounds)
 	case c.KeyTtl < 0:
 		return fmt.Errorf("sim: KeyTtl %d must be non-negative", c.KeyTtl)
-	case c.KeySource != KeysSynthetic && c.KeySource != KeysCorpus:
-		return fmt.Errorf("sim: unknown key source %d", int(c.KeySource))
 	case c.TunePeriod < 0:
 		return fmt.Errorf("sim: TunePeriod %d must be non-negative", c.TunePeriod)
 	}
@@ -291,8 +246,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: TopKGroups %d must be positive", c.TopKGroups)
 		case c.TopKCopies < 1 || c.TopKCopies > c.Peers:
 			return fmt.Errorf("sim: TopKCopies %d out of [1,%d]", c.TopKCopies, c.Peers)
-		case c.SelfTuneTTL:
-			return fmt.Errorf("sim: SelfTuneTTL is a StrategyPartialTTL mechanism; partialTopK has no index TTL")
 		}
 	}
 	if c.Churn.MeanOnline != 0 || c.Churn.MeanOffline != 0 {

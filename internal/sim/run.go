@@ -9,7 +9,6 @@ import (
 	"pdht/internal/core"
 	"pdht/internal/dht"
 	"pdht/internal/keyspace"
-	"pdht/internal/metadata"
 	"pdht/internal/model"
 	"pdht/internal/netsim"
 	"pdht/internal/overlay"
@@ -50,7 +49,6 @@ type run struct {
 	// Index-bearing strategies.
 	index *simcore.PartialIndex
 	pdht  *simcore.PDHT
-	tuner *simcore.TTLEstimator
 	// The adaptive control plane (StrategyPartialAdaptive): one tuner
 	// observing the whole population's stream, as if every peer ran the
 	// same control loop over its share.
@@ -92,18 +90,9 @@ func setup(cfg Config) (*run, error) {
 
 	// Key universe: index i ↔ popularity rank i+1 under the identity
 	// mapping.
-	switch cfg.KeySource {
-	case KeysCorpus:
-		var err error
-		r.keys, err = corpusKeys(cfg.Keys, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		r.keys = make([]keyspace.Key, cfg.Keys)
-		for i := range r.keys {
-			r.keys[i] = keyspace.HashString(fmt.Sprintf("key:%d", i))
-		}
+	r.keys = make([]keyspace.Key, cfg.Keys)
+	for i := range r.keys {
+		r.keys[i] = keyspace.HashString(fmt.Sprintf("key:%d", i))
 	}
 	byKey := make(map[keyspace.Key]int, cfg.Keys)
 	for i, k := range r.keys {
@@ -111,7 +100,7 @@ func setup(cfg Config) (*run, error) {
 	}
 
 	// Unstructured overlay with randomly replicated content.
-	graph, err := overlay.NewRandomGraph(r.net, cfg.OverlayDegree, r.rng)
+	graph, err := overlay.NewRandomGraph(r.net, overlayDegree, r.rng)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +114,7 @@ func setup(cfg Config) (*run, error) {
 		graph: graph,
 		store: store,
 		byKey: byKey,
-		cfg:   overlay.SearchConfig{Walkers: cfg.Walkers, FloodTTL: 64},
+		cfg:   overlay.SearchConfig{Walkers: walkers, FloodTTL: 64},
 		repl:  cfg.Repl,
 	}
 
@@ -162,7 +151,6 @@ func setup(cfg Config) (*run, error) {
 		if err := r.buildIndex(simcore.IndexConfig{
 			KeyTtl:       0,
 			PeerCapacity: cfg.Stor,
-			SubnetDegree: cfg.SubnetDegree,
 		}); err != nil {
 			return nil, err
 		}
@@ -177,7 +165,6 @@ func setup(cfg Config) (*run, error) {
 		if err := r.buildIndex(simcore.IndexConfig{
 			KeyTtl:       0,
 			PeerCapacity: cfg.Stor,
-			SubnetDegree: cfg.SubnetDegree,
 		}); err != nil {
 			return nil, err
 		}
@@ -189,7 +176,7 @@ func setup(cfg Config) (*run, error) {
 	case StrategyPartialTTL, StrategyPartialAdaptive:
 		r.keyTtl = cfg.KeyTtl
 		if r.keyTtl == 0 {
-			if cfg.SelfTuneTTL || cfg.Strategy == StrategyPartialAdaptive {
+			if cfg.Strategy == StrategyPartialAdaptive {
 				// A deployment without the analytical model
 				// starts from a coarse guess (ten minutes) and
 				// lets its control loop correct it.
@@ -202,14 +189,8 @@ func setup(cfg Config) (*run, error) {
 				r.keyTtl = int(ideal)
 			}
 		}
-		if cfg.SelfTuneTTL {
-			r.tuner, err = simcore.NewTTLEstimator(0.1)
-			if err != nil {
-				return nil, err
-			}
-		}
 		if cfg.Strategy == StrategyPartialAdaptive {
-			r.adaptTuner, err = adapt.NewTuner(cfg.Adapt)
+			r.adaptTuner, err = adapt.NewTuner(adapt.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -232,7 +213,6 @@ func setup(cfg Config) (*run, error) {
 		if err := r.buildIndex(simcore.IndexConfig{
 			KeyTtl:        r.keyTtl,
 			PeerCapacity:  cfg.Stor,
-			SubnetDegree:  cfg.SubnetDegree,
 			FloodOnMiss:   true,
 			ResetTTLOnHit: true,
 		}); err != nil {
@@ -274,7 +254,7 @@ func (r *run) buildIndex(icfg simcore.IndexConfig) error {
 	}
 	trie, err := dht.NewTrie(r.net, active, dht.TrieConfig{
 		GroupSize:  r.cfg.Repl,
-		Redundancy: r.cfg.Redundancy,
+		Redundancy: trieRedundancy,
 		Env:        r.cfg.Env,
 	}, r.rng)
 	if err != nil {
@@ -314,6 +294,10 @@ func (r *run) loop() (Result, error) {
 		winStart = r.net.Counters().Snapshot()
 	}
 	total := cfg.WarmupRounds + cfg.Rounds
+	period := cfg.TunePeriod
+	if period == 0 {
+		period = 50
+	}
 	for round := 0; round < total; round++ {
 		if round > 0 {
 			r.net.AdvanceRound()
@@ -332,38 +316,19 @@ func (r *run) loop() (Result, error) {
 		}
 
 		if r.index != nil {
-			ms := r.index.Maintain()
-			if r.tuner != nil {
-				r.tuner.ObserveMaintenance(float64(ms.Probes), r.index.IndexedKeys())
-				period := cfg.TunePeriod
-				if period == 0 {
-					period = 50
+			r.index.Maintain()
+			if r.adaptTuner != nil && round > 0 && round%period == 0 {
+				in := adapt.Inputs{
+					Members:      cfg.Peers,
+					Observers:    cfg.Peers,
+					Capacity:     cfg.Stor,
+					Repl:         cfg.Repl,
+					Env:          cfg.Env,
+					WindowRounds: period,
 				}
-				if round > 0 && round%period == 0 {
-					if ttl, ok := r.tuner.KeyTtl(10, 0); ok {
-						r.keyTtl = ttl
-						r.index.SetKeyTtl(ttl)
-					}
-				}
-			}
-			if r.adaptTuner != nil {
-				period := cfg.TunePeriod
-				if period == 0 {
-					period = 50
-				}
-				if round > 0 && round%period == 0 {
-					in := adapt.Inputs{
-						Members:      cfg.Peers,
-						Observers:    cfg.Peers,
-						Capacity:     cfg.Stor,
-						Repl:         cfg.Repl,
-						Env:          cfg.Env,
-						WindowRounds: period,
-					}
-					if d, err := r.adaptTuner.Retune(in); err == nil {
-						r.keyTtl = d.KeyTtl
-						r.index.SetKeyTtl(d.KeyTtl)
-					}
+				if d, err := r.adaptTuner.Retune(in); err == nil {
+					r.keyTtl = d.KeyTtl
+					r.index.SetKeyTtl(d.KeyTtl)
 				}
 			}
 		}
@@ -389,14 +354,8 @@ func (r *run) loop() (Result, error) {
 			// The planner's yield history decays on the same window
 			// rotation the adaptive tuner uses, so shifted workloads'
 			// new hot peers overtake the old.
-			if r.topk.planner != nil {
-				period := cfg.TunePeriod
-				if period == 0 {
-					period = 50
-				}
-				if round > 0 && round%period == 0 {
-					r.topk.planner.Decay()
-				}
+			if r.topk.planner != nil && round > 0 && round%period == 0 {
+				r.topk.planner.Decay()
 			}
 			tqbuf = r.topk.queries.Round(tqbuf)
 			for _, q := range tqbuf {
@@ -473,7 +432,7 @@ func (r *run) loop() (Result, error) {
 	}
 
 	res.MeasuredRounds = cfg.Rounds
-	res.KeyTtlUsed = r.keyTtl // final value, after any self-tuning
+	res.KeyTtlUsed = r.keyTtl // final value, after any retuning
 	final := r.net.Counters().Snapshot()
 	delta := stats.Diff(final, baseline)
 	res.ByClass = make(map[stats.MsgClass]float64, len(delta))
@@ -543,45 +502,10 @@ func (r *run) answer(q workload.Query) (answered, fromIndex bool) {
 		if out.InsertGated {
 			r.gatedInserts++
 		}
-		if r.tuner != nil {
-			r.tuner.ObserveLookup(float64(out.IndexMsgs))
-			if out.BroadcastMsgs > 0 {
-				r.tuner.ObserveBroadcast(float64(out.BroadcastMsgs))
-			}
-		}
 		return out.Answered, out.FromIndex
 	default:
 		return false, false
 	}
-}
-
-// corpusKeys builds a key universe of n distinct keys from generated news
-// articles — the paper's 20-keys-per-article metadata population.
-// Canonical predicates can repeat across articles (shared dates, authors,
-// terms), so articles are generated in batches until n unique keys exist.
-func corpusKeys(n int, seed uint64) ([]keyspace.Key, error) {
-	keys := make([]keyspace.Key, 0, n)
-	seen := make(map[keyspace.Key]bool, n)
-	perBatch := n/15 + 8 // ~21 keys/article with cross-article repeats
-	for batch := 0; len(keys) < n; batch++ {
-		if batch > 64 {
-			return nil, fmt.Errorf("sim: corpus cannot supply %d unique keys", n)
-		}
-		arts := metadata.GenerateArticles(perBatch, seed+uint64(batch)*0x9e3779b9)
-		for i := range arts {
-			for _, ik := range arts[i].Keys(20) {
-				if seen[ik.Key] {
-					continue
-				}
-				seen[ik.Key] = true
-				keys = append(keys, ik.Key)
-				if len(keys) == n {
-					return keys, nil
-				}
-			}
-		}
-	}
-	return keys, nil
 }
 
 // noteRoute records one index lookup's routing cost and outcome.

@@ -7,7 +7,7 @@
 // can be used for any of the DHT based systems"). Subnet is the
 // unstructured gossip graph among one replica group's members (§3.3.2,
 // [DaHa03]), carrying the update floods of eq. 9 and the query floods of
-// eq. 16; TTLEstimator is the online keyTtl self-tuner of §5.1.1.
+// eq. 16.
 //
 // Nothing here is reachable from a live node: internal/node runs the same
 // selection algorithm over real peers with core.Cache, the member ring's
@@ -34,10 +34,6 @@ type IndexConfig struct {
 	KeyTtl int
 	// PeerCapacity is each active peer's cache size (the paper's stor).
 	PeerCapacity int
-	// SubnetDegree is the gossip degree of each replica subnetwork.
-	// Degree 1 yields mean degree ≈ 2 and a flood duplication near the
-	// paper's dup2 = 1.8. Default 1.
-	SubnetDegree int
 	// FloodOnMiss controls §5's replica-subnet query flood: when the
 	// responsible peer cannot answer, it propagates the query through the
 	// replica subnetwork (the cSIndx2 = cSIndx + repl·dup2 of eq. 16).
@@ -49,18 +45,14 @@ type IndexConfig struct {
 	ResetTTLOnHit bool
 }
 
-func (c *IndexConfig) setDefaults() {
-	if c.SubnetDegree == 0 {
-		c.SubnetDegree = 1
-	}
-}
+// subnetDegree is the gossip degree of each replica subnetwork. Degree 1
+// yields mean degree ≈ 2 and a flood duplication near the paper's
+// dup2 = 1.8.
+const subnetDegree = 1
 
 func (c IndexConfig) validate() error {
 	if c.PeerCapacity < 1 {
 		return fmt.Errorf("simcore: PeerCapacity %d must be positive", c.PeerCapacity)
-	}
-	if c.SubnetDegree < 1 {
-		return fmt.Errorf("simcore: SubnetDegree %d must be positive", c.SubnetDegree)
 	}
 	return nil
 }
@@ -100,7 +92,6 @@ type PartialIndex struct {
 
 // NewPartialIndex builds the index layer over a DHT.
 func NewPartialIndex(net *netsim.Network, idx *dht.Trie, cfg IndexConfig, rng *rand.Rand) (*PartialIndex, error) {
-	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -131,7 +122,7 @@ func (pi *PartialIndex) DHT() *dht.Trie { return pi.idx }
 func (pi *PartialIndex) Config() IndexConfig { return pi.cfg }
 
 // SetKeyTtl changes the TTL attached to future inserts and refreshes —
-// the knob a self-tuning deployment (TTLEstimator) turns. Entries
+// the knob the adaptive control plane (adapt.Tuner) turns. Entries
 // already in the index keep their current expiry until their next hit.
 // ttl ≤ 0 means future entries never expire.
 func (pi *PartialIndex) SetKeyTtl(ttl int) { pi.cfg.KeyTtl = ttl }
@@ -170,7 +161,7 @@ func (pi *PartialIndex) subnetFor(key keyspace.Key) (*Subnet, error) {
 	s, ok := pi.subnets[sig]
 	if !ok {
 		var err error
-		s, err = NewSubnet(pi.net, group, pi.cfg.SubnetDegree, pi.rng)
+		s, err = NewSubnet(pi.net, group, subnetDegree, pi.rng)
 		if err != nil {
 			return nil, err
 		}

@@ -48,9 +48,6 @@ func TestNewPartialIndexValidation(t *testing.T) {
 	if _, err := NewPartialIndex(net, trie, IndexConfig{PeerCapacity: 0}, rng); err == nil {
 		t.Error("PeerCapacity 0 accepted")
 	}
-	if _, err := NewPartialIndex(net, trie, IndexConfig{PeerCapacity: 5, SubnetDegree: -1}, rng); err == nil {
-		t.Error("negative SubnetDegree accepted")
-	}
 }
 
 func TestInsertThenLookupHits(t *testing.T) {

@@ -95,12 +95,6 @@ func NewSubnet(net *netsim.Network, members []netsim.PeerID, degree int, rng *ra
 // the subnet.
 func (s *Subnet) Members() []netsim.PeerID { return s.members }
 
-// Contains reports whether p is a group member.
-func (s *Subnet) Contains(p netsim.PeerID) bool {
-	_, ok := s.index[p]
-	return ok
-}
-
 // Flood gossips a rumor from the given member through all online members:
 // every member forwards to all its subnet neighbors except the sender,
 // duplicates delivered and counted. match may be nil. Messages are recorded
@@ -143,24 +137,4 @@ func (s *Subnet) Flood(from netsim.PeerID, match func(netsim.PeerID) bool, class
 	}
 	s.net.Send(class, int64(res.Messages))
 	return res
-}
-
-// RandomOnlineMember returns a random online member, for pulls and entry
-// points.
-func (s *Subnet) RandomOnlineMember(rng *rand.Rand) (netsim.PeerID, bool) {
-	var pick netsim.PeerID
-	count := 0
-	for _, p := range s.members {
-		if !s.net.Online(p) {
-			continue
-		}
-		count++
-		if rng.IntN(count) == 0 {
-			pick = p
-		}
-	}
-	if count == 0 {
-		return 0, false
-	}
-	return pick, true
 }

@@ -102,30 +102,3 @@ func TestSubnetFloodMatch(t *testing.T) {
 		t.Errorf("flood match failed: %+v", fs)
 	}
 }
-
-func TestSubnetContains(t *testing.T) {
-	s, _, _ := newTestSubnet(t, 100, 5, 2, 7)
-	if !s.Contains(s.Members()[2]) {
-		t.Error("member not contained")
-	}
-	if s.Contains(99) {
-		t.Error("non-member contained")
-	}
-}
-
-func TestRandomOnlineMember(t *testing.T) {
-	s, net, rng := newTestSubnet(t, 100, 10, 2, 8)
-	for _, p := range s.Members()[1:] {
-		net.SetOnline(p, false)
-	}
-	for i := 0; i < 20; i++ {
-		p, ok := s.RandomOnlineMember(rng)
-		if !ok || p != s.Members()[0] {
-			t.Fatalf("RandomOnlineMember = %v,%v", p, ok)
-		}
-	}
-	net.SetOnline(s.Members()[0], false)
-	if _, ok := s.RandomOnlineMember(rng); ok {
-		t.Error("found an online member in a dead group")
-	}
-}

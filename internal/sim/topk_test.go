@@ -84,7 +84,6 @@ func TestTopKConfigValidation(t *testing.T) {
 		func(c *Config) { c.TopKGroups = 0 },
 		func(c *Config) { c.TopKCopies = 0 },
 		func(c *Config) { c.TopKCopies = c.Peers + 1 },
-		func(c *Config) { c.SelfTuneTTL = true },
 	}
 	for i, mut := range mutations {
 		cfg := topkConfig(false)

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // Welford is a streaming mean/variance accumulator using Welford's online
 // algorithm. It is numerically stable for long runs (millions of rounds) and
 // requires O(1) memory. The zero value is an empty accumulator.
@@ -45,9 +43,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n-1)
 }
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Min returns the smallest observed sample, or 0 if empty.
 func (w *Welford) Min() float64 { return w.min }

@@ -34,7 +34,7 @@ func TestWelfordKnownValues(t *testing.T) {
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 {
 		t.Error("empty accumulator should report zeros")
 	}
 	w.Observe(3.5)

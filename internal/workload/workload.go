@@ -49,10 +49,6 @@ func NewQueryGen(sampler *zipf.Sampler, numPeers int, fQry float64, rng *rand.Ra
 // distribution between rounds.
 func (g *QueryGen) Sampler() *zipf.Sampler { return g.sampler }
 
-// SetRate changes the per-peer query frequency (the x-axis walk of the
-// figures).
-func (g *QueryGen) SetRate(fQry float64) { g.fQry = fQry }
-
 // Round returns this round's queries. The slice is reused across calls;
 // callers must not retain it.
 func (g *QueryGen) Round(buf []Query) []Query {

@@ -21,9 +21,6 @@ func NewSampler(d *Distribution, rng *rand.Rand) *Sampler {
 	return &Sampler{dist: d, rng: rng}
 }
 
-// Dist returns the underlying distribution.
-func (s *Sampler) Dist() *Distribution { return s.dist }
-
 // SampleRank draws a popularity rank in [1, keys].
 func (s *Sampler) SampleRank() int {
 	return s.dist.RankFor(s.rng.Float64())

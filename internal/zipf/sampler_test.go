@@ -17,7 +17,7 @@ func TestSamplerMatchesPMF(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[s.SampleRank()]++
 	}
-	d := s.Dist()
+	d := MustNew(1.2, 100)
 	// Compare empirical frequency with PMF for the head ranks, where
 	// counts are large enough for a tight bound.
 	for r := 1; r <= 10; r++ {

@@ -68,10 +68,6 @@ func (d *Distribution) Alpha() float64 { return d.alpha }
 // Keys returns the number of ranks.
 func (d *Distribution) Keys() int { return d.keys }
 
-// Norm returns the normalization constant, the generalized harmonic number
-// Σ_{x=1..keys} x^−α.
-func (d *Distribution) Norm() float64 { return d.norm }
-
 // PMF returns the probability of a query for the key at the given rank
 // (eq. 3). Ranks are 1-based, following the paper; out-of-range ranks have
 // probability 0.

@@ -161,12 +161,7 @@ func WithTraceSampling(rate float64) ClientOption      { return client.WithTrace
 func WithSlowQueryLog(threshold time.Duration, capacity int) ClientOption {
 	return client.WithSlowQueryLog(threshold, capacity)
 }
-func WithDataDir(dir string) ClientOption  { return client.WithDataDir(dir) }
-func WithStore(s ClientStore) ClientOption { return client.WithStore(s) }
-
-// ClientStore is the persistence plane a durable member node journals
-// through (see WithDataDir for the bundled file-backed implementation).
-type ClientStore = client.Store
+func WithDataDir(dir string) ClientOption { return client.WithDataDir(dir) }
 
 // Scenario holds the parameters of the analytical model, one field per
 // symbol of the paper's Table 1.
@@ -275,16 +270,6 @@ func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
 
 // Simulate runs one message-level simulation.
 func Simulate(cfg SimConfig) (SimResult, error) { return sim.Run(cfg) }
-
-// KeySource selects the simulated key universe.
-type KeySource = sim.KeySource
-
-// The two key universes: hashed synthetic identifiers, or metadata
-// predicates of a generated news corpus.
-const (
-	KeysSynthetic = sim.KeysSynthetic
-	KeysCorpus    = sim.KeysCorpus
-)
 
 // ChurnModel is the exponential on/off session model peers follow.
 type ChurnModel = churn.Model
