@@ -3,10 +3,10 @@
 # and the gate can never drift apart.
 
 # The paper's tables BENCH_node.json pins: deterministic, sub-second each.
-# The model-backed experiments have no simulator population to churn; the
-# other sim-backed ones (validate, sweep, adapt, ...) stay interactive-only
-# — they are minutes, not seconds. topk is the exception: its A/B is pinned
-# to a small fixed population, so it stays sub-second too.
+# The model-backed experiments have no simulator population to churn. Of
+# the sim-backed ones only topk, whose A/B runs a small fixed population,
+# is pinned; the others (validate, sweep, adapt, ...) also take about a
+# second each, but nothing pins their tables yet.
 BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary topk
 
 .PHONY: all build test race fuzz-smoke examples bench bench-check live-deps orphans loc fmt vet
@@ -80,10 +80,11 @@ bench-check:
 	cd bench && go vet ./... && go test ./...
 
 # The one-way rule between the two trees (DESIGN.md "Layer map"): nothing a
-# live root links — transitively — is a simulator package. On a hit, names
-# the packages reached and the import edges that cross from live to
-# simulator code.
-LIVE_ROOTS := ./internal/node ./client ./cmd/pdht-node ./cmd/pdht-top ./cmd/pdht-chaos
+# live root links — transitively — is a simulator package. The root package
+# and the examples are live roots too: the front door an embedder imports
+# links no simulator. On a hit, names the packages reached and the import
+# edges that cross from live to simulator code.
+LIVE_ROOTS := . ./examples/... ./internal/node ./client ./cmd/pdht-node ./cmd/pdht-top ./cmd/pdht-chaos
 SIM_TREE := pdht/internal/(netsim|dht|overlay|sim|churn|workload|experiments)([/ ]|$$)
 
 live-deps:
@@ -97,8 +98,9 @@ live-deps:
 	fi
 
 # What only its own test reaches: exported functions and methods under
-# internal/ and client/ that no non-test Go file names. The allow-list, with
-# a reason per entry, is in orphans_test.go.
+# internal/ and client/ that no non-test Go file names, and root-package
+# functions and variables that neither a non-test file nor a root Example
+# names. The allow-list, with a reason per entry, is in orphans_test.go.
 orphans:
 	go test -count=1 -run TestNoOrphanedExports .
 

@@ -17,10 +17,6 @@
 //	pdht-node -listen 127.0.0.1:7071 -seed 127.0.0.1:7070 -publish 50 &
 //	pdht-node -listen 127.0.0.1:7072 -seed 127.0.0.1:7070 \
 //	    -query "title=Weather Iráklion AND date=2004/03/14"
-//
-// Or watch the whole story locally:
-//
-//	pdht-node -demo
 package main
 
 import (
@@ -77,27 +73,17 @@ func run(args []string, out io.Writer) error {
 		dataDir     = fs.String("data-dir", "", "persist index and content mutations to a WAL+snapshot under this directory; a restart on the same directory rejoins warm at remaining TTL (empty: in-memory only)")
 		fsyncMode   = fs.String("fsync", "interval", "WAL durability policy with -data-dir: always (fsync per append), interval (background flush), none (page cache only)")
 		snapEvery   = fs.Duration("snapshot-interval", time.Minute, "WAL compaction period with -data-dir: how often outstanding records are absorbed into a snapshot")
-		demo        = fs.Bool("demo", false, "run the 3-node TCP-loopback demonstration and exit")
-		demoTopK    = fs.Bool("demo-topk", false, "run the 3-node distributed top-k demonstration and exit")
 		chaosSeed   = fs.Uint64("chaos-seed", 1, "seed of the fault-injection random streams (shared across the cluster so partitions line up)")
 		chaosDrop   = fs.Float64("chaos-drop", 0, "fault injection: per-message per-direction drop probability on every outbound link")
 		chaosLat    = fs.Duration("chaos-latency", 0, "fault injection: fixed one-way latency added to every outbound message")
 		chaosJitter = fs.Duration("chaos-jitter", 0, "fault injection: uniform extra latency in [0, jitter) per outbound message")
 		chaosSched  = fs.String("chaos-schedule", "", "fault schedule in the chaos mini-language (e.g. \"healthy=30s,drop20+split3=60s,heal=10m\"); splits assign groups by hashing advertised addresses, so identically-scheduled containers partition consistently with no coordination")
 	)
-	// -repl predates -replicas; both set the same knob.
-	fs.IntVar(repl, "repl", *repl, "alias of -replicas")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *report <= 0 {
 		return fmt.Errorf("-report interval %v must be positive", *report)
-	}
-	if *demo {
-		return runDemo(out)
-	}
-	if *demoTopK {
-		return runDemoTopK(out)
 	}
 
 	cfg := node.DefaultConfig()
@@ -249,13 +235,6 @@ func answer(nd *node.Node, text string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	printResult(out, text, res)
-	return nil
-}
-
-// printResult renders one query outcome the way the demo and the -query
-// flag report it.
-func printResult(out io.Writer, text string, res node.QueryResult) {
 	switch {
 	case res.FromIndex:
 		fmt.Fprintf(out, "%q → article %d, answered from the index by %s (%d msgs)\n",
@@ -266,4 +245,5 @@ func printResult(out io.Writer, text string, res node.QueryResult) {
 	default:
 		fmt.Fprintf(out, "%q → unanswered (%d msgs)\n", text, res.Total())
 	}
+	return nil
 }

@@ -22,63 +22,6 @@ func mustPublish(t *testing.T, n *node.Node, key, value uint64) {
 	}
 }
 
-// TestDemoTellsTheWholeStory is the acceptance test of the live subsystem:
-// a 3-node cluster on TCP loopback where a ParseQuery-syntax query misses
-// the index, is answered by broadcast, is inserted with keyTtl, and a
-// repeated query hits the index — with the closing report putting the
-// measured hit rate next to the SolveTTL prediction.
-func TestDemoTellsTheWholeStory(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-demo"}, &buf); err != nil {
-		t.Fatalf("demo failed: %v\noutput:\n%s", err, buf.String())
-	}
-	out := buf.String()
-
-	miss := strings.Index(out, "index miss, answered by broadcast")
-	hit := strings.Index(out, "answered from the index")
-	if miss < 0 {
-		t.Fatalf("demo never showed the miss→broadcast→insert leg:\n%s", out)
-	}
-	if hit < 0 {
-		t.Fatalf("demo never showed the repeat query hitting the index:\n%s", out)
-	}
-	if hit < miss {
-		t.Fatalf("index hit reported before the initial miss:\n%s", out)
-	}
-	for _, want := range []string{
-		"3-node cluster on TCP loopback",
-		"hit rate: measured",
-		"vs predicted",
-		"index size: measured",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("demo output lacks %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestDemoTopKTellsTheStory is the acceptance test of the -demo-topk
-// surface: the cold coordinated query ranks the full-match article first,
-// and the warm repeat terminates the threshold protocol early.
-func TestDemoTopKTellsTheStory(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-demo-topk"}, &buf); err != nil {
-		t.Fatalf("demo-topk failed: %v\noutput:\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"3-node cluster on TCP loopback",
-		"#1 article 301 (score 3.0)",
-		"#2 article 302 (score 2.0)",
-		"warm repeat",
-		"threshold met after",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("demo-topk output lacks %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestQueryFlagAgainstRunningSeed exercises the single-shot CLI path: a
 // seed node with published content is already up; `pdht-node -seed …
 // -query …` joins over TCP, resolves the query by broadcast, and prints

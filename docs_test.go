@@ -89,7 +89,7 @@ func TestDocsNameShippedFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, flag := range []string{"replicas", "adaptive", "gossip-interval", "suspicion", "demo", "demo-topk", "publish", "query", "members", "report", "http", "slow-query", "data-dir", "fsync", "snapshot-interval", "chaos-seed", "chaos-drop", "chaos-latency", "chaos-jitter", "chaos-schedule"} {
+	for _, flag := range []string{"replicas", "adaptive", "gossip-interval", "suspicion", "publish", "query", "members", "report", "http", "slow-query", "data-dir", "fsync", "snapshot-interval", "chaos-seed", "chaos-drop", "chaos-latency", "chaos-jitter", "chaos-schedule"} {
 		if !strings.Contains(string(main), fmt.Sprintf("%q", flag)) {
 			t.Errorf("README documents -%s but cmd/pdht-node does not define it", flag)
 		}

@@ -187,26 +187,41 @@ func ExampleClient_QueryMany() {
 	// after kill: answered=true,true values=1,2
 }
 
-// ExampleClient_QueryTopK runs one distributed top-k query over a 2-node
-// cluster: the seed hosts an article matching all three terms, the peer
-// an article matching two, and the ranking orders them by score — the sum
-// of matched term weights. With every peer probed and drained in the
-// first round, Early stays false; see cmd/pdht-node -demo-topk for the
-// warm-plan run where the threshold skips work.
+// ExampleClient_QueryTopK runs a distributed top-k query twice over a
+// 3-member cluster with 2-way replication. Article 301 matches all three
+// terms and is hosted at two members, 302 matches two terms at two
+// members, and 303 one term at one member; the ranking orders them by
+// score, the sum of matched term weights. The cold query plans from no
+// history; the warm repeat probes first the peers that proved to hold the
+// best documents, and the threshold bound ends it before every peer is
+// drained: Early is true.
 func ExampleClient_QueryTopK() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	seed, err := pdht.Open(ctx, pdht.WithListen("127.0.0.1:0"))
+	opts := []pdht.ClientOption{pdht.WithReplication(2), pdht.WithRoundDuration(100 * time.Millisecond)}
+	seed, err := pdht.Open(ctx, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer seed.Close()
-	peer, err := pdht.Open(ctx, pdht.WithSeeds(seed.Addr()))
-	if err != nil {
-		log.Fatal(err)
+	members := []*pdht.Client{seed}
+	for i := 0; i < 2; i++ {
+		m, err := pdht.Open(ctx, append(opts, pdht.WithSeeds(seed.Addr()))...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer m.Close()
+		members = append(members, m)
 	}
-	defer peer.Close()
+	for converged := false; !converged; time.Sleep(10 * time.Millisecond) {
+		converged = true
+		for _, m := range members {
+			if len(m.Members()) != len(members) {
+				converged = false
+			}
+		}
+	}
 
 	// One term key per predicate; a document "matches" a term when its
 	// hosting peer published it under that key.
@@ -215,33 +230,43 @@ func ExampleClient_QueryTopK() {
 		pdht.QueryKey(pdht.Predicate{Element: "title", Value: "crete"}),
 		pdht.QueryKey(pdht.Predicate{Element: "date", Value: "2004/03/14"}),
 	}
-	kvs := make([]pdht.ClientKV, len(terms))
-	for i, term := range terms {
-		kvs[i] = pdht.ClientKV{Key: term, Value: 301} // article 301: all 3 terms
-	}
-	if err := seed.PublishMany(ctx, kvs); err != nil {
-		log.Fatal(err)
-	}
-	if err := peer.PublishMany(ctx, []pdht.ClientKV{
-		{Key: terms[0], Value: 302}, // article 302: 2 of 3 terms
-		{Key: terms[1], Value: 302},
-	}); err != nil {
-		log.Fatal(err)
+	for _, p := range []struct {
+		member int
+		doc    uint64
+		terms  []uint64
+	}{
+		{0, 301, terms}, {1, 301, terms},
+		{1, 302, terms[:2]}, {2, 302, terms[:2]},
+		{2, 303, terms[:1]},
+	} {
+		kvs := make([]pdht.ClientKV, len(p.terms))
+		for i, term := range p.terms {
+			kvs[i] = pdht.ClientKV{Key: term, Value: p.doc}
+		}
+		if err := members[p.member].PublishMany(ctx, kvs); err != nil {
+			log.Fatal(err)
+		}
 	}
 
-	res, err := seed.QueryTopK(ctx, terms, 2)
-	if err != nil {
-		log.Fatal(err)
+	for _, run := range []string{"cold", "warm"} {
+		res, err := seed.QueryTopK(ctx, terms, 2)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s:", run)
+		for i, e := range res.Entries {
+			fmt.Printf(" #%d article %d (score %.1f)", i+1, e.Doc, e.Score)
+		}
+		fmt.Println()
+		if run == "warm" {
+			fmt.Printf("warm early=%v\n", res.Early)
+		}
 	}
-	for i, e := range res.Entries {
-		fmt.Printf("#%d article %d (score %.1f)\n", i+1, e.Doc, e.Score)
-	}
-	fmt.Printf("early=%v\n", res.Early)
 
 	// Output:
-	// #1 article 301 (score 3.0)
-	// #2 article 302 (score 2.0)
-	// early=false
+	// cold: #1 article 301 (score 3.0) #2 article 302 (score 2.0)
+	// warm: #1 article 301 (score 3.0) #2 article 302 (score 2.0)
+	// warm early=true
 }
 
 // ExampleClient_ParseAndQuery is the paper's motivating application (§1,

@@ -2,7 +2,7 @@
 // evaluation, plus the validation and ablation experiments DESIGN.md
 // defines. Each experiment returns a rendered plain-text table (the repo's
 // equivalent of the paper's plots) together with the underlying numbers, so
-// the same code serves the pdht-bench binary, the benchmark suite and the
+// the same code serves the pdht-bench and pdht-model binaries and the
 // EXPERIMENTS.md record. Each TableN/FigureN function returns a rendered
 // stats.Table; ValidationRow and CalibrationResult carry the underlying
 // numbers.
@@ -10,14 +10,20 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"pdht/internal/model"
 	"pdht/internal/stats"
 )
 
 // Table1 renders the parameters of the sample scenario — the paper's
-// Table 1, symbol by symbol.
+// Table 1, symbol by symbol. The fQry row is the frequency grid Figures
+// 1–4 sweep; every other row is p's own value.
 func Table1(p model.Params) *stats.Table {
+	env := fmt.Sprintf("%.4f", p.Env)
+	if f := model.FormatFrequency(p.Env); strings.HasPrefix(f, "1/") {
+		env = f + " ≈ " + env
+	}
 	t := stats.NewTable("Table 1 — parameters of the sample scenario",
 		"description", "param", "value")
 	t.AddRow("Total number of peers", "numPeers", p.NumPeers)
@@ -28,8 +34,8 @@ func Table1(p model.Params) *stats.Table {
 	t.AddRow("Frequency of queries per peer per second", "fQry",
 		fmt.Sprintf("%s 1/s to %s 1/s",
 			model.FormatFrequency(1.0/30.0), model.FormatFrequency(1.0/7200.0)))
-	t.AddRow("Avg. update freq. per key", "fUpd", fmt.Sprintf("1/%d 1/s", 3600*24))
-	t.AddRow("Route maintenance constant", "env", fmt.Sprintf("1/14 ≈ %.4f", p.Env))
+	t.AddRow("Avg. update freq. per key", "fUpd", model.FormatFrequency(p.FUpd)+" 1/s")
+	t.AddRow("Route maintenance constant", "env", env)
 	t.AddRow("Message duplication factor (unstructured)", "dup", p.Dup)
 	t.AddRow("Message duplication factor (replica subnet)", "dup2", p.Dup2)
 	return t

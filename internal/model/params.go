@@ -111,7 +111,21 @@ func FormatFrequency(f float64) string {
 }
 
 // Validate checks that the parameters describe a well-posed scenario.
+// Every float must be finite: NaN or an infinity in any of them makes
+// every cost of the model NaN or infinite.
 func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Alpha", p.Alpha}, {"FQry", p.FQry}, {"FUpd", p.FUpd}, {"Env", p.Env},
+		{"Dup", p.Dup}, {"Dup2", p.Dup2}, {"WriteFanout", p.WriteFanout},
+		{"TopKRound", p.TopKRound}, {"TopKProbe", p.TopKProbe},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("model: %s = %v must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case p.NumPeers < 2:
 		return fmt.Errorf("model: NumPeers = %d, need at least 2", p.NumPeers)
@@ -123,11 +137,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("model: Repl = %d, need at least 1", p.Repl)
 	case p.Repl > p.NumPeers:
 		return fmt.Errorf("model: Repl = %d exceeds NumPeers = %d", p.Repl, p.NumPeers)
-	case p.Alpha < 0 || math.IsNaN(p.Alpha) || math.IsInf(p.Alpha, 0):
-		return fmt.Errorf("model: Alpha = %v must be non-negative and finite", p.Alpha)
-	case p.FQry < 0 || math.IsNaN(p.FQry):
+	case p.Alpha < 0:
+		return fmt.Errorf("model: Alpha = %v must be non-negative", p.Alpha)
+	case p.FQry < 0:
 		return fmt.Errorf("model: FQry = %v must be non-negative", p.FQry)
-	case p.FUpd < 0 || math.IsNaN(p.FUpd):
+	case p.FUpd < 0:
 		return fmt.Errorf("model: FUpd = %v must be non-negative", p.FUpd)
 	case p.Env < 0:
 		return fmt.Errorf("model: Env = %v must be non-negative", p.Env)
@@ -135,12 +149,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("model: Dup = %v must be at least 1 (every search sends at least one copy)", p.Dup)
 	case p.Dup2 < 1:
 		return fmt.Errorf("model: Dup2 = %v must be at least 1", p.Dup2)
-	case p.WriteFanout < 0 || math.IsNaN(p.WriteFanout) || math.IsInf(p.WriteFanout, 0):
-		return fmt.Errorf("model: WriteFanout = %v must be non-negative and finite", p.WriteFanout)
-	case p.TopKRound < 0 || math.IsNaN(p.TopKRound) || math.IsInf(p.TopKRound, 0):
-		return fmt.Errorf("model: TopKRound = %v must be non-negative and finite", p.TopKRound)
-	case p.TopKProbe < 0 || math.IsNaN(p.TopKProbe) || math.IsInf(p.TopKProbe, 0):
-		return fmt.Errorf("model: TopKProbe = %v must be non-negative and finite", p.TopKProbe)
+	case p.WriteFanout < 0:
+		return fmt.Errorf("model: WriteFanout = %v must be non-negative", p.WriteFanout)
+	case p.TopKRound < 0:
+		return fmt.Errorf("model: TopKRound = %v must be non-negative", p.TopKRound)
+	case p.TopKProbe < 0:
+		return fmt.Errorf("model: TopKProbe = %v must be non-negative", p.TopKProbe)
 	}
 	return nil
 }

@@ -91,10 +91,19 @@ func TestValidate(t *testing.T) {
 		{"alpha-inf", func(p *Params) { p.Alpha = math.Inf(1) }},
 		{"fqry-neg", func(p *Params) { p.FQry = -1 }},
 		{"fqry-nan", func(p *Params) { p.FQry = math.NaN() }},
+		{"fqry-inf", func(p *Params) { p.FQry = math.Inf(1) }},
 		{"fupd-neg", func(p *Params) { p.FUpd = -1 }},
+		{"fupd-inf", func(p *Params) { p.FUpd = math.Inf(1) }},
 		{"env-neg", func(p *Params) { p.Env = -0.5 }},
+		{"env-nan", func(p *Params) { p.Env = math.NaN() }},
+		{"env-inf", func(p *Params) { p.Env = math.Inf(1) }},
+		{"env-neg-inf", func(p *Params) { p.Env = math.Inf(-1) }},
 		{"dup-lt1", func(p *Params) { p.Dup = 0.9 }},
+		{"dup-nan", func(p *Params) { p.Dup = math.NaN() }},
+		{"dup-inf", func(p *Params) { p.Dup = math.Inf(1) }},
 		{"dup2-lt1", func(p *Params) { p.Dup2 = 0 }},
+		{"dup2-nan", func(p *Params) { p.Dup2 = math.NaN() }},
+		{"dup2-inf", func(p *Params) { p.Dup2 = math.Inf(1) }},
 	}
 	for _, m := range mutations {
 		p := base

@@ -56,15 +56,10 @@ func (c *RemoteConfig) setDefaults() {
 }
 
 func (c RemoteConfig) validate() error {
-	switch {
-	case len(c.Seeds) == 0:
+	if len(c.Seeds) == 0 {
 		return fmt.Errorf("node: remote client needs at least one seed")
-	case c.Repl < 1:
-		return fmt.Errorf("node: Repl %d must be positive", c.Repl)
-	case c.KeyTtl < 1 || c.KeyTtl > maxWireTTL:
-		return fmt.Errorf("node: KeyTtl %d must be in [1, %d]", c.KeyTtl, maxWireTTL)
 	}
-	return nil
+	return validateShared(c.Repl, c.KeyTtl, c.TraceSampling)
 }
 
 // RemoteClient speaks the wire protocol to an existing cluster without

@@ -13,8 +13,7 @@ import (
 // Cluster is the multi-node harness: it boots n nodes on one transport,
 // joins them through the first node, and exposes kill/restart so tests can
 // exercise churn. It is test plumbing promoted to the package proper
-// because the CLI's demo mode and future load generators want the same
-// choreography.
+// because the load benchmark (bench/) wants the same choreography.
 type Cluster struct {
 	tr       transport.Transport
 	cfg      Config
@@ -170,7 +169,7 @@ func (c *Cluster) Converged() bool {
 }
 
 // WaitConverged polls Converged until it holds or the timeout passes —
-// the convergence barrier the churn tests and the CLI demo lean on. The
+// the convergence barrier the churn tests and the load benchmark lean on. The
 // timeout is the caller's convergence bound: typically a small multiple
 // of the gossip interval plus the suspicion timeout.
 func (c *Cluster) WaitConverged(timeout time.Duration) error {

@@ -164,17 +164,32 @@ func (c *Config) setDefaults() {
 	}
 }
 
-func (c Config) validate() error {
+// validateShared range-checks the fields Config and RemoteConfig share.
+func validateShared(repl, keyTtl int, traceSampling float64) error {
 	switch {
-	case c.Repl < 1:
-		return fmt.Errorf("node: Repl %d must be positive", c.Repl)
-	case c.KeyTtl < 1 || c.KeyTtl > maxWireTTL:
-		return fmt.Errorf("node: KeyTtl %d must be in [1, %d]", c.KeyTtl, maxWireTTL)
+	case repl < 1:
+		return fmt.Errorf("node: Repl %d must be positive", repl)
+	case keyTtl < 1 || keyTtl > maxWireTTL:
+		return fmt.Errorf("node: KeyTtl %d must be in [1, %d]", keyTtl, maxWireTTL)
+	case !isProbability(traceSampling):
+		return fmt.Errorf("node: TraceSampling %v must be a probability", traceSampling)
+	}
+	return nil
+}
+
+// isProbability reports whether p is in [0, 1]. NaN is not.
+func isProbability(p float64) bool { return p >= 0 && p <= 1 }
+
+func (c Config) validate() error {
+	if err := validateShared(c.Repl, c.KeyTtl, c.TraceSampling); err != nil {
+		return err
+	}
+	switch {
 	case c.Capacity < 1:
 		return fmt.Errorf("node: Capacity %d must be positive", c.Capacity)
 	case c.RoundDuration < 0:
 		return fmt.Errorf("node: negative RoundDuration")
-	case c.MaintainEnv < 0 || c.MaintainEnv > 1:
+	case !isProbability(c.MaintainEnv):
 		return fmt.Errorf("node: MaintainEnv %v must be a probability", c.MaintainEnv)
 	case c.GossipInterval < 0 || c.SuspicionTimeout < 0 || c.SyncInterval < 0:
 		return fmt.Errorf("node: negative gossip interval")
@@ -184,8 +199,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("node: negative SlowQueryThreshold")
 	case c.SlowQueryCapacity < 0:
 		return fmt.Errorf("node: negative SlowQueryCapacity")
-	case c.TraceSampling < 0 || c.TraceSampling > 1:
-		return fmt.Errorf("node: TraceSampling %v must be a probability", c.TraceSampling)
 	}
 	return nil
 }

@@ -287,16 +287,62 @@ func TestReportModelComparison(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Repl: -1},
-		{KeyTtl: -5},
-		{Capacity: -1},
-		{MaintainEnv: 2},
+// TestReportStringRendersModel renders a Report with a model comparison set
+// — no cluster needed — and holds the status block's model lines to their
+// exact text: the measured hit rate and index size next to SolveTTL's.
+func TestReportStringRendersModel(t *testing.T) {
+	r := Report{
+		Addr: "a:1", Members: 3, Queries: 111, Hits: 76, HitRate: 76.0 / 111,
+		Model: &ModelComparison{
+			Peers: 3, DistinctKeys: 40, Alpha: 1.2, FQry: 0.5, KeyTtl: 50,
+			PredictedHitRate: 0.8, PredictedIndexSize: 30,
+			MeasuredHitRate: 76.0 / 111, MeasuredIndexSize: 28.4,
+		},
 	}
-	for _, cfg := range bad {
-		if _, err := New(transport.NewMemory(), cfg); err == nil {
-			t.Fatalf("config %+v accepted", cfg)
+	s := r.String()
+	want := "  model (SolveTTL @ 3 peers, 40 keys, α=1.20, fQry=0.5, keyTtl=50):\n" +
+		"    hit rate: measured 68.5% vs predicted 80.0%\n" +
+		"    index size: measured ≈28 keys vs predicted 30 keys\n"
+	if !strings.HasSuffix(s, want) {
+		t.Fatalf("rendered report does not end with the model block:\n%s\nwant suffix:\n%s", s, want)
+	}
+	r.Model = nil
+	if s := r.String(); strings.Contains(s, "model (") {
+		t.Fatalf("report without a model fit renders a model block:\n%s", s)
+	}
+}
+
+// TestConfigValidation holds both configs to their ranges, NaN included:
+// a NaN probability fails every comparison, so only a check written as
+// "inside the range" refuses it.
+func TestConfigValidation(t *testing.T) {
+	nan := math.NaN()
+	for name, cfg := range map[string]Config{
+		"repl":             {Repl: -1},
+		"keyttl":           {KeyTtl: -5},
+		"capacity":         {Capacity: -1},
+		"env-above-1":      {MaintainEnv: 2},
+		"env-nan":          {MaintainEnv: nan},
+		"sampling-above-1": {TraceSampling: 5},
+		"sampling-nan":     {TraceSampling: nan},
+	} {
+		if n, err := New(transport.NewMemory(), cfg); err == nil {
+			n.Close()
+			t.Errorf("Config %s accepted", name)
+		}
+	}
+	seeds := []string{"a:1"}
+	for name, cfg := range map[string]RemoteConfig{
+		"no-seeds":         {},
+		"repl":             {Seeds: seeds, Repl: -1},
+		"keyttl":           {Seeds: seeds, KeyTtl: maxWireTTL + 1},
+		"sampling-above-1": {Seeds: seeds, TraceSampling: 5},
+		"sampling-neg":     {Seeds: seeds, TraceSampling: -0.5},
+		"sampling-nan":     {Seeds: seeds, TraceSampling: nan},
+	} {
+		cfg.setDefaults()
+		if err := cfg.validate(); err == nil {
+			t.Errorf("RemoteConfig %s accepted", name)
 		}
 	}
 }

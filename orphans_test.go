@@ -12,9 +12,10 @@ import (
 )
 
 // orphanAllowed is every exported function or method under internal/ and
-// client/ that no non-test Go file names and that stays anyway, with the
-// reason. Anything else the scan finds is dead weight: delete it with the
-// test of that function alone.
+// client/, and every exported function or variable of the root package,
+// that nothing names and that stays anyway, with the reason. Anything else
+// the scan finds is dead weight: delete it with the test of that function
+// alone.
 var orphanAllowed = map[string]string{
 	// Reached through an interface the standard library calls. (String and
 	// Error need no entry: some non-test file calls one by name.)
@@ -22,7 +23,20 @@ var orphanAllowed = map[string]string{
 	"UnmarshalText": "encoding.TextUnmarshaler: the other half of the same",
 
 	// Public surface of the client handle.
-	"Serving": "client.Client: tells a member handle from a client-only one",
+	"Serving":            "client.Client: tells a member handle from a client-only one",
+	"WithCapacity":       "client option an embedder passes to pdht.Open; TestOptionsReachConfig",
+	"WithCallTimeout":    "client option an embedder passes to pdht.Open; TestOptionsReachConfig",
+	"WithGossipInterval": "client option an embedder passes to pdht.Open; TestOptionsReachConfig",
+	"WithMaintainEnv":    "client option an embedder passes to pdht.Open; TestOptionsReachConfig",
+	"WithAdaptive":       "client option an embedder passes to pdht.Open; TestOptionsReachConfig",
+
+	// The root package's typed failures: a caller matches them with
+	// errors.Is, so they are API even where no example reaches one.
+	"ErrClosed":    "pdht: Client used after Close",
+	"ErrNoMembers": "pdht: no seed or member answered",
+	"ErrStaleView": "pdht: a peer refused the request's membership view",
+	"ErrTimeout":   "pdht: a request outlived its deadline",
+	"ErrBadQuery":  "pdht: malformed query text",
 
 	// Hooks a test uses to force what otherwise happens on a timer or over
 	// many rounds.
@@ -53,10 +67,27 @@ var orphanAllowed = map[string]string{
 // it is a real consumer) other than at their own declaration. The match is
 // by name, not by type, so it errs towards silence: a method is cleared by
 // any use of the same name, and by an interface that declares it.
+//
+// The root package is held to its callers instead: each of its exported
+// functions and variables must be named as pdht.<Name> by a non-test file
+// or by one of the root package's Example functions — the godoc a reader
+// runs. Its own wrapper bodies do not count, since each calls the
+// same-named function it re-exports.
 func TestNoOrphanedExports(t *testing.T) {
 	type decl struct{ name, where string }
-	var decls []decl
-	uses := map[string]int{} // identifier → occurrences that are not a func's own name
+	var decls, rootDecls []decl
+	uses := map[string]int{}     // identifier → occurrences that are not a func's own name
+	rootUses := map[string]int{} // Name → occurrences of pdht.Name
+	countRootUses := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "pdht" {
+					rootUses[sel.Sel.Name]++
+				}
+			}
+			return true
+		})
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -65,21 +96,47 @@ func TestNoOrphanedExports(t *testing.T) {
 		if d.IsDir() && (strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		root := filepath.Dir(path) == "."
+		test := strings.HasSuffix(path, "_test.go")
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || test && !root {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
+		if test {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fn.Name.Name, "Example") {
+					countRootUses(fn)
+				}
+			}
+			return nil
+		}
+		countRootUses(f)
 		slash := filepath.ToSlash(path)
 		scanned := strings.HasPrefix(slash, "internal/") || strings.HasPrefix(slash, "client/")
 		own := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok {
-				own[fn.Name] = true
-				if scanned && fn.Name.IsExported() {
-					decls = append(decls, decl{fn.Name.Name, fset.Position(fn.Name.Pos()).String()})
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				own[d.Name] = true
+				if scanned && d.Name.IsExported() {
+					decls = append(decls, decl{d.Name.Name, fset.Position(d.Name.Pos()).String()})
+				}
+				if root && d.Recv == nil && d.Name.IsExported() {
+					rootDecls = append(rootDecls, decl{d.Name.Name, fset.Position(d.Name.Pos()).String()})
+				}
+			case *ast.GenDecl:
+				if !root || d.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range d.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if id.IsExported() {
+							rootDecls = append(rootDecls, decl{id.Name, fset.Position(id.Pos()).String()})
+						}
+					}
 				}
 			}
 		}
@@ -100,18 +157,22 @@ func TestNoOrphanedExports(t *testing.T) {
 		stale[name] = true
 	}
 	var orphans []string
-	for _, d := range decls {
-		if uses[d.name] > 0 {
-			continue
-		}
-		delete(stale, d.name)
-		if orphanAllowed[d.name] == "" {
-			orphans = append(orphans, d.where+": "+d.name)
+	check := func(decls []decl, uses map[string]int) {
+		for _, d := range decls {
+			if uses[d.name] > 0 {
+				continue
+			}
+			delete(stale, d.name)
+			if orphanAllowed[d.name] == "" {
+				orphans = append(orphans, d.where+": "+d.name)
+			}
 		}
 	}
+	check(decls, uses)
+	check(rootDecls, rootUses)
 	sort.Strings(orphans)
 	for _, o := range orphans {
-		t.Errorf("%s is named by no non-test file: delete it, or say in orphanAllowed why it stays", o)
+		t.Errorf("%s is named by no non-test file or root example: delete it, or say in orphanAllowed why it stays", o)
 	}
 	for name := range stale {
 		t.Errorf("orphanAllowed lists %s, which is no longer an orphan: drop the entry", name)

@@ -12,51 +12,46 @@
 //   - an analytical cost model that computes the indexing threshold fMin,
 //     the worthwhile index size, and the total message cost of the
 //     index-everything / broadcast-everything / partial strategies
-//     (the Model* functions and Sweep below);
+//     (Solve, SolveTTL and the *Cost functions below);
 //
 //   - a decentralized selection algorithm that realizes partial indexing
 //     with no global knowledge: query the index first, broadcast on a
 //     miss, insert the result with an expiration time keyTtl that is
-//     refreshed by queries, so unqueried keys silently fall out
-//     (StrategyPartialTTL in the simulator; internal/sim/simcore implements it
-//     over the P-Grid-style trie DHT).
+//     refreshed by queries, so unqueried keys silently fall out.
 //
-// The package exposes four layers:
+// The package exposes three parts:
 //
 //   - The live system: Open builds an embeddable handle on a real cluster
 //     — a full member node, or with WithClientOnly a lightweight
 //     non-serving client — with a context-first, typed-error API and
 //     batched operations (QueryMany/PublishMany: one OpBatch round trip
 //     per destination peer). Package pdht/client is the full surface;
-//     Open and the With* options re-export it here.
+//     Open and the With* options the examples use re-export it here.
+//     ClientOption is an alias of client.Option, so every other option
+//     passes to Open as it is: pdht.Open(ctx, client.WithCapacity(n)).
 //
-//   - The analytical model: DefaultScenario, Solve, SolveTTL, Sweep,
-//     TTLSensitivity reproduce every figure of the paper's evaluation.
+//   - The analytical model: DefaultScenario, Solve, SolveTTL and
+//     SolveTTLAuto resolve the paper's scenario; cmd/pdht-model prints
+//     every figure of its evaluation.
 //
-//   - The simulator: Simulate runs a message-level simulation of a full
-//     peer-to-peer system (unstructured overlay with flooding and random
-//     walks, trie DHT, replica gossip, churn) under any of the
-//     four strategies and reports measured message rates, hit rates and
-//     index sizes next to the model's predictions.
-//
-//   - Metadata utilities: NewsQuery and QueryKey map the paper's
+//   - Metadata keys: ParseQuery, NewsQuery and QueryKey map the paper's
 //     element=value metadata predicates to index keys.
 //
-// Beyond the reproduction, internal/node, internal/gossip, internal/replica
-// and internal/transport serve the selection algorithm as a live system —
+// Behind Open, internal/node, internal/gossip, internal/replica and
+// internal/transport serve the selection algorithm as a live system —
 // peers exchanging Query/Insert/Refresh/Broadcast/Gossip RPCs over TCP,
 // every index entry replicated at an r-member replica set (writes fan out,
 // reads fail over from the primary through the backups in ring order
 // before any broadcast, hits read-repair the holes churn punches), with
 // SWIM-style membership detecting crashes, evicting dead peers and
 // re-replicating moved index keys to the set's new members with their
-// remaining TTLs — and cmd/pdht-node is the deployable; see its -demo mode
-// for the whole story on a 3-node loopback cluster. internal/adapt closes the title's
-// loop at runtime: each peer sketches its own query stream in O(1) per
-// query and bounded memory, refits the model periodically, retunes keyTtl,
-// and gates the indexing of keys whose measured rate falls below fMin
-// (node.Config.Adaptive, the CLI's -adaptive, and StrategyPartialAdaptive
-// in the simulator).
+// remaining TTLs — and cmd/pdht-node is the deployable. internal/adapt
+// closes the title's loop at runtime: each peer sketches its own query
+// stream in O(1) per query and bounded memory, refits the model
+// periodically, retunes keyTtl, and gates the indexing of keys whose
+// measured rate falls below fMin (client.WithAdaptive, the CLI's
+// -adaptive). The message-level simulator that A/Bs the strategies is
+// cmd/pdht-sim; this package links none of it.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record.
@@ -67,13 +62,8 @@ import (
 	"time"
 
 	"pdht/client"
-	"pdht/internal/adapt"
-	"pdht/internal/churn"
 	"pdht/internal/metadata"
 	"pdht/internal/model"
-	"pdht/internal/sim"
-	"pdht/internal/workload"
-	"pdht/internal/zipf"
 )
 
 // ---- the live system: the embeddable client API ----
@@ -140,22 +130,13 @@ func Open(ctx context.Context, opts ...ClientOption) (*Client, error) {
 }
 
 // The functional options of Open, re-exported from pdht/client.
-func WithTCP() ClientOption                          { return client.WithTCP() }
-func WithListen(addr string) ClientOption            { return client.WithListen(addr) }
-func WithSeeds(seeds ...string) ClientOption         { return client.WithSeeds(seeds...) }
-func WithClientOnly() ClientOption                   { return client.WithClientOnly() }
-func WithReplication(repl int) ClientOption          { return client.WithReplication(repl) }
-func WithKeyTtl(rounds int) ClientOption             { return client.WithKeyTtl(rounds) }
-func WithCapacity(entries int) ClientOption          { return client.WithCapacity(entries) }
-func WithRoundDuration(d time.Duration) ClientOption { return client.WithRoundDuration(d) }
-func WithCallTimeout(d time.Duration) ClientOption   { return client.WithCallTimeout(d) }
-func WithGossipInterval(d time.Duration) ClientOption {
-	return client.WithGossipInterval(d)
-}
-func WithMaintainEnv(p float64) ClientOption { return client.WithMaintainEnv(p) }
-func WithAdaptive(retuneInterval time.Duration) ClientOption {
-	return client.WithAdaptive(retuneInterval)
-}
+func WithTCP() ClientOption                            { return client.WithTCP() }
+func WithListen(addr string) ClientOption              { return client.WithListen(addr) }
+func WithSeeds(seeds ...string) ClientOption           { return client.WithSeeds(seeds...) }
+func WithClientOnly() ClientOption                     { return client.WithClientOnly() }
+func WithReplication(repl int) ClientOption            { return client.WithReplication(repl) }
+func WithKeyTtl(rounds int) ClientOption               { return client.WithKeyTtl(rounds) }
+func WithRoundDuration(d time.Duration) ClientOption   { return client.WithRoundDuration(d) }
 func WithTraceHook(hook func(QueryTrace)) ClientOption { return client.WithTraceHook(hook) }
 func WithTraceSampling(rate float64) ClientOption      { return client.WithTraceSampling(rate) }
 func WithSlowQueryLog(threshold time.Duration, capacity int) ClientOption {
@@ -171,14 +152,6 @@ type Scenario = model.Params
 // 20,000 peers, 40,000 metadata keys, replication 50, Zipf α = 1.2,
 // env = 1/14, dup = dup2 = 1.8.
 func DefaultScenario() Scenario { return model.DefaultScenario() }
-
-// FrequencyGrid returns the eight query frequencies on the x-axis of the
-// paper's Figures 1–4 (one query per peer every 30 … 7200 seconds).
-func FrequencyGrid() []float64 { return model.FrequencyGrid() }
-
-// FormatFrequency renders a query frequency the way the paper labels its
-// axes ("1/30", "1/7200").
-func FormatFrequency(f float64) string { return model.FormatFrequency(f) }
 
 // Solution is the resolved ideal-partial-indexing model: the indexing
 // threshold FMin (eq. 2), the number of keys worth indexing MaxRank, the
@@ -219,74 +192,8 @@ func PartialCost(sol Solution) float64 { return model.PartialCost(sol) }
 // Savings returns 1 − cost/baseline, the y-axis of Figures 2 and 4.
 func Savings(cost, baseline float64) float64 { return model.Savings(cost, baseline) }
 
-// SweepPoint is one x-axis position of Figures 1–4.
-type SweepPoint = model.SweepPoint
-
-// Sweep evaluates the model across query frequencies (nil means the
-// paper's grid), producing the series of Figures 1–4.
-func Sweep(s Scenario, freqs []float64) ([]SweepPoint, error) {
-	return model.Sweep(s, freqs)
-}
-
-// TTLSensitivityPoint is one row of the §5.1.1 keyTtl sensitivity analysis.
-type TTLSensitivityPoint = model.TTLSensitivityPoint
-
-// TTLSensitivity evaluates the selection algorithm with mis-estimated
-// keyTtl values (errors are relative, e.g. ±0.5 for the paper's ±50%).
-func TTLSensitivity(s Scenario, freqs, errors []float64) ([]TTLSensitivityPoint, error) {
-	return model.TTLSensitivity(s, freqs, errors)
-}
-
 // IdealKeyTtl returns the paper's expiration-time choice 1/fMin.
 func IdealKeyTtl(sol Solution) float64 { return model.IdealKeyTtl(sol) }
-
-// Strategy selects how simulated queries are answered.
-type Strategy = sim.Strategy
-
-// The four strategies of the paper's evaluation, plus the adaptive variant:
-// the selection algorithm with the live control plane (internal/adapt)
-// driving keyTtl and the fMin insert gate from online frequency sketches.
-const (
-	StrategyNoIndex         = sim.StrategyNoIndex
-	StrategyIndexAll        = sim.StrategyIndexAll
-	StrategyPartialIdeal    = sim.StrategyPartialIdeal
-	StrategyPartialTTL      = sim.StrategyPartialTTL
-	StrategyPartialAdaptive = sim.StrategyPartialAdaptive
-)
-
-// SimConfig describes one message-level simulation run.
-type SimConfig = sim.Config
-
-// SimResult is the measured outcome of one run, with the analytical
-// prediction alongside.
-type SimResult = sim.Result
-
-// TracePoint is one time-series sample of a traced simulation.
-type TracePoint = sim.TracePoint
-
-// DefaultSimConfig returns a laptop-scale version of the paper's scenario
-// (Table 1 proportions at one-tenth population).
-func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
-
-// Simulate runs one message-level simulation.
-func Simulate(cfg SimConfig) (SimResult, error) { return sim.Run(cfg) }
-
-// ChurnModel is the exponential on/off session model peers follow.
-type ChurnModel = churn.Model
-
-// ShiftEvent schedules a change of the query distribution mid-run.
-type ShiftEvent = workload.ShiftEvent
-
-// ShiftSchedule is a round-ordered list of shift events.
-type ShiftSchedule = workload.Schedule
-
-// The two kinds of popularity shift.
-const (
-	// ShiftShuffle gives every key a brand-new random popularity rank.
-	ShiftShuffle = workload.ShiftShuffle
-	// ShiftRotateHead rotates the hottest HeadSize ranks by one.
-	ShiftRotateHead = workload.ShiftRotateHead
-)
 
 // Predicate is a single element = value condition on article metadata.
 type Predicate = metadata.Predicate
@@ -319,44 +226,3 @@ func ParseQuery(s string) (NewsQuery, error) {
 func GenerateArticles(n int, seed uint64) []Article {
 	return metadata.GenerateArticles(n, seed)
 }
-
-// EstimateAlpha fits a Zipf exponent to observed per-key query counts by
-// maximum likelihood — the calibration loop that lets a deployment feed
-// Solve with its measured workload skew instead of a literature constant.
-// counts holds how often each key was queried; keys is the size of the key
-// universe (≥ len(counts)).
-func EstimateAlpha(counts []int, keys int) (float64, error) {
-	return zipf.EstimateAlpha(counts, keys)
-}
-
-// Tuner is the query-adaptive control plane of internal/adapt: count-min and
-// heavy-hitter sketches over the query stream (O(1) per query, bounded
-// memory), a periodic refit of the paper's model to what they saw, and the
-// two actuated knobs — keyTtl = 1/fMin for future inserts, and the per-key
-// fMin gate deciding whether a broadcast-resolved key is indexed at all.
-// internal/node runs one per peer under node.Config.Adaptive; the simulator
-// A/Bs it as StrategyPartialAdaptive.
-type Tuner = adapt.Tuner
-
-// TunerConfig parameterizes a Tuner; zero fields take documented defaults.
-type TunerConfig = adapt.Config
-
-// TunerInputs carries the cluster facts a retune fits against.
-type TunerInputs = adapt.Inputs
-
-// TunerDecision is one retune outcome: the fitted scenario (α, fQry,
-// distinct keys), fMin, and the recommended keyTtl and gate threshold.
-type TunerDecision = adapt.Decision
-
-// NewTuner returns a standalone control plane, for embedding the
-// measure→model→actuate loop outside the bundled node subsystem:
-//
-//	t, _ := pdht.NewTuner(pdht.TunerConfig{})
-//	t.Observe(key)                      // on every query
-//	d, _ := t.Retune(pdht.TunerInputs{  // periodically
-//	    Members: 50, Observers: 1, Capacity: 1024, Repl: 3,
-//	    Env: 1.0 / 14, WindowRounds: 60,
-//	})
-//	_ = d.KeyTtl                        // attach to inserts
-//	_ = t.ShouldIndex(key)              // gate below-fMin inserts
-func NewTuner(cfg TunerConfig) (*Tuner, error) { return adapt.NewTuner(cfg) }

@@ -25,23 +25,6 @@ func TestPublicModelSurface(t *testing.T) {
 	}
 }
 
-func TestPublicSweepAndSensitivity(t *testing.T) {
-	pts, err := pdht.Sweep(pdht.DefaultScenario(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(pdht.FrequencyGrid()) {
-		t.Fatalf("sweep has %d points", len(pts))
-	}
-	sens, err := pdht.TTLSensitivity(pdht.DefaultScenario(), pdht.FrequencyGrid()[:1], []float64{-0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sens) != 2 {
-		t.Fatalf("sensitivity has %d points", len(sens))
-	}
-}
-
 func TestPublicTTLSurface(t *testing.T) {
 	s := pdht.DefaultScenario()
 	sol, ttl, err := pdht.SolveTTLAuto(s)
@@ -60,23 +43,6 @@ func TestPublicTTLSurface(t *testing.T) {
 	}
 	if explicit.Cost != ttl.Cost {
 		t.Errorf("explicit TTL solve differs: %v vs %v", explicit.Cost, ttl.Cost)
-	}
-}
-
-func TestPublicSimulation(t *testing.T) {
-	cfg := pdht.DefaultSimConfig()
-	cfg.Strategy = pdht.StrategyPartialTTL
-	cfg.Peers = 500
-	cfg.Keys = 1000
-	cfg.Repl = 10
-	cfg.Rounds = 60
-	cfg.WarmupRounds = 20
-	res, err := pdht.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 || res.Answered != res.Queries {
-		t.Errorf("answered %d of %d", res.Answered, res.Queries)
 	}
 }
 
@@ -106,28 +72,6 @@ func TestPublicCorpus(t *testing.T) {
 	keys := arts[0].Keys(20)
 	if len(keys) != 20 {
 		t.Errorf("article produced %d keys, want 20", len(keys))
-	}
-}
-
-func TestPublicEstimateAlpha(t *testing.T) {
-	cfg := pdht.DefaultSimConfig()
-	cfg.Strategy = pdht.StrategyPartialTTL
-	cfg.Peers = 800
-	cfg.Keys = 1600
-	cfg.Repl = 8
-	cfg.Rounds = 200
-	cfg.WarmupRounds = 40
-	cfg.CollectKeyCounts = true
-	res, err := pdht.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha, err := pdht.EstimateAlpha(res.KeyQueryCounts, cfg.Keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alpha < 1.0 || alpha > 1.45 {
-		t.Errorf("estimated α = %v from an α = 1.2 workload", alpha)
 	}
 }
 
@@ -186,49 +130,24 @@ func ExampleSolve() {
 	// keys worth indexing: 25610 of 40000
 }
 
-func TestPublicTuner(t *testing.T) {
-	tn, err := pdht.NewTuner(pdht.TunerConfig{})
+// ExampleSolveTTLAuto evaluates the selection algorithm at the Table 1
+// scenario with the paper's expiration time, keyTtl = 1/fMin, and next to
+// it the same algorithm with half that lifetime.
+func ExampleSolveTTLAuto() {
+	s := pdht.DefaultScenario()
+	sol, ttl, err := pdht.SolveTTLAuto(s)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	// A skewed stream: key k observed 200/k times, plus a long tail.
-	for k := uint64(1); k <= 40; k++ {
-		for i := uint64(0); i < 200/k; i++ {
-			tn.Observe(k)
-		}
-	}
-	d, err := tn.Retune(pdht.TunerInputs{
-		Members: 50, Observers: 50, Capacity: 64, Repl: 5,
-		Env: 1.0 / 14, WindowRounds: 100,
-	})
+	fmt.Printf("keyTtl = 1/fMin = %.0f rounds\n", pdht.IdealKeyTtl(sol))
+	fmt.Printf("predicted hit probability: %.3f\n", ttl.PIndxd)
+	half, err := pdht.SolveTTL(s, ttl.KeyTtl/2)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	if d.KeyTtl < 1 || d.Alpha <= 0 || d.DistinctKeys < 30 {
-		t.Fatalf("implausible decision %+v", d)
-	}
-	if ttl, ok := tn.KeyTtl(); !ok || ttl != d.KeyTtl {
-		t.Fatalf("KeyTtl() = (%d,%v) after a successful retune", ttl, ok)
-	}
-}
-
-func TestPublicAdaptiveSimulation(t *testing.T) {
-	cfg := pdht.DefaultSimConfig()
-	cfg.Strategy = pdht.StrategyPartialAdaptive
-	cfg.Peers = 300
-	cfg.Keys = 600
-	cfg.Repl = 6
-	cfg.Rounds = 80
-	cfg.WarmupRounds = 20
-	cfg.TunePeriod = 25
-	res, err := pdht.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 || res.Answered == 0 {
-		t.Fatalf("adaptive simulation answered %d/%d queries", res.Answered, res.Queries)
-	}
-	if res.Tuner.Retunes == 0 {
-		t.Fatal("adaptive simulation never retuned")
-	}
+	fmt.Printf("at half the keyTtl: %.3f\n", half.PIndxd)
+	// Output:
+	// keyTtl = 1/fMin = 1460 rounds
+	// predicted hit probability: 0.990
+	// at half the keyTtl: 0.979
 }
