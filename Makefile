@@ -19,15 +19,17 @@ build:
 test:
 	go test ./...
 
-# The live subsystem under the race detector — the CI race matrix — and
+# The live subsystem under the race detector — the CI race matrix — then
 # ten rounds of the one test that hammers a shared connection, where a
-# pooled frame buffer aliasing a returned value would race.
+# pooled frame buffer aliasing a returned value would race, and five of
+# the Close test, where a handoff spawned during Close would race its Wait.
 race:
 	go test -race ./client/ ./internal/adapt/ ./internal/chaos/ \
 		./internal/gossip/... ./internal/node/ ./internal/obs/ \
 		./internal/replica/ ./internal/store/ ./internal/topk/ \
 		./internal/transport/ ./cmd/pdht-node/
 	go test -race -count=10 -run TestTCPSharedConnectionNeverAliases ./internal/transport/
+	go test -race -count=5 -run TestCloseReturnsGoroutinesToBaseline ./internal/node/
 
 # Each fuzz target, as package:target, for 20 s from its committed seed
 # corpus (<package>/testdata/fuzz). `go test -fuzz` takes one target per

@@ -69,10 +69,7 @@ var (
 var ErrBadQuery = errors.New("client: bad query")
 
 // KV is one key→value pair of a batched publish.
-type KV struct {
-	Key   uint64
-	Value uint64
-}
+type KV = node.KV
 
 // QueryTrace is one finished query's per-leg causality record, delivered to
 // a WithTraceHook hook and retained by the slow-query log: the key, the
@@ -135,7 +132,7 @@ type handle interface {
 	QueryMany(ctx context.Context, keys []uint64) ([]node.QueryResult, error)
 	QueryTopK(ctx context.Context, terms []uint64, k int) (topk.Result, error)
 	Publish(ctx context.Context, key, value uint64) error
-	PublishMany(ctx context.Context, pairs []node.KV) error
+	PublishMany(ctx context.Context, pairs []KV) error
 	ClusterReport(ctx context.Context) (obs.FleetReport, error)
 }
 
@@ -333,11 +330,7 @@ func (c *Client) Publish(ctx context.Context, key, value uint64) error {
 // PublishMany publishes a batch of pairs; in client-only mode the inserts
 // are grouped by destination peer, one OpBatch round trip each.
 func (c *Client) PublishMany(ctx context.Context, pairs []KV) error {
-	kvs := make([]node.KV, len(pairs))
-	for i, p := range pairs {
-		kvs[i] = node.KV{Key: p.Key, Value: p.Value}
-	}
-	return c.h.PublishMany(ctx, kvs)
+	return c.h.PublishMany(ctx, pairs)
 }
 
 // QueryTopK runs one distributed top-k query: the k best documents

@@ -77,14 +77,12 @@ func (c RemoteConfig) validate() error {
 // peer attaches and routes again.
 //
 // It is the handle behind the public client package's non-serving mode.
+// It takes no lock: the view and the closed flag are the engine's atomics,
+// and cfg is immutable after DialRemote.
 type RemoteClient struct {
 	engine
 
 	cfg RemoteConfig
-
-	mu     sync.Mutex
-	view   *view
-	closed bool
 }
 
 // DialRemote connects a non-serving client to the cluster behind the
@@ -111,7 +109,7 @@ func DialRemote(ctx context.Context, tr transport.Transport, cfg RemoteConfig) (
 		},
 		cfg: cfg,
 	}
-	c.snapshot, c.stale = c.currentView, c.staleView
+	c.stale = c.staleView
 	if err := c.Resync(ctx); err != nil {
 		c.pool.close()
 		return nil, err
@@ -121,35 +119,9 @@ func DialRemote(ctx context.Context, tr transport.Transport, cfg RemoteConfig) (
 
 // Close releases the client's connections. Idempotent.
 func (c *RemoteClient) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
+	c.closed.Store(true)
 	c.pool.close()
 	return nil
-}
-
-// Members returns the client's current view of the cluster membership.
-func (c *RemoteClient) Members() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.view == nil {
-		return nil
-	}
-	return append([]string(nil), c.view.members...)
-}
-
-// currentView is the engine's snapshot hook: the installed view, or the
-// typed reason there is none.
-func (c *RemoteClient) currentView() (*view, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.view == nil {
-		return nil, ErrNoMembers
-	}
-	return c.view, nil
 }
 
 // staleView is the engine's stale hook: the refuser's attached membership
@@ -207,13 +179,10 @@ func (c *RemoteClient) install(updates []transport.PeerState) error {
 	if len(alive) == 0 {
 		return ErrNoMembers
 	}
-	v := buildView(alive, c.cfg.Repl, 0)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrClosed
 	}
-	c.view = v
+	c.view.Store(buildView(alive, c.cfg.Repl, 0))
 	return nil
 }
 

@@ -85,8 +85,8 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 func (c *Cluster) Addr(i int) string { return c.addrs[i] }
 
 // Kill crashes the node in slot i: its endpoint stops answering, modeling
-// an ungraceful departure. No goodbye messages are sent, exactly like the
-// simulator's crash-style Leave.
+// an ungraceful departure. No goodbye messages are sent; the survivors learn
+// of the death only through gossip suspicion.
 func (c *Cluster) Kill(i int) error {
 	if c.nodes[i] == nil {
 		return fmt.Errorf("node: slot %d already killed", i)

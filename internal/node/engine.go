@@ -20,11 +20,15 @@ import (
 // a miss, insert with keyTtl, reset the TTL on a hit — with its batched and
 // top-k forms, written once for both hosts: a Node embeds it next to its
 // serving state, a RemoteClient next to its view re-sync. Everything a host
-// contributes is data or one of three hooks below; the engine never asks
+// contributes is data or one of two hooks below; the engine never asks
 // which host it runs in. The one thing it does branch on is whether it has
 // an address of its own: legs addressed to self are served in-process and
 // cost no message, and a host without one (self == "") has no content store
 // to search before a broadcast.
+//
+// Every field but the atomics view, closed and traceSeq is set before New
+// or DialRemote returns and never written again. The engine takes no lock:
+// tuner, planner, pool and m each guard themselves.
 type engine struct {
 	// self is the host's serving address; "" for a non-member, which then
 	// pays one wire message per probe where a member pays the overlay route
@@ -56,11 +60,19 @@ type engine struct {
 	pool *pool
 	m    *nodeMetrics
 
-	// snapshot returns the host's current view, or the typed reason there is
-	// none (ErrClosed, ErrNoMembers). Views are immutable; the engine keeps
-	// one for the length of a leg sequence so placement and the hash stamped
-	// on its RPCs always come from the same membership list.
-	snapshot func() (*view, error)
+	// view is the installed membership view, nil until the first install.
+	// Views are immutable and replaced whole: readers load one without a
+	// lock and keep it for a leg sequence, so placement and the hash on its
+	// RPCs come from one member list. On a member, New stores the first
+	// (after assigning Node.gossip: a reader that saw a view may use gossip)
+	// and applyMembership the rest, under Node.mu in the critical section
+	// that snapshots the handoff entries; serveData loads it under Node.mu,
+	// so a served write is in that snapshot or refused as stale.
+	view atomic.Pointer[view]
+	// closed is set once by Close; no leg starts after it. On a member it
+	// is stored under Node.mu, so a membership change or Publish that saw it
+	// clear finishes (handoffs.Add, journal append) before Close proceeds.
+	closed atomic.Bool
 	// local executes a request addressed to self in-process. Never reached
 	// when self is "".
 	local func(transport.Request) transport.Response
@@ -83,6 +95,30 @@ const (
 	// trusted nor refreshed.
 	staleFail
 )
+
+// currentView is the view a leg sequence routes by, or the typed reason
+// there is none: ErrClosed once Close has started, ErrNoMembers before the
+// first install.
+func (e *engine) currentView() (*view, error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	v := e.view.Load()
+	if v == nil {
+		return nil, ErrNoMembers
+	}
+	return v, nil
+}
+
+// Members returns the host's current membership view, sorted; nil before
+// the first install.
+func (e *engine) Members() []string {
+	v := e.view.Load()
+	if v == nil {
+		return nil
+	}
+	return append([]string(nil), v.members...)
+}
 
 // keyTtl is the expiration time attached to inserts and refreshes from here
 // on: the tuner's latest recommendation when the control plane has one, the
@@ -350,7 +386,7 @@ func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, aske
 		if err := ctx.Err(); err != nil {
 			return ctxErr(err)
 		}
-		v, err := e.snapshot()
+		v, err := e.currentView()
 		if err != nil {
 			return err
 		}
@@ -487,12 +523,12 @@ func (e *engine) syncHit(ctx context.Context, v *view, set []string, k keyspace.
 // missPath runs legs 2 and 3 of the selection algorithm after the index
 // came up empty: broadcast the key to the membership, and insert the
 // resolved value with keyTtl at the replica set unless the adaptive control
-// plane gates it. The view is snapshotted here, not on the hit fast path —
+// plane gates it. The view is loaded again here, not on the hit fast path —
 // which never needs the member list — and because a stale-view refusal on
 // the probe leg may have just installed a fresher one, whose hash the
 // insert must carry.
 func (e *engine) missPath(ctx context.Context, k keyspace.Key, res *QueryResult) error {
-	v, err := e.snapshot()
+	v, err := e.currentView()
 	if err != nil {
 		return err
 	}
@@ -636,7 +672,7 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(err)
 	}
-	v, err := e.snapshot()
+	v, err := e.currentView()
 	if err != nil {
 		return nil, err
 	}
@@ -845,7 +881,7 @@ func (e *engine) QueryTopK(ctx context.Context, terms []uint64, k int) (topk.Res
 // queryTopK runs the round protocol proper; QueryTopK wraps it with the
 // trace plumbing.
 func (e *engine) queryTopK(ctx context.Context, terms []uint64, k int) (topk.Result, error) {
-	v, err := e.snapshot()
+	v, err := e.currentView()
 	if err != nil {
 		return topk.Result{}, err
 	}
@@ -919,7 +955,7 @@ func (e *engine) ClusterReport(ctx context.Context) (obs.FleetReport, error) {
 	if err := ctx.Err(); err != nil {
 		return obs.FleetReport{}, ctxErr(err)
 	}
-	v, err := e.snapshot()
+	v, err := e.currentView()
 	if err != nil {
 		return obs.FleetReport{}, err
 	}

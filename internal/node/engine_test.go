@@ -115,9 +115,7 @@ func engineParity(t *testing.T, tr transport.Transport) {
 		}
 		// Beyond the route to the primary — overlay hops for the member, one
 		// message for the client — both pay one message per failover probe.
-		member.mu.Lock()
-		hops := member.view.hops(member.Addr(), keyspace.Key(key))
-		member.mu.Unlock()
+		hops := member.view.Load().hops(member.Addr(), keyspace.Key(key))
 		if self == 0 && m.IndexMsgs-hops != cl.IndexMsgs-1 {
 			t.Errorf("index legs: member %d (route %d), client %d (route 1)", m.IndexMsgs, hops, cl.IndexMsgs)
 		}

@@ -207,6 +207,10 @@ func (c Config) validate() error {
 // QueryMany, QueryTopK and ClusterReport are its methods, see engine.go)
 // plus the state a cluster member serves from — index cache, content store,
 // gossip membership and the durability plane.
+//
+// The fields outside the mu group are set before New returns and never
+// written again, or synchronize themselves; the view and the closed flag
+// are the engine's atomics (engine.go states their rules).
 type Node struct {
 	engine
 
@@ -214,22 +218,22 @@ type Node struct {
 	tr     transport.Transport
 	srv    transport.Server
 	epoch  time.Time
-	gossip *gossip.Service
+	gossip *gossip.Service // assigned before the first view is stored
 
-	// mu guards the mutable peer state: membership view, index cache,
-	// content store and per-key query counts. RPCs are never issued
-	// while holding it.
+	// mu guards the index cache, the content store and queryCounts, and
+	// orders the journal appends made under them; the view swap and the
+	// closed store take it only to order against those (engine.go). RPCs
+	// are never issued while holding it.
 	mu          sync.Mutex
-	view        *view
-	closing     bool // Close started; no new handoff goroutines
 	cache       *core.Cache
 	store       map[keyspace.Key]uint64
 	queryCounts map[keyspace.Key]uint64
 
 	// persist is the durability plane (Config.Store), nil when the node
-	// runs in-memory. Mutations reach it through the cache hook (index)
-	// and the Publish paths (content), always under mu; closeErr carries
-	// its Close result out of closeOnce.
+	// runs in-memory. Index and content records are appended under mu;
+	// runHandoff's OpHandoff audit records are appended outside it, on the
+	// pusher goroutine, and the store's own lock serializes the two.
+	// closeErr is written inside closeOnce and read after it.
 	persist  store.Store
 	closeErr error
 
@@ -282,7 +286,7 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		reg:         reg,
 		stop:        make(chan struct{}),
 	}
-	n.snapshot, n.local, n.stale = n.currentView, n.serve, n.staleView
+	n.local, n.stale = n.serve, n.staleView
 	if cfg.SlowQueryThreshold > 0 {
 		n.slowLog = obs.NewSlowLog(cfg.SlowQueryCapacity, cfg.SlowQueryThreshold)
 	}
@@ -317,13 +321,6 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 	n.srv = srv
 	n.cfg.Addr = srv.Addr() // the transport may have picked the address
 	n.self = n.cfg.Addr
-	// The endpoint is already reachable (a restarted node reuses a known
-	// address), so the view is installed under the lock; until then
-	// handle() answers "starting".
-	v := buildView([]string{n.cfg.Addr}, cfg.Repl, cfg.MaintainEnv)
-	n.mu.Lock()
-	n.view = v
-	n.mu.Unlock()
 	g, err := gossip.New(gossip.Config{
 		Addr:             n.cfg.Addr,
 		ProbeInterval:    cfg.GossipInterval,
@@ -337,11 +334,12 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	g.RegisterMetrics(reg)
-	// Assigned under mu: the endpoint is already serving, and handle()
-	// checks readiness (view and gossip installed) under the same lock.
-	n.mu.Lock()
+	// The endpoint already serves (a restarted node reuses its address) and
+	// answers "starting" until a view is published, so gossip is assigned
+	// first: a reader that saw a view may use it. gossip.New fires no
+	// OnChange, and serve hands gossip no message before this store.
 	n.gossip = g
-	n.mu.Unlock()
+	n.view.Store(buildView([]string{n.cfg.Addr}, cfg.Repl, cfg.MaintainEnv))
 	if cfg.Seed != "" {
 		// The bootstrap join is one RPC on a network that may well be
 		// lossy — a single dropped packet must not kill the boot, so the
@@ -459,7 +457,7 @@ func (n *Node) persistHook(m core.Mutation) {
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		n.mu.Lock()
-		n.closing = true // no new handoff goroutines from here on
+		n.closed.Store(true) // no new handoff goroutines from here on
 		n.mu.Unlock()
 		close(n.stop)
 		n.gossip.Stop()
@@ -516,11 +514,11 @@ func (n *Node) applyMembership(alive []string, version uint64) {
 	sorted := append([]string(nil), alive...)
 	sort.Strings(sorted)
 	n.mu.Lock()
-	if n.closing || version <= n.view.version {
+	old := n.view.Load()
+	if n.closed.Load() || version <= old.version {
 		n.mu.Unlock()
 		return
 	}
-	old := n.view
 	joined, left := diffSorted(old.members, sorted)
 	if len(joined) == 0 && len(left) == 0 {
 		// Same membership at a newer version (e.g. an incarnation-only
@@ -528,13 +526,13 @@ func (n *Node) applyMembership(alive []string, version uint64) {
 		// immutable once installed, so install a shallow successor.
 		next := *old
 		next.version = version
-		n.view = &next
+		n.view.Store(&next)
 		n.mu.Unlock()
 		return
 	}
 	v := old.applyDelta(sorted, joined, left, version)
 	arcs := transitionArcs(old, v, joined, left)
-	n.view = v
+	n.view.Store(v)
 	var entries []core.Entry
 	if old.hash != v.hash {
 		if arcs.All {
@@ -550,38 +548,21 @@ func (n *Node) applyMembership(alive []string, version uint64) {
 	n.mu.Unlock()
 }
 
-// Members returns the node's current membership view, sorted.
-func (n *Node) Members() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]string(nil), n.view.members...)
-}
-
 // ViewVersion returns the gossip version of the installed view.
-func (n *Node) ViewVersion() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.view.version
-}
+func (n *Node) ViewVersion() uint64 { return n.view.Load().version }
 
 // ViewHash returns the membership fingerprint of the installed view —
 // equal hashes on two nodes mean byte-identical member lists and identical
 // replica-group arithmetic. The chaos harness uses it for O(n) fleet
 // convergence checks instead of comparing member lists pairwise.
-func (n *Node) ViewHash() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.view.hash
-}
+func (n *Node) ViewHash() uint64 { return n.view.Load().hash }
 
 // ReplicaSet returns the addresses this node's current view places key's
 // replica group on, primary first and in the order a query fails over
 // through them — the placement oracle chaos accounting compares across a
 // fleet to detect double ownership.
 func (n *Node) ReplicaSet(key uint64) []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.view.Replicas(keyspace.Key(key))
+	return n.view.Load().Replicas(keyspace.Key(key))
 }
 
 // IndexHas reports whether the node's index currently holds an unexpired
@@ -672,7 +653,8 @@ func storedRefused(ok bool) string {
 }
 
 // serve executes one inbound request. It runs on a transport goroutine;
-// everything it touches is behind mu.
+// the data it touches is behind mu, and a published view means the node is
+// ready.
 func (n *Node) serve(req transport.Request) transport.Response {
 	switch req.Op {
 	case transport.OpQuery, transport.OpInsert, transport.OpRefresh, transport.OpBatch, transport.OpBroadcast:
@@ -680,10 +662,7 @@ func (n *Node) serve(req transport.Request) transport.Response {
 		// deeper serve frame measurably slowed QueryTopK (CHANGES, PR 14).
 		return n.serveData(req)
 	}
-	n.mu.Lock()
-	ready := n.view != nil && n.gossip != nil
-	n.mu.Unlock()
-	if !ready {
+	if n.view.Load() == nil {
 		return transport.Response{Err: "node starting"}
 	}
 	switch req.Op {
@@ -705,12 +684,14 @@ func (n *Node) serve(req transport.Request) transport.Response {
 }
 
 // serveData serves the operations answered from the index cache or the
-// content store. Each takes mu once: the readiness check, the view-hash
-// guard and the operation itself share one critical section.
+// content store. Each takes mu once: the view is loaded under it, so the
+// readiness check, the view-hash guard and the operation itself share one
+// critical section with applyMembership's handoff snapshot.
 func (n *Node) serveData(req transport.Request) transport.Response {
 	results := make([]transport.BatchResult, len(req.Batch)) // before the lock; free when empty
 	n.mu.Lock()
-	if n.view == nil || n.gossip == nil {
+	v := n.view.Load()
+	if v == nil {
 		n.mu.Unlock()
 		return transport.Response{Err: "node starting"}
 	}
@@ -725,7 +706,7 @@ func (n *Node) serveData(req transport.Request) transport.Response {
 	// so it is refused with the responder's gossip state attached: the
 	// stale side converges instead of trusting a wrong answer. Zero skips
 	// the check (handoff pushes span view changes by design).
-	if req.ViewHash != 0 && req.ViewHash != n.view.hash {
+	if req.ViewHash != 0 && req.ViewHash != v.hash {
 		n.mu.Unlock() // gossip has its own lock; never nest it under mu
 		st := n.gossip.State()
 		return transport.Response{Err: transport.StaleView, Gossip: &st}
@@ -848,7 +829,7 @@ func (n *Node) Publish(ctx context.Context, key, value uint64) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closing {
+	if n.closed.Load() {
 		return ErrClosed
 	}
 	n.store[keyspace.Key(key)] = value
@@ -866,7 +847,7 @@ func (n *Node) PublishMany(ctx context.Context, pairs []KV) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closing {
+	if n.closed.Load() {
 		return ErrClosed
 	}
 	for _, p := range pairs {
@@ -912,17 +893,6 @@ func (n *Node) liveEntries() []core.Entry {
 }
 
 // ---- the engine's hooks ----
-
-// currentView is the engine's snapshot hook: the installed view, or
-// ErrClosed once Close has started.
-func (n *Node) currentView() (*view, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closing {
-		return nil, ErrClosed
-	}
-	return n.view, nil
-}
 
 // staleView is the engine's stale hook: a member does not install views
 // itself, so the refuser's membership state goes to gossip (the "caller
@@ -977,8 +947,10 @@ func (n *Node) sweeper() {
 		case <-tick.C:
 			n.mu.Lock()
 			live := n.cache.Live(n.now()) // prunes expired entries
-			probes := n.view.maintain()   // 0 unless MaintainEnv is set
 			n.mu.Unlock()
+			// Only this goroutine draws from a view's mrng. 0 unless
+			// MaintainEnv is set.
+			probes := n.view.Load().maintain()
 			n.m.indexSize.Set(int64(live))
 			n.m.addMsgs(stats.MsgMaintenance, probes)
 		}
@@ -1008,11 +980,8 @@ func (n *Node) retuner() {
 				continue // sub-round interval; wait for the clock
 			}
 			last = now
-			n.mu.Lock()
-			members := len(n.view.members)
-			n.mu.Unlock()
 			in := adapt.Inputs{
-				Members:      members,
+				Members:      len(n.view.Load().members),
 				Observers:    1, // a peer observes only its own queries
 				Capacity:     n.cfg.Capacity,
 				Repl:         n.cfg.Repl,

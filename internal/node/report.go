@@ -127,10 +127,8 @@ func (n *Node) ClusterReport(ctx context.Context) (obs.FleetReport, error) {
 
 // Report assembles the node's current self-measurement.
 func (n *Node) Report() Report {
+	v := n.view.Load()
 	n.mu.Lock()
-	members := len(n.view.members)
-	viewVersion := n.view.version
-	repl := n.view.repl
 	distinct := len(n.queryCounts)
 	counts := make([]int, 0, distinct)
 	for _, c := range n.queryCounts {
@@ -142,7 +140,7 @@ func (n *Node) Report() Report {
 
 	r := Report{
 		Addr:              n.cfg.Addr,
-		Members:           members,
+		Members:           len(v.members),
 		Rounds:            n.now(),
 		Queries:           n.m.queries.Value(),
 		Hits:              n.m.hits.Value(),
@@ -157,7 +155,7 @@ func (n *Node) Report() Report {
 		HandoffMsgs:       n.m.handoffMsgs.Value(),
 		HandoffKeys:       n.m.handoffKeys.Value(),
 		ReadRepairs:       n.m.readRepairs.Value(),
-		ViewVersion:       viewVersion,
+		ViewVersion:       v.version,
 		Membership:        n.gossip.Snapshot(),
 		IndexedKeys:       live,
 		StoredKeys:        stored,
@@ -174,7 +172,7 @@ func (n *Node) Report() Report {
 			Tuner:        n.tuner.Snapshot(),
 		}
 	}
-	r.Model = n.modelComparison(r, members, repl, distinct, counts)
+	r.Model = n.modelComparison(r, len(v.members), v.repl, distinct, counts)
 	return r
 }
 

@@ -79,10 +79,10 @@ import (
 // compromise: full iterative routing would make every hop a real message
 // without changing which peer answers.
 //
-// A view is immutable once installed (version is fixed at install time
-// under the node lock; only the sweeper draws from mrng, under that same
-// lock); concurrent readers — in-flight queries, handoff pushers, report
-// snapshots — share it freely.
+// A view is immutable once installed (version is fixed before it is
+// published; mrng says who may draw from it); concurrent readers —
+// in-flight queries, handoff pushers, report snapshots — share it freely,
+// without a lock.
 type view struct {
 	members []string // sorted; includes self on a member
 	repl    int      // effective replication (clamped to cluster size)
@@ -96,7 +96,7 @@ type view struct {
 
 	ring *keyspace.MemberRing // the incremental overlay
 	env  float64              // maintenance environment (probe probability)
-	mrng *rand.Rand           // maintenance cost model rng
+	mrng *rand.Rand           // maintenance cost model rng; only the sweeper goroutine draws from it
 }
 
 // viewSeed derives the shared rng seed from the membership list.

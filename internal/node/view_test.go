@@ -77,9 +77,7 @@ func TestStaleViewRejected(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 
-	nd.mu.Lock()
-	hash := nd.view.hash
-	nd.mu.Unlock()
+	hash := nd.view.Load().hash
 
 	for _, op := range []transport.Op{transport.OpQuery, transport.OpInsert, transport.OpRefresh} {
 		resp, err := cl.Call(ctx, transport.Request{Op: op, Key: 1, TTL: 5, ViewHash: hash ^ 0xdead})

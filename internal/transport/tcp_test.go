@@ -295,7 +295,12 @@ func TestTCPByteCountersMatchTheSocket(t *testing.T) {
 // changed after the fact (and, under -race, as a race).
 func TestTCPSharedConnectionNeverAliases(t *testing.T) {
 	tr := NewTCP()
+	held, release := make(chan struct{}), make(chan struct{})
 	srv, err := tr.Serve("", func(req Request) Response {
+		if req.From == "held" {
+			close(held)
+			<-release
+		}
 		resp := Response{OK: true, Value: req.Key, Err: req.From}
 		for _, it := range req.Batch {
 			resp.Batch = append(resp.Batch, BatchResult{Found: true, Value: it.Key, Err: req.From})
@@ -352,6 +357,30 @@ func TestTCPSharedConnectionNeverAliases(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Replies that cross: the first call's handler holds its reply until
+	// the second call's reply has reached its caller, so on the one
+	// connection the second reply overtakes the first. The read loop must
+	// still route each reply to its own waiter.
+	first := make(chan Response, 1)
+	go func() {
+		resp, err := cl.Call(context.Background(), Request{Op: OpQuery, From: "held", Key: 1})
+		if err != nil {
+			t.Error(err)
+		}
+		first <- resp
+	}()
+	<-held
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := cl.Call(ctx, Request{Op: OpQuery, From: "overtaking", Key: 2})
+	close(release)
+	if err != nil || resp.Err != "overtaking" || resp.Value != 2 {
+		t.Fatalf("overtaking call got %+v, %v", resp, err)
+	}
+	if resp := <-first; resp.Err != "held" || resp.Value != 1 {
+		t.Fatalf("held call got %+v", resp)
 	}
 }
 
