@@ -29,7 +29,6 @@ type config struct {
 
 	traceHook     func(QueryTrace)
 	slowThreshold time.Duration
-	slowCapacity  int
 	traceSampling *float64 // nil: default 1.0; pointer so explicit 0 disables
 
 	dataDir string
@@ -152,14 +151,11 @@ func WithTraceSampling(rate float64) Option {
 }
 
 // WithSlowQueryLog keeps the traces of the most recent queries that took
-// threshold or longer in a ring of the given capacity (0: 64), served on
-// the member node's debug endpoint under /traces and readable through
-// SlowQueries. Ignored in client-only mode.
-func WithSlowQueryLog(threshold time.Duration, capacity int) Option {
-	return func(c *config) {
-		c.slowThreshold = threshold
-		c.slowCapacity = capacity
-	}
+// threshold or longer in a ring of the last 64, served on the member
+// node's debug endpoint under /traces and readable through SlowQueries.
+// Ignored in client-only mode.
+func WithSlowQueryLog(threshold time.Duration) Option {
+	return func(c *config) { c.slowThreshold = threshold }
 }
 
 // WithDataDir makes the member node durable: every index and content
@@ -208,7 +204,6 @@ func (c *config) build() (node.Config, node.RemoteConfig, error) {
 	nodeCfg.RetuneInterval = c.retuneEvery
 	nodeCfg.TraceHook = c.traceHook
 	nodeCfg.SlowQueryThreshold = c.slowThreshold
-	nodeCfg.SlowQueryCapacity = c.slowCapacity
 	sampling := 1.0
 	if c.traceSampling != nil {
 		sampling = *c.traceSampling

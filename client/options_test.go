@@ -70,8 +70,8 @@ func TestOptionsReachConfig(t *testing.T) {
 		{"WithTraceSampling", WithTraceSampling(0.25), func(_ *config, n node.Config, r node.RemoteConfig) bool {
 			return n.TraceSampling == 0.25 && r.TraceSampling == 0.25
 		}},
-		{"WithSlowQueryLog", WithSlowQueryLog(9*time.Millisecond, 12), func(_ *config, n node.Config, _ node.RemoteConfig) bool {
-			return n.SlowQueryThreshold == 9*time.Millisecond && n.SlowQueryCapacity == 12
+		{"WithSlowQueryLog", WithSlowQueryLog(9 * time.Millisecond), func(_ *config, n node.Config, _ node.RemoteConfig) bool {
+			return n.SlowQueryThreshold == 9*time.Millisecond
 		}},
 		{"WithDataDir", WithDataDir("/var/lib/pdht"), func(c *config, _ node.Config, _ node.RemoteConfig) bool {
 			return c.dataDir == "/var/lib/pdht"

@@ -44,7 +44,7 @@ func run(args []string, out, errw io.Writer) error {
 	fs.SetOutput(errw)
 	var (
 		n        = fs.Int("n", 128, "fleet size: live nodes booted in this process")
-		seed     = fs.Uint64("seed", 1, "chaos seed: all drop, jitter and reorder draws derive from it")
+		seed     = fs.Uint64("seed", 1, "chaos seed: all drop, jitter and duplicate draws derive from it")
 		schedule = fs.String("schedule", "healthy=1s,drop20+split3=5s,heal=0s", "fault schedule (phase=duration tokens; trailing benign phase bounds the heal wait, 0 = computed bound)")
 		drop     = fs.Float64("drop", 0, "baseline per-leg drop probability applied in every phase")
 		latency  = fs.Duration("latency", 0, "baseline one-way latency added to every delivery")

@@ -71,9 +71,14 @@ func TestQueryFlagAgainstRunningSeed(t *testing.T) {
 }
 
 func TestBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-not-a-flag"}, &buf); err == nil {
-		t.Fatal("unknown flag accepted")
+	for _, args := range [][]string{
+		{"-not-a-flag"},
+		{"-data-dir", t.TempDir(), "-snapshot-interval", "-1s"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func main() {
 	opts := []pdht.ClientOption{pdht.WithRoundDuration(100 * time.Millisecond)}
 	seed, err := pdht.Open(ctx, append(opts,
 		pdht.WithTraceHook(func(qt pdht.QueryTrace) { traces = append(traces, qt) }),
-		pdht.WithSlowQueryLog(1*time.Nanosecond, 16), // everything is "slow": a demo, not advice
+		pdht.WithSlowQueryLog(1*time.Nanosecond), // everything is "slow": a demo, not advice
 	)...)
 	if err != nil {
 		log.Fatal(err)

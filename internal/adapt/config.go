@@ -5,11 +5,10 @@ import "fmt"
 // Config parameterizes a Tuner. The zero value selects defaults suitable for
 // a live node; DefaultConfig spells them out.
 type Config struct {
-	// SketchWidth and SketchDepth set the count-min geometry (rounded up
-	// to a power of two / clamped to [1,8]). Defaults 1<<14 × 4: 512 KiB
-	// of counters, collision error ≲ 2e/width of a window's volume.
+	// SketchWidth is the count-min sketch's width (rounded up to a power
+	// of two), sketchDepth rows deep. Default 1<<14: 512 KiB of counters,
+	// collision error ≲ 2e/width of a window's volume.
 	SketchWidth int
-	SketchDepth int
 	// TopK is the heavy-hitters list capacity feeding the Zipf fit.
 	// Default 256 — the fit is dominated by the head, and 256 ranks pin
 	// the exponent to well under the ±50% the §5.1.1 sensitivity analysis
@@ -19,41 +18,34 @@ type Config struct {
 	// 1<<14 (2 KiB per window), accurate to a few percent up to ~16k
 	// distinct keys per window.
 	DistinctBits int
-	// UniverseWindows is how many retune periods one generation of the
-	// distinct-key bitmap spans (default 8, so the estimate covers 8–16
-	// periods). The key universe feeds the Zipf normalization, whose
-	// fixed point is far more sensitive to undercounting than the
-	// per-key rates are — and unlike rates, the universe changes slowly,
-	// so it earns a longer horizon than the frequency sketches.
-	UniverseWindows int
-	// TTLMin and TTLMax clamp the recommended keyTtl, in rounds. Defaults
-	// 1 and 86400 (one day of one-second rounds). TTLMax also caps the
-	// recommendation when fMin estimates to zero (maintenance-free
-	// indexing: everything is worth keeping).
-	TTLMin, TTLMax int
-	// Dup and Dup2 are the message-duplication constants of the fitted
-	// scenario (the model's only parameters a peer cannot observe
-	// directly). Defaults 1.8, the paper's [LvCa02] constants.
-	Dup, Dup2 float64
-	// FallbackAlpha stands in when the Zipf fit is ill-posed (fewer than
-	// two distinct observed counts). Default 1.2, the paper's [Srip01]
-	// literature constant.
-	FallbackAlpha float64
+	// TTLMax caps the recommended keyTtl, in rounds (it is clamped to
+	// [ttlMin, TTLMax]). Default 86400, one day of one-second rounds.
+	// It also caps the recommendation when fMin estimates to zero
+	// (maintenance-free indexing: everything is worth keeping).
+	TTLMax int
 }
+
+const (
+	// sketchDepth is the count-min sketch's number of rows.
+	sketchDepth = 4
+	// universeWindows is how many retune periods one generation of the
+	// distinct-key bitmap spans, so the estimate covers 8–16 periods. The
+	// key universe feeds the Zipf normalization, whose fixed point is far
+	// more sensitive to undercounting than the per-key rates are — and
+	// unlike rates, the universe changes slowly, so it earns a longer
+	// horizon than the frequency sketches.
+	universeWindows = 8
+	// ttlMin is the floor of the recommended keyTtl, in rounds.
+	ttlMin = 1
+)
 
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
 	return Config{
-		SketchWidth:     1 << 14,
-		SketchDepth:     4,
-		TopK:            256,
-		DistinctBits:    1 << 14,
-		UniverseWindows: 8,
-		TTLMin:          1,
-		TTLMax:          86400,
-		Dup:             1.8,
-		Dup2:            1.8,
-		FallbackAlpha:   1.2,
+		SketchWidth:  1 << 14,
+		TopK:         256,
+		DistinctBits: 1 << 14,
+		TTLMax:       86400,
 	}
 }
 
@@ -63,47 +55,20 @@ func (c *Config) setDefaults() {
 	if c.SketchWidth == 0 {
 		c.SketchWidth = d.SketchWidth
 	}
-	if c.SketchDepth == 0 {
-		c.SketchDepth = d.SketchDepth
-	}
 	if c.TopK == 0 {
 		c.TopK = d.TopK
 	}
 	if c.DistinctBits == 0 {
 		c.DistinctBits = d.DistinctBits
 	}
-	if c.UniverseWindows == 0 {
-		c.UniverseWindows = d.UniverseWindows
-	}
-	if c.TTLMin == 0 {
-		c.TTLMin = d.TTLMin
-	}
 	if c.TTLMax == 0 {
 		c.TTLMax = d.TTLMax
-	}
-	if c.Dup == 0 {
-		c.Dup = d.Dup
-	}
-	if c.Dup2 == 0 {
-		c.Dup2 = d.Dup2
-	}
-	if c.FallbackAlpha == 0 {
-		c.FallbackAlpha = d.FallbackAlpha
 	}
 }
 
 func (c Config) validate() error {
-	switch {
-	case c.TTLMin < 1:
-		return fmt.Errorf("adapt: TTLMin %d must be positive", c.TTLMin)
-	case c.TTLMax < c.TTLMin:
-		return fmt.Errorf("adapt: TTLMax %d below TTLMin %d", c.TTLMax, c.TTLMin)
-	case c.Dup < 1 || c.Dup2 < 1:
-		return fmt.Errorf("adapt: duplication factors (%v, %v) must be at least 1", c.Dup, c.Dup2)
-	case c.UniverseWindows < 1:
-		return fmt.Errorf("adapt: UniverseWindows %d must be positive", c.UniverseWindows)
-	case c.FallbackAlpha < 0:
-		return fmt.Errorf("adapt: FallbackAlpha %v must be non-negative", c.FallbackAlpha)
+	if c.TTLMax < ttlMin {
+		return fmt.Errorf("adapt: TTLMax %d below %d", c.TTLMax, ttlMin)
 	}
 	return nil
 }

@@ -69,7 +69,7 @@ func (in Inputs) validate() error {
 // knobs (keyTtl and the fMin gate).
 type Decision struct {
 	// KeyTtl is the recommended expiration time in rounds — the paper's
-	// keyTtl = 1/fMin, clamped to [TTLMin, TTLMax].
+	// keyTtl = 1/fMin, clamped to [ttlMin, TTLMax].
 	KeyTtl int
 	// FMin is the fitted indexing threshold of eq. 2, in network-wide
 	// queries per round. +Inf means nothing is worth indexing.
@@ -124,7 +124,7 @@ type Tuner struct {
 	sketch *Sketch
 	top    *TopK
 	// universe estimates the distinct-key count. It rotates every
-	// UniverseWindows retunes, not every retune: the Zipf fit's fixed
+	// universeWindows retunes, not every retune: the Zipf fit's fixed
 	// point is hypersensitive to undercounting the universe, and a
 	// single window of one peer's own queries samples the tail far too
 	// thinly. Rates age fast, universes age slowly.
@@ -155,7 +155,7 @@ func NewTuner(cfg Config) (*Tuner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	sketch, err := NewSketch(cfg.SketchWidth, cfg.SketchDepth)
+	sketch, err := NewSketch(cfg.SketchWidth, sketchDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +275,7 @@ func (t *Tuner) Retune(in Inputs) (Decision, error) {
 	t.sketch.Rotate()
 	t.top.Decay()
 	t.universeAge++
-	if t.universeAge >= t.cfg.UniverseWindows {
+	if t.universeAge >= universeWindows {
 		t.universe.Rotate()
 		t.universeAge = 0
 	}
@@ -298,9 +298,13 @@ func (t *Tuner) Retune(in Inputs) (Decision, error) {
 	if distinct < 2 {
 		distinct = 2
 	}
+	// dup, dup2 and the fallback α for an ill-posed Zipf fit (fewer than
+	// two distinct observed counts) are the literature constants of the
+	// paper's scenario: the model's only inputs a peer cannot observe.
+	lit := model.DefaultScenario()
 	alpha, err := zipf.EstimateAlpha(counts, distinct)
 	if err != nil {
-		alpha = t.cfg.FallbackAlpha
+		alpha = lit.Alpha
 	}
 	fQry := float64(totalQ) / float64(totalRounds) / float64(in.Observers)
 
@@ -313,8 +317,8 @@ func (t *Tuner) Retune(in Inputs) (Decision, error) {
 		FQry:     fQry,
 		FUpd:     0, // the selection algorithm pays no proactive updates
 		Env:      in.Env,
-		Dup:      t.cfg.Dup,
-		Dup2:     t.cfg.Dup2,
+		Dup:      lit.Dup,
+		Dup2:     lit.Dup2,
 	}
 	if in.RefreshFanout {
 		// The extra write legs of the replica-coherent refresh (the hit
@@ -353,14 +357,14 @@ func (t *Tuner) Retune(in Inputs) (Decision, error) {
 	switch {
 	case math.IsInf(sol.FMin, 1):
 		// Broadcasting beats the index outright; hold nothing.
-		d.KeyTtl = t.cfg.TTLMin
+		d.KeyTtl = ttlMin
 		d.GateThreshold = gateAll
 	case sol.FMin <= 0:
 		// Maintenance-free indexing: everything is worth keeping.
 		d.KeyTtl = t.cfg.TTLMax
 		d.GateThreshold = 0
 	default:
-		d.KeyTtl = clamp(int(math.Round(1/sol.FMin)), t.cfg.TTLMin, t.cfg.TTLMax)
+		d.KeyTtl = clamp(int(math.Round(1/sol.FMin)), ttlMin, t.cfg.TTLMax)
 		d.GateThreshold = uint64(math.Ceil(sol.FMin * expectedRounds * float64(in.Observers) / float64(in.Members)))
 	}
 	ttlSol, err := model.SolveTTL(p, dist, float64(d.KeyTtl))

@@ -1,7 +1,7 @@
 // Package chaos is the fault-injection and scale-emulation layer: a
 // transport.Transport wrapper that subjects every call to deterministic,
 // seed-driven network misbehavior — per-link drop probability, latency
-// (base + jitter), duplication, reordering, and named partition schedules
+// (base + jitter), duplication, and named partition schedules
 // (split, heal, asymmetric one-way loss) — plus a Scenario type that
 // scripts timed fault phases and a Fleet harness that drives hundreds to
 // thousands of live node.Node instances in-process over the wrapped memory
@@ -20,9 +20,9 @@
 //     context has no deadline. Drop is applied independently to the
 //     request and the response leg, so a link with drop p loses calls at
 //     rate 1-(1-p)².
-//   - Latency sleeps base+jitter·u before delivery; reorder adds an extra
-//     delay to a fraction of messages, which genuinely reorders them
-//     against concurrently in-flight calls on the same link.
+//   - Latency sleeps base+jitter·u before delivery; the jitter genuinely
+//     reorders a message against concurrently in-flight calls on the same
+//     link.
 //   - Duplicate delivers the request twice (the second response is
 //     discarded) — inserts and refreshes must be idempotent under it.
 //
@@ -57,10 +57,6 @@ type Config struct {
 	LatencyJitter time.Duration
 	// Duplicate is the probability a request is delivered twice.
 	Duplicate float64
-	// Reorder is the probability a message waits ReorderDelay extra —
-	// enough to slip behind later messages on the same link.
-	Reorder      float64
-	ReorderDelay time.Duration
 }
 
 // Network wraps an inner transport with the fault layer and the partition
@@ -81,9 +77,6 @@ type Network struct {
 func New(inner transport.Transport, cfg Config) *Network {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.ReorderDelay == 0 {
-		cfg.ReorderDelay = 4*cfg.LatencyJitter + 2*time.Millisecond
 	}
 	return &Network{inner: inner, seed: cfg.Seed, base: cfg}
 }
@@ -128,8 +121,6 @@ type linkRule struct {
 	base      time.Duration
 	jitter    time.Duration
 	duplicate float64
-	reorder   float64
-	rdelay    time.Duration
 }
 
 // ruleFor computes the current rule for the src→dst direction.
@@ -141,8 +132,6 @@ func (n *Network) ruleFor(src, dst string) linkRule {
 		base:      n.base.LatencyBase,
 		jitter:    n.base.LatencyJitter,
 		duplicate: n.base.Duplicate,
-		reorder:   n.base.Reorder,
-		rdelay:    n.base.ReorderDelay,
 	}
 	if n.groupCnt >= 2 {
 		gs, gd := GroupOf(src, n.groupCnt), GroupOf(dst, n.groupCnt)
@@ -207,7 +196,6 @@ type draws struct {
 	dropReq, dropResp float64
 	latency           float64
 	duplicate         float64
-	reorder           float64
 }
 
 func (c *linkClient) draw() draws {
@@ -218,7 +206,6 @@ func (c *linkClient) draw() draws {
 		dropResp:  c.rng.Float64(),
 		latency:   c.rng.Float64(),
 		duplicate: c.rng.Float64(),
-		reorder:   c.rng.Float64(),
 	}
 }
 
@@ -239,9 +226,6 @@ func (c *linkClient) Call(ctx context.Context, req transport.Request) (transport
 		return blackhole(ctx, c.src, c.dst)
 	}
 	delay := rule.base + time.Duration(d.latency*float64(rule.jitter))
-	if d.reorder < rule.reorder {
-		delay += rule.rdelay
-	}
 	if delay > 0 {
 		t := time.NewTimer(delay)
 		select {

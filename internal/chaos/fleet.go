@@ -61,23 +61,11 @@ func (f *Fleet) Progress() ProgressSnapshot {
 	return p
 }
 
-// FleetConfig parameterizes a fleet boot.
-type FleetConfig struct {
-	// N is the fleet size (≥ 2).
-	N int
-	// Chaos is the baseline fault profile of the emulated network.
-	Chaos Config
-	// Node is the per-node configuration template. Addr and Seed are
-	// overwritten per node; zero fields take DefaultFleetNode's values,
-	// which compress the paper's one-second round onto 100ms so a
-	// multi-minute scenario fits a test budget.
-	Node node.Config
-}
-
-// DefaultFleetNode is the node template a fleet uses for zero FleetConfig
-// fields: the paper's clock compressed 10× (100ms rounds), gossip beating
-// every 40ms so membership timescales compress with it, and RPC timeouts
-// tight enough that blackholed calls fail fast instead of stalling probes.
+// DefaultFleetNode is the node template a fleet uses for zero
+// RunConfig.Node fields: the paper's clock compressed 10× (100ms rounds),
+// gossip beating every 40ms so membership timescales compress with it,
+// and RPC timeouts tight enough that blackholed calls fail fast instead of
+// stalling probes.
 func DefaultFleetNode() node.Config {
 	return node.Config{
 		Repl:             3,
@@ -121,12 +109,13 @@ func fillNodeDefaults(c node.Config) node.Config {
 	return c
 }
 
-// NewFleet boots cfg.N nodes ("peer-0000"…) over a fresh memory transport
-// wrapped by a chaos Network with cfg.Chaos as the baseline profile. Nodes
-// boot sequentially, each joining the first; the caller should
+// NewFleet boots cfg.N nodes ("peer-0000"…) from the cfg.Node template
+// over a fresh memory transport wrapped by a chaos Network with cfg.Chaos
+// as the baseline profile; the scenario fields are Run's. Nodes boot in
+// waves, each joining an already-booted one; the caller should
 // WaitConverged before trusting placement. On error the partial fleet is
 // torn down.
-func NewFleet(cfg FleetConfig) (*Fleet, error) {
+func NewFleet(cfg RunConfig) (*Fleet, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("chaos: fleet needs at least 2 nodes, got %d", cfg.N)
 	}
@@ -377,8 +366,12 @@ func (l *Ledger) Check() Accounting {
 // RunConfig parameterizes one full chaos run: boot, seed, fault script,
 // heal, measure.
 type RunConfig struct {
-	// N is the fleet size; Node the per-node template (see FleetConfig).
-	N    int
+	// N is the fleet size (≥ 2).
+	N int
+	// Node is the per-node configuration template. Addr and Seed are
+	// overwritten per node; zero fields take DefaultFleetNode's values,
+	// which compress the paper's one-second round onto 100ms so a
+	// multi-minute scenario fits a test budget.
 	Node node.Config
 	// Chaos is the baseline fault profile; Chaos.Seed drives everything
 	// derived (per-link streams, ledger keys, workload sampling).
@@ -401,9 +394,6 @@ type RunConfig struct {
 	WorkloadKeys int
 	// BootTimeout bounds initial convergence (default 60s + 50ms·N).
 	BootTimeout time.Duration
-	// PlacementSamples is the key sample size of the double-ownership
-	// check (default 64).
-	PlacementSamples int
 	// OnPhase, if non-nil, observes each applied phase (progress logs).
 	OnPhase func(Phase)
 	// OnProgress, if non-nil, observes convergence snapshots while the
@@ -460,6 +450,9 @@ type Report struct {
 // their ratio is noise, and read 0.4–0.5.
 const minQueriesPerKey = 4
 
+// placementSamples is the key sample size of Run's double-ownership check.
+const placementSamples = 64
+
 // Run executes one full chaos scenario: boot the fleet, wait for
 // convergence, seed the accounting ledger, start the query workload, play
 // the fault script, heal, measure re-convergence against the computed
@@ -467,9 +460,6 @@ const minQueriesPerKey = 4
 func Run(cfg RunConfig) (*Report, error) {
 	if cfg.Chaos.Seed == 0 {
 		cfg.Chaos.Seed = 1
-	}
-	if cfg.PlacementSamples == 0 {
-		cfg.PlacementSamples = 64
 	}
 	if cfg.BootTimeout == 0 {
 		cfg.BootTimeout = 60*time.Second + time.Duration(cfg.N)*50*time.Millisecond
@@ -480,7 +470,7 @@ func Run(cfg RunConfig) (*Report, error) {
 		scenario = scenario[:n-1]
 	}
 
-	f, err := NewFleet(FleetConfig{N: cfg.N, Chaos: cfg.Chaos, Node: cfg.Node})
+	f, err := NewFleet(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -532,8 +522,8 @@ func Run(cfg RunConfig) (*Report, error) {
 	if ledger != nil {
 		rep.Accounting = ledger.Check()
 	}
-	rep.PlacementSamples = cfg.PlacementSamples
-	rep.PlacementDisagreements = f.PlacementDisagreements(cfg.PlacementSamples, cfg.Chaos.Seed)
+	rep.PlacementSamples = placementSamples
+	rep.PlacementDisagreements = f.PlacementDisagreements(placementSamples, cfg.Chaos.Seed)
 
 	var devs []float64
 	var ttls, models []float64

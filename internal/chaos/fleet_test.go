@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -110,12 +111,14 @@ func TestChaosInvariants(t *testing.T) {
 
 // TestExpiredEntryNotServed drives the serve surface itself: after a
 // seeded entry's absolute deadline, no node may answer a query for it from
-// the index — the end-to-end form of the resurrection invariant.
+// the index — the end-to-end form of the resurrection invariant. Closing
+// the fleet then returns the goroutine count to what it was before boot.
 func TestExpiredEntryNotServed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet test skipped in -short mode")
 	}
-	f, err := NewFleet(FleetConfig{N: 8, Chaos: Config{Seed: 11}})
+	before := runtime.NumGoroutine()
+	f, err := NewFleet(RunConfig{N: 8, Chaos: Config{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +149,17 @@ func TestExpiredEntryNotServed(t *testing.T) {
 				t.Fatalf("node %s served key %d from the index past its expiry", n.Addr(), e.key)
 			}
 		}
+	}
+
+	f.Close()
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines 3s after the fleet closed, %d before it booted:\n%s", runtime.NumGoroutine(), before, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

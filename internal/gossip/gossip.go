@@ -80,12 +80,6 @@ type Config struct {
 	Addr string
 	// ProbeInterval is the SWIM protocol period. Default 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each direct or indirect probe RPC.
-	// Default ProbeInterval/2.
-	ProbeTimeout time.Duration
-	// IndirectProbes is k, the number of helpers asked to ping-req a
-	// peer that failed its direct probe. Default 2.
-	IndirectProbes int
 	// SuspicionTimeout is how long a suspect may stay silent before it
 	// is confirmed dead. Default 4×ProbeInterval.
 	SuspicionTimeout time.Duration
@@ -93,21 +87,6 @@ type Config struct {
 	// service exchanges full membership tables with one random live
 	// member. Default 4×ProbeInterval.
 	SyncInterval time.Duration
-	// RetransmitMult scales how often each queued update is piggybacked
-	// before it is dropped: RetransmitMult × ⌈log₂(n+1)⌉ transmissions.
-	// Default 4.
-	RetransmitMult int
-	// DeadRetention is how long a confirmed-dead member stays in the
-	// table before it is forgotten. Retention blocks resurrection by
-	// stale alive claims still circulating; forgetting bounds the table
-	// (and every anti-entropy payload) in a cluster visited by
-	// short-lived members, which would otherwise grow one permanent
-	// dead row per visitor. Default 20×SyncInterval — far beyond any
-	// dissemination tail. Forgetting changes no view: the member was
-	// already out of the alive set.
-	DeadRetention time.Duration
-	// MaxPiggyback caps the updates attached to one message. Default 8.
-	MaxPiggyback int
 	// DeadSyncFraction is the probability that one anti-entropy round
 	// targets a random confirmed-dead (but still retained) member instead
 	// of a live one — memberlist's "gossip to the dead". Without it a
@@ -126,20 +105,31 @@ type Config struct {
 	// notifications can arrive out of order: receivers must use the
 	// version to discard stale ones.
 	OnChange func(alive []string, version uint64)
-	// Seed seeds the service's private rng (probe-order shuffling,
-	// helper selection). Zero derives a seed from Addr.
-	Seed uint64
 }
+
+const (
+	// indirectProbes is k, the number of helpers asked to ping-req a peer
+	// that failed its direct probe.
+	indirectProbes = 2
+	// retransmitMult scales how often each queued update is piggybacked
+	// before it is dropped: retransmitMult × ⌈log₂(n+1)⌉ transmissions.
+	retransmitMult = 4
+	// maxPiggyback caps the updates attached to one message.
+	maxPiggyback = 8
+	// deadRetentionSyncs is how many SyncIntervals a confirmed-dead member
+	// stays in the table before it is forgotten. Retention blocks
+	// resurrection by stale alive claims still circulating; forgetting
+	// bounds the table (and every anti-entropy payload) in a cluster
+	// visited by short-lived members, which would otherwise grow one
+	// permanent dead row per visitor. 20 syncs is far beyond any
+	// dissemination tail. Forgetting changes no view: the member was
+	// already out of the alive set.
+	deadRetentionSyncs = 20
+)
 
 func (c *Config) setDefaults() {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = c.ProbeInterval / 2
-	}
-	if c.IndirectProbes == 0 {
-		c.IndirectProbes = 2
 	}
 	if c.SuspicionTimeout == 0 {
 		c.SuspicionTimeout = 4 * c.ProbeInterval
@@ -147,22 +137,8 @@ func (c *Config) setDefaults() {
 	if c.SyncInterval == 0 {
 		c.SyncInterval = 4 * c.ProbeInterval
 	}
-	if c.RetransmitMult == 0 {
-		c.RetransmitMult = 4
-	}
-	if c.DeadRetention == 0 {
-		c.DeadRetention = 20 * c.SyncInterval
-	}
-	if c.MaxPiggyback == 0 {
-		c.MaxPiggyback = 8
-	}
 	if c.DeadSyncFraction == 0 {
 		c.DeadSyncFraction = 0.125
-	}
-	if c.Seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(c.Addr))
-		c.Seed = h.Sum64() | 1
 	}
 }
 
@@ -170,10 +146,8 @@ func (c Config) validate() error {
 	switch {
 	case c.Addr == "":
 		return fmt.Errorf("gossip: empty Addr")
-	case c.ProbeInterval < 0 || c.ProbeTimeout < 0 || c.SuspicionTimeout < 0 || c.SyncInterval < 0:
+	case c.ProbeInterval < 0 || c.SuspicionTimeout < 0 || c.SyncInterval < 0:
 		return fmt.Errorf("gossip: negative interval")
-	case c.IndirectProbes < 0:
-		return fmt.Errorf("gossip: negative IndirectProbes")
 	}
 	return nil
 }
@@ -225,16 +199,24 @@ func New(cfg Config, call Caller) (*Service, error) {
 	if call == nil {
 		return nil, fmt.Errorf("gossip: nil Caller")
 	}
+	// The private rng (probe-order shuffling, helper selection) is seeded
+	// from the node's own address.
+	h := fnv.New64a()
+	h.Write([]byte(cfg.Addr))
 	s := &Service{
 		cfg:     cfg,
 		call:    call,
 		members: map[string]*memberState{cfg.Addr: {status: StatusAlive}},
 		version: 1,
-		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x2545f4914f6cdd1d)),
+		rng:     rand.New(rand.NewPCG(h.Sum64()|1, 0x2545f4914f6cdd1d)),
 		stop:    make(chan struct{}),
 	}
 	return s, nil
 }
+
+// probeTimeout bounds each direct or indirect probe RPC and each sync
+// exchange: half a protocol period.
+func (s *Service) probeTimeout() time.Duration { return s.cfg.ProbeInterval / 2 }
 
 // Start launches the probe and anti-entropy loops.
 func (s *Service) Start() {
@@ -289,7 +271,7 @@ func (s *Service) HandleMessage(msg transport.Gossip) (reply transport.Gossip, o
 		if msg.Target == "" || msg.Target == s.cfg.Addr {
 			return s.ackWithPiggyback(), msg.Target == s.cfg.Addr
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), s.probeTimeout())
 		defer cancel()
 		s.mu.Lock()
 		ping := transport.Gossip{Kind: transport.GossipPing, From: s.cfg.Addr, Updates: s.takePiggybackLocked()}
@@ -394,7 +376,7 @@ func (s *Service) probeRound() {
 	ping := transport.Gossip{Kind: transport.GossipPing, From: s.cfg.Addr, Updates: s.takePiggybackLocked()}
 	s.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.probeTimeout())
 	pingStart := time.Now()
 	reply, ok, err := s.call(ctx, target, ping)
 	cancel()
@@ -412,7 +394,7 @@ func (s *Service) probeRound() {
 	// Indirect probes: ask k other live members to ping the target. One
 	// positive verdict clears it; silence from everyone makes it suspect.
 	s.mu.Lock()
-	helpers := s.pickHelpersLocked(target, s.cfg.IndirectProbes)
+	helpers := s.pickHelpersLocked(target, indirectProbes)
 	req := transport.Gossip{
 		Kind: transport.GossipPingReq, From: s.cfg.Addr,
 		Target: target, Updates: s.takePiggybackLocked(),
@@ -426,7 +408,7 @@ func (s *Service) probeRound() {
 		go func(h string) {
 			defer wg.Done()
 			// An indirect probe crosses two hops; give it both budgets.
-			ctx, cancel := context.WithTimeout(context.Background(), 2*s.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*s.probeTimeout())
 			defer cancel()
 			r, rok, err := s.call(ctx, h, req)
 			if err == nil {
@@ -469,7 +451,7 @@ func (s *Service) syncRound() {
 		Full: true, Updates: s.fullStateLocked(),
 	}
 	s.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.probeTimeout())
 	defer cancel()
 	reply, _, err := s.call(ctx, peer, msg)
 	if err == nil {
@@ -494,7 +476,7 @@ func (s *Service) expireSuspects() {
 				s.metrics.deaths.Inc()
 			}
 			changed = true
-		case m.status == StatusDead && now.Sub(m.since) >= s.cfg.DeadRetention:
+		case m.status == StatusDead && now.Sub(m.since) >= deadRetentionSyncs*s.cfg.SyncInterval:
 			delete(s.members, addr)
 		}
 	}
@@ -589,8 +571,8 @@ func (s *Service) applyLocked(u transport.PeerState) bool {
 			return true
 		}
 		// Learning that a stranger died changes nothing we route to, but
-		// remembering it (until DeadRetention) blocks resurrection by
-		// stale alive claims.
+		// remembering it (for deadRetentionSyncs sync periods) blocks
+		// resurrection by stale alive claims.
 		return false
 	}
 	newer := u.Incarnation > m.incarnation ||
@@ -622,14 +604,14 @@ func (s *Service) enqueueLocked(u transport.PeerState) {
 		}
 	}
 	s.queue = kept
-	limit := s.cfg.RetransmitMult * int(math.Ceil(math.Log2(float64(len(s.members)+1))))
-	if limit < s.cfg.RetransmitMult {
-		limit = s.cfg.RetransmitMult
+	limit := retransmitMult * int(math.Ceil(math.Log2(float64(len(s.members)+1))))
+	if limit < retransmitMult {
+		limit = retransmitMult
 	}
 	s.queue = append(s.queue, &queuedUpdate{state: u, left: limit})
 }
 
-// takePiggybackLocked selects up to MaxPiggyback queued updates —
+// takePiggybackLocked selects up to maxPiggyback queued updates —
 // freshest (most transmissions remaining) first — and spends one
 // transmission on each.
 func (s *Service) takePiggybackLocked() []transport.PeerState {
@@ -638,8 +620,8 @@ func (s *Service) takePiggybackLocked() []transport.PeerState {
 	}
 	sort.SliceStable(s.queue, func(i, j int) bool { return s.queue[i].left > s.queue[j].left })
 	n := len(s.queue)
-	if n > s.cfg.MaxPiggyback {
-		n = s.cfg.MaxPiggyback
+	if n > maxPiggyback {
+		n = maxPiggyback
 	}
 	out := make([]transport.PeerState, 0, n)
 	for _, q := range s.queue[:n] {

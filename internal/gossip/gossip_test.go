@@ -349,10 +349,10 @@ func TestMergePrecedence(t *testing.T) {
 }
 
 // TestPiggybackBatching pins the dissemination mechanics: batches respect
-// MaxPiggyback, retransmissions are finite, and a newer claim about an
+// maxPiggyback, retransmissions are finite, and a newer claim about an
 // address supersedes the queued older one.
 func TestPiggybackBatching(t *testing.T) {
-	s, err := New(Config{Addr: "self", MaxPiggyback: 4, RetransmitMult: 2},
+	s, err := New(Config{Addr: "self"},
 		func(ctx context.Context, addr string, msg transport.Gossip) (transport.Gossip, bool, error) {
 			return transport.Gossip{}, false, errors.New("unused")
 		})
@@ -370,8 +370,8 @@ func TestPiggybackBatching(t *testing.T) {
 	s.mu.Lock()
 	batch := s.takePiggybackLocked()
 	s.mu.Unlock()
-	if len(batch) != 4 {
-		t.Fatalf("batch size %d, want MaxPiggyback=4", len(batch))
+	if len(batch) != maxPiggyback {
+		t.Fatalf("batch size %d, want maxPiggyback=%d", len(batch), maxPiggyback)
 	}
 
 	// Superseding: re-announce m0 dead at a higher incarnation; exactly
@@ -411,13 +411,11 @@ func TestPiggybackBatching(t *testing.T) {
 
 // TestDeadMemberForgottenAfterRetention bounds the table: a confirmed-dead
 // member (think: an exited one-shot querier) must leave the table once
-// DeadRetention lapses, or a long-lived node accumulates one permanent
+// its retention lapses, or a long-lived node accumulates one permanent
 // dead row — shipped in every anti-entropy payload — per visitor.
 func TestDeadMemberForgottenAfterRetention(t *testing.T) {
 	net := newFakeNet()
-	cfg := testConfig("a")
-	cfg.DeadRetention = 50 * time.Millisecond
-	a := net.add(t, cfg)
+	a := net.add(t, testConfig("a"))
 	b := net.add(t, testConfig("b"))
 	c := net.add(t, testConfig("c"))
 	for _, s := range []*Service{a, b} {

@@ -50,7 +50,7 @@ func TestMetricsSuspicion(t *testing.T) {
 	dead := func(ctx context.Context, addr string, msg transport.Gossip) (transport.Gossip, bool, error) {
 		return transport.Gossip{}, false, context.DeadlineExceeded
 	}
-	s, err := New(Config{Addr: "a", IndirectProbes: 1}, dead)
+	s, err := New(Config{Addr: "a"}, dead)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func (c RemoteConfig) validate() error {
 	if len(c.Seeds) == 0 {
 		return fmt.Errorf("node: remote client needs at least one seed")
 	}
-	return validateShared(c.Repl, c.KeyTtl, c.TraceSampling)
+	return validateShared(c.Repl, c.KeyTtl, c.CallTimeout, c.TraceSampling)
 }
 
 // RemoteClient speaks the wire protocol to an existing cluster without

@@ -85,7 +85,6 @@ func (n *Node) runHandoff(old, next *view, entries []core.Entry) {
 				break // unreachable; its keys degrade to broadcast-on-miss
 			}
 			if resp.OK {
-				n.m.handoffPushOK.Add(1)
 				n.m.handoffKeys.Add(1)
 				if n.persist != nil {
 					// Audit trail only: the holder keeps its copy (the

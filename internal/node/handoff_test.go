@@ -150,6 +150,18 @@ func TestHandoffOnDeathServesFromNewOwner(t *testing.T) {
 	if !slices.Contains(newGroup, res.AnsweredBy) {
 		t.Fatalf("answered by %s, outside the new replica group %v", res.AnsweredBy, newGroup)
 	}
+
+	// Every push sent is either accepted or counted failed: once the
+	// pushers settle, each survivor's counters balance.
+	waitFor(t, 5*time.Second, func() bool {
+		for i := 0; i < c.Size(); i++ {
+			if n := c.Node(i); n != nil &&
+				n.m.handoffMsgs.Value() != n.m.handoffKeys.Value()+n.m.handoffPushFailed.Value() {
+				return false
+			}
+		}
+		return true
+	}, "handoff_msgs_total = handoff_keys_total + handoff_push_failed_total on every node")
 }
 
 // TestHandoffTCPSmoke runs the same story over real sockets, smaller: a

@@ -24,7 +24,7 @@ type nodeMetrics struct {
 	unanswered, rpcFailures                   *obs.Counter
 	staleViews                                *obs.Counter
 	handoffMsgs, handoffKeys                  *obs.Counter
-	handoffPushOK, handoffPushFailed          *obs.Counter
+	handoffPushFailed                         *obs.Counter
 	readRepairs                               *obs.Counter
 	gatedInserts, retunes                     *obs.Counter
 	topkQueries, topkRounds, topkLegs         *obs.Counter
@@ -59,8 +59,6 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 			"Entry pushes sent on view changes (the replica repair pass)."),
 		handoffKeys: reg.Counter("pdht_node_handoff_keys_total",
 			"Handed-off entries the new owner accepted."),
-		handoffPushOK: reg.Counter("pdht_node_handoff_push_ok_total",
-			"Handoff pushes the destination accepted."),
 		handoffPushFailed: reg.Counter("pdht_node_handoff_push_failed_total",
 			"Handoff pushes that failed (transport error, timeout, or peer refusal) — a rising rate means repair traffic is getting stuck."),
 		readRepairs: reg.Counter("pdht_node_read_repairs_total",
@@ -161,7 +159,7 @@ func (n *Node) registerGauges(reg *obs.Registry) {
 
 // Metrics returns the node's registry — every layer's instruments
 // (pdht_transport_*, pdht_node_*, pdht_gossip_*, pdht_adapt_*) registered at
-// construction. Shared with Config.Metrics when one was supplied.
+// construction.
 func (n *Node) Metrics() *obs.Registry { return n.reg }
 
 // SlowQueries returns the retained slow-query traces, newest first — empty

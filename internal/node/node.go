@@ -19,6 +19,9 @@ import (
 	"pdht/internal/transport"
 )
 
+// slowQueryCapacity is the ring size of the slow-query log.
+const slowQueryCapacity = 64
+
 // Config parameterizes one live node.
 type Config struct {
 	// Addr is the address to serve on; empty lets the transport pick.
@@ -74,21 +77,14 @@ type Config struct {
 	// Tuner parameterizes the control plane (zero fields take
 	// adapt.DefaultConfig); ignored unless Adaptive is set.
 	Tuner adapt.Config
-	// Metrics is the registry every layer's instruments land on. Nil gives
-	// the node a private registry (still served by Metrics() and
-	// DebugHandler()); supply one to aggregate several nodes — registration
-	// is idempotent, but shared counters then sum across them.
-	Metrics *obs.Registry
 	// TraceHook, when set, receives every finished query's trace — the
 	// per-leg record of probes, broadcasts, gate verdicts, refreshes and
 	// repairs. Called synchronously at the end of Query; keep it cheap.
 	TraceHook func(obs.QueryTrace)
 	// SlowQueryThreshold enables the slow-query log: finished queries at or
-	// above it are retained in a ring (newest first, served on /traces).
-	// Zero disables the log.
+	// above it are retained in a ring of the last slowQueryCapacity (newest
+	// first, served on /traces). Zero disables the log.
 	SlowQueryThreshold time.Duration
-	// SlowQueryCapacity is the ring size of the slow-query log. Default 64.
-	SlowQueryCapacity int
 	// TraceSampling is the fraction of traced queries whose trace also
 	// propagates over the wire: sampled queries carry a TraceID on every
 	// RPC leg, and instrumented servers return server-side spans that are
@@ -98,11 +94,6 @@ type Config struct {
 	// nothing regardless of this knob. DefaultConfig sets 1.0; zero
 	// disables wire propagation while keeping client-side traces.
 	TraceSampling float64
-	// TopKScorer shapes how this node scores its local content against a
-	// top-k probe's terms (see topk.Scorer); nil means topk.MatchScorer —
-	// a matched term contributes its full weight. Scores above a term's
-	// weight are clamped: the threshold bound depends on it.
-	TopKScorer topk.Scorer
 	// Store is the persistence plane (internal/store): every index and
 	// content mutation is journaled through it, and New replays its
 	// recovered state — index entries re-admitted at their remaining TTL,
@@ -159,18 +150,17 @@ func (c *Config) setDefaults() {
 	if c.RetuneInterval == 0 {
 		c.RetuneInterval = 60 * c.RoundDuration
 	}
-	if c.SlowQueryCapacity == 0 {
-		c.SlowQueryCapacity = 64
-	}
 }
 
 // validateShared range-checks the fields Config and RemoteConfig share.
-func validateShared(repl, keyTtl int, traceSampling float64) error {
+func validateShared(repl, keyTtl int, callTimeout time.Duration, traceSampling float64) error {
 	switch {
 	case repl < 1:
 		return fmt.Errorf("node: Repl %d must be positive", repl)
 	case keyTtl < 1 || keyTtl > maxWireTTL:
 		return fmt.Errorf("node: KeyTtl %d must be in [1, %d]", keyTtl, maxWireTTL)
+	case callTimeout < 0:
+		return fmt.Errorf("node: negative CallTimeout")
 	case !isProbability(traceSampling):
 		return fmt.Errorf("node: TraceSampling %v must be a probability", traceSampling)
 	}
@@ -181,7 +171,7 @@ func validateShared(repl, keyTtl int, traceSampling float64) error {
 func isProbability(p float64) bool { return p >= 0 && p <= 1 }
 
 func (c Config) validate() error {
-	if err := validateShared(c.Repl, c.KeyTtl, c.TraceSampling); err != nil {
+	if err := validateShared(c.Repl, c.KeyTtl, c.CallTimeout, c.TraceSampling); err != nil {
 		return err
 	}
 	switch {
@@ -197,8 +187,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("node: negative RetuneInterval")
 	case c.SlowQueryThreshold < 0:
 		return fmt.Errorf("node: negative SlowQueryThreshold")
-	case c.SlowQueryCapacity < 0:
-		return fmt.Errorf("node: negative SlowQueryCapacity")
 	}
 	return nil
 }
@@ -260,10 +248,7 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	// Every RPC this node issues or serves crosses the instrumented
 	// transport, so the wire metrics land on the same registry.
 	tr = transport.Instrument(tr, transport.NewMetrics(reg))
@@ -288,7 +273,7 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 	}
 	n.local, n.stale = n.serve, n.staleView
 	if cfg.SlowQueryThreshold > 0 {
-		n.slowLog = obs.NewSlowLog(cfg.SlowQueryCapacity, cfg.SlowQueryThreshold)
+		n.slowLog = obs.NewSlowLog(slowQueryCapacity, cfg.SlowQueryThreshold)
 	}
 	n.registerGauges(reg)
 	var termCount func(uint64) uint64 // nil: the planner weights terms uniformly
@@ -800,7 +785,7 @@ func (n *Node) serveTopK(req transport.Request) transport.Response {
 	resp := topk.Serve(*req.TopK, func(term uint64) (uint64, bool) {
 		doc, ok := n.store[keyspace.Key(term)]
 		return doc, ok
-	}, n.cfg.TopKScorer)
+	}, nil) // nil: topk.MatchScorer
 	n.mu.Unlock()
 	return transport.Response{OK: true, TopK: &resp}
 }
@@ -824,19 +809,7 @@ func (n *Node) callCtx(ctx context.Context, addr string, req transport.Request) 
 // content provider; published keys are what broadcasts can resolve.
 // Fails with ErrClosed after Close.
 func (n *Node) Publish(ctx context.Context, key, value uint64) error {
-	if err := ctx.Err(); err != nil {
-		return ctxErr(err)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	n.store[keyspace.Key(key)] = value
-	if n.persist != nil {
-		_ = n.persist.Append(store.Record{Op: store.OpPublish, Key: key, Value: value})
-	}
-	return nil
+	return n.PublishMany(ctx, []KV{{Key: key, Value: value}})
 }
 
 // PublishMany installs a batch of key→value pairs in the local content

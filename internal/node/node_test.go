@@ -321,6 +321,7 @@ func TestConfigValidation(t *testing.T) {
 		"repl":             {Repl: -1},
 		"keyttl":           {KeyTtl: -5},
 		"capacity":         {Capacity: -1},
+		"call-timeout":     {CallTimeout: -time.Second},
 		"env-above-1":      {MaintainEnv: 2},
 		"env-nan":          {MaintainEnv: nan},
 		"sampling-above-1": {TraceSampling: 5},
@@ -336,6 +337,7 @@ func TestConfigValidation(t *testing.T) {
 		"no-seeds":         {},
 		"repl":             {Seeds: seeds, Repl: -1},
 		"keyttl":           {Seeds: seeds, KeyTtl: maxWireTTL + 1},
+		"call-timeout":     {Seeds: seeds, CallTimeout: -time.Second},
 		"sampling-above-1": {Seeds: seeds, TraceSampling: 5},
 		"sampling-neg":     {Seeds: seeds, TraceSampling: -0.5},
 		"sampling-nan":     {Seeds: seeds, TraceSampling: nan},

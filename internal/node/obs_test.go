@@ -480,11 +480,11 @@ func TestScrapeShowsRetuneStep(t *testing.T) {
 
 // TestSlowQueryLog checks the ring fills from real traffic when the
 // threshold is zero--adjacent: with a 1ns threshold every query is "slow",
-// so the log must retain the most recent ones, newest first.
+// so the log must retain every one of them. (The ring's wrap is obs's
+// own SlowLog test.)
 func TestSlowQueryLog(t *testing.T) {
 	cfg := obsClusterConfig()
 	cfg.SlowQueryThreshold = time.Nanosecond
-	cfg.SlowQueryCapacity = 4
 	c, err := NewCluster(transport.NewMemory(), 2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -496,8 +496,8 @@ func TestSlowQueryLog(t *testing.T) {
 		mustQuery(t, n, uint64(11+i%3))
 	}
 	got := n.SlowQueries()
-	if len(got) != 4 {
-		t.Fatalf("slow log holds %d traces, want the ring capacity 4", len(got))
+	if len(got) != 6 {
+		t.Fatalf("slow log holds %d traces, want all 6 queries", len(got))
 	}
 	for _, qt := range got {
 		if len(qt.Legs) == 0 {

@@ -182,9 +182,10 @@ func (n *Node) modelComparison(r Report, members, repl, distinct int, counts []i
 	if members < 2 || r.Queries == 0 || distinct == 0 || r.Rounds == 0 {
 		return nil
 	}
+	lit := model.DefaultScenario() // dup, dup2 and the fallback α [LvCa02, Srip01]
 	alpha, err := zipf.EstimateAlpha(counts, distinct)
 	if err != nil {
-		alpha = 1.2 // the paper's literature constant [Srip01]
+		alpha = lit.Alpha
 	}
 	p := model.Params{
 		NumPeers: members,
@@ -197,8 +198,8 @@ func (n *Node) modelComparison(r Report, members, repl, distinct int, counts []i
 		FQry: float64(r.Queries) / float64(r.Rounds),
 		FUpd: 0,
 		Env:  n.cfg.MaintainEnv,
-		Dup:  1.8,
-		Dup2: 1.8,
+		Dup:  lit.Dup,
+		Dup2: lit.Dup2,
 		// Hits fan the reset-on-hit refresh out to the whole replica set;
 		// the prediction must pay the same extra write legs the node does.
 		WriteFanout: float64(repl - 1),

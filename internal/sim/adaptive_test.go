@@ -23,7 +23,6 @@ func adaptiveConfig() Config {
 	cfg.FQry = 0.2
 	cfg.Rounds = 200
 	cfg.WarmupRounds = 60
-	cfg.TunePeriod = 40
 	cfg.KeyTtl = 4 // a deliberately poor static setting for the A/B below
 	return cfg
 }

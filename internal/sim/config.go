@@ -43,7 +43,7 @@ const (
 	StrategyPartialTTL
 	// StrategyPartialAdaptive is the selection algorithm under the live
 	// control plane (internal/adapt): an online tuner sketches the query
-	// stream, refits the model every TunePeriod rounds, drives keyTtl
+	// stream, refits the model every tunePeriod rounds, drives keyTtl
 	// from the fit, and gates inserts of keys whose estimated rate falls
 	// below fMin. The A/B counterpart of StrategyPartialTTL under
 	// mid-run popularity shifts.
@@ -119,10 +119,6 @@ type Config struct {
 	// analytical model under StrategyPartialTTL; StrategyPartialAdaptive
 	// then starts from a coarse 600-round guess its tuner corrects.
 	KeyTtl int
-	// TunePeriod is the interval in rounds (default 50) at which
-	// StrategyPartialAdaptive retunes and StrategyPartialTopK's planner
-	// decays its yield history.
-	TunePeriod int
 
 	// Run length.
 	Rounds       int
@@ -233,8 +229,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: WarmupRounds %d must be non-negative", c.WarmupRounds)
 	case c.KeyTtl < 0:
 		return fmt.Errorf("sim: KeyTtl %d must be non-negative", c.KeyTtl)
-	case c.TunePeriod < 0:
-		return fmt.Errorf("sim: TunePeriod %d must be non-negative", c.TunePeriod)
 	}
 	if c.Strategy == StrategyPartialTopK {
 		switch {

@@ -264,6 +264,10 @@ func (r *run) buildIndex(icfg simcore.IndexConfig) error {
 	return err
 }
 
+// tunePeriod is the interval in rounds at which StrategyPartialAdaptive
+// retunes and StrategyPartialTopK's planner decays its yield history.
+const tunePeriod = 50
+
 // loop drives the rounds and collects measurements.
 func (r *run) loop() (Result, error) {
 	cfg := r.cfg
@@ -294,10 +298,6 @@ func (r *run) loop() (Result, error) {
 		winStart = r.net.Counters().Snapshot()
 	}
 	total := cfg.WarmupRounds + cfg.Rounds
-	period := cfg.TunePeriod
-	if period == 0 {
-		period = 50
-	}
 	for round := 0; round < total; round++ {
 		if round > 0 {
 			r.net.AdvanceRound()
@@ -317,14 +317,14 @@ func (r *run) loop() (Result, error) {
 
 		if r.index != nil {
 			r.index.Maintain()
-			if r.adaptTuner != nil && round > 0 && round%period == 0 {
+			if r.adaptTuner != nil && round > 0 && round%tunePeriod == 0 {
 				in := adapt.Inputs{
 					Members:      cfg.Peers,
 					Observers:    cfg.Peers,
 					Capacity:     cfg.Stor,
 					Repl:         cfg.Repl,
 					Env:          cfg.Env,
-					WindowRounds: period,
+					WindowRounds: tunePeriod,
 				}
 				if d, err := r.adaptTuner.Retune(in); err == nil {
 					r.keyTtl = d.KeyTtl
@@ -354,7 +354,7 @@ func (r *run) loop() (Result, error) {
 			// The planner's yield history decays on the same window
 			// rotation the adaptive tuner uses, so shifted workloads'
 			// new hot peers overtake the old.
-			if r.topk.planner != nil && round > 0 && round%period == 0 {
+			if r.topk.planner != nil && round > 0 && round%tunePeriod == 0 {
 				r.topk.planner.Decay()
 			}
 			tqbuf = r.topk.queries.Round(tqbuf)

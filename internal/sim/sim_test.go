@@ -341,11 +341,3 @@ func TestReplicationMasksChurn(t *testing.T) {
 			ansRepl, ansSingle)
 	}
 }
-
-func TestNegativeTunePeriodRejected(t *testing.T) {
-	cfg := quickConfig(StrategyPartialTTL)
-	cfg.TunePeriod = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative TunePeriod accepted")
-	}
-}

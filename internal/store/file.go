@@ -73,7 +73,7 @@ type SyncPolicy uint8
 
 const (
 	// SyncInterval (the default): a background flusher fsyncs every
-	// SyncEvery while appends are outstanding. Bounded loss on power
+	// syncEvery while appends are outstanding. Bounded loss on power
 	// failure, negligible append cost.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways: fsync after every append. No loss window, every append
@@ -115,8 +115,6 @@ type FileOptions struct {
 	Dir string
 	// Fsync is the WAL durability policy (default SyncInterval).
 	Fsync SyncPolicy
-	// SyncEvery is the SyncInterval flush period (default 100ms).
-	SyncEvery time.Duration
 	// SnapshotEvery is the compaction period: how often outstanding WAL
 	// records are absorbed into a fresh snapshot and the WAL truncated
 	// (default 1m). Compaction also triggers whenever the WAL exceeds
@@ -128,10 +126,10 @@ type FileOptions struct {
 	now func() time.Time
 }
 
+// syncEvery is the SyncInterval flush period.
+const syncEvery = 100 * time.Millisecond
+
 func (o *FileOptions) setDefaults() {
-	if o.SyncEvery == 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = time.Minute
 	}
@@ -174,8 +172,13 @@ var ErrClosed = errors.New("store: closed")
 // whose deadline already passed are dropped and counted. The surviving
 // state is available through Recovered and Stats.
 func OpenFile(opts FileOptions) (*FileStore, error) {
-	if opts.Dir == "" {
+	switch {
+	case opts.Dir == "":
 		return nil, fmt.Errorf("store: FileOptions.Dir is required")
+	case opts.SnapshotEvery < 0:
+		return nil, fmt.Errorf("store: negative SnapshotEvery %v", opts.SnapshotEvery)
+	case opts.SnapshotBytes < 0:
+		return nil, fmt.Errorf("store: negative SnapshotBytes %d", opts.SnapshotBytes)
 	}
 	opts.setDefaults()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -520,7 +523,7 @@ func (s *FileStore) Entries() int {
 // compaction.
 func (s *FileStore) background() {
 	defer s.done.Done()
-	flush := time.NewTicker(s.opts.SyncEvery)
+	flush := time.NewTicker(syncEvery)
 	defer flush.Stop()
 	snap := time.NewTicker(s.opts.SnapshotEvery)
 	defer snap.Stop()

@@ -173,6 +173,22 @@ func TestFileStoreAppendAfterCloseFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestOpenFileRejectsBadOptions: a negative period or size is refused at
+// open, not left for the background loop's ticker to panic on.
+func TestOpenFileRejectsBadOptions(t *testing.T) {
+	dir := t.TempDir()
+	for name, o := range map[string]FileOptions{
+		"no dir":                 {},
+		"negative SnapshotEvery": {Dir: dir, SnapshotEvery: -time.Second},
+		"negative SnapshotBytes": {Dir: dir, SnapshotBytes: -1},
+	} {
+		if s, err := OpenFile(o); err == nil {
+			s.Close()
+			t.Errorf("%s: OpenFile accepted %+v", name, o)
+		}
+	}
+}
+
 func TestParseSyncPolicy(t *testing.T) {
 	for in, want := range map[string]SyncPolicy{"always": SyncAlways, "interval": SyncInterval, "none": SyncNever} {
 		got, err := ParseSyncPolicy(in)

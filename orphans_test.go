@@ -178,3 +178,120 @@ func TestNoOrphanedExports(t *testing.T) {
 		t.Errorf("orphanAllowed lists %s, which is no longer an orphan: drop the entry", name)
 	}
 }
+
+// knobAllowed is every exported field of a *Config or *Options struct
+// under internal/ and client/ that no non-test file outside its own sets,
+// and that stays anyway, with the reason: a test turns it to force what
+// the default never does.
+var knobAllowed = map[string]string{
+	"adapt.Config.TTLMax":             "forces the shrink in TestRetuneShrinkKeepsGrantedTTLs",
+	"chaos.Config.Duplicate":          "TestDuplicateDelivery",
+	"overlay.SearchConfig.MaxSteps":   "the flood-fallback test",
+	"store.FileOptions.SnapshotBytes": "keeps compaction out of the store benchmarks",
+}
+
+// TestNoOrphanedKnobs is the other half of `make orphans`: every exported
+// field of an exported *Config or *Options struct declared under internal/
+// or client/ must be set by some non-test Go file other than the declaring
+// one (bench/ included) — as a composite-literal key or as an assignment
+// target. A field nothing sets has one value in use, and is a constant.
+// The match is by field name, not by type, so it errs towards silence,
+// like TestNoOrphanedExports.
+func TestNoOrphanedKnobs(t *testing.T) {
+	type field struct{ name, file, where string }
+	var fields []field
+	setters := map[string]map[string]bool{} // field name → files that set it
+	set := func(name, file string) {
+		if setters[name] == nil {
+			setters[name] = map[string]bool{}
+		}
+		setters[name][file] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		slash := filepath.ToSlash(path)
+		if strings.HasPrefix(slash, "internal/") || strings.HasPrefix(slash, "client/") {
+			for _, d := range f.Decls {
+				g, ok := d.(*ast.GenDecl)
+				if !ok || g.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range g.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !ts.Name.IsExported() ||
+						!strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								fields = append(fields, field{f.Name.Name + "." + ts.Name.Name + "." + id.Name,
+									path, fset.Position(id.Pos()).String()})
+							}
+						}
+					}
+				}
+			}
+		}
+		target := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				set(sel.Sel.Name, path)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					set(id.Name, path)
+				}
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					target(e)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stale := map[string]bool{}
+	for name := range knobAllowed {
+		stale[name] = true
+	}
+	for _, fl := range fields {
+		name := fl.name[strings.LastIndex(fl.name, ".")+1:]
+		others := len(setters[name])
+		if setters[name][fl.file] {
+			others--
+		}
+		if others > 0 {
+			continue
+		}
+		delete(stale, fl.name)
+		if knobAllowed[fl.name] == "" {
+			t.Errorf("%s: %s is set by no non-test file but its own: make it a constant, or say in knobAllowed why it stays", fl.where, fl.name)
+		}
+	}
+	for name := range stale {
+		t.Errorf("knobAllowed lists %s, which some non-test file sets: drop the entry", name)
+	}
+}

@@ -139,8 +139,8 @@ func WithKeyTtl(rounds int) ClientOption               { return client.WithKeyTt
 func WithRoundDuration(d time.Duration) ClientOption   { return client.WithRoundDuration(d) }
 func WithTraceHook(hook func(QueryTrace)) ClientOption { return client.WithTraceHook(hook) }
 func WithTraceSampling(rate float64) ClientOption      { return client.WithTraceSampling(rate) }
-func WithSlowQueryLog(threshold time.Duration, capacity int) ClientOption {
-	return client.WithSlowQueryLog(threshold, capacity)
+func WithSlowQueryLog(threshold time.Duration) ClientOption {
+	return client.WithSlowQueryLog(threshold)
 }
 func WithDataDir(dir string) ClientOption { return client.WithDataDir(dir) }
 
