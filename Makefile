@@ -21,14 +21,16 @@ test:
 
 # The live subsystem under the race detector — the CI race matrix — then
 # ten rounds of the one test that hammers a shared connection, where a
-# pooled frame buffer aliasing a returned value would race, and five of
-# the Close test, where a handoff spawned during Close would race its Wait.
+# pooled frame buffer aliasing a returned value would race, ten of the
+# split round trip, where a reply routed to a request its waiter abandoned
+# would race, and five of the Close test, where a handoff spawned during
+# Close would race its Wait.
 race:
 	go test -race ./client/ ./internal/adapt/ ./internal/chaos/ \
 		./internal/gossip/... ./internal/node/ ./internal/obs/ \
 		./internal/replica/ ./internal/store/ ./internal/topk/ \
 		./internal/transport/ ./cmd/pdht-node/
-	go test -race -count=10 -run TestTCPSharedConnectionNeverAliases ./internal/transport/
+	go test -race -count=10 -run 'TestTCPSharedConnectionNeverAliases|TestSendDoesNotWaitForReply|TestWaitKeepsReplyDeliveredBeforeDeadline' ./internal/transport/
 	go test -race -count=5 -run TestCloseReturnsGoroutinesToBaseline ./internal/node/
 
 # Each fuzz target, as package:target, for 20 s from its committed seed

@@ -218,10 +218,23 @@ func blackhole(ctx context.Context, src, dst string) (transport.Response, error)
 	return transport.Response{}, ctx.Err()
 }
 
-func (c *linkClient) Call(ctx context.Context, req transport.Request) (transport.Response, error) {
+// Send takes the call's rule and random draws on the caller, in issue
+// order, so the link's stream stays aligned with the order requests were
+// sent; delivery — latency, blackholes, the response leg — runs on a
+// goroutine of its own.
+func (c *linkClient) Send(ctx context.Context, req transport.Request) transport.Pending {
 	rule := c.net.ruleFor(c.src, c.dst)
 	d := c.draw()
+	return transport.Go(ctx, func() (transport.Response, error) { return c.deliver(ctx, req, rule, d) })
+}
 
+func (c *linkClient) Call(ctx context.Context, req transport.Request) (transport.Response, error) {
+	return c.Send(ctx, req).Wait()
+}
+
+// deliver carries one request across the link, under the faults that rule
+// and d decided for it.
+func (c *linkClient) deliver(ctx context.Context, req transport.Request, rule linkRule, d draws) (transport.Response, error) {
 	if rule.cut || d.dropReq < rule.drop {
 		return blackhole(ctx, c.src, c.dst)
 	}

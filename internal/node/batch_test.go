@@ -3,12 +3,14 @@ package node
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"pdht/internal/keyspace"
+	"pdht/internal/obs"
 	"pdht/internal/transport"
 )
 
@@ -64,18 +66,24 @@ type countingClient struct {
 	inner transport.Client
 }
 
-func (c *countingClient) Call(ctx context.Context, req transport.Request) (transport.Response, error) {
+func (c *countingClient) Send(ctx context.Context, req transport.Request) transport.Pending {
 	c.t.count(c.addr, req.Op)
-	return c.inner.Call(ctx, req)
+	return c.inner.Send(ctx, req)
+}
+
+func (c *countingClient) Call(ctx context.Context, req transport.Request) (transport.Response, error) {
+	return c.Send(ctx, req).Wait()
 }
 
 func (c *countingClient) Close() error { return c.inner.Close() }
 
-// blackholeTransport wraps a transport; calls to the victim address hang
-// until the caller's context expires — a SYN-blackholed peer.
+// blackholeTransport wraps a transport; calls to the victim address, and to
+// every address in victims, hang until the caller's context expires — a
+// SYN-blackholed peer.
 type blackholeTransport struct {
-	inner  transport.Transport
-	victim string
+	inner   transport.Transport
+	victim  string
+	victims []string
 }
 
 func (t *blackholeTransport) Serve(addr string, h transport.Handler) (transport.Server, error) {
@@ -83,7 +91,7 @@ func (t *blackholeTransport) Serve(addr string, h transport.Handler) (transport.
 }
 
 func (t *blackholeTransport) Dial(addr string) (transport.Client, error) {
-	if addr == t.victim {
+	if addr == t.victim || slices.Contains(t.victims, addr) {
 		return blackholeClient{}, nil
 	}
 	return t.inner.Dial(addr)
@@ -91,9 +99,15 @@ func (t *blackholeTransport) Dial(addr string) (transport.Client, error) {
 
 type blackholeClient struct{}
 
-func (blackholeClient) Call(ctx context.Context, req transport.Request) (transport.Response, error) {
-	<-ctx.Done()
-	return transport.Response{}, ctx.Err()
+func (blackholeClient) Send(ctx context.Context, req transport.Request) transport.Pending {
+	return transport.Go(ctx, func() (transport.Response, error) {
+		<-ctx.Done()
+		return transport.Response{}, ctx.Err()
+	})
+}
+
+func (c blackholeClient) Call(ctx context.Context, req transport.Request) (transport.Response, error) {
+	return c.Send(ctx, req).Wait()
 }
 
 func (blackholeClient) Close() error { return nil }
@@ -369,5 +383,198 @@ func TestQueryAfterCloseFailsTyped(t *testing.T) {
 	}
 	if _, err := nd.QueryMany(context.Background(), []uint64{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("QueryMany after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestFanoutDeadlineDoesNotStack pins that a round collects its replies one
+// after another under one shared deadline: with two of a key's three
+// replicas blackholed, a hit's refresh round and a miss's insert round each
+// hold the caller for one CallTimeout, not one per dead member — and still
+// spend their three messages.
+func TestFanoutDeadlineDoesNotStack(t *testing.T) {
+	const callTimeout = 200 * time.Millisecond
+	mem := transport.NewMemory()
+	cfg := testConfig()
+	cfg.KeyTtl = 1 << 20
+	cfg.GossipInterval = 10 * time.Millisecond
+	c, err := NewCluster(mem, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	healthy := c.Addr(0)
+	bt := &blackholeTransport{inner: mem}
+	client, err := DialRemote(ctx, bt, RemoteConfig{Seeds: []string{healthy}, KeyTtl: cfg.KeyTtl, CallTimeout: callTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// A key whose primary stays healthy, so the probe answers at once and
+	// only the refresh round meets the dead members.
+	v := client.view.Load()
+	var key uint64
+	for i := uint64(1); v.Replicas(keyspace.Key(key))[0] != healthy; i++ {
+		key = mix64(i) // spread over the ring
+	}
+	set := v.Replicas(keyspace.Key(key))
+	if len(set) != 3 {
+		t.Fatalf("replica set %v, want 3 members", set)
+	}
+	bt.victims = set[1:] // nothing has dialed them yet
+	toPrimary, err := mem.Dial(healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := toPrimary.Call(ctx, transport.Request{Op: transport.OpInsert, Key: key, Value: 7, TTL: cfg.KeyTtl}); err != nil || !resp.OK {
+		t.Fatalf("seeding the primary: %+v, %v", resp, err)
+	}
+
+	start := time.Now()
+	res, err := client.Query(ctx, key)
+	took := time.Since(start)
+	if err != nil || !res.FromIndex {
+		t.Fatalf("hit = %+v, %v; want an index hit at the primary", res, err)
+	}
+	if res.RefreshMsgs != 3 {
+		t.Errorf("hit spent %d refresh messages, want 3", res.RefreshMsgs)
+	}
+	if took >= 2*callTimeout {
+		t.Errorf("hit with two dead replicas took %v, want < %v: the refresh legs' deadlines stacked", took, 2*callTimeout)
+	}
+
+	start = time.Now()
+	msgs := client.insert(ctx, v, keyspace.Key(mix64(key)), 8)
+	took = time.Since(start)
+	if msgs != 3 {
+		t.Errorf("insert spent %d messages, want 3", msgs)
+	}
+	if took >= 2*callTimeout {
+		t.Errorf("insert with two dead replicas took %v, want < %v: the insert legs' deadlines stacked", took, 2*callTimeout)
+	}
+}
+
+// TestFanoutKeepsRepliesBehindADeadLeg pins that a round collecting its
+// legs in address order keeps every reply that arrived while it waited out
+// an earlier, blackholed leg: with the member that sorts first dead, a
+// broadcast still finds the key a later member holds, and a PublishMany
+// still counts the pairs the two live replicas stored.
+func TestFanoutKeepsRepliesBehindADeadLeg(t *testing.T) {
+	const callTimeout = 30 * time.Millisecond
+	mem := transport.NewMemory()
+	cfg := testConfig()
+	cfg.KeyTtl = 1 << 20
+	cfg.GossipInterval = 10 * time.Millisecond
+	c, err := NewCluster(mem, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{c.Addr(0), c.Addr(1), c.Addr(2)}
+	slices.Sort(addrs)
+	dead, holder := addrs[0], addrs[2]
+	var holderNode *Node
+	for i := range 3 {
+		if c.Addr(i) == holder {
+			holderNode = c.Node(i)
+		}
+	}
+	ctx := context.Background()
+	bt := &blackholeTransport{inner: mem, victim: dead}
+	client, err := DialRemote(ctx, bt, RemoteConfig{Seeds: []string{holder}, KeyTtl: cfg.KeyTtl, CallTimeout: callTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// Each key is a miss whose broadcast waits out the dead member first;
+	// a reply lost to that wait half the time would show within a few.
+	for i := range uint64(8) {
+		key := 1000 + i
+		if err := holderNode.Publish(ctx, key, key*3); err != nil {
+			t.Fatal(err)
+		}
+		res, err := client.Query(ctx, key)
+		if err != nil || !res.Answered || res.FromIndex || res.Value != key*3 || res.AnsweredBy != holder {
+			t.Fatalf("broadcast %d = %+v, %v; want the value %d answered by %s", i, res, err, key*3, holder)
+		}
+	}
+	for i := range uint64(8) {
+		key := 2000 + i
+		if err := client.PublishMany(ctx, []KV{{Key: key, Value: key}}); err != nil {
+			t.Fatalf("PublishMany %d with one of three replicas dead: %v", i, err)
+		}
+	}
+}
+
+// TestTracedRefreshLegsEndWhenCollected pins the refresh round's trace: a
+// leg ends when the round collects it, not when the whole round is done, so
+// the healthy primary's leg stays short beside a blackholed backup's; and a
+// leg the round never issued, because the caller had already given up,
+// records nothing.
+func TestTracedRefreshLegsEndWhenCollected(t *testing.T) {
+	const callTimeout = 100 * time.Millisecond
+	mem := transport.NewMemory()
+	cfg := testConfig()
+	cfg.KeyTtl = 1 << 20
+	cfg.GossipInterval = 10 * time.Millisecond
+	c, err := NewCluster(mem, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	healthy := c.Addr(0)
+	bt := &blackholeTransport{inner: mem}
+	client, err := DialRemote(ctx, bt, RemoteConfig{Seeds: []string{healthy}, KeyTtl: cfg.KeyTtl, CallTimeout: callTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	v := client.view.Load()
+	var key uint64
+	for i := uint64(1); v.Replicas(keyspace.Key(key))[0] != healthy; i++ {
+		key = mix64(i)
+	}
+	set := v.Replicas(keyspace.Key(key))
+	bt.victim = set[1] // nothing has dialed it yet
+
+	tr := obs.NewTrace(key)
+	client.syncHit(obs.WithTrace(ctx, tr), v, set, keyspace.Key(key), 7)
+	legs := tr.Finish("hit").Legs
+	refresh := map[string]obs.Leg{}
+	for _, l := range legs {
+		if l.Name == "refresh" {
+			refresh[l.Target] = l
+		}
+	}
+	if len(refresh) != 3 {
+		t.Fatalf("refresh legs %+v, want one per member of %v", legs, set)
+	}
+	if d := refresh[set[0]].Duration; d >= callTimeout/2 {
+		t.Errorf("healthy primary's refresh leg lasted %v, want < %v: it ended with the round, not when collected", d, callTimeout/2)
+	}
+	if l := refresh[set[1]]; l.Outcome != "failed" || l.Duration < callTimeout/2 {
+		t.Errorf("blackholed member's refresh leg = %+v, want failed after about %v", l, callTimeout)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	tr = obs.NewTrace(key)
+	if msgs, _ := client.syncHit(obs.WithTrace(cancelled, tr), v, set, keyspace.Key(key), 7); msgs != 0 {
+		t.Errorf("a cancelled refresh round sent %d messages, want 0", msgs)
+	}
+	if legs := tr.Finish("error").Legs; len(legs) != 0 {
+		t.Errorf("a cancelled refresh round recorded legs it never sent: %+v", legs)
 	}
 }

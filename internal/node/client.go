@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"pdht/internal/gossip"
@@ -26,7 +25,8 @@ type RemoteConfig struct {
 	// KeyTtl is the expiration time, in rounds, this client attaches to
 	// its inserts and refreshes. Default 120.
 	KeyTtl int
-	// CallTimeout bounds each outbound RPC. Default 2s.
+	// CallTimeout bounds each outbound RPC, and each fan-out round of them
+	// as a whole: a round's legs share one deadline. Default 2s.
 	CallTimeout time.Duration
 	// TraceHook, when set, receives every finished query's trace — the
 	// same per-leg record a member's hook gets: probes, the broadcast, the
@@ -226,42 +226,30 @@ func (c *RemoteClient) PublishMany(ctx context.Context, pairs []KV) error {
 
 // publish is one routing pass of PublishMany under view v.
 func (c *RemoteClient) publish(ctx context.Context, v *view, pairs []KV) error {
-	groups := make(map[string][]int) // destination → indexes into pairs
+	var dests destinations
 	for i, p := range pairs {
 		for _, addr := range v.Replicas(keyspace.Key(p.Key)) {
-			groups[addr] = append(groups[addr], i)
+			dests.add(addr, i)
 		}
 	}
+	legs := c.batchLegs(v, &dests, func(i int) transport.BatchItem {
+		return transport.BatchItem{Op: transport.OpInsert, Key: pairs[i].Key, Value: pairs[i].Value, TTL: c.cfg.KeyTtl}
+	})
+	c.round(ctx, legs)
 	// stored: at least one replica accepted the pair; acked: at least one
 	// replica answered for it at all — the line between "index refused
-	// it" and "nobody reachable". Both guarded by statusMu.
+	// it" and "nobody reachable".
 	stored := make([]bool, len(pairs))
 	acked := make([]bool, len(pairs))
-	var statusMu sync.Mutex
-	var wg sync.WaitGroup
-	for addr, idxs := range groups {
-		wg.Add(1)
-		go func(addr string, idxs []int) {
-			defer wg.Done()
-			items := make([]transport.BatchItem, len(idxs))
-			for j, i := range idxs {
-				items[j] = transport.BatchItem{Op: transport.OpInsert, Key: pairs[i].Key, Value: pairs[i].Value, TTL: c.cfg.KeyTtl}
+	for j := range legs {
+		for n, r := range c.batchResults(ctx, &legs[j]) {
+			i := dests.idxs[j][n]
+			acked[i] = true
+			if r.OK {
+				stored[i] = true
 			}
-			results := c.batch(ctx, v, addr, items)
-			if results == nil {
-				return
-			}
-			statusMu.Lock()
-			for j, i := range idxs {
-				acked[i] = true
-				if results[j].OK {
-					stored[i] = true
-				}
-			}
-			statusMu.Unlock()
-		}(addr, idxs)
+		}
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return ctxErr(err)
 	}

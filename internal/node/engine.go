@@ -10,7 +10,6 @@ import (
 	"pdht/internal/adapt"
 	"pdht/internal/keyspace"
 	"pdht/internal/obs"
-	"pdht/internal/replica"
 	"pdht/internal/stats"
 	"pdht/internal/topk"
 	"pdht/internal/transport"
@@ -39,7 +38,7 @@ type engine struct {
 	// the tuner's recommendation once it has one.
 	repl      int
 	staticTtl int
-	// callTimeout caps every outbound RPC.
+	// callTimeout caps every round of outbound RPCs (round).
 	callTimeout time.Duration
 
 	traceSampling float64
@@ -133,46 +132,122 @@ func (e *engine) keyTtl() int {
 	return e.staticTtl
 }
 
-// call performs one RPC leg. A leg addressed to self is served in-process:
-// no wire, no message, and no view-hash check — a peer always agrees with
-// itself. Every other leg is bounded by both the caller's context and
-// callTimeout: a cancelled request aborts its in-flight legs, and a patient
-// caller still cannot hang on one dead peer longer than callTimeout. When
-// the caller's trace has a wire ID, the request carries it and the
-// server-side spans in the reply are stitched into the trace under the
-// callee's address.
-func (e *engine) call(ctx context.Context, addr string, req transport.Request) (transport.Response, error) {
-	if e.self != "" && addr == e.self {
-		req.ViewHash = 0
-		return e.local(req), nil
-	}
-	cctx, cancel := context.WithTimeout(ctx, e.callTimeout)
-	defer cancel()
-	tr := obs.TraceFrom(ctx)
-	var start time.Time
-	if tr != nil {
-		if req.TraceID = tr.WireID(); req.TraceID != 0 {
-			start = time.Now()
-		}
-	}
-	resp, err := e.pool.call(cctx, addr, req)
-	if err != nil {
-		e.m.rpcFailures.Add(1)
-	} else if req.TraceID != 0 {
-		tr.AddSpans(addr, start, resp.Spans)
-	}
-	return resp, err
+// A fanLeg is one leg of a round: the request for addr and, once the round
+// has collected it, what came back.
+type fanLeg struct {
+	addr string
+	req  transport.Request
+	resp transport.Response
+	err  error
+	// wire reports that the request went out as a message. A leg served
+	// in-process, or not issued because the caller had given up, costs
+	// none; a leg that fails or is refused still cost its message.
+	wire bool
+	// start is when the leg was issued or served, and end when it was
+	// collected, on a traced query; start stays zero for a leg the round
+	// never issued.
+	start, end time.Time
+	out        outbound
 }
 
-// sent counts one message toward *n unless the leg stays in-process. Counted
-// at send: a leg that fails or is refused still cost its message.
-func (e *engine) sent(addr string, mu *sync.Mutex, n *int) {
-	if addr == e.self {
-		return
+// legsTo appends one leg per address, each carrying req.
+func legsTo(legs []fanLeg, addrs []string, req transport.Request) []fanLeg {
+	for _, addr := range addrs {
+		legs = append(legs, fanLeg{addr: addr, req: req})
 	}
-	mu.Lock()
-	*n++
-	mu.Unlock()
+	return legs
+}
+
+// round carries out every fan-out of the engine, and each single call as a
+// round of one. Every remote leg's request is written from the calling
+// goroutine first; a leg addressed to self is then served in-process (no
+// wire, no message, and no view-hash check — a peer always agrees with
+// itself); last, the replies are collected in leg order. All remote legs
+// share one deadline, the caller's context capped at callTimeout from the
+// round's start: a cancelled request aborts them all, and a patient
+// caller still cannot hang on dead peers longer than callTimeout. Since
+// every leg is in flight before the first wait, waiting for them in turn
+// costs what waiting for them concurrently would — a dead member holds the
+// round to the shared deadline once, not once per member. Once ctx is done
+// no further leg is issued. When the caller's trace has a wire ID, each
+// request carries it and the server-side spans in the reply are stitched
+// into the trace under the callee's address as the leg is collected.
+// round returns the number of messages sent.
+func (e *engine) round(ctx context.Context, legs []fanLeg) (msgs int) {
+	tr := obs.TraceFrom(ctx)
+	var wireID uint64
+	if tr != nil {
+		wireID = tr.WireID()
+	}
+	remote := false
+	for i := range legs {
+		remote = remote || !e.isSelf(legs[i].addr)
+	}
+	rctx := ctx
+	if remote {
+		var cancel context.CancelFunc
+		rctx, cancel = context.WithTimeout(ctx, e.callTimeout)
+		defer cancel()
+	}
+	for i := range legs {
+		l := &legs[i]
+		if e.isSelf(l.addr) {
+			continue
+		}
+		if l.err = ctx.Err(); l.err != nil {
+			continue
+		}
+		if tr != nil {
+			l.start = time.Now()
+		}
+		l.req.TraceID = wireID
+		l.out = e.pool.send(rctx, l.addr, l.req)
+		l.wire = true
+		msgs++
+	}
+	for i := range legs {
+		l := &legs[i]
+		if !e.isSelf(l.addr) {
+			continue
+		}
+		if l.err = ctx.Err(); l.err != nil {
+			continue
+		}
+		if tr != nil {
+			l.start = time.Now()
+		}
+		l.req.ViewHash = 0
+		l.resp = e.local(l.req)
+		if tr != nil {
+			l.end = time.Now()
+		}
+	}
+	for i := range legs {
+		l := &legs[i]
+		if !l.wire {
+			continue
+		}
+		l.resp, l.err = e.pool.wait(l.out)
+		if tr != nil {
+			l.end = time.Now()
+		}
+		if l.err != nil {
+			e.m.rpcFailures.Add(1)
+		} else if wireID != 0 {
+			tr.AddSpans(l.addr, l.start, l.resp.Spans)
+		}
+	}
+	return msgs
+}
+
+// isSelf reports that a leg to addr is the host's own, served in-process.
+func (e *engine) isSelf(addr string) bool { return e.self != "" && addr == e.self }
+
+// call performs one RPC leg: a round of one.
+func (e *engine) call(ctx context.Context, addr string, req transport.Request) (transport.Response, error) {
+	legs := [1]fanLeg{{addr: addr, req: req}}
+	e.round(ctx, legs[:])
+	return legs[0].resp, legs[0].err
 }
 
 // accept inspects an application-level reply: a StaleView refusal goes to
@@ -332,11 +407,11 @@ func (r QueryResult) Total() int {
 //
 // The context bounds the whole request: cancellation or deadline expiry
 // aborts the in-flight index, broadcast and insert legs and returns
-// context.Canceled or ErrTimeout (every outbound leg is additionally
-// capped at CallTimeout). A query that runs to completion but resolves
-// nothing is not an error — Answered stays false. A client whose view a
-// peer refuses as stale installs the state attached to the refusal and
-// routes again, once; when nothing usable was attached it fails with
+// context.Canceled or ErrTimeout (every round of outbound legs is
+// additionally capped at CallTimeout). A query that runs to completion but
+// resolves nothing is not an error — Answered stays false. A client whose
+// view a peer refuses as stale installs the state attached to the refusal
+// and routes again, once; when nothing usable was attached it fails with
 // ErrStaleView rather than route over a member list it cannot trust.
 func (e *engine) Query(ctx context.Context, key uint64) (QueryResult, error) {
 	if err := ctx.Err(); err != nil {
@@ -468,56 +543,67 @@ func hitMiss(found bool) string {
 	return "miss"
 }
 
+// replBuf is the replica-set size a fan-out's legs fit in without a heap
+// allocation; a larger Repl spills over.
+const replBuf = 4
+
 // syncHit applies the reset-on-hit rule across the key's whole replica set
-// (set, in probe order) and read-repairs the holes it finds: every member's TTL is refreshed
-// concurrently (each leg derives its deadline from the caller's ctx, capped
-// at callTimeout), keeping the set's expiry coherent so a failover probe
-// after the primary dies still finds a live entry. A member that answers
-// the refresh without holding the entry — the primary after losing it to
-// churn, a restart or a failed insert leg — is re-inserted from the value
-// the hit supplied. Members that do not answer at all are left alone:
-// repairing a dead peer would burn a callTimeout per query on an address
-// the membership layer is already evicting.
+// (set, in probe order) and read-repairs the holes it finds: one round
+// refreshes every member's TTL, keeping the set's expiry coherent so a
+// failover probe after the primary dies still finds a live entry, and a
+// second round re-inserts the value the hit supplied at every member that
+// answered the refresh without holding the entry — the primary after losing
+// it to churn, a restart or a failed insert leg. Members that do not answer
+// at all are left alone: repairing a dead peer would burn a callTimeout per
+// query on an address the membership layer is already evicting.
 //
 // The fan-out is synchronous — the read-repair guarantee is "the set is
 // whole when Query returns", which the tests pin — so a SILENTLY
 // partitioned member (no RST; a crashed process refuses in microseconds)
-// can hold a hit for up to callTimeout until suspicion convicts it. The
-// legs run concurrently, so that bound does not stack per member.
+// can hold a hit for up to callTimeout per round until suspicion convicts
+// it. The legs of a round share that deadline, so it does not stack per
+// member.
 func (e *engine) syncHit(ctx context.Context, v *view, set []string, k keyspace.Key, value uint64) (refreshMsgs, repairMsgs int) {
 	ttl := e.keyTtl()
 	tr := obs.TraceFrom(ctx)
-	// One struct, so the concurrent legs share a single heap object.
-	var sent struct {
-		sync.Mutex
-		refresh, repair int
+	var buf [replBuf]fanLeg
+	legs := legsTo(buf[:0], set, transport.Request{Op: transport.OpRefresh, Key: uint64(k), TTL: ttl, ViewHash: v.hash})
+	refreshMsgs = e.round(ctx, legs)
+	// The repair legs overwrite the refresh legs already read.
+	repairs := legs[:0]
+	for i := range legs {
+		addr, start, end, resp := legs[i].addr, legs[i].start, legs[i].end, legs[i].resp
+		outcome := "failed"
+		switch {
+		case legs[i].err != nil || !e.accept(ctx, addr, resp):
+		case resp.OK:
+			outcome = "ok"
+		default:
+			outcome = "missing"
+			repairs = append(repairs, fanLeg{addr: addr, req: transport.Request{
+				Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: v.hash,
+			}})
+		}
+		if tr != nil && !start.IsZero() {
+			tr.LegEnded("refresh", addr, outcome, start, end)
+		}
 	}
-	replica.Fanout(ctx, set, func(ctx context.Context, addr string) bool {
-		e.sent(addr, &sent.Mutex, &sent.refresh)
-		l := startLeg(tr)
-		resp, err := e.call(ctx, addr, transport.Request{Op: transport.OpRefresh, Key: uint64(k), TTL: ttl, ViewHash: v.hash})
-		if err != nil || !e.accept(ctx, addr, resp) {
-			l.end("refresh", addr, "failed")
-			return false
+	if len(repairs) == 0 {
+		return refreshMsgs, 0
+	}
+	e.m.readRepairs.Add(uint64(len(repairs)))
+	repairMsgs = e.round(ctx, repairs)
+	for i := range repairs {
+		l := &repairs[i]
+		outcome := "failed"
+		if l.err == nil && e.accept(ctx, l.addr, l.resp) && l.resp.OK {
+			outcome = "ok"
 		}
-		if resp.OK {
-			l.end("refresh", addr, "ok")
-			return true
+		if tr != nil && !l.start.IsZero() {
+			tr.LegEnded("read-repair", l.addr, outcome, l.start, l.end)
 		}
-		// The member answered but does not hold the entry: read repair.
-		l.end("refresh", addr, "missing")
-		e.m.readRepairs.Add(1)
-		e.sent(addr, &sent.Mutex, &sent.repair)
-		l = startLeg(tr)
-		resp, err = e.call(ctx, addr, transport.Request{Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: v.hash})
-		if err != nil || !e.accept(ctx, addr, resp) || !resp.OK {
-			l.end("read-repair", addr, "failed")
-			return false
-		}
-		l.end("read-repair", addr, "ok")
-		return true
-	})
-	return sent.refresh, sent.repair
+	}
+	return refreshMsgs, repairMsgs
 }
 
 // missPath runs legs 2 and 3 of the selection algorithm after the index
@@ -580,78 +666,102 @@ func (e *engine) missPath(ctx context.Context, k keyspace.Key, res *QueryResult)
 
 // broadcast fans the query out to every known member — the unstructured
 // search (cSUnstr). A host with content of its own searches that first, for
-// free; the other members are asked concurrently and the lexicographically
-// first answer wins, keeping the result independent of goroutine
-// scheduling. The legs inherit the caller's context: a cancelled request
-// aborts every in-flight leg instead of waiting out callTimeout on each.
+// free; the other members are asked in one round and the lexicographically
+// first answer wins, keeping the result independent of reply timing. A
+// cancelled request aborts the round instead of waiting out callTimeout.
 func (e *engine) broadcast(ctx context.Context, k keyspace.Key, members []string) (value uint64, foundAt string, msgs int) {
 	req := transport.Request{Op: transport.OpBroadcast, Key: uint64(k)}
 	if e.self != "" {
-		if resp, _ := e.call(ctx, e.self, req); resp.Found {
+		if resp := e.local(req); resp.Found {
 			return resp.Value, e.self, 0
 		}
 	}
-	type answer struct {
-		addr  string
-		value uint64
-	}
-	var wg sync.WaitGroup
-	answers := make(chan answer, len(members)) // one send per leg at most
+	legs := make([]fanLeg, 0, len(members))
 	for _, m := range members {
-		if m == e.self {
-			continue
+		if m != e.self {
+			legs = append(legs, fanLeg{addr: m, req: req})
 		}
-		msgs++
-		wg.Add(1)
-		go func(m string) {
-			defer wg.Done()
-			resp, err := e.call(ctx, m, req)
-			if err == nil && resp.Err == "" && resp.Found {
-				answers <- answer{m, resp.Value}
-			}
-		}(m)
 	}
-	wg.Wait()
-	close(answers)
-	for a := range answers {
-		if foundAt == "" || a.addr < foundAt {
-			value, foundAt = a.value, a.addr
+	msgs = e.round(ctx, legs)
+	for i := range legs {
+		l := &legs[i]
+		if l.err == nil && l.resp.Err == "" && l.resp.Found && (foundAt == "" || l.addr < foundAt) {
+			value, foundAt = l.resp.Value, l.addr
 		}
 	}
 	return value, foundAt, msgs
 }
 
 // insert installs key→value with keyTtl at every member of the replica
-// set, returning the number of messages spent. The write legs run
-// concurrently (replica.Fanout), each bounded by the caller's ctx capped at
-// callTimeout — one stalled member cannot serialize the others out of their
-// write. A cancelled request stops spawning legs, and the replicas already
-// written keep their entries — they expire on their own.
+// set in one round, returning the number of messages spent: one stalled
+// member cannot serialize the others out of their write. A cancelled
+// request stops issuing legs, and the replicas already written keep their
+// entries — they expire on their own.
 func (e *engine) insert(ctx context.Context, v *view, k keyspace.Key, value uint64) (msgs int) {
-	ttl := e.keyTtl()
-	var mu sync.Mutex
-	replica.Fanout(ctx, v.Replicas(k), func(ctx context.Context, addr string) bool {
-		e.sent(addr, &mu, &msgs)
-		resp, err := e.call(ctx, addr, transport.Request{Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: v.hash})
-		return err == nil && e.accept(ctx, addr, resp) && resp.OK
+	var buf [replBuf]fanLeg
+	legs := legsTo(buf[:0], v.Replicas(k), transport.Request{
+		Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: e.keyTtl(), ViewHash: v.hash,
 	})
+	msgs = e.round(ctx, legs)
+	for i := range legs {
+		if legs[i].err == nil {
+			e.accept(ctx, legs[i].addr, legs[i].resp)
+		}
+	}
 	return msgs
 }
 
 // ---- the batched form ----
 
-// batch is the one OpBatch leg: items go to addr in a single request under
-// the hash of v, the view they were routed by, and the reply passes through
+// batchResults is the reply of a collected OpBatch leg, passed through
 // accept like every routed leg's. Nil means the reply was unusable — the
-// call failed, the peer refused it, or the results do not align with items.
-func (e *engine) batch(ctx context.Context, v *view, addr string, items []transport.BatchItem) []transport.BatchResult {
-	resp, err := e.call(ctx, addr, transport.Request{
-		Op: transport.OpBatch, From: e.self, ViewHash: v.hash, Batch: items,
-	})
-	if err != nil || !e.accept(ctx, addr, resp) || len(resp.Batch) != len(items) {
+// call failed, the peer refused it, or the results do not align with the
+// items.
+func (e *engine) batchResults(ctx context.Context, l *fanLeg) []transport.BatchResult {
+	if l.err != nil || !e.accept(ctx, l.addr, l.resp) || len(l.resp.Batch) != len(l.req.Batch) {
 		return nil
 	}
-	return resp.Batch
+	return l.resp.Batch
+}
+
+// destinations groups item indexes by destination peer, destinations in
+// the order they are first seen — the order their legs are issued and
+// collected in.
+type destinations struct {
+	addrs []string
+	idxs  [][]int // aligned with addrs
+	at    map[string]int
+}
+
+func (d *destinations) add(addr string, i int) {
+	j, ok := d.at[addr]
+	if !ok {
+		if d.at == nil {
+			d.at = make(map[string]int)
+		}
+		j = len(d.addrs)
+		d.at[addr] = j
+		d.addrs = append(d.addrs, addr)
+		d.idxs = append(d.idxs, nil)
+	}
+	d.idxs[j] = append(d.idxs[j], i)
+}
+
+// batchLegs builds one OpBatch leg per destination, item(i) the item of
+// index i: the items of a destination go to it in a single request under
+// the hash of v, the view they were routed by.
+func (e *engine) batchLegs(v *view, d *destinations, item func(i int) transport.BatchItem) []fanLeg {
+	legs := make([]fanLeg, len(d.addrs))
+	for j, addr := range d.addrs {
+		items := make([]transport.BatchItem, len(d.idxs[j]))
+		for n, i := range d.idxs[j] {
+			items[n] = item(i)
+		}
+		legs[j] = fanLeg{addr: addr, req: transport.Request{
+			Op: transport.OpBatch, From: e.self, ViewHash: v.hash, Batch: items,
+		}}
+	}
+	return legs
 }
 
 // QueryMany resolves a batch of keys with one OpBatch request per
@@ -689,7 +799,7 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	// Deferred: partial results returned with an error spent their messages
 	// too. The slots are filled in place, so the deferred call sees them.
 	defer e.m.fileMessages(results...)
-	groups := make(map[string][]int) // destination → indexes into keys
+	var dests destinations
 	// sets keeps each key's placement from this one routing pass: the
 	// refresh fan-out of the hits reads it instead of routing again.
 	sets := make([][]string, len(keys))
@@ -702,31 +812,24 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 		primary := sets[i][0]
 		results[i].Responsible = primary
 		results[i].IndexMsgs = v.hops(e.self, k)
-		groups[primary] = append(groups[primary], i)
+		dests.add(primary, i)
 	}
 	ttl := e.keyTtl()
 
-	// Exactly one OpBatch per destination, concurrently. Result slots are
-	// disjoint per group, so no lock is needed.
-	var wg sync.WaitGroup
-	for addr, idxs := range groups {
-		wg.Add(1)
-		go func(addr string, idxs []int) {
-			defer wg.Done()
-			items := make([]transport.BatchItem, len(idxs))
-			for j, i := range idxs {
-				items[j] = transport.BatchItem{Op: transport.OpQuery, Key: keys[i], TTL: ttl}
+	// Exactly one OpBatch per destination, in one round.
+	legs := e.batchLegs(v, &dests, func(i int) transport.BatchItem {
+		return transport.BatchItem{Op: transport.OpQuery, Key: keys[i], TTL: ttl}
+	})
+	e.round(ctx, legs)
+	for j := range legs {
+		// An unusable reply leaves the whole group to fall back per key.
+		for n, br := range e.batchResults(ctx, &legs[j]) {
+			if i := dests.idxs[j][n]; br.Err == "" && br.Found {
+				results[i].Answered, results[i].FromIndex = true, true
+				results[i].Value, results[i].AnsweredBy = br.Value, legs[j].addr
 			}
-			// An unusable reply leaves the whole group to fall back per key.
-			for j, br := range e.batch(ctx, v, addr, items) {
-				if i := idxs[j]; br.Err == "" && br.Found {
-					results[i].Answered, results[i].FromIndex = true, true
-					results[i].Value, results[i].AnsweredBy = br.Value, addr
-				}
-			}
-		}(addr, idxs)
+		}
 	}
-	wg.Wait()
 
 	// Count hits now; unresolved keys take the fallback path. The check
 	// runs before spawning fallbacks so a cancelled batch returns without
@@ -747,6 +850,7 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	}
 	var ferr error
 	var errMu sync.Mutex
+	var wg sync.WaitGroup
 	for _, i := range fallbacks {
 		wg.Add(1)
 		go func(i int) {
@@ -769,73 +873,61 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 // syncBatchHits fans the reset-on-hit refresh of every batch hit out to the
 // rest of the key's replica set — the query items already refreshed the
 // answering peer, the TTL rode with them — and read-repairs members that
-// answered without holding an entry with a follow-up OpBatch of inserts.
-// The batched counterpart of syncHit: same coherence, one round trip per
-// destination instead of one RPC per (key, member). Placement (sets, aligned
-// with keys) and the hash come from the view the batch was routed under —
-// stamping one view's hash onto placements computed from another would get
-// every leg refused mid-transition.
+// answered without holding an entry with a second round: an OpBatch of
+// inserts to each. The batched counterpart of syncHit: same coherence, one
+// round trip per destination instead of one RPC per (key, member).
+// Placement (sets, aligned with keys) and the hash come from the view the
+// batch was routed under — stamping one view's hash onto placements
+// computed from another would get every leg refused mid-transition.
 func (e *engine) syncBatchHits(ctx context.Context, v *view, keys []uint64, sets [][]string, results []QueryResult, ttl int) {
-	groups := make(map[string][]int) // destination → indexes into keys
+	var dests destinations
 	for i := range results {
 		if !results[i].FromIndex {
 			continue
 		}
 		for _, addr := range sets[i] {
 			if addr != results[i].AnsweredBy {
-				groups[addr] = append(groups[addr], i)
+				dests.add(addr, i)
 			}
 		}
 	}
-	// resMu guards the per-result counters: a key's backups live at
-	// different destinations, so two goroutines may touch the same result.
-	var resMu sync.Mutex
-	// send ships the keys at idxs to addr as one batch of refresh items, or
-	// of read-repair inserts, counting one message per item unless the leg
-	// stays in-process.
-	send := func(addr string, idxs []int, repair bool) []transport.BatchResult {
-		items := make([]transport.BatchItem, len(idxs))
-		for j, i := range idxs {
-			items[j] = transport.BatchItem{Op: transport.OpRefresh, Key: keys[i], TTL: ttl}
-			if repair {
-				items[j].Op, items[j].Value = transport.OpInsert, results[i].Value
+	legs := e.batchLegs(v, &dests, func(i int) transport.BatchItem {
+		return transport.BatchItem{Op: transport.OpRefresh, Key: keys[i], TTL: ttl}
+	})
+	e.round(ctx, legs)
+	// Read repair: members that answered the refresh without the entry get
+	// it re-inserted, one more round trip each.
+	var repairs destinations
+	for j := range legs {
+		if legs[j].wire {
+			for _, i := range dests.idxs[j] {
+				results[i].RefreshMsgs++
 			}
 		}
-		if addr != e.self {
-			resMu.Lock()
-			for _, i := range idxs {
-				if repair {
-					results[i].RepairMsgs++
-				} else {
-					results[i].RefreshMsgs++
-				}
+		for n, br := range e.batchResults(ctx, &legs[j]) {
+			if br.Err == "" && !br.OK {
+				repairs.add(legs[j].addr, dests.idxs[j][n])
 			}
-			resMu.Unlock()
 		}
-		return e.batch(ctx, v, addr, items)
 	}
-	var wg sync.WaitGroup
-	for addr, idxs := range groups {
-		wg.Add(1)
-		go func(addr string, idxs []int) {
-			defer wg.Done()
-			refreshed := send(addr, idxs, false)
-			// Read repair: members that answered the refresh without the
-			// entry get it re-inserted, one more round trip.
-			var repairs []int
-			for j, br := range refreshed {
-				if br.Err == "" && !br.OK {
-					repairs = append(repairs, idxs[j])
-				}
-			}
-			if len(repairs) == 0 || ctx.Err() != nil {
-				return
-			}
-			e.m.readRepairs.Add(uint64(len(repairs)))
-			send(addr, repairs, true)
-		}(addr, idxs)
+	if len(repairs.addrs) == 0 || ctx.Err() != nil {
+		return
 	}
-	wg.Wait()
+	legs = e.batchLegs(v, &repairs, func(i int) transport.BatchItem {
+		return transport.BatchItem{Op: transport.OpInsert, Key: keys[i], Value: results[i].Value, TTL: ttl}
+	})
+	for _, idxs := range repairs.idxs {
+		e.m.readRepairs.Add(uint64(len(idxs)))
+	}
+	e.round(ctx, legs)
+	for j := range legs {
+		if legs[j].wire {
+			for _, i := range repairs.idxs[j] {
+				results[i].RepairMsgs++
+			}
+		}
+		e.batchResults(ctx, &legs[j])
+	}
 }
 
 // ---- the top-k form ----
@@ -959,29 +1051,20 @@ func (e *engine) ClusterReport(ctx context.Context) (obs.FleetReport, error) {
 	if err != nil {
 		return obs.FleetReport{}, err
 	}
-	var (
-		mu    sync.Mutex
-		snaps []obs.Snapshot
-		wg    sync.WaitGroup
-	)
-	for _, addr := range v.members {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			resp, err := e.call(ctx, addr, transport.Request{Op: transport.OpStats, From: e.self})
-			if err != nil || resp.Err != "" || resp.Stats == nil {
-				return
-			}
-			s := *resp.Stats
-			if s.Addr == "" {
-				s.Addr = addr
-			}
-			mu.Lock()
-			snaps = append(snaps, s)
-			mu.Unlock()
-		}(addr)
+	legs := legsTo(make([]fanLeg, 0, len(v.members)), v.members, transport.Request{Op: transport.OpStats, From: e.self})
+	e.round(ctx, legs)
+	var snaps []obs.Snapshot
+	for i := range legs {
+		l := &legs[i]
+		if l.err != nil || l.resp.Err != "" || l.resp.Stats == nil {
+			continue
+		}
+		s := *l.resp.Stats
+		if s.Addr == "" {
+			s.Addr = l.addr
+		}
+		snaps = append(snaps, s)
 	}
-	wg.Wait()
 	if len(snaps) == 0 {
 		if err := ctx.Err(); err != nil {
 			return obs.FleetReport{}, ctxErr(err)

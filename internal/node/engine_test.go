@@ -493,9 +493,11 @@ func probeOrder(t *testing.T, tr transport.Transport) {
 // several measurements keeps background gossip ticks out of the verdict.
 func TestRemoteClientHitPathAllocs(t *testing.T) {
 	// 3 members, r=3, memory transport: one probe and three refresh legs.
-	// 40 measured (47 while the engine re-ranked the replica group per
-	// query).
-	const ceiling = 41
+	// 23 measured: a deadline context for the probe and one shared by the
+	// three refresh legs (40 while every leg derived its own and ran on a
+	// goroutine of its own, 47 while the engine also re-ranked the replica
+	// group per query).
+	const ceiling = 23
 	cfg := DefaultConfig()
 	cfg.KeyTtl = 1 << 20
 	cfg.GossipInterval = 10 * time.Millisecond

@@ -41,7 +41,8 @@ type Config struct {
 	// RoundDuration maps the paper's one-second round onto wall time.
 	// All nodes of a cluster must agree on it. Default 1s.
 	RoundDuration time.Duration
-	// CallTimeout bounds each outbound RPC. Default 2s.
+	// CallTimeout bounds each outbound RPC, and each fan-out round of them
+	// as a whole: a round's legs share one deadline. Default 2s.
 	CallTimeout time.Duration
 	// MaintainEnv is the per-entry per-round probe probability of the
 	// local overlay instance (the paper's env). Zero disables probing.

@@ -82,21 +82,60 @@ func (p *pool) close() {
 	}
 }
 
-// call performs one RPC to addr under ctx. A timeout means that one call
+// outbound is one request the pool has issued and not yet collected.
+type outbound struct {
+	pending transport.Pending
+	addr    string
+	// c is the pooled client the request went out on, dropped by wait on a
+	// transport-level failure; nil when the request dialed its own way
+	// (send's first contact), which settles the connection itself.
+	c   transport.Client
+	err error // the pool could not issue the request
+}
+
+// send issues one request to addr under ctx. On a pooled connection it goes
+// out from the calling goroutine; the first request to a peer dials on a
+// goroutine of its own instead, so a peer that blackholes SYNs holds up
+// only its own leg of a fan-out, and only until ctx is done.
+func (p *pool) send(ctx context.Context, addr string, req transport.Request) outbound {
+	p.mu.Lock()
+	closed, c := p.closed, p.clients[addr]
+	p.mu.Unlock()
+	switch {
+	case closed:
+		return outbound{err: transport.ErrClosed}
+	case c == nil:
+		return outbound{pending: transport.Go(ctx, func() (transport.Response, error) {
+			return p.call(ctx, addr, req)
+		})}
+	}
+	return outbound{pending: c.Send(ctx, req), addr: addr, c: c}
+}
+
+// wait collects what send issued. A timeout means that one request
 // expired, not that the shared multiplexed connection is broken — tearing
-// it down would fail every concurrent in-flight call to that peer — so the
-// pooled client is only dropped on transport-level errors.
+// it down would fail every concurrent in-flight request to that peer — so
+// the pooled client is only dropped on transport-level errors.
+func (p *pool) wait(o outbound) (transport.Response, error) {
+	if o.err != nil {
+		return transport.Response{}, o.err
+	}
+	resp, err := o.pending.Wait()
+	if err != nil {
+		if o.c != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+			p.drop(o.addr, o.c)
+		}
+		return transport.Response{}, err
+	}
+	return resp, nil
+}
+
+// call performs one RPC to addr under ctx, dialing on the calling
+// goroutine if need be.
 func (p *pool) call(ctx context.Context, addr string, req transport.Request) (transport.Response, error) {
 	c, err := p.get(addr)
 	if err != nil {
 		return transport.Response{}, err
 	}
-	resp, err := c.Call(ctx, req)
-	if err != nil {
-		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-			p.drop(addr, c)
-		}
-		return transport.Response{}, err
-	}
-	return resp, nil
+	return p.wait(outbound{pending: c.Send(ctx, req), addr: addr, c: c})
 }

@@ -32,11 +32,15 @@ type opCountingClient struct {
 	n *atomic.Int64
 }
 
-func (c *opCountingClient) Call(ctx context.Context, req transport.Request) (transport.Response, error) {
+func (c *opCountingClient) Send(ctx context.Context, req transport.Request) transport.Pending {
 	if req.Op == transport.OpTopK {
 		c.n.Add(1)
 	}
-	return c.Client.Call(ctx, req)
+	return c.Client.Send(ctx, req)
+}
+
+func (c *opCountingClient) Call(ctx context.Context, req transport.Request) (transport.Response, error) {
+	return c.Send(ctx, req).Wait()
 }
 
 // topkCluster boots n nodes on a counting transport and converges them.

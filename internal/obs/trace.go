@@ -120,11 +120,16 @@ func NewTrace(key uint64) *Trace {
 // Leg records a step that started at start and just ended. Safe for
 // concurrent use.
 func (t *Trace) Leg(name, target, outcome string, start time.Time) {
-	now := time.Now()
+	t.LegEnded(name, target, outcome, start, time.Now())
+}
+
+// LegEnded records a step that ran from start to end: for a step whose
+// outcome is recorded some time after it ended. Safe for concurrent use.
+func (t *Trace) LegEnded(name, target, outcome string, start, end time.Time) {
 	l := Leg{
 		Name: name, Target: target, Outcome: outcome,
 		Start:    start.Sub(t.begin),
-		Duration: now.Sub(start),
+		Duration: end.Sub(start),
 	}
 	t.mu.Lock()
 	t.legs = append(t.legs, l)

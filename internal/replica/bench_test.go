@@ -8,8 +8,9 @@ import (
 )
 
 func BenchmarkFanout(b *testing.B) {
-	// The live hot path: every index hit fans the reset-on-hit refresh out
-	// to a 3-member set. The legs do nothing, so this is Fanout's own cost.
+	// What the reset-on-hit refresh of every index hit paid while the engine
+	// fanned out through Fanout: a 3-member set. The legs do nothing, so
+	// this is Fanout's own cost.
 	set := []string{"10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001"}
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -6,8 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Fanout runs one write leg per address concurrently — the insert and
-// reset-on-hit refresh fan-out of the live replica scheme. Each leg
+// Fanout runs one write leg per address concurrently. It was the insert
+// and reset-on-hit refresh fan-out of the live replica scheme; the node's
+// engine no longer calls it — it sends every leg from the calling goroutine
+// and then collects the replies under one deadline, with no goroutine per
+// leg — and it stays as the load benchmark's replica.fanout3_us row. Each leg
 // receives the caller's context (callers derive per-leg deadlines from it,
 // e.g. capping at their RPC timeout) and reports success; Fanout returns
 // how many legs succeeded. Once ctx is done, remaining legs are not

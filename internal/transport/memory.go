@@ -4,12 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // Memory is an in-process loopback transport: a registry of named endpoints
-// whose handlers are invoked directly by Call (on a short-lived goroutine,
-// so context cancellation abandons a slow call exactly like the TCP
-// client). It gives the cluster tests real RPC semantics — including
+// whose handler serves each request on a short-lived goroutine (so context
+// cancellation abandons a slow call exactly like the TCP client). It gives
+// the cluster tests real RPC semantics — including
 // unreachable peers when an endpoint is killed and deadline expiry
 // mid-call — with none of the framing nondeterminism of sockets.
 //
@@ -47,7 +48,7 @@ func (m *Memory) Serve(addr string, h Handler) (Server, error) {
 }
 
 // Dial returns a client for addr. Dialing is lazy: the endpoint is looked
-// up at each Call, so a client dialed before its peer serves — or kept
+// up at each Send, so a client dialed before its peer serves — or kept
 // across a peer's kill/restart — behaves like a real reconnecting client.
 func (m *Memory) Dial(addr string) (Client, error) {
 	return &memClient{net: m, addr: addr}, nil
@@ -70,7 +71,7 @@ type memServer struct {
 
 func (s *memServer) Addr() string { return s.addr }
 
-// Close deregisters the endpoint; subsequent Calls to it fail with
+// Close deregisters the endpoint; subsequent requests to it fail with
 // ErrUnreachable, modeling a crashed peer.
 func (s *memServer) Close() error {
 	s.closed.Do(func() {
@@ -90,33 +91,32 @@ type memClient struct {
 	closed bool
 }
 
-func (c *memClient) Call(ctx context.Context, req Request) (Response, error) {
+// Send runs the handler on a goroutine of its own, so a caller can abandon
+// a slow request mid-flight — the same deadline semantics as the TCP
+// client. The handler keeps running to completion (as it would on a real
+// network: the server cannot tell the caller gave up); its response is
+// then discarded.
+func (c *memClient) Send(ctx context.Context, req Request) Pending {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return Response{}, ErrClosed
+		return failed(ErrClosed)
 	}
 	if err := ctx.Err(); err != nil {
-		return Response{}, err
+		return failed(err)
 	}
 	h, ok := c.net.lookup(c.addr)
 	if !ok {
-		return Response{}, fmt.Errorf("%w: %s", ErrUnreachable, c.addr)
+		return failed(fmt.Errorf("%w: %s", ErrUnreachable, c.addr))
 	}
-	// The handler runs on its own goroutine so cancellation can abandon a
-	// slow call mid-flight — the same deadline semantics as the TCP
-	// client. The handler keeps running to completion (as it would on a
-	// real network: the server cannot tell the caller gave up); its
-	// response is discarded.
-	done := make(chan Response, 1)
-	go func() { done <- h(req) }()
-	select {
-	case resp := <-done:
-		return resp, nil
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	}
+	ch := make(chan reply, 1)
+	go func() { ch <- reply{resp: h(req), at: time.Now()} }()
+	return Pending{ctx: ctx, reply: ch}
+}
+
+func (c *memClient) Call(ctx context.Context, req Request) (Response, error) {
+	return c.Send(ctx, req).Wait()
 }
 
 func (c *memClient) Close() error {

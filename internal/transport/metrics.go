@@ -68,7 +68,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// Instrument wraps t so every Call and every served request lands in m:
+// Instrument wraps t so every request sent and every one served lands in m:
 // per-op request/served/failure counters, per-op latency histograms, and the
 // in-flight gauge — on memory and TCP alike. On *TCP the byte counters are
 // additionally hooked into the connection layer; the memory loopback moves
@@ -109,18 +109,35 @@ type instrumentedClient struct {
 	m    *Metrics
 }
 
-func (c *instrumentedClient) Call(ctx context.Context, req Request) (Response, error) {
+// Send counts the request as issued and in flight; its Wait settles the
+// in-flight gauge, the latency and any failure. One instrumentation layer
+// per client: the Pending carries a single set of metrics.
+func (c *instrumentedClient) Send(ctx context.Context, req Request) Pending {
 	s := opSlot(req.Op)
 	c.m.requests[s].Inc()
 	c.m.inflight.Inc()
 	start := time.Now()
-	resp, err := c.next.Call(ctx, req)
-	c.m.inflight.Dec()
-	c.m.latency[s].Observe(time.Since(start))
-	if err != nil {
-		c.m.failures[s].Inc()
+	p := c.next.Send(ctx, req)
+	p.m, p.slot, p.start = c.m, s, start
+	return p
+}
+
+func (c *instrumentedClient) Call(ctx context.Context, req Request) (Response, error) {
+	return c.Send(ctx, req).Wait()
+}
+
+// settle records one collected request: no longer in flight, its round-trip
+// latency — from Send to the reply's delivery at end, or to now for a
+// request that got none — and whether it failed at the transport.
+func (m *Metrics) settle(slot int, start, end time.Time, err error) {
+	m.inflight.Dec()
+	if end.IsZero() {
+		end = time.Now()
 	}
-	return resp, err
+	m.latency[slot].Observe(end.Sub(start))
+	if err != nil {
+		m.failures[slot].Inc()
+	}
 }
 
 func (c *instrumentedClient) Close() error { return c.next.Close() }

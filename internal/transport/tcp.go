@@ -93,7 +93,7 @@ func (t *TCP) Dial(addr string) (Client, error) {
 
 // newTCPClient starts the read loop on an established connection.
 func newTCPClient(conn net.Conn) *tcpClient {
-	c := &tcpClient{conn: conn, pending: make(map[uint64]chan Response)}
+	c := &tcpClient{conn: conn, pending: make(map[uint64]chan reply)}
 	go c.readLoop()
 	return c
 }
@@ -206,19 +206,19 @@ func (s *tcpServer) Close() error {
 	return nil
 }
 
-// tcpClient multiplexes calls over one connection.
+// tcpClient multiplexes requests over one connection.
 type tcpClient struct {
 	conn    net.Conn
 	writeMu sync.Mutex // serializes writeFrame
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan Response
+	pending map[uint64]chan reply
 	err     error // terminal error, set once the read loop exits
 }
 
 // readLoop routes response frames to their waiting callers. On connection
-// death every outstanding and future call fails with the terminal error.
+// death every outstanding and future request fails with the terminal error.
 func (c *tcpClient) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
@@ -235,35 +235,49 @@ func (c *tcpClient) readLoop() {
 		delete(c.pending, f.ID)
 		c.mu.Unlock()
 		if ok {
-			ch <- *f.Resp // buffered; never blocks
+			ch <- reply{resp: *f.Resp, at: time.Now()} // buffered; never blocks
 		}
 	}
 }
 
-// fail marks the client dead and unblocks every waiter.
+// fail marks the client dead and fails every outstanding request with the
+// terminal error. A request leaves the pending table exactly once — routed
+// a reply, failed here, or abandoned by its waiter — so each channel gets
+// at most one send.
 func (c *tcpClient) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
+	err = c.err
 	pending := c.pending
-	c.pending = make(map[uint64]chan Response)
+	c.pending = make(map[uint64]chan reply)
 	c.mu.Unlock()
 	for _, ch := range pending {
-		close(ch)
+		ch <- reply{err: err, at: time.Now()}
 	}
 }
 
-func (c *tcpClient) Call(ctx context.Context, req Request) (Response, error) {
+// abandon forgets a request whose waiter gave up; a reply that still
+// arrives for it is dropped by the read loop.
+func (c *tcpClient) abandon(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+}
+
+// Send registers the request and writes its frame on the calling
+// goroutine; the reply channel is the only allocation beyond the frame's.
+func (c *tcpClient) Send(ctx context.Context, req Request) Pending {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return Response{}, err
+		return failed(err)
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan Response, 1)
+	ch := make(chan reply, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
@@ -271,35 +285,19 @@ func (c *tcpClient) Call(ctx context.Context, req Request) (Response, error) {
 	err := writeFrame(c.conn, frame{ID: id, Req: &req})
 	c.writeMu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.abandon(id)
 		err = fmt.Errorf("%w: %w", ErrUnreachable, err)
 		c.fail(err)
-		return Response{}, err
+		return failed(err)
 	}
-
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
-			return Response{}, err
-		}
-		return resp, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return Response{}, ctx.Err()
-	}
+	return Pending{ctx: ctx, reply: ch, owner: c, id: id}
 }
 
-// Close tears the connection down; outstanding calls fail.
+func (c *tcpClient) Call(ctx context.Context, req Request) (Response, error) {
+	return c.Send(ctx, req).Wait()
+}
+
+// Close tears the connection down; outstanding requests fail.
 func (c *tcpClient) Close() error {
 	err := c.conn.Close()
 	c.fail(ErrClosed)

@@ -319,9 +319,10 @@ func TestFrameLengthGuard(t *testing.T) {
 	}
 }
 
-// TestFanoutLegDeadlinesAreIndependent models the replica write fan-out
-// (internal/replica.Fanout): one caller fires concurrent legs at several
-// peers, each leg with its own context derived from the request's. A leg
+// TestFanoutLegDeadlinesAreIndependent models a write fan-out with a
+// goroutine per leg (internal/replica.Fanout): one caller fires concurrent
+// legs at several peers, each leg with its own context derived from the
+// request's. A leg
 // whose peer stalls must time out on ITS deadline without delaying or
 // poisoning the legs to healthy peers — otherwise one dead replica would
 // cost every write the full timeout.
