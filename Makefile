@@ -23,15 +23,16 @@ test:
 # ten rounds of the one test that hammers a shared connection, where a
 # pooled frame buffer aliasing a returned value would race, ten of the
 # split round trip, where a reply routed to a request its waiter abandoned
-# would race, and five of the Close test, where a handoff spawned during
-# Close would race its Wait.
+# would race, five of the Close test, where a handoff spawned during
+# Close would race its Wait, and five of the one-round QueryMany tests,
+# whose follow-up, repair and fallback legs share one batch's state.
 race:
 	go test -race ./client/ ./internal/adapt/ ./internal/chaos/ \
 		./internal/gossip/... ./internal/node/ ./internal/obs/ \
 		./internal/replica/ ./internal/store/ ./internal/topk/ \
 		./internal/transport/ ./cmd/pdht-node/
 	go test -race -count=10 -run 'TestTCPSharedConnectionNeverAliases|TestSendDoesNotWaitForReply|TestWaitKeepsReplyDeliveredBeforeDeadline' ./internal/transport/
-	go test -race -count=5 -run TestCloseReturnsGoroutinesToBaseline ./internal/node/
+	go test -race -count=5 -run 'TestCloseReturnsGoroutinesToBaseline|TestQueryManyWarmBatchIsOneRound|TestQueryManyCostsNoMoreThanUnary|TestQueryManyWarmBatchAllocs' ./internal/node/
 
 # Each fuzz target, as package:target, for 20 s from its committed seed
 # corpus (<package>/testdata/fuzz). `go test -fuzz` takes one target per

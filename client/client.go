@@ -20,7 +20,7 @@
 // ErrClosed, ErrNoMembers, ErrStaleView, ErrTimeout — and errors.Is-able.
 //
 // QueryMany and PublishMany are first-class batched operations: keys are
-// grouped by responsible peer and each group crosses the wire as a single
+// grouped by destination peer and each group crosses the wire as a single
 // OpBatch round trip with per-key results, amortizing the per-request cost
 // exactly where a heavy query stream needs it.
 //
@@ -304,9 +304,11 @@ func (c *Client) Query(ctx context.Context, key uint64) (Result, error) {
 }
 
 // QueryMany resolves a batch of keys with one OpBatch request per
-// destination peer: group by responsible node, a single round trip per
-// group, per-key results (aligned with keys). Keys the batch cannot
-// resolve fall back to the full per-key selection algorithm concurrently.
+// destination peer: every member of every key's replica set is asked in a
+// single round — the primary for the value, the backups for the
+// reset-on-hit refresh — with per-key results (aligned with keys). Keys the
+// batch cannot resolve fall back to the full per-key selection algorithm
+// concurrently.
 // On a context failure the results gathered so far are returned with the
 // typed error.
 func (c *Client) QueryMany(ctx context.Context, keys []uint64) ([]Result, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -577,4 +578,258 @@ func TestTracedRefreshLegsEndWhenCollected(t *testing.T) {
 	if legs := tr.Finish("error").Legs; len(legs) != 0 {
 		t.Errorf("a cancelled refresh round recorded legs it never sent: %+v", legs)
 	}
+}
+
+// TestQueryManyWarmBatchIsOneRound pins the one-round batch: a warm 32-key
+// QueryMany over five members asks every key's primary and refreshes its
+// backups in the same request, so each remote destination sees exactly one
+// OpBatch and nothing else — no second refresh round, no unary legs.
+func TestQueryManyWarmBatchIsOneRound(t *testing.T) {
+	mem := transport.NewMemory()
+	ct := newCountingTransport(mem)
+	cfg := testConfig()
+	cfg.KeyTtl = 1 << 20 // nothing expires between the warm-up and the batch
+	nut, others := bootWithTransport(t, mem, ct, 4, cfg)
+	defer nut.Close()
+	for _, nd := range others {
+		defer nd.Close()
+	}
+
+	ctx := context.Background()
+	keys := make([]uint64, 32)
+	for i := range keys {
+		keys[i] = uint64(keyspace.HashString("one-round:" + strconv.Itoa(i)))
+		mustPublish(t, others[i%len(others)], keys[i], uint64(i))
+	}
+	if _, err := nut.QueryMany(ctx, keys); err != nil {
+		t.Fatal(err)
+	}
+
+	ct.snapshot() // discard warm-up and membership traffic
+	results, err := nut.QueryMany(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := make(map[string]bool) // every member of a set but the caller
+	for i := range results {
+		if !results[i].FromIndex || results[i].RepairMsgs != 0 {
+			t.Fatalf("warm key %d = %+v, want an index hit and nothing to repair", keys[i], results[i])
+		}
+		for _, addr := range nut.ReplicaSet(keys[i]) {
+			if addr != nut.Addr() {
+				remote[addr] = true
+			}
+		}
+	}
+	calls := ct.snapshot()
+	for addr, ops := range calls {
+		for op, n := range ops {
+			if op == transport.OpGossip {
+				continue // background membership traffic is not the query path
+			}
+			if op != transport.OpBatch || n != 1 || !remote[addr] {
+				t.Errorf("destination %s saw %d %v requests, want one OpBatch per set member", addr, n, op)
+			}
+		}
+	}
+	for addr := range remote {
+		if calls[addr][transport.OpBatch] != 1 {
+			t.Errorf("set member %s saw %d OpBatch requests, want 1", addr, calls[addr][transport.OpBatch])
+		}
+	}
+}
+
+// TestQueryManyCostsNoMoreThanUnary pins what one round costs against the
+// unary path, key by key, with twin keys sharing one replica set: a cold key
+// costs exactly what Query pays, class by class — the backups' refresh legs
+// stand in for the failover probes, which are not repeated — and a key whose
+// primary lost its entry is fetched from the first backup holding it, the
+// primary is read-repaired, and the batch pays less than Query does; and a
+// cold key whose primary is dead costs what Query pays too — the batch does
+// not ask the dead primary again.
+func TestQueryManyCostsNoMoreThanUnary(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { queryManyCostsNoMoreThanUnary(t, transport.NewMemory()) })
+	t.Run("tcp", func(t *testing.T) { queryManyCostsNoMoreThanUnary(t, transport.NewTCP()) })
+}
+
+func queryManyCostsNoMoreThanUnary(t *testing.T, tr transport.Transport) {
+	cfg := engineConfig()
+	c, err := NewCluster(tr, 5, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	client, err := DialRemote(ctx, tr, RemoteConfig{Seeds: []string{c.Addr(0)}, Repl: cfg.Repl, KeyTtl: cfg.KeyTtl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	nodeAt := func(addr string) *Node {
+		for i := 0; i < c.Size(); i++ {
+			if c.Addr(i) == addr {
+				return c.Node(i)
+			}
+		}
+		t.Fatalf("no member at %s", addr)
+		return nil
+	}
+	// twins returns two keys with the same ordered three-member set: one
+	// for Query, one for QueryMany.
+	serial := 0
+	twins := func() (keys [2]uint64, rs []string) {
+		t.Helper()
+		seen := make(map[string]uint64)
+		for ; serial < 100000; serial++ {
+			k := uint64(keyspace.HashString("batch-cost:" + strconv.Itoa(serial)))
+			s := c.Node(0).ReplicaSet(k)
+			id := strings.Join(s, "|")
+			if first, ok := seen[id]; ok && len(s) == 3 {
+				serial++
+				return [2]uint64{first, k}, s
+			}
+			seen[id] = k
+		}
+		t.Fatal("no twin keys found")
+		return
+	}
+	both := func(keys [2]uint64) (unary, batched QueryResult) {
+		t.Helper()
+		unary, err := client.Query(ctx, keys[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		many, err := client.QueryMany(ctx, keys[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return unary, many[0]
+	}
+	// classes is a result's cost as the message classes file it.
+	type classes struct{ lookup, flood, broadcast, update int }
+	classesOf := func(r QueryResult) classes {
+		return classes{r.IndexMsgs - r.failoverMsgs, r.failoverMsgs, r.BroadcastMsgs, r.InsertMsgs + r.RefreshMsgs + r.RepairMsgs}
+	}
+
+	t.Run("cold key", func(t *testing.T) {
+		keys, rs := twins()
+		holder := nodeAt(rs[2])
+		for _, k := range keys {
+			mustPublish(t, holder, k, 41)
+		}
+		u, b := both(keys)
+		if !u.Answered || u.FromIndex || !b.Answered || b.FromIndex || b.Value != 41 || b.AnsweredBy != rs[2] {
+			t.Fatalf("unary %+v batched %+v, want both answered by the broadcast from %s", u, b, rs[2])
+		}
+		if classesOf(u) != classesOf(b) || u.Total() != b.Total() {
+			t.Errorf("a cold key costs %+v (%d) under QueryMany, %+v (%d) under Query; want the same",
+				classesOf(b), b.Total(), classesOf(u), u.Total())
+		}
+	})
+	t.Run("primary lost its entry", func(t *testing.T) {
+		keys, rs := twins()
+		for _, k := range keys {
+			rawInsert(t, tr, rs[1], k, 42, cfg.KeyTtl)
+			rawInsert(t, tr, rs[2], k, 42, cfg.KeyTtl)
+		}
+		u, b := both(keys)
+		if !b.FromIndex || b.Value != 42 || b.AnsweredBy != rs[1] {
+			t.Fatalf("batched %+v, want the value from the first backup %s", b, rs[1])
+		}
+		// The route, the fetch from the backup, two refresh items, the
+		// primary's repair: one message less than Query's route, failover
+		// probe, three refresh legs and repair.
+		if b.IndexMsgs != 2 || b.failoverMsgs != 1 || b.RefreshMsgs != 2 || b.RepairMsgs != 1 {
+			t.Errorf("batched %+v, want 2 index (1 failover), 2 refresh and 1 repair messages", b)
+		}
+		if b.Total() > u.Total() {
+			t.Errorf("the batched key cost %d messages, the unary twin %d", b.Total(), u.Total())
+		}
+		primary := nodeAt(rs[0])
+		for _, k := range keys {
+			if _, ok := remainingTTL(primary, k); !ok {
+				t.Errorf("key %d was not read-repaired at the primary %s", k, rs[0])
+			}
+		}
+	})
+	// Last: it kills a member for good.
+	t.Run("cold key, dead primary", func(t *testing.T) {
+		keys, rs := twins()
+		holder := nodeAt(rs[2])
+		for _, k := range keys {
+			mustPublish(t, holder, k, 43)
+		}
+		for i := 0; i < c.Size(); i++ {
+			if c.Addr(i) == rs[0] {
+				if err := c.Kill(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		u, b := both(keys)
+		if !u.Answered || !b.Answered || b.FromIndex || b.Value != 43 {
+			t.Fatalf("unary %+v batched %+v, want both answered by the broadcast", u, b)
+		}
+		if classesOf(u) != classesOf(b) || u.Total() != b.Total() {
+			t.Errorf("a cold key with a dead primary costs %+v (%d) under QueryMany, %+v (%d) under Query; want the same",
+				classesOf(b), b.Total(), classesOf(u), u.Total())
+		}
+	})
+}
+
+// TestQueryManyWarmBatchAllocs is the allocation gate of the batched hit
+// path, as TestQueryHitPathAllocsUnchangedBySampling is the unary one's: a
+// warm 32-key QueryMany from a member of a 3-member memory cluster.
+// AllocsPerRun reads process-wide mallocs, so the minimum of several
+// measurements keeps background gossip ticks out of the verdict.
+func TestQueryManyWarmBatchAllocs(t *testing.T) {
+	// 115 measured: one round of a query item per key at its primary and a
+	// refresh item per backup (152 while the backups' refreshes took a
+	// second round).
+	const ceiling = 115
+	cfg := DefaultConfig()
+	cfg.RoundDuration = time.Second
+	cfg.KeyTtl = 1 << 20
+	// A gossip tick allocates too; one every 100 ms keeps the ticks out of
+	// most measurements even when the batch runs slowly under -race.
+	cfg.GossipInterval = 100 * time.Millisecond
+	c, err := NewCluster(transport.NewMemory(), 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	keys := make([]uint64, 32)
+	for i := range keys {
+		keys[i] = uint64(keyspace.HashString("batch-allocs:" + strconv.Itoa(i)))
+		mustPublish(t, c.Node(1), keys[i], uint64(i))
+	}
+	if _, err := c.Node(0).QueryMany(ctx, keys); err != nil {
+		t.Fatal(err)
+	}
+	best := float64(1 << 30)
+	for rep := 0; rep < 5; rep++ {
+		allocs := testing.AllocsPerRun(20, func() {
+			results, err := c.Node(0).QueryMany(ctx, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range results {
+				if !results[i].FromIndex {
+					t.Fatalf("warm key %d missed the index", keys[i])
+				}
+			}
+		})
+		best = min(best, allocs)
+	}
+	if best > ceiling {
+		t.Errorf("warm 32-key batch allocates %.0f, want at most %d", best, ceiling)
+	}
+	t.Logf("warm 32-key batch: %.0f allocs", best)
 }

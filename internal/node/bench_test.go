@@ -139,6 +139,76 @@ func BenchmarkClientQueryMany(b *testing.B) {
 	})
 }
 
+// BenchmarkQueryManyWide runs 256-key batches over a 64-member memory
+// cluster, where a batch spreads over every member: it prices the
+// per-destination grouping of QueryMany and PublishMany at a width the
+// 3-member fixture never reaches.
+func BenchmarkQueryManyWide(b *testing.B) {
+	const members, batch = 64, 256
+	cfg := DefaultConfig()
+	cfg.RoundDuration = time.Second
+	cfg.KeyTtl = 1 << 20
+	cfg.Capacity = 4 * batch
+	cfg.GossipInterval = 50 * time.Millisecond
+	mem := transport.NewMemory()
+	c, err := NewCluster(mem, members, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(30 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	keys := make([]uint64, batch)
+	pairs := make([]KV, batch)
+	for i := range keys {
+		keys[i] = uint64(keyspace.HashString("wide-bench:" + strconv.Itoa(i)))
+		pairs[i] = KV{Key: keys[i], Value: uint64(i)}
+		mustPublish(b, c.Node(1+i%(members-1)), keys[i], uint64(i))
+	}
+	// Warm: the misses broadcast and insert every key at its set.
+	if _, err := c.Node(0).QueryMany(ctx, keys); err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("querymany", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			results, err := c.Node(0).QueryMany(ctx, keys)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for j := range results {
+				if !results[j].FromIndex {
+					b.Fatalf("key %d missed the warm index", keys[j])
+				}
+			}
+		}
+	})
+
+	b.Run("publishmany", func(b *testing.B) {
+		client, err := DialRemote(ctx, mem, RemoteConfig{Seeds: []string{c.Addr(0)}, KeyTtl: cfg.KeyTtl})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
+		for deadline := time.Now().Add(10 * time.Second); len(client.view.Load().members) < members; {
+			if time.Now().After(deadline) {
+				b.Fatal("client never saw the whole cluster")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := client.PublishMany(ctx, pairs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkHandoff measures the planning pass a view change triggers: for
 // every cached entry, recompute the replica group under the old and new
 // views and decide what this node owes whom. This is the membership

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -425,7 +426,7 @@ func (e *engine) Query(ctx context.Context, key uint64) (QueryResult, error) {
 		e.tuner.Observe(key)
 	}
 	var res QueryResult
-	err := e.resolve(ctx, key, &res, "")
+	err := e.resolve(ctx, key, &res, nil)
 	e.m.observeQuery(res, time.Since(start))
 	e.m.fileMessages(res)
 	if owned {
@@ -452,10 +453,11 @@ func queryOutcome(res QueryResult, err error) string {
 
 // resolve runs the selection algorithm for one key into res: the index
 // search — the primary, failing over through the backups in ring order on a
-// miss, refusal or timeout — then the miss path. asked names a peer the caller's
-// batch leg has already probed for this key ("" on the unary path): the
-// walk skips it, and the route to the primary is already priced in res.
-func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, asked string) error {
+// miss, refusal or timeout — then the miss path. asked names the set
+// members a batch has already asked for this key (nil on the unary path):
+// the walk skips them, and the route to the primary is already priced in
+// res.
+func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, asked []string) error {
 	k := keyspace.Key(key)
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -466,7 +468,7 @@ func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, aske
 			return err
 		}
 		probes := v.Replicas(k)
-		if asked == "" {
+		if asked == nil {
 			if len(probes) > 0 {
 				res.Responsible = probes[0]
 			}
@@ -475,13 +477,13 @@ func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, aske
 		rerouted, failed := false, false
 	walk:
 		for i, addr := range probes {
-			if addr == asked {
+			if slices.Contains(asked, addr) {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
 				return ctxErr(err)
 			}
-			if (i > 0 || asked != "") && addr != e.self {
+			if (i > 0 || asked != nil) && addr != e.self {
 				// Hops priced the path to the primary; each failover probe
 				// is one more message.
 				res.IndexMsgs++
@@ -500,7 +502,9 @@ func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, aske
 			}
 			res.Answered, res.FromIndex, res.Value, res.AnsweredBy = true, true, value, addr
 			e.m.hits.Add(1)
-			res.RefreshMsgs, res.RepairMsgs = e.syncHit(ctx, v, probes, k, value)
+			refreshMsgs, repairMsgs := e.syncHit(ctx, v, probes, k, value)
+			res.RefreshMsgs += refreshMsgs
+			res.RepairMsgs += repairMsgs
 			return nil
 		}
 		if rerouted && attempt == 0 {
@@ -764,13 +768,36 @@ func (e *engine) batchLegs(v *view, d *destinations, item func(i int) transport.
 	return legs
 }
 
-// QueryMany resolves a batch of keys with one OpBatch request per
-// destination peer: keys are grouped by responsible node, each group
-// crosses the wire in a single round trip (query items carry keyTtl, so
-// the reset-on-hit refresh is amortized into the same message), and every
-// key still gets the full selection algorithm — a key that misses its
-// responsible peer falls back to the replica flood, the broadcast and the
-// gated insert of the unary path, concurrently per key.
+// A setAnswer is what one member of a key's replica set told QueryMany's
+// round about the key.
+type setAnswer uint8
+
+const (
+	// unanswered: the leg failed or was refused, or the item was.
+	unanswered setAnswer = iota
+	notHeld
+	held
+)
+
+// QueryMany resolves a batch of keys in one round of one OpBatch request
+// per destination peer. Every key's whole replica set is asked at once: the
+// primary gets a query item carrying keyTtl (the probe, with the
+// reset-on-hit refresh amortized into it), each backup a refresh item
+// carrying the same TTL, whose reply says whether the backup holds the
+// entry. From those answers each key takes one of three paths:
+//
+//   - a hit at the primary is done; backups that answered without the
+//     entry are read-repaired;
+//   - when the primary misses or fails but a backup holds the key, one
+//     follow-up round asks the first holder in set order for the value,
+//     and the members that answered without the entry are read-repaired;
+//   - a key no member holds falls back to the unary walk, which skips the
+//     primary and the backups that answered without the entry — so a key
+//     every member answered for goes straight to the broadcast and the
+//     gated insert of the unary path.
+//
+// Follow-up and repair legs are batched per destination too, and the keys
+// left to the broadcast or the unary walk run concurrently, per key.
 //
 // Results align with keys. The context governs the whole fan-out exactly
 // as in Query; on cancellation the partial results gathered so far are
@@ -799,52 +826,138 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	// Deferred: partial results returned with an error spent their messages
 	// too. The slots are filled in place, so the deferred call sees them.
 	defer e.m.fileMessages(results...)
-	var dests destinations
-	// sets keeps each key's placement from this one routing pass: the
-	// refresh fan-out of the hits reads it instead of routing again.
+	// One routing pass places every key; nothing routes the batch again.
 	sets := make([][]string, len(keys))
+	stride := 0
 	for i, key := range keys {
-		k := keyspace.Key(key)
-		sets[i] = v.Replicas(k)
-		if len(sets[i]) == 0 {
+		sets[i] = v.Replicas(keyspace.Key(key))
+		stride = max(stride, len(sets[i]))
+	}
+	// Slot i*stride+j stands for member j of key i's set: the primary at
+	// j = 0, the backups after it.
+	var dests destinations
+	for i, set := range sets {
+		if len(set) == 0 {
 			continue // no route; the fallback still broadcasts
 		}
-		primary := sets[i][0]
-		results[i].Responsible = primary
-		results[i].IndexMsgs = v.hops(e.self, k)
-		dests.add(primary, i)
+		results[i].Responsible = set[0]
+		results[i].IndexMsgs = v.hops(e.self, keyspace.Key(keys[i]))
+		for j, addr := range set {
+			dests.add(addr, i*stride+j)
+		}
 	}
 	ttl := e.keyTtl()
-
-	// Exactly one OpBatch per destination, in one round.
-	legs := e.batchLegs(v, &dests, func(i int) transport.BatchItem {
-		return transport.BatchItem{Op: transport.OpQuery, Key: keys[i], TTL: ttl}
+	legs := e.batchLegs(v, &dests, func(s int) transport.BatchItem {
+		if s%stride == 0 {
+			return transport.BatchItem{Op: transport.OpQuery, Key: keys[s/stride], TTL: ttl}
+		}
+		return transport.BatchItem{Op: transport.OpRefresh, Key: keys[s/stride], TTL: ttl}
 	})
 	e.round(ctx, legs)
+	answers := make([]setAnswer, len(keys)*stride)
 	for j := range legs {
-		// An unusable reply leaves the whole group to fall back per key.
-		for n, br := range e.batchResults(ctx, &legs[j]) {
-			if i := dests.idxs[j][n]; br.Err == "" && br.Found {
+		// An unusable reply leaves every slot it carried unanswered.
+		brs := e.batchResults(ctx, &legs[j])
+		for n, s := range dests.idxs[j] {
+			i, primary := s/stride, s%stride == 0
+			if !primary && legs[j].wire {
+				// Re-filed as failover probes below when no member holds
+				// the key.
+				results[i].RefreshMsgs++
+			}
+			switch {
+			case brs == nil || brs[n].Err != "":
+			case primary && brs[n].Found:
+				answers[s] = held
 				results[i].Answered, results[i].FromIndex = true, true
-				results[i].Value, results[i].AnsweredBy = br.Value, legs[j].addr
+				results[i].Value, results[i].AnsweredBy = brs[n].Value, legs[j].addr
+			case !primary && brs[n].OK:
+				answers[s] = held
+			default:
+				answers[s] = notHeld
+			}
+		}
+	}
+	// setOf is key i's row of answers, aligned with sets[i].
+	setOf := func(i int) []setAnswer { return answers[i*stride : i*stride+len(sets[i])] }
+
+	// Keys a backup holds ask the first holder for the value; keys no
+	// member holds are left to the fallback, their backup legs having been
+	// failover probes after all.
+	var fetch destinations
+	var fallbacks []int
+	for i := range keys {
+		switch h := slices.Index(setOf(i), held); {
+		case h == 0:
+		case h > 0:
+			fetch.add(sets[i][h], i)
+		default:
+			r := &results[i]
+			r.IndexMsgs += r.RefreshMsgs
+			r.failoverMsgs += r.RefreshMsgs
+			r.RefreshMsgs = 0
+			fallbacks = append(fallbacks, i)
+		}
+	}
+	if len(fetch.addrs) > 0 {
+		// The holder's TTL was reset by the refresh item; this query item
+		// carries none.
+		legs := e.batchLegs(v, &fetch, func(i int) transport.BatchItem {
+			return transport.BatchItem{Op: transport.OpQuery, Key: keys[i]}
+		})
+		e.round(ctx, legs)
+		for j := range legs {
+			brs := e.batchResults(ctx, &legs[j])
+			for n, i := range fetch.idxs[j] {
+				r := &results[i]
+				if legs[j].wire {
+					r.IndexMsgs++
+					r.failoverMsgs++
+				}
+				if brs == nil || brs[n].Err != "" || !brs[n].Found {
+					fallbacks = append(fallbacks, i)
+					continue
+				}
+				r.Answered, r.FromIndex, r.Value, r.AnsweredBy = true, true, brs[n].Value, legs[j].addr
 			}
 		}
 	}
 
-	// Count hits now; unresolved keys take the fallback path. The check
-	// runs before spawning fallbacks so a cancelled batch returns without
-	// firing len(keys) broadcasts.
-	var fallbacks []int
+	// Count the hits and read-repair them: members that answered without
+	// the entry get it re-inserted from the value the hit supplied, one
+	// more round trip per destination.
+	var repairs destinations
 	for i := range results {
-		if results[i].Answered {
-			e.m.hits.Add(1)
-		} else {
-			fallbacks = append(fallbacks, i)
+		if !results[i].FromIndex {
+			continue
+		}
+		e.m.hits.Add(1)
+		for j, a := range setOf(i) {
+			if a == notHeld {
+				repairs.add(sets[i][j], i)
+			}
 		}
 	}
-	// Replica-coherent reset-on-hit for the batch hits, before the
-	// fallbacks run — fallback hits sync through syncHit on their own.
-	e.syncBatchHits(ctx, v, keys, sets, results, ttl)
+	if len(repairs.addrs) > 0 && ctx.Err() == nil {
+		legs := e.batchLegs(v, &repairs, func(i int) transport.BatchItem {
+			return transport.BatchItem{Op: transport.OpInsert, Key: keys[i], Value: results[i].Value, TTL: ttl}
+		})
+		for _, idxs := range repairs.idxs {
+			e.m.readRepairs.Add(uint64(len(idxs)))
+		}
+		e.round(ctx, legs)
+		for j := range legs {
+			if legs[j].wire {
+				for _, i := range repairs.idxs[j] {
+					results[i].RepairMsgs++
+				}
+			}
+			e.batchResults(ctx, &legs[j])
+		}
+	}
+
+	// The check runs before spawning fallbacks so a cancelled batch returns
+	// without firing len(keys) broadcasts.
 	if err := ctx.Err(); err != nil {
 		return results, ctxErr(err)
 	}
@@ -855,9 +968,7 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// The batch leg already asked the responsible peer: the walk
-			// resumes at the failover probes.
-			if err := e.resolve(ctx, keys[i], &results[i], results[i].Responsible); err != nil {
+			if err := e.resolve(ctx, keys[i], &results[i], settled(sets[i], setOf(i))); err != nil {
 				errMu.Lock()
 				if ferr == nil {
 					ferr = err
@@ -870,64 +981,20 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	return results, ferr
 }
 
-// syncBatchHits fans the reset-on-hit refresh of every batch hit out to the
-// rest of the key's replica set — the query items already refreshed the
-// answering peer, the TTL rode with them — and read-repairs members that
-// answered without holding an entry with a second round: an OpBatch of
-// inserts to each. The batched counterpart of syncHit: same coherence, one
-// round trip per destination instead of one RPC per (key, member).
-// Placement (sets, aligned with keys) and the hash come from the view the
-// batch was routed under — stamping one view's hash onto placements
-// computed from another would get every leg refused mid-transition.
-func (e *engine) syncBatchHits(ctx context.Context, v *view, keys []uint64, sets [][]string, results []QueryResult, ttl int) {
-	var dests destinations
-	for i := range results {
-		if !results[i].FromIndex {
-			continue
-		}
-		for _, addr := range sets[i] {
-			if addr != results[i].AnsweredBy {
-				dests.add(addr, i)
-			}
+// settled lists the members of a key's set (row holds their answers) that
+// the unary walk skips: every backup that answered without the entry, and
+// the primary, whose batch item priced the route. These members are
+// skipped on every attempt of the walk, even after a stale-view reroute,
+// where Query probes the new view's whole set again. When every member
+// answered without the entry the walk probes no one and goes straight to
+// the miss path.
+func settled(set []string, row []setAnswer) (asked []string) {
+	for j, a := range row {
+		if j == 0 || a == notHeld {
+			asked = append(asked, set[j])
 		}
 	}
-	legs := e.batchLegs(v, &dests, func(i int) transport.BatchItem {
-		return transport.BatchItem{Op: transport.OpRefresh, Key: keys[i], TTL: ttl}
-	})
-	e.round(ctx, legs)
-	// Read repair: members that answered the refresh without the entry get
-	// it re-inserted, one more round trip each.
-	var repairs destinations
-	for j := range legs {
-		if legs[j].wire {
-			for _, i := range dests.idxs[j] {
-				results[i].RefreshMsgs++
-			}
-		}
-		for n, br := range e.batchResults(ctx, &legs[j]) {
-			if br.Err == "" && !br.OK {
-				repairs.add(legs[j].addr, dests.idxs[j][n])
-			}
-		}
-	}
-	if len(repairs.addrs) == 0 || ctx.Err() != nil {
-		return
-	}
-	legs = e.batchLegs(v, &repairs, func(i int) transport.BatchItem {
-		return transport.BatchItem{Op: transport.OpInsert, Key: keys[i], Value: results[i].Value, TTL: ttl}
-	})
-	for _, idxs := range repairs.idxs {
-		e.m.readRepairs.Add(uint64(len(idxs)))
-	}
-	e.round(ctx, legs)
-	for j := range legs {
-		if legs[j].wire {
-			for _, i := range repairs.idxs[j] {
-				results[i].RepairMsgs++
-			}
-		}
-		e.batchResults(ctx, &legs[j])
-	}
+	return asked
 }
 
 // ---- the top-k form ----
