@@ -24,15 +24,17 @@ test:
 # pooled frame buffer aliasing a returned value would race, ten of the
 # split round trip, where a reply routed to a request its waiter abandoned
 # would race, five of the Close test, where a handoff spawned during
-# Close would race its Wait, and five of the one-round QueryMany tests,
-# whose follow-up, repair and fallback legs share one batch's state.
+# Close would race its Wait, five of the one-round QueryMany tests,
+# whose follow-up, repair and fallback legs share one batch's state, and
+# five of the one-round handoff test, whose pusher runs beside the sweeper,
+# gossip and Close on the same node.
 race:
 	go test -race ./client/ ./internal/adapt/ ./internal/chaos/ \
 		./internal/gossip/... ./internal/node/ ./internal/obs/ \
 		./internal/replica/ ./internal/store/ ./internal/topk/ \
 		./internal/transport/ ./cmd/pdht-node/
 	go test -race -count=10 -run 'TestTCPSharedConnectionNeverAliases|TestSendDoesNotWaitForReply|TestWaitKeepsReplyDeliveredBeforeDeadline' ./internal/transport/
-	go test -race -count=5 -run 'TestCloseReturnsGoroutinesToBaseline|TestQueryManyWarmBatchIsOneRound|TestQueryManyCostsNoMoreThanUnary|TestQueryManyWarmBatchAllocs' ./internal/node/
+	go test -race -count=5 -run 'TestCloseReturnsGoroutinesToBaseline|TestQueryManyWarmBatchIsOneRound|TestQueryManyCostsNoMoreThanUnary|TestQueryManyWarmBatchAllocs|TestHandoffIsOneRoundPerTransition' ./internal/node/
 
 # Each fuzz target, as package:target, for 20 s from its committed seed
 # corpus (<package>/testdata/fuzz). `go test -fuzz` takes one target per

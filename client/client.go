@@ -21,15 +21,17 @@
 //
 // QueryMany and PublishMany are first-class batched operations: keys are
 // grouped by destination peer and each group crosses the wire as a single
-// OpBatch round trip with per-key results, amortizing the per-request cost
+// OpBatch round trip with per-key results (a group too large for one frame
+// as several, all in the same round), amortizing the per-request cost
 // exactly where a heavy query stream needs it.
 //
-// Availability under churn comes from the replica layer underneath
-// (internal/replica, WithReplication): every index entry lives at an
-// r-member replica set, writes fan out to all of it, reads fail over from
-// the primary through the backups before any broadcast, and hits
-// read-repair members that lost their copy — so a dead primary costs one
-// extra RPC, not a broadcast, until membership convergence repairs the set.
+// Availability under churn comes from the replica sets of the node layer
+// underneath (internal/node, WithReplication): every index entry lives at
+// an r-member replica set, writes fan out to all of it, reads fail over
+// from the primary through the backups before any broadcast, hits
+// read-repair members that lost their copy, and a membership change pushes
+// moved entries to their new set — so a dead primary costs one extra RPC,
+// not a broadcast, until membership convergence repairs the set.
 package client
 
 import (

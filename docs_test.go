@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,34 @@ func TestReadmeQuickstartIsCompiled(t *testing.T) {
 	if compiled := string(example[idx:]); block != compiled {
 		t.Errorf("README quickstart diverged from examples/readme/main.go;\nREADME block:\n%s\ncompiled example:\n%s",
 			block, compiled)
+	}
+}
+
+// changesEntry matches the first line of a CHANGES.md entry, capturing its
+// PR number.
+var changesEntry = regexp.MustCompile(`(?m)^(?:- )?PR (\d+):`)
+
+// TestChangesEntriesFitTheBudget holds every CHANGES.md entry from PR 36 on
+// to 4 KB, the byte budget ROADMAP item 8 sets; long-form evidence belongs
+// in EXPERIMENTS.md. Cutting the older entries down is that item's job.
+func TestChangesEntriesFitTheBudget(t *testing.T) {
+	body, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs := changesEntry.FindAllSubmatchIndex(body, -1)
+	for i, loc := range locs {
+		end := len(body)
+		if i+1 < len(locs) {
+			end = locs[i+1][0]
+		}
+		pr, err := strconv.Atoi(string(body[loc[2]:loc[3]]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size := end - loc[0]; pr >= 36 && size > 4<<10 {
+			t.Errorf("the CHANGES.md entry for PR %d is %d bytes, over the 4 KB budget", pr, size)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 //   - Affected(changed): the exact set of key arcs whose replica group can
 //     differ because of the changed members — the basis for handoff
 //     planning that scans only the affected fraction of the index instead
-//     of every entry (see internal/replica.PlanRepair and node.planHandoff).
+//     of every entry (see internal/node's handoff.go).
 //
 // Why addresses and not ranks: a ring that hashes vnode positions from a
 // peer's *rank* in the sorted member list lets one join shift every later

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -20,13 +21,17 @@ import (
 // assertion.
 type countingTransport struct {
 	inner transport.Transport
+	// delay, when set, holds every Send that long before it goes out: a
+	// slow link, on which a sequence of round trips shows as drift.
+	delay time.Duration
 
 	mu    sync.Mutex
 	calls map[string]map[transport.Op]int
+	items map[string]int // OpBatch items, by destination
 }
 
 func newCountingTransport(inner transport.Transport) *countingTransport {
-	return &countingTransport{inner: inner, calls: make(map[string]map[transport.Op]int)}
+	return &countingTransport{inner: inner, calls: make(map[string]map[transport.Op]int), items: make(map[string]int)}
 }
 
 func (t *countingTransport) Serve(addr string, h transport.Handler) (transport.Server, error) {
@@ -41,7 +46,7 @@ func (t *countingTransport) Dial(addr string) (transport.Client, error) {
 	return &countingClient{t: t, addr: addr, inner: c}, nil
 }
 
-func (t *countingTransport) count(addr string, op transport.Op) {
+func (t *countingTransport) count(addr string, req transport.Request) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m := t.calls[addr]
@@ -49,16 +54,26 @@ func (t *countingTransport) count(addr string, op transport.Op) {
 		m = make(map[transport.Op]int)
 		t.calls[addr] = m
 	}
-	m[op]++
+	m[req.Op]++
+	t.items[addr] += len(req.Batch)
 }
 
-// snapshot returns the tallies and resets them.
+// snapshot returns the call tallies and resets them and the item tallies.
 func (t *countingTransport) snapshot() map[string]map[transport.Op]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := t.calls
 	t.calls = make(map[string]map[transport.Op]int)
+	t.items = make(map[string]int)
 	return out
+}
+
+// batchItems returns the OpBatch items sent to each destination since the
+// last snapshot.
+func (t *countingTransport) batchItems() map[string]int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return maps.Clone(t.items)
 }
 
 type countingClient struct {
@@ -68,7 +83,8 @@ type countingClient struct {
 }
 
 func (c *countingClient) Send(ctx context.Context, req transport.Request) transport.Pending {
-	c.t.count(c.addr, req.Op)
+	c.t.count(c.addr, req)
+	time.Sleep(c.t.delay)
 	return c.inner.Send(ctx, req)
 }
 

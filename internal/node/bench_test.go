@@ -214,7 +214,7 @@ func BenchmarkQueryManyWide(b *testing.B) {
 // views and decide what this node owes whom. This is the membership
 // subsystem's burst cost — it runs once per confirmed change, over the
 // whole cache — so it lands with a baseline next to BenchmarkNodeQuery.
-// The pushes themselves are plain OpInserts, priced by the query
+// The pushes themselves are batched OpInserts, priced by the batch
 // benchmarks.
 func BenchmarkHandoff(b *testing.B) {
 	members := make([]string, 6)
@@ -238,7 +238,7 @@ func BenchmarkHandoff(b *testing.B) {
 			// survivor's standpoint collectively.
 			moved := 0
 			for _, self := range survivors {
-				moved += len(planHandoff(old, next, self, entries, 0))
+				moved += len(planPushes(old, next, self, entries, 0).addrs)
 			}
 			if moved == 0 {
 				b.Fatal("view transition moved no keys; the benchmark is vacuous")
@@ -246,7 +246,7 @@ func BenchmarkHandoff(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				planHandoff(old, next, survivors[i%len(survivors)], entries, 0)
+				planPushes(old, next, survivors[i%len(survivors)], entries, 0)
 			}
 		})
 	}

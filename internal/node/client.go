@@ -198,8 +198,8 @@ func (c *RemoteClient) Publish(ctx context.Context, key, value uint64) error {
 
 // PublishMany installs a batch of pairs with one OpBatch request per
 // destination peer: each pair targets its replica group, items are grouped
-// by destination, and a single round trip per destination carries them
-// all. A pair counts as published when at least one replica stored it. Like
+// by destination, and a single round carries them all (a peer owed more
+// than transport.MaxBatchItems items gets several requests in it). A pair counts as published when at least one replica stored it. Like
 // Query, a publish refused as stale installs the membership state attached
 // to the refusal and routes again, once.
 func (c *RemoteClient) PublishMany(ctx context.Context, pairs []KV) error {
@@ -232,7 +232,7 @@ func (c *RemoteClient) publish(ctx context.Context, v *view, pairs []KV) error {
 			dests.add(addr, i)
 		}
 	}
-	legs := c.batchLegs(v, &dests, func(i int) transport.BatchItem {
+	legs := c.batchLegs(v.hash, &dests, func(i int) transport.BatchItem {
 		return transport.BatchItem{Op: transport.OpInsert, Key: pairs[i].Key, Value: pairs[i].Value, TTL: c.cfg.KeyTtl}
 	})
 	c.round(ctx, legs)

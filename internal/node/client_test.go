@@ -161,3 +161,40 @@ func publishRecovers(t *testing.T, tr transport.Transport) {
 		}
 	}
 }
+
+// TestRemoteClientPublishLargerThanAFrame publishes more pairs than one
+// frame holds: on a 3-member, Repl-3 TCP cluster each member is owed 60,000
+// insert items, about 1.2 MB. The batch for a member goes out as several
+// requests of at most transport.MaxBatchItems items, and every pair lands.
+func TestRemoteClientPublishLargerThanAFrame(t *testing.T) {
+	tr := transport.NewTCP()
+	cfg := engineConfig()
+	cfg.Capacity = 1 << 16
+	c, err := NewCluster(tr, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	client, err := DialRemote(ctx, tr, RemoteConfig{Seeds: []string{c.Addr(0)}, Repl: cfg.Repl, KeyTtl: cfg.KeyTtl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	pairs := make([]KV, 60000)
+	for i := range pairs {
+		pairs[i] = KV{Key: uint64(i+1) * 0x9e3779b97f4a7c15, Value: uint64(i + 1)}
+	}
+	if err := client.PublishMany(ctx, pairs); err != nil {
+		t.Fatalf("PublishMany of %d pairs: %v", len(pairs), err)
+	}
+	for i := 0; i < c.Size(); i++ {
+		if got := len(c.Node(i).LiveKeys()); got != len(pairs) {
+			t.Errorf("member %s holds %d of the %d pairs", c.Addr(i), got, len(pairs))
+		}
+	}
+}

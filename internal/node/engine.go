@@ -728,18 +728,19 @@ func (e *engine) batchResults(ctx context.Context, l *fanLeg) []transport.BatchR
 	return l.resp.Batch
 }
 
-// destinations groups item indexes by destination peer, destinations in
-// the order they are first seen — the order their legs are issued and
-// collected in.
+// destinations groups item indexes into slots, one OpBatch request each,
+// slots in the order they are opened — the order their legs are issued and
+// collected in. A peer has one slot until it holds transport.MaxBatchItems
+// indexes; the next index opens it another, so no request outgrows a frame.
 type destinations struct {
 	addrs []string
-	idxs  [][]int // aligned with addrs
-	at    map[string]int
+	idxs  [][]int        // aligned with addrs
+	at    map[string]int // each peer's open slot
 }
 
 func (d *destinations) add(addr string, i int) {
 	j, ok := d.at[addr]
-	if !ok {
+	if !ok || len(d.idxs[j]) == transport.MaxBatchItems {
 		if d.at == nil {
 			d.at = make(map[string]int)
 		}
@@ -751,10 +752,11 @@ func (d *destinations) add(addr string, i int) {
 	d.idxs[j] = append(d.idxs[j], i)
 }
 
-// batchLegs builds one OpBatch leg per destination, item(i) the item of
-// index i: the items of a destination go to it in a single request under
-// the hash of v, the view they were routed by.
-func (e *engine) batchLegs(v *view, d *destinations, item func(i int) transport.BatchItem) []fanLeg {
+// batchLegs builds one OpBatch leg per slot, item(i) the item of index i:
+// the items of a slot go to its peer in a single request carrying hash —
+// that of the view they were routed by, or 0 for writes that span a view
+// change (handoff).
+func (e *engine) batchLegs(hash uint64, d *destinations, item func(i int) transport.BatchItem) []fanLeg {
 	legs := make([]fanLeg, len(d.addrs))
 	for j, addr := range d.addrs {
 		items := make([]transport.BatchItem, len(d.idxs[j]))
@@ -762,7 +764,7 @@ func (e *engine) batchLegs(v *view, d *destinations, item func(i int) transport.
 			items[n] = item(i)
 		}
 		legs[j] = fanLeg{addr: addr, req: transport.Request{
-			Op: transport.OpBatch, From: e.self, ViewHash: v.hash, Batch: items,
+			Op: transport.OpBatch, From: e.self, ViewHash: hash, Batch: items,
 		}}
 	}
 	return legs
@@ -780,7 +782,7 @@ const (
 )
 
 // QueryMany resolves a batch of keys in one round of one OpBatch request
-// per destination peer. Every key's whole replica set is asked at once: the
+// per destination peer (per transport.MaxBatchItems items of it). Every key's whole replica set is asked at once: the
 // primary gets a query item carrying keyTtl (the probe, with the
 // reset-on-hit refresh amortized into it), each backup a refresh item
 // carrying the same TTL, whose reply says whether the backup holds the
@@ -847,7 +849,7 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 		}
 	}
 	ttl := e.keyTtl()
-	legs := e.batchLegs(v, &dests, func(s int) transport.BatchItem {
+	legs := e.batchLegs(v.hash, &dests, func(s int) transport.BatchItem {
 		if s%stride == 0 {
 			return transport.BatchItem{Op: transport.OpQuery, Key: keys[s/stride], TTL: ttl}
 		}
@@ -902,7 +904,7 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 	if len(fetch.addrs) > 0 {
 		// The holder's TTL was reset by the refresh item; this query item
 		// carries none.
-		legs := e.batchLegs(v, &fetch, func(i int) transport.BatchItem {
+		legs := e.batchLegs(v.hash, &fetch, func(i int) transport.BatchItem {
 			return transport.BatchItem{Op: transport.OpQuery, Key: keys[i]}
 		})
 		e.round(ctx, legs)
@@ -939,7 +941,7 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 		}
 	}
 	if len(repairs.addrs) > 0 && ctx.Err() == nil {
-		legs := e.batchLegs(v, &repairs, func(i int) transport.BatchItem {
+		legs := e.batchLegs(v.hash, &repairs, func(i int) transport.BatchItem {
 			return transport.BatchItem{Op: transport.OpInsert, Key: keys[i], Value: results[i].Value, TTL: ttl}
 		})
 		for _, idxs := range repairs.idxs {

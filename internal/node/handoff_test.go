@@ -1,11 +1,15 @@
 package node
 
 import (
+	"context"
+	"reflect"
 	"slices"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
 
+	"pdht/internal/core"
 	"pdht/internal/keyspace"
 	"pdht/internal/transport"
 )
@@ -213,4 +217,206 @@ func TestHandoffTCPSmoke(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		return mustQuery(t, c.Node(0), key).FromIndex || mustQuery(t, c.Node(2), key).FromIndex
 	}, "moved key served from the index over TCP")
+}
+
+// keyWhere returns the first probe key for which ok holds: how the planner
+// tests pick, on real ring views, a key whose replica sets have the shape a
+// rule needs.
+func keyWhere(t *testing.T, ok func(k keyspace.Key) bool) keyspace.Key {
+	t.Helper()
+	for i := uint64(1); i <= 10000; i++ {
+		if k := keyspace.Key(i * 0x9e3779b97f4a7c15); ok(k) {
+			return k
+		}
+	}
+	t.Fatal("no probe key has the replica sets the test needs")
+	return 0
+}
+
+// pushTargets lists, sorted, the destination of every push in plan.
+func pushTargets(plan destinations) []string {
+	var out []string
+	for j, addr := range plan.addrs {
+		for range plan.idxs[j] {
+			out = append(out, addr)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestPlanPushesDesignatedPusher(t *testing.T) {
+	// Set moves from {a,b,c} to {a,b,d}: c died, d is the new member.
+	old := buildView([]string{"a", "b", "c"}, 3, 0)
+	next := buildView([]string{"a", "b", "d"}, 3, 0)
+	k := keyWhere(t, func(k keyspace.Key) bool { return old.Replicas(k)[0] == "a" })
+	const now = 3
+	entries := []core.Entry{{Key: k, Value: 10, Expires: now + 7}}
+
+	// The first surviving member of the old set pushes to the newcomer…
+	plan := planPushes(old, next, "a", entries, now)
+	if want := []string{"d"}; !reflect.DeepEqual(pushTargets(plan), want) {
+		t.Fatalf("pusher a plans %v, want %v", pushTargets(plan), want)
+	}
+	if p := pushItem(entries[plan.idxs[0][0]], now); p.TTL != 7 || p.Value != 10 {
+		t.Fatalf("push %+v lost the remaining TTL or value", p)
+	}
+	// …and every other survivor stays silent.
+	if plan := planPushes(old, next, "b", entries, now); len(plan.addrs) != 0 {
+		t.Fatalf("survivor b plans %v, want nothing", pushTargets(plan))
+	}
+	// A holder outside both sets (a stray copy while the old set still has
+	// a survivor) also stays silent — the survivors own the repair.
+	if plan := planPushes(old, next, "z", entries, now); len(plan.addrs) != 0 {
+		t.Fatalf("stray holder z plans %v, want nothing", pushTargets(plan))
+	}
+}
+
+func TestPlanPushesFirstSurvivorWins(t *testing.T) {
+	// a died: b becomes the designated pusher, c stays silent.
+	old := buildView([]string{"a", "b", "c"}, 3, 0)
+	next := buildView([]string{"b", "c", "d"}, 3, 0)
+	k := keyWhere(t, func(k keyspace.Key) bool { return slices.Equal(old.Replicas(k), []string{"a", "b", "c"}) })
+	entries := []core.Entry{{Key: k, Value: 20, Expires: 3}}
+	if plan := planPushes(old, next, "b", entries, 0); !reflect.DeepEqual(pushTargets(plan), []string{"d"}) {
+		t.Fatalf("pusher b plans %v, want [d]", pushTargets(plan))
+	}
+	if plan := planPushes(old, next, "c", entries, 0); len(plan.addrs) != 0 {
+		t.Fatalf("survivor c plans %v, want nothing", pushTargets(plan))
+	}
+}
+
+func TestPlanPushesOrphanRescue(t *testing.T) {
+	// The entire old set {x,y} died; self holds a copy from an even older
+	// view. Without rescue the entry is unreachable despite being alive.
+	old := buildView([]string{"x", "y"}, 2, 0)
+	next := buildView([]string{"a", "b", "self"}, 2, 0)
+	k := keyWhere(t, func(k keyspace.Key) bool { return !slices.Contains(next.Replicas(k), "self") })
+	entries := []core.Entry{{Key: k, Value: 30, Expires: 5}}
+	plan := planPushes(old, next, "self", entries, 0)
+	if want := []string{"a", "b"}; !reflect.DeepEqual(pushTargets(plan), want) {
+		t.Fatalf("orphan rescue plans %v, want %v", pushTargets(plan), want)
+	}
+	// A rescuer inside the new set does not push to itself.
+	next2 := buildView([]string{"a", "self"}, 2, 0)
+	plan = planPushes(old, next2, "self", entries, 0)
+	if want := []string{"a"}; !reflect.DeepEqual(pushTargets(plan), want) {
+		t.Fatalf("in-set rescuer plans %v, want %v", pushTargets(plan), want)
+	}
+}
+
+func TestPlanPushesSkipsLapsedAndUnmovedEntries(t *testing.T) {
+	old := buildView([]string{"a", "b"}, 2, 0)
+	k := keyWhere(t, func(k keyspace.Key) bool { return old.Replicas(k)[0] == "a" })
+	// Set unchanged: nothing to push even for the designated pusher.
+	if plan := planPushes(old, old, "a", []core.Entry{{Key: k, Expires: 9}}, 0); len(plan.addrs) != 0 {
+		t.Fatalf("unmoved set plans %v, want nothing", pushTargets(plan))
+	}
+	next := buildView([]string{"a", "c"}, 2, 0)
+	// Lapsed between snapshot and planning: dropped.
+	if plan := planPushes(old, next, "a", []core.Entry{{Key: k, Expires: 5}}, 5); len(plan.addrs) != 0 {
+		t.Fatalf("lapsed entry planned %v, want nothing", pushTargets(plan))
+	}
+}
+
+// deadlineOf is the wall-clock instant key expires at in n's index cache.
+func deadlineOf(n *Node, key keyspace.Key) (time.Time, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	exp, ok := n.cache.Expires(key, n.now())
+	return n.roundDeadline(exp), ok
+}
+
+// TestHandoffIsOneRoundPerTransition pins the batched handoff. A member
+// dies, and the node under test, holding thousands of entries, sends each
+// destination its pushes in as few OpBatch frames as the frame limit allows
+// and no unary insert. Its link is slow, so pushes sent one round trip
+// after another would land rounds late; in one round every handed-off copy
+// expires with the pusher's own, within the two rounds that quantizing two
+// round clocks allows.
+func TestHandoffIsOneRoundPerTransition(t *testing.T) {
+	mem := transport.NewMemory()
+	ct := newCountingTransport(mem)
+	ct.delay = time.Millisecond
+	cfg := churnConfig()
+	cfg.Repl = 3
+	cfg.KeyTtl = 1 << 20
+	cfg.Capacity = 1 << 13
+	nut, others := bootWithTransport(t, mem, ct, 3, cfg)
+	defer nut.Close()
+	for _, nd := range others {
+		defer nd.Close()
+	}
+
+	// Index 3,000 keys at their replica sets: the node under test sits in
+	// three of every four sets.
+	ctx := context.Background()
+	cl, err := DialRemote(ctx, mem, RemoteConfig{Seeds: []string{others[0].Addr()}, Repl: cfg.Repl, KeyTtl: cfg.KeyTtl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]KV, 3000)
+	for i := range pairs {
+		pairs[i] = KV{Key: uint64(keyspace.HashString("one-round-handoff:" + strconv.Itoa(i))), Value: uint64(i + 1)}
+	}
+	err = cl.PublishMany(ctx, pairs)
+	cl.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := nut.liveEntries()
+	if len(entries) < 2000 {
+		t.Fatalf("node under test holds %d entries, want at least 2000", len(entries))
+	}
+
+	old := nut.view.Load()
+	ct.snapshot() // discard the boot's membership traffic
+	victim := others[len(others)-1]
+	if err := victim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		msgs := nut.m.handoffMsgs.Value()
+		return len(nut.Members()) == len(others) && msgs > 0 &&
+			msgs == nut.m.handoffKeys.Value()+nut.m.handoffPushFailed.Value()
+	}, "the node under test handing off the victim's keys")
+	items, calls := ct.batchItems(), ct.snapshot()
+
+	// What the node owed for the transition, destination by destination.
+	plan := planPushes(old, nut.view.Load(), nut.Addr(), entries, 0)
+	owed := make(map[string]int)
+	for j, addr := range plan.addrs {
+		owed[addr] += len(plan.idxs[j])
+	}
+	for addr, ops := range calls {
+		if ops[transport.OpInsert] != 0 {
+			t.Errorf("destination %s saw %d unary OpInserts, want none", addr, ops[transport.OpInsert])
+		}
+		frames := (owed[addr] + transport.MaxBatchItems - 1) / transport.MaxBatchItems
+		if n := ops[transport.OpBatch]; n > frames || items[addr] != owed[addr] {
+			t.Errorf("destination %s saw %d OpBatch frames of %d items, want at most %d carrying the %d it was owed",
+				addr, n, items[addr], frames, owed[addr])
+		}
+	}
+	if len(owed) == 0 {
+		t.Fatal("the node under test owed no pushes; the test is vacuous")
+	}
+
+	byAddr := make(map[string]*Node)
+	for _, nd := range others {
+		byAddr[nd.Addr()] = nd
+	}
+	late, pushes := 0, 0
+	for j, addr := range plan.addrs {
+		for _, i := range plan.idxs[j] {
+			pushes++
+			got, ok := deadlineOf(byAddr[addr], entries[i].Key)
+			if d := got.Sub(nut.roundDeadline(entries[i].Expires)).Abs(); !ok || d >= 2*cfg.RoundDuration {
+				late++
+			}
+		}
+	}
+	if late > 0 {
+		t.Fatalf("%d of %d handed-off copies are missing or expire two rounds or more away from the pusher's", late, pushes)
+	}
 }

@@ -230,7 +230,10 @@ type Node struct {
 	// (engine.m, which Report reads) are registered on it.
 	reg *obs.Registry
 
-	stop      chan struct{}
+	// lifetime is cancelled by Close: the sweeper, the retuner and the
+	// handoff pushers stop on it.
+	lifetime  context.Context
+	stop      context.CancelFunc
 	done      sync.WaitGroup
 	handoffs  sync.WaitGroup // in-flight handoff pushers
 	closeOnce sync.Once
@@ -270,7 +273,6 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		store:       make(map[keyspace.Key]uint64),
 		queryCounts: make(map[keyspace.Key]uint64),
 		reg:         reg,
-		stop:        make(chan struct{}),
 	}
 	n.local, n.stale = n.serve, n.staleView
 	if cfg.SlowQueryThreshold > 0 {
@@ -325,23 +327,22 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 	// first: a reader that saw a view may use it. gossip.New fires no
 	// OnChange, and serve hands gossip no message before this store.
 	n.gossip = g
+	// The lifetime is read first by a handoff, which needs a view.
+	n.lifetime, n.stop = context.WithCancel(context.Background())
 	n.view.Store(buildView([]string{n.cfg.Addr}, cfg.Repl, cfg.MaintainEnv))
 	if cfg.Seed != "" {
 		// The bootstrap join is one RPC on a network that may well be
 		// lossy — a single dropped packet must not kill the boot, so the
-		// exchange retries a few times before giving up. It also moves a
-		// full membership table each way, so it gets more patience than
-		// an ordinary call.
+		// exchange retries a few times, each attempt bounded by
+		// CallTimeout, before giving up.
 		var err error
 		for attempt := 0; attempt < 3; attempt++ {
-			ctx, cancel := context.WithTimeout(context.Background(), 4*cfg.CallTimeout)
-			err = n.gossip.Join(ctx, cfg.Seed)
-			cancel()
-			if err == nil {
+			if err = n.gossip.Join(n.lifetime, cfg.Seed); err == nil {
 				break
 			}
 		}
 		if err != nil {
+			n.stop()
 			srv.Close()
 			n.pool.close() // join may have pooled a connection to the seed
 			return nil, fmt.Errorf("node: %w", err)
@@ -445,7 +446,7 @@ func (n *Node) Close() error {
 		n.mu.Lock()
 		n.closed.Store(true) // no new handoff goroutines from here on
 		n.mu.Unlock()
-		close(n.stop)
+		n.stop()
 		n.gossip.Stop()
 		n.srv.Close()
 		n.pool.close()
@@ -461,11 +462,12 @@ func (n *Node) Close() error {
 
 // ---- membership ----
 
-// gossipCall carries one membership-protocol message over the node's
-// pooled connections — the Caller internal/gossip is wired with.
+// gossipCall carries one membership-protocol message as a round of one —
+// the Caller internal/gossip is wired with. The protocol's own deadline,
+// tighter than CallTimeout, bounds it, a first dial to the peer included.
 func (n *Node) gossipCall(ctx context.Context, addr string, msg transport.Gossip) (transport.Gossip, bool, error) {
 	n.m.addMsgs(stats.MsgControl, 1)
-	resp, err := n.callCtx(ctx, addr, transport.Request{
+	resp, err := n.call(ctx, addr, transport.Request{
 		Op: transport.OpGossip, From: n.cfg.Addr, Gossip: &msg,
 	})
 	if err != nil {
@@ -791,18 +793,6 @@ func (n *Node) serveTopK(req transport.Request) transport.Response {
 	return transport.Response{OK: true, TopK: &resp}
 }
 
-// ---- RPC client side ----
-
-// callCtx is one outbound RPC with the deadline under caller control — the
-// membership layer probes on its own, tighter clock than the engine's call.
-func (n *Node) callCtx(ctx context.Context, addr string, req transport.Request) (transport.Response, error) {
-	resp, err := n.pool.call(ctx, addr, req)
-	if err != nil {
-		n.m.rpcFailures.Add(1)
-	}
-	return resp, err
-}
-
 // ---- content ----
 
 // Publish installs key→value in this node's local content store — the
@@ -916,7 +906,7 @@ func (n *Node) sweeper() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-n.stop:
+		case <-n.lifetime.Done():
 			return
 		case <-tick.C:
 			n.mu.Lock()
@@ -945,7 +935,7 @@ func (n *Node) retuner() {
 	last := n.now()
 	for {
 		select {
-		case <-n.stop:
+		case <-n.lifetime.Done():
 			return
 		case <-tick.C:
 			now := n.now()

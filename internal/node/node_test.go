@@ -244,6 +244,50 @@ func TestJoinPropagatesMembership(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return len(b.Members()) == 3 }, "joiner adopting full view")
 }
 
+// stallingTransport wraps a transport; a Dial to addr blocks until release
+// is closed or two seconds pass — a peer whose TCP handshake hangs.
+type stallingTransport struct {
+	transport.Transport
+	addr    string
+	release chan struct{}
+}
+
+func (t *stallingTransport) Dial(addr string) (transport.Client, error) {
+	if addr == t.addr {
+		select {
+		case <-t.release:
+		case <-time.After(2 * time.Second):
+		}
+	}
+	return t.Transport.Dial(addr)
+}
+
+// TestGossipCallReturnsAtItsDeadlineDuringADial checks that a SWIM probe to
+// a peer whose dial hangs returns at the probe's own deadline: the first
+// dial runs on a goroutine of its own, so the protocol loop is held for the
+// probe timeout, not for the dial's.
+func TestGossipCallReturnsAtItsDeadlineDuringADial(t *testing.T) {
+	const peer = "stalled-peer"
+	st := &stallingTransport{Transport: transport.NewMemory(), addr: peer, release: make(chan struct{})}
+	nd, err := New(st, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	defer close(st.release)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err = nd.gossipCall(ctx, peer, transport.Gossip{Kind: transport.GossipPing, From: nd.Addr()})
+	if took := time.Since(start); took >= 500*time.Millisecond {
+		t.Fatalf("a 50ms probe to a peer whose dial hangs took %v", took)
+	}
+	if err == nil {
+		t.Fatal("a probe to a peer that never answered succeeded")
+	}
+}
+
 func TestReportModelComparison(t *testing.T) {
 	c, err := NewCluster(transport.NewMemory(), 3, testConfig())
 	if err != nil {

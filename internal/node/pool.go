@@ -113,16 +113,18 @@ func (p *pool) send(ctx context.Context, addr string, req transport.Request) out
 }
 
 // wait collects what send issued. A timeout means that one request
-// expired, not that the shared multiplexed connection is broken — tearing
-// it down would fail every concurrent in-flight request to that peer — so
-// the pooled client is only dropped on transport-level errors.
+// expired, and an encode error (transport.ErrFrame) that one request could
+// not be written, not that the shared multiplexed connection is broken —
+// tearing it down would fail every concurrent in-flight request to that
+// peer — so the pooled client is only dropped on transport-level errors.
 func (p *pool) wait(o outbound) (transport.Response, error) {
 	if o.err != nil {
 		return transport.Response{}, o.err
 	}
 	resp, err := o.pending.Wait()
 	if err != nil {
-		if o.c != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+		if o.c != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) &&
+			!errors.Is(err, transport.ErrFrame) {
 			p.drop(o.addr, o.c)
 		}
 		return transport.Response{}, err

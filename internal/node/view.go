@@ -29,9 +29,9 @@
 // at a new version — by DELTA application (only the changed members'
 // virtual nodes are spliced, and only index entries in the affected key
 // arcs are even considered for handoff) — and a repair
-// pass (replica.PlanRepair) pushes index entries whose replica set moved
-// to the set's new members with their remaining TTL, so the paper's expiry
-// semantics survive the transfer.
+// pass (handoff.go) pushes index entries whose replica set moved to the
+// set's new members with their remaining TTL, one batched round per
+// transition, so the paper's expiry semantics survive the transfer.
 //
 // Rounds: the paper's clock unit (one round = one second) maps to a
 // configurable RoundDuration. TTLs cross the wire in rounds, so a cluster
@@ -202,14 +202,13 @@ func (v *view) hops(self string, key keyspace.Key) int { return v.ring.RouteHops
 // Replicas returns key's replica set in the ring's clockwise walk order:
 // the responsible peer first, then the backups in the order reads fail over
 // through them. It is the one placement answer of the live node — probes,
-// write fan-outs, handoff's designated-pusher rule (replica.PlanRepair
-// reads it through replica.View) and the chaos placement audit all use this
-// slice, identical on every member and client that agrees on the membership
-// list. The slice is freshly allocated.
+// write fan-outs, handoff's designated-pusher rule (planPushes) and the
+// chaos placement audit all use this slice, identical on every member and
+// client that agrees on the membership list. The slice is freshly
+// allocated.
 func (v *view) Replicas(key keyspace.Key) []string { return v.ring.Group(key) }
 
-// Contains reports whether addr is a member of this view; with Replicas it
-// makes *view a replica.View.
+// Contains reports whether addr is a member of this view.
 func (v *view) Contains(addr string) bool { return v.ring.Contains(addr) }
 
 // maintain runs one round of routing-table probing and reports how many

@@ -83,8 +83,8 @@ var DefBuckets = []float64{
 }
 
 // Histogram is a fixed-bucket latency histogram: cumulative-style Prometheus
-// exposition, atomic per-bucket counts, quantile extraction by linear
-// interpolation. Observe is a bucket scan plus three atomics — no locks, no
+// exposition and atomic per-bucket counts; quantiles are read off its
+// snapshot point (SnapPoint.Quantile). Observe is a bucket scan plus three atomics — no locks, no
 // allocations — so it can sit on the per-RPC hot path.
 type Histogram struct {
 	bounds []float64 // upper bounds in seconds, ascending
@@ -123,38 +123,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations; Sum their total duration.
 func (h *Histogram) Count() uint64      { return h.total.Load() }
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// within the bucket that holds it, the standard fixed-bucket estimator.
-// Returns 0 with ok=false when nothing was observed. An answer from the
-// overflow bucket clamps to the last finite bound: the histogram cannot
-// resolve beyond its ladder.
-func (h *Histogram) Quantile(q float64) (time.Duration, bool) {
-	total := h.total.Load()
-	if total == 0 || math.IsNaN(q) {
-		return 0, false
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var seen float64
-	lower := 0.0
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if seen+n >= rank && n > 0 {
-			frac := (rank - seen) / n
-			sec := lower + (h.bounds[i]-lower)*frac
-			return time.Duration(sec * float64(time.Second)), true
-		}
-		seen += n
-		lower = h.bounds[i]
-	}
-	return time.Duration(h.bounds[len(h.bounds)-1] * float64(time.Second)), true
-}
 
 // metricKind is the Prometheus TYPE of a family.
 type metricKind uint8

@@ -100,8 +100,20 @@ func TestRegistrationKindConflictPanics(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram([]float64{0.010, 0.100, 1.0})
-	if _, ok := h.Quantile(0.5); ok {
+	// Quantiles are read off the snapshot point, the one estimator a node's
+	// report and the merged fleet report share.
+	r := NewRegistry()
+	h := r.Histogram("test_latency_seconds", "Test latency.", []float64{0.010, 0.100, 1.0})
+	over := r.Histogram("test_overflow_seconds", "Test overflow.", []float64{0.001})
+	point := func(name string) SnapPoint {
+		t.Helper()
+		fam := r.Snapshot().Family(name)
+		if len(fam) != 1 {
+			t.Fatalf("snapshot holds %d series of %s, want 1", len(fam), name)
+		}
+		return fam[0]
+	}
+	if _, ok := point("test_latency_seconds").Quantile(0.5); ok {
 		t.Error("empty histogram produced a quantile")
 	}
 	// 90 fast (≤10ms), 9 medium (≤100ms), 1 slow (≤1s).
@@ -115,22 +127,22 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Count(); got != 100 {
 		t.Fatalf("Count = %d, want 100", got)
 	}
-	p50, _ := h.Quantile(0.50)
+	p := point("test_latency_seconds")
+	p50, _ := p.Quantile(0.50)
 	if p50 <= 0 || p50 > 10*time.Millisecond {
 		t.Errorf("p50 = %v, want within the ≤10ms bucket", p50)
 	}
-	p99, _ := h.Quantile(0.99)
+	p99, _ := p.Quantile(0.99)
 	if p99 <= 10*time.Millisecond || p99 > 100*time.Millisecond {
 		t.Errorf("p99 = %v, want within the (10ms, 100ms] bucket", p99)
 	}
-	p999, _ := h.Quantile(0.999)
+	p999, _ := p.Quantile(0.999)
 	if p999 <= 100*time.Millisecond || p999 > time.Second {
 		t.Errorf("p99.9 = %v, want within the (100ms, 1s] bucket", p999)
 	}
 	// The overflow bucket clamps to the last finite bound.
-	h2 := newHistogram([]float64{0.001})
-	h2.Observe(time.Minute)
-	if q, _ := h2.Quantile(0.5); q != time.Millisecond {
+	over.Observe(time.Minute)
+	if q, _ := point("test_overflow_seconds").Quantile(0.5); q != time.Millisecond {
 		t.Errorf("overflow quantile = %v, want clamp to 1ms", q)
 	}
 }

@@ -64,9 +64,11 @@ func (p *SnapPoint) setSample(v float64) {
 	}
 }
 
-// Quantile estimates the q-quantile of a histogram point by linear
-// interpolation, the same estimator Histogram.Quantile uses, so a merged
-// fleet histogram answers p99 exactly as a single node's would. Returns
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of a histogram point by
+// linear interpolation within the bucket that holds it, the standard
+// fixed-bucket estimator, so a merged fleet histogram answers p99 exactly as
+// a single node's would. An answer from the overflow bucket clamps to the
+// last finite bound: the histogram cannot resolve beyond its ladder. Returns
 // ok=false for non-histogram points, empty histograms, or a point whose
 // bucket vector a merge dropped (mismatched or malformed ladder).
 func (p SnapPoint) Quantile(q float64) (time.Duration, bool) {

@@ -1,22 +1,15 @@
-// Package replica is what the live node does with a key's replica set once
-// it has one: PlanRepair extends the handoff planner of internal/node — on
-// a view change, the designated pusher re-replicates under-replicated
-// entries to the members of the new set with their remaining TTL, and a
-// node holding an orphaned copy, its entire former replica set gone, pushes
-// it back into the current set rather than letting the index lose the key.
+// Package replica holds Fanout, a goroutine per write leg, which is no
+// longer how the node fans out: its engine writes every leg from the
+// calling goroutine and collects the replies under one deadline. Fanout is
+// kept for the load benchmark, which prices it as the replica.fanout3_us
+// row; nothing else imports this package.
 //
-// Fanout, a goroutine per write leg, is no longer how the node fans out:
-// its engine writes every leg from the calling goroutine and collects the
-// replies under one deadline. Fanout is kept for the load benchmark, which
-// prices it as the replica.fanout3_us row.
-//
-// The set itself is not this package's: which peers hold a key, and in what
-// order reads fail over between them, is the clockwise walk of the member
-// ring (keyspace.MemberRing.Group), which PlanRepair reads through View.
-// Every node that agrees on the membership list agrees on that order with
-// no extra protocol.
+// What the live node does with a key's replica set lives in internal/node:
+// the set is the clockwise walk of the member ring (view.Replicas over
+// keyspace.MemberRing.Group), and the repair planner that re-replicates
+// entries on a view change is in its handoff.go.
 //
 // The paper's replica subnetwork (§3.3.2) — gossip floods among a group's
 // members over simulated peers — is the simulator's and lives in
-// internal/sim/simcore; this package imports only keyspace.
+// internal/sim/simcore.
 package replica

@@ -268,6 +268,9 @@ func (c *tcpClient) abandon(id uint64) {
 
 // Send registers the request and writes its frame on the calling
 // goroutine; the reply channel is the only allocation beyond the frame's.
+// A request that cannot be encoded (ErrFrame: over maxFrameSize, say) fails
+// alone: nothing reached the socket, so the connection and the requests in
+// flight on it are fine. Only a failed write kills the connection.
 func (c *tcpClient) Send(ctx context.Context, req Request) Pending {
 	c.mu.Lock()
 	if c.err != nil {
@@ -286,6 +289,9 @@ func (c *tcpClient) Send(ctx context.Context, req Request) Pending {
 	c.writeMu.Unlock()
 	if err != nil {
 		c.abandon(id)
+		if errors.Is(err, ErrFrame) {
+			return failed(err)
+		}
 		err = fmt.Errorf("%w: %w", ErrUnreachable, err)
 		c.fail(err)
 		return failed(err)

@@ -55,6 +55,59 @@ func TestTCPSlowRequestDoesNotBlockFastOne(t *testing.T) {
 	}
 }
 
+// TestTCPOversizedRequestFailsOnlyItself checks that a request too large
+// to encode fails alone: Send reports ErrFrame, not a dead peer, and the
+// connection it would have gone out on keeps serving the request already in
+// flight on it and the ones after it.
+func TestTCPOversizedRequestFailsOnlyItself(t *testing.T) {
+	tr := NewTCP()
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv, err := tr.Serve("", func(req Request) Response {
+		if req.Op == OpBroadcast { // the designated held op
+			close(entered)
+			<-release
+		}
+		return Response{OK: true}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce() // before srv.Close, which waits for the handler
+	cl, err := tr.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := cl.Call(ctx, Request{Op: OpBroadcast})
+		held <- err
+	}()
+	<-entered
+
+	// Every item carries a key and a value: 18 bytes each, well past 1 MiB.
+	big := make([]BatchItem, maxFrameSize/itemMinSize+1)
+	for i := range big {
+		big[i] = BatchItem{Op: OpInsert, Key: uint64(i + 1), Value: 1}
+	}
+	_, err = cl.Call(ctx, Request{Op: OpBatch, Batch: big})
+	if !errors.Is(err, ErrFrame) || errors.Is(err, ErrUnreachable) {
+		t.Fatalf("oversized request: err = %v, want ErrFrame and not ErrUnreachable", err)
+	}
+	releaseOnce()
+	if err := <-held; err != nil {
+		t.Fatalf("the request in flight failed with the oversized one: %v", err)
+	}
+	if _, err := cl.Call(ctx, Request{Op: OpQuery}); err != nil {
+		t.Fatalf("client unusable after an oversized request: %v", err)
+	}
+}
+
 // TestTCPContextCancel checks a caller can abandon a call that the server
 // will never answer, and the client remains usable afterwards.
 func TestTCPContextCancel(t *testing.T) {

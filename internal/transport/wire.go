@@ -296,7 +296,22 @@ const (
 	// allocated.
 	itemMinSize   = 1 + 1 + 8
 	resultMinSize = 1
+
+	// itemMaxSize is the most bytes one batch item occupies: op, flags,
+	// key, value and a TTL of up to 2^34 rounds (a 5-byte zig-zag varint),
+	// past any lifetime a peer accepts.
+	itemMaxSize = itemMinSize + 8 + 5
+	// batchHeadroom is the share of a frame kept for the envelope and the
+	// request's own fields, its From address included.
+	batchHeadroom = 4 << 10
 )
+
+// MaxBatchItems is the most items one OpBatch request carries: that many
+// items of any content encode under maxFrameSize. A batch for one peer that
+// is larger goes out as several requests. The replies are smaller still:
+// each result of a query, insert or refresh item is at most its flags, a
+// value or a short error.
+const MaxBatchItems = (maxFrameSize - batchHeadroom) / itemMaxSize
 
 // Response and BatchResult share the first four bits.
 const (
@@ -321,7 +336,9 @@ var (
 	ErrWireVersion = errors.New("transport: incompatible wire version")
 	// ErrFrame reports a frame that breaks the format: over the size
 	// limit, cut short inside a field, a batch count larger than the bytes
-	// present, undefined flag bits, trailing bytes, undecodable JSON.
+	// present, undefined flag bits, trailing bytes, undecodable JSON. On
+	// the sending side it means the frame could not be encoded and nothing
+	// was written.
 	ErrFrame = errors.New("transport: malformed frame")
 )
 
@@ -379,7 +396,7 @@ func appendFrame(b []byte, f frame) ([]byte, error) {
 		err = errors.New("a frame is one request or one response")
 	}
 	if err != nil {
-		return b[:start], fmt.Errorf("transport: encode frame: %w", err)
+		return b[:start], fmt.Errorf("%w: encode: %w", ErrFrame, err)
 	}
 	n := len(b) - start - 4
 	if n > maxFrameSize {

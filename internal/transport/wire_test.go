@@ -268,6 +268,28 @@ func TestFrameEncodeGuards(t *testing.T) {
 	}
 }
 
+// TestMaxBatchItemsFitsAFrame holds MaxBatchItems to the codec: a request
+// of that many items, each as long as an item encodes, with every request
+// field set, still encodes, and so does its reply with every result as
+// long as the index ops make one.
+func TestMaxBatchItemsFitsAFrame(t *testing.T) {
+	const maxU = ^uint64(0)
+	items := make([]BatchItem, MaxBatchItems)
+	results := make([]BatchResult, MaxBatchItems)
+	for i := range items {
+		items[i] = BatchItem{Op: OpInsert, Key: maxU, Value: maxU, TTL: 1<<34 - 1}
+		results[i] = BatchResult{Err: "refresh without ttl"}
+	}
+	req := &Request{Op: OpBatch, From: strings.Repeat("h", 255) + ":65535", Key: maxU, Value: maxU,
+		TTL: 1<<34 - 1, ViewHash: maxU, TraceID: maxU, Batch: items}
+	if _, err := appendFrame(nil, frame{ID: maxU, Req: req}); err != nil {
+		t.Errorf("request of MaxBatchItems = %d items: %v", MaxBatchItems, err)
+	}
+	if _, err := appendFrame(nil, frame{ID: maxU, Resp: &Response{OK: true, Batch: results}}); err != nil {
+		t.Errorf("reply to MaxBatchItems = %d items: %v", MaxBatchItems, err)
+	}
+}
+
 // TestCodecAllocs gates the hot pair: encoding and decoding one OpQuery
 // request and its hit response allocates the two decoded structs and
 // nothing else — no reflection, no body buffer, no per-field boxing.
