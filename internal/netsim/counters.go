@@ -33,9 +33,6 @@ func (ct *Counters) Add(c stats.MsgClass, n int64) {
 	ct.mu.Unlock()
 }
 
-// Inc records a single message of class c.
-func (ct *Counters) Inc(c stats.MsgClass) { ct.Add(c, 1) }
-
 // Get returns the accumulated count for class c.
 func (ct *Counters) Get(c stats.MsgClass) int64 {
 	if c < 0 || c >= numClasses {
@@ -66,11 +63,4 @@ func (ct *Counters) Snapshot() map[stats.MsgClass]int64 {
 		out[stats.MsgClass(i)] = v
 	}
 	return out
-}
-
-// Reset zeroes all counters.
-func (ct *Counters) Reset() {
-	ct.mu.Lock()
-	ct.counts = [numClasses]int64{}
-	ct.mu.Unlock()
 }

@@ -10,7 +10,7 @@ import (
 func TestCountersAddGet(t *testing.T) {
 	var c Counters
 	c.Add(stats.MsgBroadcast, 5)
-	c.Inc(stats.MsgBroadcast)
+	c.Add(stats.MsgBroadcast, 1)
 	c.Add(stats.MsgIndexLookup, 3)
 	if got := c.Get(stats.MsgBroadcast); got != 6 {
 		t.Errorf("Get(MsgBroadcast) = %d, want 6", got)
@@ -46,15 +46,6 @@ func TestCountersUnknownClassPanics(t *testing.T) {
 	c.Add(stats.MsgClass(99), 1)
 }
 
-func TestCountersReset(t *testing.T) {
-	var c Counters
-	c.Add(stats.MsgMaintenance, 7)
-	c.Reset()
-	if got := c.Total(); got != 0 {
-		t.Errorf("Total() after Reset = %d, want 0", got)
-	}
-}
-
 func TestCountersSnapshotAndDiff(t *testing.T) {
 	var c Counters
 	c.Add(stats.MsgBroadcast, 10)
@@ -83,7 +74,7 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc(stats.MsgBroadcast)
+				c.Add(stats.MsgBroadcast, 1)
 			}
 		}()
 	}
@@ -99,6 +90,6 @@ func TestCountersCoverEveryClass(t *testing.T) {
 		t.Fatalf("Counters holds %d classes, stats.Classes() lists %d", got, want)
 	}
 	for _, class := range stats.Classes() {
-		c.Inc(class)
+		c.Add(class, 1)
 	}
 }

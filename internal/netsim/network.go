@@ -65,6 +65,16 @@ func (nw *Network) SetOnline(p PeerID, on bool) {
 	}
 }
 
+// Peers returns every peer of the network, 0 through Size()−1, in a slice
+// the caller owns.
+func (nw *Network) Peers() []PeerID {
+	out := make([]PeerID, len(nw.online))
+	for i := range out {
+		out[i] = PeerID(i)
+	}
+	return out
+}
+
 // OnlineCount returns the number of peers currently online.
 func (nw *Network) OnlineCount() int { return nw.nOnline }
 

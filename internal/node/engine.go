@@ -764,7 +764,7 @@ func (e *engine) batchLegs(hash uint64, d *destinations, item func(i int) transp
 			items[n] = item(i)
 		}
 		legs[j] = fanLeg{addr: addr, req: transport.Request{
-			Op: transport.OpBatch, From: e.self, ViewHash: hash, Batch: items,
+			Op: transport.OpBatch, ViewHash: hash, Batch: items,
 		}}
 	}
 	return legs
@@ -1011,9 +1011,11 @@ func settled(set []string, row []setAnswer) (asked []string) {
 // met (Result.Early).
 //
 // The context bounds the whole query; cancellation aborts the in-flight
-// round and returns the context error. Every remote probe is additionally
-// capped at CallTimeout, and a probe that fails is treated as an empty
-// peer — replication at the other holders keeps the answer correct.
+// round and returns the context error. Each round of probes is one engine
+// round: every leg is sent before the first reply is awaited, and the
+// round's remote legs share one deadline capped at CallTimeout. A probe
+// that fails is treated as an empty peer — replication at the other
+// holders keeps the answer correct.
 func (e *engine) QueryTopK(ctx context.Context, terms []uint64, k int) (topk.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return topk.Result{}, ctxErr(err)
@@ -1064,15 +1066,22 @@ func (e *engine) queryTopK(ctx context.Context, terms []uint64, k int) (topk.Res
 
 	// Content is unrouted, so probes carry no view hash; the scan of the
 	// host's own store is a self leg like any other.
-	probe := func(pctx context.Context, addr string, req topk.Req) (topk.Resp, error) {
-		r, err := e.call(pctx, addr, transport.Request{Op: transport.OpTopK, From: e.self, TopK: &req})
-		if err != nil {
-			return topk.Resp{}, err
+	answer := func(rctx context.Context, calls []topk.Call) {
+		legs := make([]fanLeg, len(calls))
+		for i := range calls {
+			legs[i] = fanLeg{addr: calls[i].Addr, req: transport.Request{Op: transport.OpTopK, TopK: &calls[i].Req}}
 		}
-		if r.Err != "" || r.TopK == nil {
-			return topk.Resp{}, fmt.Errorf("node: topk probe: %s", r.Err)
+		e.round(rctx, legs)
+		for i := range legs {
+			switch r := legs[i].resp; {
+			case legs[i].err != nil:
+				calls[i].Err = legs[i].err
+			case r.Err != "" || r.TopK == nil:
+				calls[i].Err = fmt.Errorf("node: topk probe: %s", r.Err)
+			default:
+				calls[i].Resp = *r.TopK
+			}
 		}
-		return *r.TopK, nil
 	}
 
 	tr := obs.TraceFrom(ctx)
@@ -1086,7 +1095,7 @@ func (e *engine) queryTopK(ctx context.Context, terms []uint64, k int) (topk.Res
 		l = startLeg(tr)
 	}
 
-	res := topk.Run(ctx, cfg, probe, onRound)
+	res := topk.Run(ctx, cfg, answer, onRound)
 	if res.Early {
 		e.m.topkEarly.Inc()
 	}
@@ -1120,7 +1129,7 @@ func (e *engine) ClusterReport(ctx context.Context) (obs.FleetReport, error) {
 	if err != nil {
 		return obs.FleetReport{}, err
 	}
-	legs := legsTo(make([]fanLeg, 0, len(v.members)), v.members, transport.Request{Op: transport.OpStats, From: e.self})
+	legs := legsTo(make([]fanLeg, 0, len(v.members)), v.members, transport.Request{Op: transport.OpStats})
 	e.round(ctx, legs)
 	var snaps []obs.Snapshot
 	for i := range legs {

@@ -5,7 +5,6 @@ import (
 
 	"pdht/internal/core"
 	"pdht/internal/stats"
-	"pdht/internal/store"
 	"pdht/internal/transport"
 )
 
@@ -117,7 +116,7 @@ func (n *Node) runHandoff(old, next *view, entries []core.Entry) {
 		}
 		n.m.handoffMsgs.Add(uint64(len(l.req.Batch)))
 		brs := n.batchResults(n.lifetime, l)
-		for k, i := range plan.idxs[j] {
+		for k := range plan.idxs[j] {
 			// A failed leg, or a peer that refused the item (full cache,
 			// malformed TTL): the push did not land.
 			if brs == nil || !brs[k].OK {
@@ -125,11 +124,6 @@ func (n *Node) runHandoff(old, next *view, entries []core.Entry) {
 				continue
 			}
 			n.m.handoffKeys.Add(1)
-			if n.persist != nil {
-				// Audit trail only: the holder keeps its copy (the
-				// no-deletion rule), so replay ignores these.
-				_ = n.persist.Append(store.Record{Op: store.OpHandoff, Key: uint64(entries[i].Key), Value: uint64(entries[i].Value)})
-			}
 		}
 	}
 }

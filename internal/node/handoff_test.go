@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -418,5 +419,69 @@ func TestHandoffIsOneRoundPerTransition(t *testing.T) {
 	}
 	if late > 0 {
 		t.Fatalf("%d of %d handed-off copies are missing or expire two rounds or more away from the pusher's", late, pushes)
+	}
+}
+
+// TestHandoffAppendsNothingToThePushersWAL: a durable pusher journals none
+// of the pushes it sends. Replay would ignore such a record (the holder
+// keeps its copy), and the receiver journals the insert it lands. Only the
+// node under test holds entries, so nobody pushes to it, and nothing else
+// mutates its index while the victim's keys move.
+func TestHandoffAppendsNothingToThePushersWAL(t *testing.T) {
+	mem := transport.NewMemory()
+	cfg := churnConfig()
+	cfg.Repl = 2
+	cfg.KeyTtl = 1 << 20
+	seed, err := New(mem, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	cfg.Seed = seed.Addr()
+	victim, err := New(mem, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	durable := cfg
+	durable.Store = openStore(t, t.TempDir())
+	nut, err := New(mem, durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nut.Close()
+	waitFor(t, 5*time.Second, func() bool {
+		return len(seed.Members()) == 3 && len(victim.Members()) == 3 && len(nut.Members()) == 3
+	}, "full membership")
+
+	nut.mu.Lock()
+	now := nut.now()
+	for i := 0; i < 200; i++ {
+		nut.cache.Put(keyspace.HashString("wal-handoff:"+strconv.Itoa(i)), core.Value(i+1), now+cfg.KeyTtl, now)
+	}
+	nut.mu.Unlock()
+	appends := func() float64 {
+		var b strings.Builder
+		if err := nut.Metrics().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, b.String(), "pdht_store_wal_appends_total")
+	}
+	before := appends()
+
+	if err := victim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		msgs := nut.m.handoffMsgs.Value()
+		return len(nut.Members()) == 2 && msgs > 0 &&
+			msgs == nut.m.handoffKeys.Value()+nut.m.handoffPushFailed.Value()
+	}, "the node under test handing off the victim's keys")
+	if nut.m.handoffKeys.Value() == 0 {
+		t.Fatal("no push landed; the test is vacuous")
+	}
+	if got := appends(); got != before {
+		t.Fatalf("pdht_store_wal_appends_total moved %v → %v across a handoff that landed %d pushes",
+			before, got, nut.m.handoffKeys.Value())
 	}
 }

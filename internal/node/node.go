@@ -219,9 +219,9 @@ type Node struct {
 	queryCounts map[keyspace.Key]uint64
 
 	// persist is the durability plane (Config.Store), nil when the node
-	// runs in-memory. Index and content records are appended under mu;
-	// runHandoff's OpHandoff audit records are appended outside it, on the
-	// pusher goroutine, and the store's own lock serializes the two.
+	// runs in-memory. Every record is appended under mu, where the index
+	// and content mutations it journals happen; a handoff pusher appends
+	// nothing (the receiver journals the insert it lands).
 	// closeErr is written inside closeOnce and read after it.
 	persist  store.Store
 	closeErr error
@@ -468,7 +468,7 @@ func (n *Node) Close() error {
 func (n *Node) gossipCall(ctx context.Context, addr string, msg transport.Gossip) (transport.Gossip, bool, error) {
 	n.m.addMsgs(stats.MsgControl, 1)
 	resp, err := n.call(ctx, addr, transport.Request{
-		Op: transport.OpGossip, From: n.cfg.Addr, Gossip: &msg,
+		Op: transport.OpGossip, Gossip: &msg,
 	})
 	if err != nil {
 		return transport.Gossip{}, false, err

@@ -13,7 +13,7 @@ func benchGraph(b *testing.B, n int) (*Graph, *Store, *rand.Rand) {
 	b.Helper()
 	net := netsim.New(n)
 	rng := rand.New(rand.NewPCG(1, 2))
-	g, err := NewRandomGraph(net, 4, rng)
+	g, err := NewRandomGraph(net, net.Peers(), 4, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 // FloodResult reports the outcome and cost of one flood.
 type FloodResult struct {
-	// Reached is the number of distinct online peers that processed the
+	// Reached is the number of distinct online members that processed the
 	// query (including the origin).
 	Reached int
 	// Messages is the number of transmissions, counting the duplicate
@@ -21,45 +21,50 @@ type FloodResult struct {
 }
 
 // Flood performs a Gnutella-style breadth-first flood from origin with the
-// given TTL: every online peer that sees the query for the first time
+// given TTL: every online member that sees the query for the first time
 // forwards it to all neighbors except the one it came from, until the TTL
 // expires. Every transmission to an online peer is one message of the given
 // class; duplicates are delivered (and counted) but not re-forwarded. The
 // flood does not stop early on a match — Gnutella queries keep propagating —
-// so its cost is independent of where the data sits.
+// so its cost is independent of where the data sits. A TTL of len(Members())
+// floods the whole reachable graph: that is a replica group's gossip, whose
+// messages are the repl·dup2 of eq. 9/16. An offline origin, or one that is
+// not a member, sends nothing.
 //
 // match may be nil when the flood is used purely for dissemination.
 func (g *Graph) Flood(origin netsim.PeerID, ttl int, match func(netsim.PeerID) bool, class stats.MsgClass) FloodResult {
 	res := FloodResult{}
-	if !g.net.Online(origin) {
+	start, ok := g.at(origin)
+	if !ok || !g.net.Online(origin) {
 		return res
 	}
-	visited := make(map[netsim.PeerID]bool, 64)
-	visited[origin] = true
+	visited := make([]bool, len(g.adj))
+	visited[start] = true
 	res.Reached = 1
 	if match != nil && match(origin) {
 		res.Found, res.FoundAt = true, origin
 	}
-	frontier := []netsim.PeerID{origin}
+	frontier := []int{start}
 	for depth := 0; depth < ttl && len(frontier) > 0; depth++ {
-		var next []netsim.PeerID
-		for _, p := range frontier {
-			for _, q := range g.adj[p] {
+		var next []int
+		for _, i := range frontier {
+			for _, q := range g.adj[i] {
 				if !g.net.Online(q) {
 					// A connection to an offline peer is
 					// already torn down; nothing is sent.
 					continue
 				}
 				res.Messages++
-				if visited[q] {
+				j, _ := g.at(q)
+				if visited[j] {
 					continue // duplicate delivery
 				}
-				visited[q] = true
+				visited[j] = true
 				res.Reached++
 				if match != nil && !res.Found && match(q) {
 					res.Found, res.FoundAt = true, q
 				}
-				next = append(next, q)
+				next = append(next, j)
 			}
 		}
 		frontier = next

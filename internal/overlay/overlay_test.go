@@ -13,20 +13,66 @@ func newGraph(t *testing.T, n, degree int, seed uint64) (*Graph, *netsim.Network
 	t.Helper()
 	net := netsim.New(n)
 	rng := rand.New(rand.NewPCG(seed, seed^0xdeadbeef))
-	g, err := NewRandomGraph(net, degree, rng)
+	g, err := NewRandomGraph(net, net.Peers(), degree, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g, net, rng
 }
 
+// newGroup builds a graph over a replica group of `members` peers of an
+// n-peer network, with non-contiguous IDs on purpose.
+func newGroup(t *testing.T, n, members, degree int, seed uint64) (*Graph, *netsim.Network) {
+	t.Helper()
+	net := netsim.New(n)
+	group := make([]netsim.PeerID, members)
+	for i := range group {
+		group[i] = netsim.PeerID(i * 3)
+	}
+	g, err := NewRandomGraph(net, group, degree, rand.New(rand.NewPCG(seed, seed^0xfeed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, net
+}
+
 func TestNewRandomGraphValidation(t *testing.T) {
 	net := netsim.New(10)
 	rng := rand.New(rand.NewPCG(1, 2))
-	for _, d := range []int{0, -1, 10, 50} {
-		if _, err := NewRandomGraph(net, d, rng); err == nil {
+	for _, d := range []int{0, -1} {
+		if _, err := NewRandomGraph(net, net.Peers(), d, rng); err == nil {
 			t.Errorf("degree %d accepted", d)
 		}
+	}
+	if _, err := NewRandomGraph(net, nil, 1, rng); err == nil {
+		t.Error("empty member list accepted")
+	}
+	if _, err := NewRandomGraph(net, []netsim.PeerID{1, 1}, 1, rng); err == nil {
+		t.Error("duplicate members accepted")
+	}
+	// A degree of at least the member count clamps to members−1: every
+	// member is joined to every other.
+	for _, d := range []int{10, 50} {
+		g, err := NewRandomGraph(net, net.Peers(), d, rng)
+		if err != nil {
+			t.Fatalf("degree %d should clamp, got %v", d, err)
+		}
+		for p := netsim.PeerID(0); p < 10; p++ {
+			if g.Degree(p) != 9 {
+				t.Errorf("degree %d: peer %d has %d links, want 9", d, p, g.Degree(p))
+			}
+		}
+	}
+	// A single member is a graph without links (repl = 1).
+	g, err := NewRandomGraph(net, []netsim.PeerID{4}, 1, rng)
+	if err != nil {
+		t.Fatalf("singleton group rejected: %v", err)
+	}
+	if g.Degree(4) != 0 {
+		t.Errorf("singleton has %d links", g.Degree(4))
+	}
+	if res := g.Flood(4, 1, nil, stats.MsgUpdate); res.Reached != 1 || res.Messages != 0 {
+		t.Errorf("singleton flood: %+v", res)
 	}
 }
 
@@ -62,19 +108,38 @@ func TestGraphDegreeAndSymmetry(t *testing.T) {
 }
 
 func TestFloodReachesEveryoneWhenConnected(t *testing.T) {
-	g, net, _ := newGraph(t, 300, 4, 2)
-	res := g.Flood(0, 50, nil, stats.MsgBroadcast)
-	if res.Reached != 300 {
-		t.Errorf("flood reached %d of 300 peers", res.Reached)
-	}
-	if res.Messages <= res.Reached {
-		t.Errorf("flood sent %d messages for %d peers — no duplicates in a random graph is implausible", res.Messages, res.Reached)
-	}
-	if d := float64(res.Messages) / float64(res.Reached); d < 1 || d > 10 {
-		t.Errorf("dup factor = %v, want a small multiple of 1", d)
-	}
-	if got := net.Counters().Get(stats.MsgBroadcast); got != int64(res.Messages) {
-		t.Errorf("counters recorded %d, result says %d", got, res.Messages)
+	whole, wholeNet, _ := newGraph(t, 300, 4, 2)
+	// A replica group's gossip: a flood whose TTL is the group size,
+	// filed under the caller's class.
+	group, groupNet := newGroup(t, 200, 50, 2, 3)
+	for _, c := range []struct {
+		name  string
+		g     *Graph
+		net   *netsim.Network
+		ttl   int
+		class stats.MsgClass
+	}{
+		{"network", whole, wholeNet, 50, stats.MsgBroadcast},
+		{"group", group, groupNet, 50, stats.MsgUpdate},
+	} {
+		g, net := c.g, c.net
+		n := len(g.Members())
+		res := g.Flood(g.Members()[0], c.ttl, nil, c.class)
+		if res.Reached != n {
+			t.Errorf("%s: flood reached %d of %d peers", c.name, res.Reached, n)
+		}
+		if res.Messages <= res.Reached {
+			t.Errorf("%s: flood sent %d messages for %d peers — no duplicates in a random graph is implausible", c.name, res.Messages, res.Reached)
+		}
+		if d := float64(res.Messages) / float64(res.Reached); d < 1 || d > 10 {
+			t.Errorf("%s: dup factor = %v, want a small multiple of 1", c.name, d)
+		}
+		if got := net.Counters().Get(c.class); got != int64(res.Messages) {
+			t.Errorf("%s: counters recorded %d, result says %d", c.name, got, res.Messages)
+		}
+		if got := net.Counters().Total(); got != int64(res.Messages) {
+			t.Errorf("%s: %d messages filed outside class %s", c.name, got-int64(res.Messages), c.class)
+		}
 	}
 }
 
@@ -100,6 +165,16 @@ func TestFloodSkipsOfflinePeers(t *testing.T) {
 	if res.Reached > 100 {
 		t.Errorf("flood reached %d peers but only 100 are online", res.Reached)
 	}
+
+	group, groupNet := newGroup(t, 200, 40, 2, 4)
+	for i, p := range group.Members() {
+		if i%2 == 1 {
+			groupNet.SetOnline(p, false)
+		}
+	}
+	if res := group.Flood(group.Members()[0], 40, nil, stats.MsgUpdate); res.Reached > 20 {
+		t.Errorf("group flood reached %d members but only 20 are online", res.Reached)
+	}
 }
 
 func TestFloodFromOfflineOrigin(t *testing.T) {
@@ -108,6 +183,18 @@ func TestFloodFromOfflineOrigin(t *testing.T) {
 	res := g.Flood(7, 10, nil, stats.MsgBroadcast)
 	if res.Reached != 0 || res.Messages != 0 || res.Found {
 		t.Errorf("offline origin flooded: %+v", res)
+	}
+
+	// Nor does a group member that is offline, or a peer outside the
+	// group's graph.
+	group, groupNet := newGroup(t, 200, 10, 2, 5)
+	if res := group.Flood(199, 10, nil, stats.MsgUpdate); res.Reached != 0 || res.Messages != 0 {
+		t.Errorf("non-member flooded the group: %+v", res)
+	}
+	p := group.Members()[0]
+	groupNet.SetOnline(p, false)
+	if res := group.Flood(p, 10, nil, stats.MsgUpdate); res.Reached != 0 || res.Messages != 0 {
+		t.Errorf("offline member flooded the group: %+v", res)
 	}
 }
 
@@ -120,6 +207,13 @@ func TestFloodMatch(t *testing.T) {
 	res = g.Flood(0, 20, func(netsim.PeerID) bool { return false }, stats.MsgBroadcast)
 	if res.Found {
 		t.Error("flood found a match where none exists")
+	}
+
+	group, _ := newGroup(t, 200, 30, 2, 6)
+	want := group.Members()[17]
+	res = group.Flood(group.Members()[0], 30, func(p netsim.PeerID) bool { return p == want }, stats.MsgReplicaFlood)
+	if !res.Found || res.FoundAt != want {
+		t.Errorf("group flood did not find member %d: %+v", want, res)
 	}
 }
 

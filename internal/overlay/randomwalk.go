@@ -100,7 +100,7 @@ func (g *Graph) Search(origin netsim.PeerID, cfg SearchConfig, expectedCopies in
 		// Expected visits to hit one of expectedCopies random holders
 		// is about n/expectedCopies; spread across walkers with 4×
 		// margin.
-		n := g.net.Size()
+		n := len(g.members)
 		if expectedCopies < 1 {
 			expectedCopies = 1
 		}

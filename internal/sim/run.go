@@ -64,7 +64,9 @@ type run struct {
 	activePeers int
 	modelMsg    float64
 
-	hops          stats.Welford
+	// lookups and meanHops are the running mean of index routing hops.
+	lookups       int
+	meanHops      float64
 	routeFailures int
 }
 
@@ -100,7 +102,7 @@ func setup(cfg Config) (*run, error) {
 	}
 
 	// Unstructured overlay with randomly replicated content.
-	graph, err := overlay.NewRandomGraph(r.net, overlayDegree, r.rng)
+	graph, err := overlay.NewRandomGraph(r.net, r.net.Peers(), overlayDegree, r.rng)
 	if err != nil {
 		return nil, err
 	}
@@ -248,11 +250,7 @@ func setup(cfg Config) (*run, error) {
 // buildIndex provisions the trie DHT over the first activePeers peers and
 // the partial-index layer above it.
 func (r *run) buildIndex(icfg simcore.IndexConfig) error {
-	active := make([]netsim.PeerID, r.activePeers)
-	for i := range active {
-		active[i] = netsim.PeerID(i)
-	}
-	trie, err := dht.NewTrie(r.net, active, dht.TrieConfig{
+	trie, err := dht.NewTrie(r.net, r.net.Peers()[:r.activePeers], dht.TrieConfig{
 		GroupSize:  r.cfg.Repl,
 		Redundancy: trieRedundancy,
 		Env:        r.cfg.Env,
@@ -452,7 +450,7 @@ func (r *run) loop() (Result, error) {
 	} else if cfg.Strategy == StrategyPartialIdeal {
 		res.MeanIndexedKeys = float64(r.maxRank)
 	}
-	res.MeanLookupHops = r.hops.Mean()
+	res.MeanLookupHops = r.meanHops
 	res.RouteFailures = r.routeFailures
 	res.GatedInserts = r.gatedInserts
 	if r.adaptTuner != nil {
@@ -510,15 +508,9 @@ func (r *run) answer(q workload.Query) (answered, fromIndex bool) {
 
 // noteRoute records one index lookup's routing cost and outcome.
 func (r *run) noteRoute(hops int, ok bool) {
-	r.hops.Observe(float64(hops))
+	r.lookups++
+	r.meanHops += (float64(hops) - r.meanHops) / float64(r.lookups)
 	if !ok {
 		r.routeFailures++
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

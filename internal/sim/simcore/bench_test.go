@@ -1,13 +1,11 @@
 package simcore
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"pdht/internal/core"
 	"pdht/internal/keyspace"
 	"pdht/internal/netsim"
-	"pdht/internal/stats"
 )
 
 func BenchmarkIndexLookupHit(b *testing.B) {
@@ -54,25 +52,4 @@ func benchIndex(b *testing.B) (*PartialIndex, *netsim.Network, interface{ Uint64
 		FloodOnMiss: true, ResetTTLOnHit: true,
 	}, 99)
 	return pi, net, rng
-}
-
-func benchSubnet(b *testing.B, members int) (*Subnet, *netsim.Network, *rand.Rand) {
-	b.Helper()
-	net := netsim.New(members * 3)
-	rng := rand.New(rand.NewPCG(1, 2))
-	s, err := NewSubnet(net, membersRange(members), 2, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s, net, rng
-}
-
-func BenchmarkSubnetFlood(b *testing.B) {
-	s, _, _ := benchSubnet(b, 50)
-	origin := s.Members()[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Flood(origin, nil, stats.MsgReplicaFlood)
-	}
 }

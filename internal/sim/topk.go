@@ -29,8 +29,7 @@ type topkSim struct {
 	addrs  []string
 	byAddr map[string]netsim.PeerID
 	// stores holds each peer's term→doc content, immutable after
-	// construction so the coordinator's concurrent probes can read it
-	// without locks.
+	// construction.
 	stores  []map[uint64]uint64
 	planner *topk.Planner     // nil under TopKUniform
 	counts  map[uint64]uint64 // exact term counts, the count-min stand-in
@@ -120,22 +119,20 @@ func (t *topkSim) answer(q workload.TopKQuery, measuring bool) (exact bool) {
 		plan = topk.UniformPlan(t.addrs, self, t.cfg.TopKK)
 	}
 
-	// Snapshot liveness before the concurrent probes: the fabric itself is
-	// single-threaded by design.
-	online := make([]bool, len(t.addrs))
-	for i := range online {
-		online[i] = t.net.Online(netsim.PeerID(i))
-	}
-	probe := func(_ context.Context, addr string, req topk.Req) (topk.Resp, error) {
-		p := t.byAddr[addr]
-		if !online[p] {
-			return topk.Resp{}, fmt.Errorf("sim: peer %s offline", addr)
+	answerRound := func(_ context.Context, calls []topk.Call) {
+		for i := range calls {
+			c := &calls[i]
+			p := t.byAddr[c.Addr]
+			if !t.net.Online(p) {
+				c.Err = fmt.Errorf("sim: peer %s offline", c.Addr)
+				continue
+			}
+			st := t.stores[p]
+			c.Resp = topk.Serve(c.Req, func(term uint64) (uint64, bool) {
+				doc, ok := st[term]
+				return doc, ok
+			}, nil)
 		}
-		st := t.stores[p]
-		return topk.Serve(req, func(term uint64) (uint64, bool) {
-			doc, ok := st[term]
-			return doc, ok
-		}, nil), nil
 	}
 
 	res := topk.Run(context.Background(), topk.RunConfig{
@@ -143,7 +140,7 @@ func (t *topkSim) answer(q workload.TopKQuery, measuring bool) (exact bool) {
 		Terms:   terms,
 		Weights: weights,
 		Plan:    plan,
-	}, probe, nil)
+	}, answerRound, nil)
 
 	t.net.Send(stats.MsgTopK, int64(res.Legs))
 	if t.planner != nil {

@@ -1,7 +1,6 @@
 // Package stats is the cost vocabulary the live node and the simulator both
-// speak, plus the reporting helpers the experiment and CLI layers share:
-// streaming mean/variance accumulators (Welford) and plain-text, CSV and
-// JSON table rendering (Table).
+// speak, plus the reporting helper the experiment and CLI layers share:
+// plain-text, CSV and JSON table rendering (Table).
 //
 // The paper's unit of cost is the number of messages sent per round (one
 // round = one second), broken down by what the message was for. MsgClass

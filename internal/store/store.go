@@ -46,8 +46,9 @@ const (
 	// no expiry; Deadline is zero.
 	OpPublish
 	// OpHandoff: key was pushed to a replica set's new member on a view
-	// change. Audit only — the holder keeps its copy (the repair planner's
-	// no-deletion rule), so replay ignores these records.
+	// change. Written by earlier builds as an audit trail and ignored on
+	// replay (the holder keeps its copy); nothing writes it now, and it
+	// stays decodable so their data directories still replay.
 	OpHandoff
 )
 

@@ -4,15 +4,23 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 )
 
-// ProbeFunc issues one probe to addr and returns its answer. The
-// coordinator treats an error like a broadcast treats silence: the peer
-// contributes nothing and stops holding the threshold bound up — content
-// replication at the other holders keeps the answer correct, which is the
-// round protocol's failover story.
-type ProbeFunc func(ctx context.Context, addr string, req Req) (Resp, error)
+// A Call is one probe of a round: Req for the peer at Addr, and once the
+// round is answered, its Resp or Err.
+type Call struct {
+	Addr string
+	Req  Req
+	Resp Resp
+	Err  error
+}
+
+// RoundFunc answers one round of probes: it fills in every call's Resp or
+// Err. The coordinator treats an error like a broadcast treats silence: the
+// peer contributes nothing and stops holding the threshold bound up —
+// content replication at the other holders keeps the answer correct, which
+// is the round protocol's failover story.
+type RoundFunc func(ctx context.Context, calls []Call)
 
 // RunConfig parameterizes one coordinated top-k query.
 type RunConfig struct {
@@ -68,14 +76,15 @@ type Result struct {
 // Run executes the threshold-algorithm round protocol. Each round probes
 // the next batch of the plan (the batch doubles every round) and deepens
 // already-probed peers whose unsent entries could still displace the k-th
-// candidate; after merging, the query terminates as soon as the k-th
-// candidate's score meets the threshold bound. onRound may be nil.
+// candidate, all in one call of answer; after merging, the query
+// terminates as soon as the k-th candidate's score meets the threshold
+// bound. onRound may be nil.
 //
 // Scores merge under max-aggregation: replicas of a document report the
 // same local score, so the merged candidate keeps the best report and
 // duplicates collapse. A canceled ctx stops probing and returns the best
 // answer assembled so far.
-func Run(ctx context.Context, cfg RunConfig, probe ProbeFunc, onRound func(RoundInfo)) Result {
+func Run(ctx context.Context, cfg RunConfig, answer RoundFunc, onRound func(RoundInfo)) Result {
 	var res Result
 	k := cfg.K
 	if k > MaxK {
@@ -160,22 +169,16 @@ func Run(ctx context.Context, cfg RunConfig, probe ProbeFunc, onRound func(Round
 			break
 		}
 
-		resps := make([]Resp, len(round))
-		errs := make([]error, len(round))
-		var wg sync.WaitGroup
+		calls := make([]Call, len(round))
 		for j, idx := range round {
-			wg.Add(1)
-			go func(j, idx int) {
-				defer wg.Done()
-				resps[j], errs[j] = probe(ctx, probes[idx].Addr, Req{
-					Terms:   cfg.Terms,
-					Weights: cfg.Weights,
-					K:       probes[idx].K,
-					Offset:  st[idx].offset,
-				})
-			}(j, idx)
+			calls[j] = Call{Addr: probes[idx].Addr, Req: Req{
+				Terms:   cfg.Terms,
+				Weights: cfg.Weights,
+				K:       probes[idx].K,
+				Offset:  st[idx].offset,
+			}}
 		}
-		wg.Wait()
+		answer(ctx, calls)
 
 		legs := 0
 		for j, idx := range round {
@@ -184,19 +187,20 @@ func Run(ctx context.Context, cfg RunConfig, probe ProbeFunc, onRound func(Round
 			if !probes[idx].Local {
 				legs++
 			}
-			if errs[j] != nil {
+			if calls[j].Err != nil {
 				s.dead = true
 				s.more = 0
 				res.Failed++
 				continue
 			}
-			for _, e := range resps[j].Entries {
+			resp := calls[j].Resp
+			for _, e := range resp.Entries {
 				if cur, ok := cand[e.Doc]; !ok || e.Score > cur.score {
 					cand[e.Doc] = candidate{e.Score, probes[idx].Addr}
 				}
 			}
-			s.offset += len(resps[j].Entries)
-			s.more = resps[j].More
+			s.offset += len(resp.Entries)
+			s.more = resp.More
 			if s.more < 0 || math.IsNaN(s.more) {
 				s.more = 0
 			}

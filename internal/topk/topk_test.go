@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -14,7 +13,6 @@ import (
 // per peer, addressed "p0", "p1", …
 type fleet struct {
 	stores []map[uint64]uint64
-	mu     sync.Mutex
 	calls  map[string]int // probes per peer, local or not
 	down   map[string]bool
 }
@@ -31,20 +29,22 @@ func (f *fleet) members() []string {
 	return out
 }
 
-func (f *fleet) probe(_ context.Context, addr string, req Req) (Resp, error) {
-	f.mu.Lock()
-	f.calls[addr]++
-	dead := f.down[addr]
-	f.mu.Unlock()
-	if dead {
-		return Resp{}, errors.New("connection refused")
+// probe answers a round of calls in order.
+func (f *fleet) probe(_ context.Context, calls []Call) {
+	for i := range calls {
+		c := &calls[i]
+		f.calls[c.Addr]++
+		if f.down[c.Addr] {
+			c.Err = errors.New("connection refused")
+			continue
+		}
+		var idx int
+		fmt.Sscanf(c.Addr, "p%d", &idx)
+		c.Resp = Serve(c.Req, func(term uint64) (uint64, bool) {
+			doc, ok := f.stores[idx][term]
+			return doc, ok
+		}, nil)
 	}
-	var idx int
-	fmt.Sscanf(addr, "p%d", &idx)
-	return Serve(req, func(term uint64) (uint64, bool) {
-		doc, ok := f.stores[idx][term]
-		return doc, ok
-	}, nil), nil
 }
 
 // oracle drains every peer and returns the exact global top-k.

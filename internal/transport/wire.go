@@ -173,8 +173,10 @@ type BatchResult struct {
 // encoding — because the cost of a per-op type hierarchy outweighs a few
 // optional fields.
 type Request struct {
-	Op    Op     `json:"op"`
-	From  string `json:"from,omitempty"` // sender's own listen address
+	Op Op `json:"op"`
+	// From is the sender's own listen address. No handler reads it, so
+	// members leave it empty; gossip names its sender in Gossip.From.
+	From  string `json:"from,omitempty"`
 	Key   uint64 `json:"key,omitempty"`
 	Value uint64 `json:"value,omitempty"`
 	// TTL is the entry lifetime in rounds for OpInsert/OpRefresh.
@@ -302,7 +304,7 @@ const (
 	// past any lifetime a peer accepts.
 	itemMaxSize = itemMinSize + 8 + 5
 	// batchHeadroom is the share of a frame kept for the envelope and the
-	// request's own fields, its From address included.
+	// request's own fields: op, flags, view hash and trace ID.
 	batchHeadroom = 4 << 10
 )
 

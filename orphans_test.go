@@ -52,11 +52,9 @@ var orphanAllowed = map[string]string{
 	"ExactIndexedKeys": "simcore.PartialIndex: index_test's reference for IndexedKeys",
 	"Degree":           "overlay.Graph: overlay_test checks the degree distribution",
 	"MeanDegree":       "overlay.Graph: flood duplication is checked against it",
-	"Neighbors":        "overlay.Graph: overlay_test checks the links are symmetric",
 	"HasAt":            "overlay.Store: overlay_test checks where replicas landed",
 	"Flips":            "churn.Process: churn_test counts session changes",
 	"OnlineCount":      "netsim.Network: churn and network tests read the live population",
-	"Variance":         "stats.Welford: holds the streaming update and Merge to the two-pass result",
 	"FormatSnapshot":   "stats: how node's accounting test prints a counter delta it rejects",
 	"RenderString":     "stats.Table: how experiments tests read a table",
 }
