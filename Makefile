@@ -29,14 +29,15 @@ test:
 # Close would race its Wait, five of the one-round QueryMany tests,
 # whose follow-up, repair and fallback legs share one batch's state, and
 # five of the one-round handoff test, whose pusher runs beside the sweeper,
-# gossip and Close on the same node.
+# gossip and Close on the same node, and five of the two-wave cluster boot,
+# whose joiners write their slots from concurrent goroutines.
 race:
 	go test -race ./client/ ./internal/adapt/ ./internal/chaos/ \
 		./internal/gossip/... ./internal/node/ ./internal/obs/ \
 		./internal/replica/ ./internal/store/ ./internal/topk/ \
 		./internal/transport/ ./cmd/pdht-node/
 	go test -race -count=10 -run 'TestTCPSharedConnectionNeverAliases|TestSendDoesNotWaitForReply|TestWaitKeepsReplyDeliveredBeforeDeadline' ./internal/transport/
-	go test -race -count=5 -run 'TestCloseReturnsGoroutinesToBaseline|TestQueryManyWarmBatchIsOneRound|TestQueryManyCostsNoMoreThanUnary|TestQueryManyWarmBatchAllocs|TestHandoffIsOneRoundPerTransition' ./internal/node/
+	go test -race -count=5 -run 'TestCloseReturnsGoroutinesToBaseline|TestQueryManyWarmBatchIsOneRound|TestQueryManyCostsNoMoreThanUnary|TestQueryManyWarmBatchAllocs|TestHandoffIsOneRoundPerTransition|TestClusterConvergedMeansTheLiveSet' ./internal/node/
 
 # Each fuzz target, as package:target, for 20 s from its committed seed
 # corpus (<package>/testdata/fuzz). `go test -fuzz` takes one target per

@@ -162,7 +162,7 @@ func (c *Client) member() *node.Node {
 // cluster ungracefully (the membership layer detects and evicts it, the
 // index handoff re-homes its entries).
 func Open(ctx context.Context, opts ...Option) (*Client, error) {
-	var cfg config
+	cfg := config{node: node.DefaultConfig()}
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -8,30 +8,17 @@ import (
 	"pdht/internal/transport"
 )
 
-// config collects what the options build. The zero value plus defaults is
-// a member node on TCP, listening on a loopback port.
+// config collects what the options build: the member node's
+// configuration, written by the options directly, and what chooses what
+// Open builds. Open starts it from node.DefaultConfig: a member node on
+// TCP, listening on a loopback port.
 type config struct {
 	tr         transport.Transport
-	listen     string
 	seeds      []string
 	clientOnly bool
+	dataDir    string
 
-	repl        int
-	keyTtl      int
-	capacity    int
-	round       time.Duration
-	callTimeout time.Duration
-	gossipEvery time.Duration
-	maintainEnv float64
-
-	adaptive    bool
-	retuneEvery time.Duration
-
-	traceHook     func(QueryTrace)
-	slowThreshold time.Duration
-	traceSampling *float64 // nil: default 1.0; pointer so explicit 0 disables
-
-	dataDir string
+	node node.Config
 }
 
 // Option configures Open. Options are applied in order; later options win.
@@ -52,7 +39,7 @@ func withTransport(tr transport.Transport) Option {
 // WithListen sets the member node's serving address ("127.0.0.1:0" by
 // default: loopback, port picked by the OS). Ignored in client-only mode.
 func WithListen(addr string) Option {
-	return func(c *config) { c.listen = addr }
+	return func(c *config) { c.node.Addr = addr }
 }
 
 // WithSeeds names existing cluster members to join through (member mode)
@@ -75,44 +62,44 @@ func WithClientOnly() Option {
 // WithReplication sets the replica-group size (the paper's repl, default
 // 3). Every node and client of a cluster must agree on it.
 func WithReplication(repl int) Option {
-	return func(c *config) { c.repl = repl }
+	return func(c *config) { c.node.Repl = repl }
 }
 
 // WithKeyTtl sets the expiration time, in rounds, attached to inserted and
 // refreshed keys — the paper's keyTtl knob (default 120).
 func WithKeyTtl(rounds int) Option {
-	return func(c *config) { c.keyTtl = rounds }
+	return func(c *config) { c.node.KeyTtl = rounds }
 }
 
 // WithCapacity sets the member node's index cache size (the paper's stor,
 // default 1024). Ignored in client-only mode.
 func WithCapacity(entries int) Option {
-	return func(c *config) { c.capacity = entries }
+	return func(c *config) { c.node.Capacity = entries }
 }
 
 // WithRoundDuration maps the paper's one-second round onto wall time
 // (default 1s). All nodes of a cluster must agree on it; TTLs cross the
 // wire in rounds.
 func WithRoundDuration(d time.Duration) Option {
-	return func(c *config) { c.round = d }
+	return func(c *config) { c.node.RoundDuration = d }
 }
 
 // WithCallTimeout bounds each outbound RPC (default 2s).
 func WithCallTimeout(d time.Duration) Option {
-	return func(c *config) { c.callTimeout = d }
+	return func(c *config) { c.node.CallTimeout = d }
 }
 
 // WithGossipInterval sets the SWIM membership protocol period of a member
 // node (default: one round). Ignored in client-only mode.
 func WithGossipInterval(d time.Duration) Option {
-	return func(c *config) { c.gossipEvery = d }
+	return func(c *config) { c.node.GossipInterval = d }
 }
 
 // WithMaintainEnv sets the per-routing-entry per-round probe probability
 // of the local overlay instance (the paper's env). Ignored in client-only
 // mode.
 func WithMaintainEnv(p float64) Option {
-	return func(c *config) { c.maintainEnv = p }
+	return func(c *config) { c.node.MaintainEnv = p }
 }
 
 // WithAdaptive turns the query-adaptive control plane on for a member
@@ -122,8 +109,8 @@ func WithMaintainEnv(p float64) Option {
 // in client-only mode (a non-serving client indexes nothing of its own).
 func WithAdaptive(retuneInterval time.Duration) Option {
 	return func(c *config) {
-		c.adaptive = true
-		c.retuneEvery = retuneInterval
+		c.node.Adaptive = true
+		c.node.RetuneInterval = retuneInterval
 	}
 }
 
@@ -134,7 +121,7 @@ func WithAdaptive(retuneInterval time.Duration) Option {
 // called synchronously at the end of Query in both member and client-only
 // mode; keep it cheap. QueryTrace.Timeline renders the record for humans.
 func WithTraceHook(hook func(QueryTrace)) Option {
-	return func(c *config) { c.traceHook = hook }
+	return func(c *config) { c.node.TraceHook = hook }
 }
 
 // WithTraceSampling sets the fraction of traced queries whose trace also
@@ -147,7 +134,7 @@ func WithTraceHook(hook func(QueryTrace)) Option {
 // traced at all (WithTraceHook, WithSlowQueryLog, or a caller-supplied
 // trace); without those the query hot path allocates nothing regardless.
 func WithTraceSampling(rate float64) Option {
-	return func(c *config) { c.traceSampling = &rate }
+	return func(c *config) { c.node.TraceSampling = rate }
 }
 
 // WithSlowQueryLog keeps the traces of the most recent queries that took
@@ -155,7 +142,7 @@ func WithTraceSampling(rate float64) Option {
 // node's debug endpoint under /traces and readable through SlowQueries.
 // Ignored in client-only mode.
 func WithSlowQueryLog(threshold time.Duration) Option {
-	return func(c *config) { c.slowThreshold = threshold }
+	return func(c *config) { c.node.SlowQueryThreshold = threshold }
 }
 
 // WithDataDir makes the member node durable: every index and content
@@ -181,42 +168,13 @@ func (c *config) build() (node.Config, node.RemoteConfig, error) {
 	if c.clientOnly && c.dataDir != "" {
 		return node.Config{}, node.RemoteConfig{}, fmt.Errorf("client: client-only mode cannot persist (no index or content of its own)")
 	}
-	nodeCfg := node.DefaultConfig()
-	nodeCfg.Addr = c.listen
-	if c.repl != 0 {
-		nodeCfg.Repl = c.repl
-	}
-	if c.keyTtl != 0 {
-		nodeCfg.KeyTtl = c.keyTtl
-	}
-	if c.capacity != 0 {
-		nodeCfg.Capacity = c.capacity
-	}
-	if c.round != 0 {
-		nodeCfg.RoundDuration = c.round
-	}
-	if c.callTimeout != 0 {
-		nodeCfg.CallTimeout = c.callTimeout
-	}
-	nodeCfg.GossipInterval = c.gossipEvery
-	nodeCfg.MaintainEnv = c.maintainEnv
-	nodeCfg.Adaptive = c.adaptive
-	nodeCfg.RetuneInterval = c.retuneEvery
-	nodeCfg.TraceHook = c.traceHook
-	nodeCfg.SlowQueryThreshold = c.slowThreshold
-	sampling := 1.0
-	if c.traceSampling != nil {
-		sampling = *c.traceSampling
-	}
-	nodeCfg.TraceSampling = sampling
-
 	remoteCfg := node.RemoteConfig{
-		Seeds:       c.seeds,
-		Repl:        c.repl,
-		KeyTtl:      c.keyTtl,
-		CallTimeout: c.callTimeout,
+		Seeds:         c.seeds,
+		Repl:          c.node.Repl,
+		KeyTtl:        c.node.KeyTtl,
+		CallTimeout:   c.node.CallTimeout,
+		TraceHook:     c.node.TraceHook,
+		TraceSampling: c.node.TraceSampling,
 	}
-	remoteCfg.TraceHook = c.traceHook
-	remoteCfg.TraceSampling = sampling
-	return nodeCfg, remoteCfg, nil
+	return c.node, remoteCfg, nil
 }

@@ -92,7 +92,7 @@ func run(args []string, out, errw io.Writer) error {
 		cfg.OnPhase = func(p chaos.Phase) {
 			fmt.Fprintf(errw, "phase %s for %s\n", p.Name, p.Duration)
 		}
-		cfg.OnProgress = func(elapsed time.Duration, p chaos.ProgressSnapshot) {
+		cfg.OnProgress = func(elapsed time.Duration, p node.ClusterProgress) {
 			fmt.Fprintf(errw, "  t=%s members %d..%d, %d distinct views\n",
 				elapsed.Round(time.Second), p.MinMembers, p.MaxMembers, p.DistinctViews)
 		}

@@ -37,9 +37,10 @@ type Inputs struct {
 	Env float64
 	// RefreshFanout reports that the node keeps replica sets TTL-coherent
 	// by fanning the reset-on-hit refresh out to the whole set
-	// (internal/replica): every index hit then costs Repl−1 extra write
-	// legs, which the fitted model charges against the benefit of indexing
-	// so the derived fMin — and through it the keyTtl actuation and the
+	// (internal/node's engine: syncHit, and QueryMany's one round per
+	// batch): every index hit then costs Repl−1 extra write legs, which
+	// the fitted model charges against the benefit of indexing so the
+	// derived fMin — and through it the keyTtl actuation and the
 	// insert gate — stays honest about what a hit really costs.
 	RefreshFanout bool
 	// WindowRounds is how many rounds elapsed since the previous Retune —

@@ -3,9 +3,9 @@
 // seed-driven network misbehavior — per-link drop probability, latency
 // (base + jitter), duplication, and named partition schedules
 // (split, heal, asymmetric one-way loss) — plus a Scenario type that
-// scripts timed fault phases and a Fleet harness that drives hundreds to
-// thousands of live node.Node instances in-process over the wrapped memory
-// transport.
+// scripts timed fault phases and a Fleet that drives hundreds to thousands
+// of live node.Node instances in-process — a node.Cluster booted over the
+// wrapped memory transport.
 //
 // The wrapper is transport-agnostic: the in-process fleet wraps
 // transport.Memory, and pdht-node's -chaos-* flags wrap TCP with the same

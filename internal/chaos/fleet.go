@@ -15,50 +15,14 @@ import (
 	"pdht/internal/zipf"
 )
 
-// Fleet is N live node.Node instances in one process, wired through a
-// chaos Network over the in-memory transport. Every node is the real
-// thing — gossip, adaptive tuner, handoff, the full RPC surface — only the
-// wire misbehaves on command.
+// Fleet is N live node.Node instances in one process, booted as a
+// node.Cluster whose slot i serves as "peer-%04d" on the chaos Network's
+// view of one memory transport. Every node is the real thing — gossip,
+// adaptive tuner, handoff, the full RPC surface — only the wire misbehaves
+// on command.
 type Fleet struct {
-	Net   *Network
-	Nodes []*node.Node
-	Addrs []string
-
-	// OnProgress, when set, is invoked roughly every two seconds from
-	// WaitConverged with a convergence snapshot — how a five-minute
-	// thousand-node wait distinguishes "still spreading" from "stuck".
-	OnProgress func(elapsed time.Duration, p ProgressSnapshot)
-
-	mem *transport.Memory
-	rd  time.Duration
-}
-
-// ProgressSnapshot summarises how far a fleet is from a uniform view.
-type ProgressSnapshot struct {
-	// MinMembers and MaxMembers are the smallest and largest member
-	// counts any node currently holds.
-	MinMembers, MaxMembers int
-	// DistinctViews is the number of distinct view hashes across the
-	// fleet — 1 means converged (given full member counts).
-	DistinctViews int
-}
-
-// Progress computes a convergence snapshot of the fleet.
-func (f *Fleet) Progress() ProgressSnapshot {
-	p := ProgressSnapshot{MinMembers: int(^uint(0) >> 1)}
-	hashes := make(map[uint64]struct{}, 8)
-	for _, n := range f.Nodes {
-		m := len(n.Members())
-		if m < p.MinMembers {
-			p.MinMembers = m
-		}
-		if m > p.MaxMembers {
-			p.MaxMembers = m
-		}
-		hashes[n.ViewHash()] = struct{}{}
-	}
-	p.DistinctViews = len(hashes)
-	return p
+	*node.Cluster
+	Net *Network
 }
 
 // DefaultFleetNode is the node template a fleet uses for zero
@@ -111,124 +75,50 @@ func fillNodeDefaults(c node.Config) node.Config {
 
 // NewFleet boots cfg.N nodes ("peer-0000"…) from the cfg.Node template
 // over a fresh memory transport wrapped by a chaos Network with cfg.Chaos
-// as the baseline profile; the scenario fields are Run's. Nodes boot in
-// waves, each joining an already-booted one; the caller should
-// WaitConverged before trusting placement. On error the partial fleet is
-// torn down.
+// as the baseline profile; the scenario fields are Run's. The caller
+// should WaitConverged before trusting placement.
 func NewFleet(cfg RunConfig) (*Fleet, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("chaos: fleet needs at least 2 nodes, got %d", cfg.N)
 	}
-	tmpl := fillNodeDefaults(cfg.Node)
-	f := &Fleet{
-		mem:   transport.NewMemory(),
-		Addrs: make([]string, cfg.N),
-		rd:    tmpl.RoundDuration,
-	}
-	f.Net = New(f.mem, cfg.Chaos)
-	for i := range f.Addrs {
-		f.Addrs[i] = fmt.Sprintf("peer-%04d", i)
-	}
-	f.Nodes = make([]*node.Node, cfg.N)
-	boot := func(i int, seed string) error {
-		c := tmpl
-		c.Addr = f.Addrs[i]
-		c.Seed = seed
-		n, err := node.New(f.Net.Node(c.Addr), c)
-		if err != nil {
-			return fmt.Errorf("chaos: boot %s: %w", c.Addr, err)
-		}
-		f.Nodes[i] = n
-		return nil
-	}
-	if err := boot(0, ""); err != nil {
+	net := New(transport.NewMemory(), cfg.Chaos)
+	c, err := node.NewClusterSlots(cfg.N, fillNodeDefaults(cfg.Node), func(i int) (node.Slot, error) {
+		addr := fmt.Sprintf("peer-%04d", i)
+		return node.Slot{Transport: net.Node(addr), Addr: addr}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Later nodes boot in parallel waves, each joining a random
-	// already-booted node: a serial boot of a thousand nodes all joining
-	// node 0 both takes minutes and melts the seed under full-state
-	// exchanges, and no real fleet rolls out that way either.
-	rng := rand.New(rand.NewPCG(cfg.Chaos.Seed, 0xb007))
-	const wave = 64
-	for lo := 1; lo < cfg.N; lo += wave {
-		hi := lo + wave
-		if hi > cfg.N {
-			hi = cfg.N
-		}
-		errs := make(chan error, hi-lo)
-		for i := lo; i < hi; i++ {
-			seed := f.Addrs[rng.IntN(lo)]
-			go func(i int, seed string) { errs <- boot(i, seed) }(i, seed)
-		}
-		var firstErr error
-		for i := lo; i < hi; i++ {
-			if err := <-errs; err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if firstErr != nil {
-			f.Close()
-			return nil, firstErr
-		}
-	}
-	return f, nil
+	return &Fleet{Cluster: c, Net: net}, nil
 }
 
-// Close shuts every node down, in parallel (a serial close of a thousand
-// nodes would dominate test time).
-func (f *Fleet) Close() {
-	var wg sync.WaitGroup
-	for _, n := range f.Nodes {
-		if n == nil { // partial boot
-			continue
-		}
-		wg.Add(1)
-		go func(n *node.Node) {
-			defer wg.Done()
-			_ = n.Close()
-		}(n)
-	}
-	wg.Wait()
-}
+// round is the fleet's round duration.
+func (f *Fleet) round() time.Duration { return f.Node(0).Config().RoundDuration }
 
-// Converged reports whether every node has installed the identical full
-// membership view: all view hashes equal (equal hash ⇒ byte-identical
-// member lists) and node 0 seeing the whole fleet.
-func (f *Fleet) Converged() bool {
-	if len(f.Nodes[0].Members()) != len(f.Nodes) {
-		return false
-	}
-	want := f.Nodes[0].ViewHash()
-	for _, n := range f.Nodes[1:] {
-		if n.ViewHash() != want {
-			return false
-		}
-	}
-	return true
-}
-
-// WaitConverged polls Converged until it holds or timeout elapses,
-// returning the elapsed time and whether convergence was reached.
-func (f *Fleet) WaitConverged(timeout time.Duration) (time.Duration, bool) {
+// waitConverged is WaitConverged timed, with onProgress (when set) called
+// every two seconds of the wait — how a five-minute thousand-node wait
+// distinguishes "still spreading" from "stuck".
+func (f *Fleet) waitConverged(timeout time.Duration, onProgress func(time.Duration, node.ClusterProgress)) (time.Duration, bool) {
 	start := time.Now()
-	poll := f.rd / 4
-	if poll < 5*time.Millisecond {
-		poll = 5 * time.Millisecond
+	if onProgress != nil {
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			tick := time.NewTicker(2 * time.Second)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					onProgress(time.Since(start), f.Progress())
+				}
+			}
+		}()
+		defer func() { close(stop); <-stopped }()
 	}
-	lastReport := start
-	for {
-		if f.Converged() {
-			return time.Since(start), true
-		}
-		if time.Since(start) > timeout {
-			return time.Since(start), false
-		}
-		if f.OnProgress != nil && time.Since(lastReport) >= 2*time.Second {
-			lastReport = time.Now()
-			f.OnProgress(time.Since(start), f.Progress())
-		}
-		time.Sleep(poll)
-	}
+	err := f.WaitConverged(timeout)
+	return time.Since(start), err == nil
 }
 
 // PlacementDisagreements samples keys and counts those whose replica set
@@ -240,9 +130,9 @@ func (f *Fleet) PlacementDisagreements(samples int, seed uint64) int {
 	bad := 0
 	for i := 0; i < samples; i++ {
 		k := rng.Uint64()
-		want := fmt.Sprint(f.Nodes[0].ReplicaSet(k))
-		for _, n := range f.Nodes[1:] {
-			if fmt.Sprint(n.ReplicaSet(k)) != want {
+		want := fmt.Sprint(f.Node(0).ReplicaSet(k))
+		for j := 1; j < f.Size(); j++ {
+			if fmt.Sprint(f.Node(j).ReplicaSet(k)) != want {
 				bad++
 				break
 			}
@@ -284,9 +174,9 @@ func (f *Fleet) SeedEntries(seed uint64, count, ttl int) (*Ledger, error) {
 	defer cancel()
 	for i := 0; i < count; i++ {
 		k := uint64(keyspace.HashString(fmt.Sprintf("chaos-entry-%d-%d", seed, i)))
-		e := ledgerEntry{key: k, value: k ^ 0xdecade, deadline: time.Now().Add(time.Duration(ttl) * f.rd)}
-		for _, addr := range f.Nodes[0].ReplicaSet(k) {
-			cli, err := f.mem.Dial(addr)
+		e := ledgerEntry{key: k, value: k ^ 0xdecade, deadline: time.Now().Add(time.Duration(ttl) * f.round())}
+		for _, addr := range f.Node(0).ReplicaSet(k) {
+			cli, err := f.Net.inner.Dial(addr)
 			if err != nil {
 				return nil, fmt.Errorf("chaos: seed dial %s: %w", addr, err)
 			}
@@ -329,13 +219,13 @@ type Accounting struct {
 // rounds from their own epochs, so expiry lands within ±1 round of the
 // wall-clock deadline, plus one round of sweep latency.
 func (l *Ledger) Check() Accounting {
-	slack := 3 * l.fleet.rd
+	slack := 3 * l.fleet.round()
 	var acc Accounting
 	for _, e := range l.entries {
 		acc.Checked++
 		held := false
-		for _, n := range l.fleet.Nodes {
-			if n.IndexHas(e.key) {
+		for i := 0; i < l.fleet.Size(); i++ {
+			if l.fleet.Node(i).IndexHas(e.key) {
 				held = true
 				break
 			}
@@ -398,7 +288,7 @@ type RunConfig struct {
 	OnPhase func(Phase)
 	// OnProgress, if non-nil, observes convergence snapshots while the
 	// runner waits (boot and heal) — the long waits' heartbeat.
-	OnProgress func(elapsed time.Duration, p ProgressSnapshot)
+	OnProgress func(elapsed time.Duration, p node.ClusterProgress)
 }
 
 // Report is a chaos run's outcome, JSON-ready for cmd/pdht-chaos. All
@@ -475,7 +365,6 @@ func Run(cfg RunConfig) (*Report, error) {
 		return nil, err
 	}
 	defer f.Close()
-	f.OnProgress = cfg.OnProgress
 	tmpl := fillNodeDefaults(cfg.Node)
 
 	rep := &Report{N: cfg.N, Seed: cfg.Chaos.Seed, Schedule: cfg.Scenario.String()}
@@ -484,7 +373,7 @@ func Run(cfg RunConfig) (*Report, error) {
 		healWindow = rep.Bound
 	}
 
-	boot, ok := f.WaitConverged(cfg.BootTimeout)
+	boot, ok := f.waitConverged(cfg.BootTimeout, cfg.OnProgress)
 	rep.BootConverge = boot
 	if !ok {
 		return rep, fmt.Errorf("chaos: fleet of %d failed to converge within %s after boot", cfg.N, cfg.BootTimeout)
@@ -494,8 +383,8 @@ func Run(cfg RunConfig) (*Report, error) {
 	// half expire mid-scenario (resurrection detection).
 	var ledger *Ledger
 	if cfg.Entries > 0 {
-		longTTL := int((scenario.Total()+healWindow)/f.rd) + 120
-		shortTTL := int(scenario.Total() / (2 * f.rd))
+		longTTL := int((scenario.Total()+healWindow)/f.round()) + 120
+		shortTTL := int(scenario.Total() / (2 * f.round()))
 		if shortTTL < 2 {
 			shortTTL = 2
 		}
@@ -514,7 +403,7 @@ func Run(cfg RunConfig) (*Report, error) {
 	scenario.Run(f.Net, nil, cfg.OnPhase)
 
 	healStart := time.Now()
-	heal, ok := f.WaitConverged(healWindow)
+	heal, ok := f.waitConverged(healWindow, cfg.OnProgress)
 	rep.HealConverge, rep.Converged = heal, ok
 	rep.WithinBound = ok && time.Since(healStart) <= rep.Bound
 	stopWorkload()
@@ -527,8 +416,8 @@ func Run(cfg RunConfig) (*Report, error) {
 
 	var devs []float64
 	var ttls, models []float64
-	for _, n := range f.Nodes {
-		r := n.Report()
+	for i := 0; i < f.Size(); i++ {
+		r := f.Node(i).Report()
 		rep.HandoffMsgs += r.HandoffMsgs
 		rep.HandoffKeys += r.HandoffKeys
 		rep.StaleViews += r.StaleViews
@@ -567,7 +456,7 @@ func startWorkload(f *Fleet, cfg RunConfig) func() {
 	for i := 0; i < keys; i++ {
 		// Publish errors are tolerable: a missing key just makes the
 		// first query for it resolve by broadcast, which is also load.
-		_ = f.Nodes[i%len(f.Nodes)].Publish(pubCtx, wlKey(i), uint64(i))
+		_ = f.Node(i%f.Size()).Publish(pubCtx, wlKey(i), uint64(i))
 	}
 	pubCancel()
 
@@ -584,7 +473,7 @@ func startWorkload(f *Fleet, cfg RunConfig) func() {
 			rng := rand.New(rand.NewPCG(cfg.Chaos.Seed, uint64(w)*2+1))
 			s := zipf.NewSampler(dist, rng)
 			for ctx.Err() == nil {
-				n := f.Nodes[rng.IntN(len(f.Nodes))]
+				n := f.Node(rng.IntN(f.Size()))
 				qctx, qcancel := context.WithTimeout(ctx, 2*time.Second)
 				_, _ = n.Query(qctx, wlKey(s.Sample()))
 				qcancel()

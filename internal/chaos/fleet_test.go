@@ -123,8 +123,8 @@ func TestExpiredEntryNotServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, ok := f.WaitConverged(30 * time.Second); !ok {
-		t.Fatal("8-node fleet failed to converge")
+	if err := f.WaitConverged(30 * time.Second); err != nil {
+		t.Fatal("8-node fleet failed to converge: ", err)
 	}
 	const ttl = 4 // rounds; 400ms at the fleet's 100ms round
 	ledger, err := f.SeedEntries(11, 8, ttl)
@@ -132,7 +132,7 @@ func TestExpiredEntryNotServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait past every deadline plus the accounting slack.
-	time.Sleep(time.Duration(ttl)*f.rd + 4*f.rd)
+	time.Sleep(time.Duration(ttl)*f.round() + 4*f.round())
 	acc := ledger.Check()
 	if acc.Resurrected > 0 {
 		t.Fatalf("%d entries still indexed past expiry", acc.Resurrected)
@@ -140,7 +140,8 @@ func TestExpiredEntryNotServed(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, e := range ledger.entries {
-		for _, n := range f.Nodes[:3] {
+		for i := 0; i < 3; i++ {
+			n := f.Node(i)
 			res, err := n.Query(ctx, e.key)
 			if err != nil {
 				t.Fatal(err)
@@ -257,7 +258,7 @@ func TestChaosHeadline1000(t *testing.T) {
 		WorkloadKeys: 512,
 		BootTimeout:  5 * time.Minute,
 		OnPhase:      func(p Phase) { t.Logf("phase %s for %s", p.Name, p.Duration) },
-		OnProgress: func(elapsed time.Duration, p ProgressSnapshot) {
+		OnProgress: func(elapsed time.Duration, p node.ClusterProgress) {
 			t.Logf("  t=%s members %d..%d, %d distinct views",
 				elapsed.Round(time.Second), p.MinMembers, p.MaxMembers, p.DistinctViews)
 		},

@@ -3,76 +3,135 @@ package node
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"sort"
+	"sync"
 	"time"
 
 	"pdht/internal/store"
 	"pdht/internal/transport"
 )
 
-// Cluster is the multi-node harness: it boots n nodes on one transport,
-// joins them through the first node, and exposes kill/restart so tests can
-// exercise churn. It is test plumbing promoted to the package proper
-// because the load benchmark (bench/) wants the same choreography.
+// Cluster is the one multi-node harness: it boots n nodes, joins them into
+// one membership, waits for their views to agree, and exposes kill/restart
+// so tests can exercise churn. The node tests, the chaos fleet
+// (internal/chaos) and the load benchmark (bench/) all boot through it.
 type Cluster struct {
-	tr       transport.Transport
-	cfg      Config
-	nodes    []*Node
-	addrs    []string
-	storeFor StoreFactory
+	cfg   Config
+	slots SlotFactory
+	nodes []*Node
+	addrs []string
 }
 
+// Slot is how one cluster slot boots: the transport its node serves on,
+// the address it asks for ("" lets the transport pick one) and its
+// persistence store (nil leaves the slot in-memory).
+type Slot struct {
+	Transport transport.Transport
+	Addr      string
+	Store     store.Store
+}
+
+// SlotFactory supplies slot i's Slot each time the slot boots — at
+// cluster construction and again on every Restart, which keeps the
+// address the slot first booted at. A store backed by the slot's own data
+// directory is what makes Restart a WARM restart: the revived node replays
+// the store the killed incarnation journaled.
+type SlotFactory func(slot int) (Slot, error)
+
 // StoreFactory supplies slot i's persistence store each time the slot
-// boots — at cluster construction and again on every Restart. Returning
-// (nil, nil) leaves the slot in-memory. A factory backed by per-slot data
-// directories is what makes Restart a WARM restart: the revived node
-// replays the store the killed incarnation journaled.
+// boots. Returning (nil, nil) leaves the slot in-memory.
 type StoreFactory func(slot int) (store.Store, error)
 
-// NewCluster boots n nodes: the first seeds the cluster, the rest join it.
-// cfg.Addr and cfg.Seed are overwritten per node; all other fields apply to
-// every node.
+// NewCluster boots n in-memory-store nodes on tr. cfg.Addr and cfg.Seed
+// are overwritten per node; all other fields apply to every node.
 func NewCluster(tr transport.Transport, n int, cfg Config) (*Cluster, error) {
 	return NewClusterStores(tr, n, cfg, nil)
 }
 
-// NewClusterStores is NewCluster with a per-slot persistence seam: each
-// slot's store comes from storeFor (nil means every slot is in-memory,
-// exactly NewCluster). The cluster keeps the factory and reuses it in
-// Restart, so kill/restart churn exercises the real recovery path.
+// NewClusterStores is NewCluster with each slot's store taken from
+// storeFor (nil means every slot is in-memory, exactly NewCluster).
 func NewClusterStores(tr transport.Transport, n int, cfg Config, storeFor StoreFactory) (*Cluster, error) {
+	return NewClusterSlots(n, cfg, func(i int) (s Slot, err error) {
+		s.Transport = tr
+		if storeFor != nil {
+			s.Store, err = storeFor(i)
+		}
+		return s, err
+	})
+}
+
+// bootWave is the most slots that join at once. A serial boot of a
+// thousand nodes all joining slot 0 both takes minutes and melts the seed
+// under full-state exchanges, and no real fleet rolls out that way either.
+const bootWave = 64
+
+// NewClusterSlots boots n nodes, each from slots(i): slot 0 starts the
+// cluster alone, and the rest join already-booted slots in concurrent
+// waves that double up to bootWave. Until the cluster holds a full wave,
+// every joiner joins slot 0, which knows every earlier joiner; later
+// joiners each join a booted slot drawn at random, which spreads both the
+// full-state exchanges and the gossip of what each seed learned. (Four
+// concurrent joiners of a 5-node cluster start gossiping in the same
+// instant and more often need a second gossip round to converge than
+// waves of 1, 2 and 1 do; seeds spread evenly rather than at random land
+// on the same few slots in every wave and slowed a thousand-node fleet's
+// convergence.) The caller should WaitConverged before trusting
+// placement. On error the booted slots are closed.
+func NewClusterSlots(n int, cfg Config, slots SlotFactory) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("node: cluster size %d must be positive", n)
 	}
-	c := &Cluster{tr: tr, cfg: cfg, nodes: make([]*Node, n), addrs: make([]string, n), storeFor: storeFor}
-	for i := 0; i < n; i++ {
-		nodeCfg := cfg
-		nodeCfg.Addr = ""
-		if i == 0 {
-			nodeCfg.Seed = ""
-		} else {
-			nodeCfg.Seed = c.addrs[0]
-		}
-		if storeFor != nil {
-			st, err := storeFor(i)
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("node: cluster boot %d/%d: %w", i, n, err)
+	c := &Cluster{cfg: cfg, slots: slots, nodes: make([]*Node, n), addrs: make([]string, n)}
+	if err := c.boot(0, ""); err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewPCG(0xb007, 0))
+	for lo, hi := 1, 2; lo < n; lo, hi = hi, min(2*hi, hi+bootWave, n) {
+		errs := make(chan error, hi-lo)
+		for i := lo; i < hi; i++ {
+			j := 0
+			if lo >= bootWave {
+				j = rng.IntN(lo)
 			}
-			nodeCfg.Store = st
+			go func(seed string) { errs <- c.boot(i, seed) }(c.addrs[j])
 		}
-		nd, err := New(tr, nodeCfg)
-		if err != nil {
-			if nodeCfg.Store != nil {
-				nodeCfg.Store.Close() // ownership stays here on a failed New
+		var first error
+		for range hi - lo {
+			if err := <-errs; err != nil && first == nil {
+				first = err
 			}
+		}
+		if first != nil {
 			c.Close()
-			return nil, fmt.Errorf("node: cluster boot %d/%d: %w", i, n, err)
+			return nil, first
 		}
-		c.nodes[i] = nd
-		c.addrs[i] = nd.Addr()
 	}
 	return c, nil
+}
+
+// boot starts slot i joined through seed ("" starts a cluster), at the
+// address the slot held before if it has one.
+func (c *Cluster) boot(i int, seed string) error {
+	s, err := c.slots(i)
+	if err != nil {
+		return fmt.Errorf("node: cluster boot %d/%d: %w", i, len(c.nodes), err)
+	}
+	cfg := c.cfg
+	cfg.Addr, cfg.Seed, cfg.Store = s.Addr, seed, s.Store
+	if c.addrs[i] != "" {
+		cfg.Addr = c.addrs[i]
+	}
+	nd, err := New(s.Transport, cfg)
+	if err != nil {
+		if s.Store != nil {
+			s.Store.Close() // ownership stays here on a failed New
+		}
+		return fmt.Errorf("node: cluster boot %d/%d: %w", i, len(c.nodes), err)
+	}
+	c.nodes[i], c.addrs[i] = nd, nd.Addr()
+	return nil
 }
 
 // Size returns the number of slots (live or killed).
@@ -97,10 +156,10 @@ func (c *Cluster) Kill(i int) error {
 }
 
 // Restart revives slot i at its original address, joining through any
-// live member. Without a store factory the cache comes back empty — crash
-// recovery loses volatile state. With one (NewClusterStores), the revived
-// node reopens its slot's store and rejoins WARM: recovered index entries
-// re-admitted at their remaining TTL, recovered content served again.
+// live member, with a fresh Slot from the factory. Without a store the
+// cache comes back empty — crash recovery loses volatile state. With one,
+// the revived node rejoins WARM: recovered index entries re-admitted at
+// their remaining TTL, recovered content served again.
 func (c *Cluster) Restart(i int) error {
 	if c.nodes[i] != nil {
 		return fmt.Errorf("node: slot %d is alive", i)
@@ -112,25 +171,7 @@ func (c *Cluster) Restart(i int) error {
 			break
 		}
 	}
-	cfg := c.cfg
-	cfg.Addr = c.addrs[i]
-	cfg.Seed = seed
-	if c.storeFor != nil {
-		st, err := c.storeFor(i)
-		if err != nil {
-			return fmt.Errorf("node: restart %d: %w", i, err)
-		}
-		cfg.Store = st
-	}
-	nd, err := New(c.tr, cfg)
-	if err != nil {
-		if cfg.Store != nil {
-			cfg.Store.Close() // ownership stays here on a failed New
-		}
-		return err
-	}
-	c.nodes[i] = nd
-	return nil
+	return c.boot(i, seed)
 }
 
 // LiveAddrs returns the sorted addresses of the currently live slots.
@@ -145,54 +186,78 @@ func (c *Cluster) LiveAddrs() []string {
 	return out
 }
 
-// Converged reports whether every live node's membership view equals
-// exactly the set of live slots — dead peers evicted everywhere, joiners
-// adopted everywhere. This is the gossip layer's steady state; no
-// coordinator is consulted, only each node's own view.
+// Converged reports whether every live node has installed the view of
+// exactly the live slots — dead peers evicted everywhere, joiners adopted
+// everywhere. A view's hash fingerprints its sorted member list, so this
+// is O(n): every live node's hash must equal that of LiveAddrs. No
+// coordinator is consulted, only each node's own view. The nodes' hashes
+// are compared with each other first, so a poll of a cluster still
+// spreading stops at the first disagreement without building the list.
 func (c *Cluster) Converged() bool {
-	want := c.LiveAddrs()
+	var first *Node
+	for _, nd := range c.nodes {
+		switch {
+		case nd == nil:
+		case first == nil:
+			first = nd
+		case nd.ViewHash() != first.ViewHash():
+			return false
+		}
+	}
+	return first == nil || first.ViewHash() == viewSeed(c.LiveAddrs())
+}
+
+// ClusterProgress summarises how far a cluster is from one view.
+type ClusterProgress struct {
+	// Live is the number of live slots.
+	Live int
+	// MinMembers and MaxMembers are the smallest and largest member
+	// counts any live node's view holds.
+	MinMembers, MaxMembers int
+	// DistinctViews is the number of distinct view hashes across the live
+	// nodes — 1 once they agree, though not necessarily on the live set.
+	DistinctViews int
+}
+
+func (p ClusterProgress) String() string {
+	return fmt.Sprintf("%d live, members %d..%d, %d distinct views", p.Live, p.MinMembers, p.MaxMembers, p.DistinctViews)
+}
+
+// Progress computes the cluster's convergence summary.
+func (c *Cluster) Progress() ClusterProgress {
+	p := ClusterProgress{MinMembers: math.MaxInt}
+	hashes := make(map[uint64]struct{}, 8)
 	for _, nd := range c.nodes {
 		if nd == nil {
 			continue
 		}
-		got := nd.Members()
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
+		v := nd.view.Load()
+		p.Live++
+		p.MinMembers = min(p.MinMembers, len(v.members))
+		p.MaxMembers = max(p.MaxMembers, len(v.members))
+		hashes[v.hash] = struct{}{}
 	}
-	return true
+	p.DistinctViews = len(hashes)
+	return p
 }
 
 // WaitConverged polls Converged until it holds or the timeout passes —
-// the convergence barrier the churn tests and the load benchmark lean on. The
-// timeout is the caller's convergence bound: typically a small multiple
-// of the gossip interval plus the suspicion timeout.
+// the convergence barrier the churn tests, the chaos fleet and the load
+// benchmark lean on. The timeout is the caller's convergence bound:
+// typically a small multiple of the gossip interval plus the suspicion
+// timeout. A timeout error carries the Progress summary, whatever the
+// cluster's size.
 func (c *Cluster) WaitConverged(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		// Check before testing the deadline: a zero or overspent budget
-		// still succeeds when the cluster is already converged.
-		if c.Converged() {
-			return nil
-		}
+	// Check before testing the deadline: a zero or overspent budget still
+	// succeeds when the cluster is already converged.
+	for !c.Converged() {
 		if !time.Now().Before(deadline) {
-			break
+			return fmt.Errorf("node: cluster not converged after %v: %v", timeout, c.Progress())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	views := make(map[string][]string)
-	for i, nd := range c.nodes {
-		if nd != nil {
-			views[c.addrs[i]] = nd.Members()
-		}
-	}
-	return fmt.Errorf("node: cluster not converged after %v: live %v, views %v",
-		timeout, c.LiveAddrs(), views)
+	return nil
 }
 
 // PublishRoundRobin distributes keys across the live nodes' content
@@ -249,12 +314,19 @@ func (c *Cluster) IndexedKeys() int {
 	return len(distinct)
 }
 
-// Close shuts every live node down.
+// Close shuts every live node down, in parallel: a serial close of a
+// thousand nodes would dominate a test's time.
 func (c *Cluster) Close() {
+	var wg sync.WaitGroup
 	for i, nd := range c.nodes {
 		if nd != nil {
-			nd.Close()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				nd.Close()
+			}()
 			c.nodes[i] = nil
 		}
 	}
+	wg.Wait()
 }

@@ -207,3 +207,53 @@ func TestClusterZipfWorkloadWithChurn(t *testing.T) {
 	}
 	t.Logf("node 0 after run:\n%s", r)
 }
+
+// TestClusterConvergedMeansTheLiveSet boots 65 slots on the memory
+// transport — slot 0 alone, then concurrent waves of 1, 2, 4, 8, 16, 32
+// and 1 joiners — and holds Converged to its one definition: every live view hashes the list
+// of live slots. Right after a kill the survivors still agree with each
+// other, on a list that names the dead slot, so the cluster is not
+// converged; and a WaitConverged that times out says so in a summary, not
+// in a dump of every view.
+func TestClusterConvergedMeansTheLiveSet(t *testing.T) {
+	const n = 65
+	cfg := DefaultConfig()
+	cfg.RoundDuration = 100 * time.Millisecond
+	cfg.GossipInterval = 50 * time.Millisecond
+	cfg.SuspicionTimeout = time.Second
+	cfg.SyncInterval = 200 * time.Millisecond
+	c, err := NewCluster(transport.NewMemory(), n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.Kill(n - 1); err != nil {
+		t.Fatal(err)
+	}
+	// No survivor can have evicted the dead slot yet: that takes a full
+	// suspicion window.
+	want := c.Node(0).ViewHash()
+	for i := 1; i < n-1; i++ {
+		if c.Node(i).ViewHash() != want {
+			t.Fatalf("survivor %d changed its view right after the kill", i)
+		}
+	}
+	if got := len(c.Node(0).Members()); got != n {
+		t.Fatalf("survivor view holds %d members right after the kill, want all %d", got, n)
+	}
+	if c.Converged() {
+		t.Fatal("Converged holds while every view still names the killed slot")
+	}
+	err = c.WaitConverged(0)
+	if err == nil {
+		t.Fatal("WaitConverged(0) succeeded on an unconverged cluster")
+	}
+	if len(err.Error()) >= 1024 {
+		t.Fatalf("timeout error is %d bytes, want a summary under 1 KiB", len(err.Error()))
+	}
+	t.Log(err)
+}

@@ -138,7 +138,8 @@ func distinctServerPeers(qt obs.QueryTrace) []string {
 // counters also move with background gossip, so the fleet's msgs/query is
 // bracketed between the sums taken before and after the poll.
 func TestClusterReportMatchesNodeReports(t *testing.T) {
-	c, err := NewCluster(transport.NewMemory(), 3, obsClusterConfig())
+	tr := transport.NewMemory()
+	c, err := NewCluster(tr, 3, obsClusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestClusterReportMatchesNodeReports(t *testing.T) {
 	}
 
 	// The client-only path sees the same fleet.
-	rc, err := DialRemote(context.Background(), c.tr, RemoteConfig{Seeds: []string{c.Addr(0)}})
+	rc, err := DialRemote(context.Background(), tr, RemoteConfig{Seeds: []string{c.Addr(0)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@
 // instead of simulated rounds. The algorithm exists once, in the unexported
 // engine (engine.go): Node is the engine plus the serving state of a
 // cluster member, RemoteClient the engine plus the view re-sync of a
-// non-serving client behind the public client package, and Cluster the
-// multi-node harness with kill/restart.
+// non-serving client behind the public client package, and Cluster the one
+// multi-node harness — wave boot, parallel close, kill/restart, and the one
+// definition of converged (every live view hashes the live set) — that the
+// node tests, the chaos fleet and bench/ all boot through.
 //
 // Each Node serves the RPCs of internal/transport (Query/Insert/Refresh/
 // Broadcast/Gossip/Batch/TopK/Stats), keeps a TTL index cache (core.Cache)

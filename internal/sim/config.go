@@ -12,7 +12,8 @@
 // It is the measurement side of the reproduction: the analytical package
 // predicts message rates, this package counts actual messages from actual
 // floods, walks, lookups, gossip and probes over the substrates in
-// internal/overlay, internal/dht and internal/replica.
+// internal/overlay and internal/dht, with simcore's replica groups built
+// as overlay graphs.
 package sim
 
 import (

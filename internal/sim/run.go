@@ -213,10 +213,8 @@ func setup(cfg Config) (*run, error) {
 		r.modelMsg = ttlSol.Cost
 		r.activePeers = numActiveFor(p, ttlSol.IndexSize)
 		if err := r.buildIndex(simcore.IndexConfig{
-			KeyTtl:        r.keyTtl,
-			PeerCapacity:  cfg.Stor,
-			FloodOnMiss:   true,
-			ResetTTLOnHit: true,
+			KeyTtl:       r.keyTtl,
+			PeerCapacity: cfg.Stor,
 		}); err != nil {
 			return nil, err
 		}

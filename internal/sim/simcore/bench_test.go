@@ -47,9 +47,6 @@ func BenchmarkIndexInsert(b *testing.B) {
 
 func benchIndex(b *testing.B) (*PartialIndex, *netsim.Network, interface{ Uint64() uint64 }) {
 	b.Helper()
-	pi, net, rng := testIndex(b, IndexConfig{
-		KeyTtl: 1 << 30, PeerCapacity: 4096,
-		FloodOnMiss: true, ResetTTLOnHit: true,
-	}, 99)
+	pi, net, rng := testIndex(b, IndexConfig{KeyTtl: 1 << 30, PeerCapacity: 4096}, 99)
 	return pi, net, rng
 }

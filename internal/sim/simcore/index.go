@@ -30,19 +30,15 @@ import (
 type IndexConfig struct {
 	// KeyTtl is the expiration time, in rounds, attached to inserted
 	// keys. Zero or negative means entries never expire — the
-	// index-everything mode of the Section-4 baselines.
+	// index-everything mode of the Section-4 baselines. A positive KeyTtl
+	// is the selection algorithm, which also floods a miss through the
+	// replica subnetwork (§5, the cSIndx2 = cSIndx + repl·dup2 of eq. 16:
+	// TTL expiry leaves replicas poorly synchronized, which the
+	// proactively updated baselines are not) and resets an entry's
+	// expiration time on every hit, its defining rule.
 	KeyTtl int
 	// PeerCapacity is each active peer's cache size (the paper's stor).
 	PeerCapacity int
-	// FloodOnMiss controls §5's replica-subnet query flood: when the
-	// responsible peer cannot answer, it propagates the query through the
-	// replica subnetwork (the cSIndx2 = cSIndx + repl·dup2 of eq. 16).
-	// The selection algorithm needs it because TTL expiry leaves replicas
-	// poorly synchronized; the proactively updated baselines do not.
-	FloodOnMiss bool
-	// ResetTTLOnHit controls the selection algorithm's defining rule: a
-	// query for a stored key resets its expiration time.
-	ResetTTLOnHit bool
 }
 
 // subnetDegree is the gossip degree of each replica subnetwork. Degree 1
@@ -169,9 +165,9 @@ func (pi *PartialIndex) subnetFor(key keyspace.Key) (*overlay.Graph, error) {
 }
 
 // Lookup searches the index for key on behalf of from: route through the
-// DHT, check the responsible peer's cache, and — in FloodOnMiss mode —
+// DHT, check the responsible peer's cache, and — when entries expire —
 // propagate the query through the replica subnetwork before giving up.
-// A hit resets the entry's TTL when ResetTTLOnHit is set.
+// A hit resets an expiring entry's TTL.
 func (pi *PartialIndex) Lookup(from netsim.PeerID, key keyspace.Key) LookupResult {
 	res := LookupResult{}
 	now := pi.net.Round()
@@ -186,7 +182,7 @@ func (pi *PartialIndex) Lookup(from netsim.PeerID, key keyspace.Key) LookupResul
 		pi.noteHit(key, rt.Responsible, now)
 		return res
 	}
-	if !pi.cfg.FloodOnMiss {
+	if pi.cfg.KeyTtl <= 0 {
 		return res
 	}
 	subnet, err := pi.subnetFor(key)
@@ -208,7 +204,7 @@ func (pi *PartialIndex) Lookup(from netsim.PeerID, key keyspace.Key) LookupResul
 
 // noteHit applies the TTL reset at the answering peer.
 func (pi *PartialIndex) noteHit(key keyspace.Key, at netsim.PeerID, now int) {
-	if !pi.cfg.ResetTTLOnHit || pi.cfg.KeyTtl <= 0 {
+	if pi.cfg.KeyTtl <= 0 {
 		return
 	}
 	exp := pi.expiry(now)

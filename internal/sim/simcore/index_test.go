@@ -35,7 +35,7 @@ func testIndex(t testing.TB, cfg IndexConfig, seed uint64) (*PartialIndex, *nets
 }
 
 func ttlConfig() IndexConfig {
-	return IndexConfig{KeyTtl: 50, PeerCapacity: 64, FloodOnMiss: true, ResetTTLOnHit: true}
+	return IndexConfig{KeyTtl: 50, PeerCapacity: 64}
 }
 
 func TestNewPartialIndexValidation(t *testing.T) {
@@ -78,19 +78,19 @@ func TestLookupMissOnEmptyIndex(t *testing.T) {
 	if !lr.RouteOK {
 		t.Fatal("routing failed without churn")
 	}
-	// FloodOnMiss: the miss cost includes the replica-subnet flood.
+	// Expiring entries: the miss cost includes the replica-subnet flood.
 	if lr.FloodMsgs == 0 {
-		t.Error("miss did not flood the replica subnet despite FloodOnMiss")
+		t.Error("miss did not flood the replica subnet despite a positive KeyTtl")
 	}
 }
 
 func TestLookupNoFloodWhenDisabled(t *testing.T) {
 	cfg := ttlConfig()
-	cfg.FloodOnMiss = false
+	cfg.KeyTtl = 0 // index-everything mode: replicas are kept in sync
 	pi, _, _ := testIndex(t, cfg, 3)
 	lr := pi.Lookup(3, k("nothing"))
 	if lr.FloodMsgs != 0 {
-		t.Errorf("flooded %d messages with FloodOnMiss off", lr.FloodMsgs)
+		t.Errorf("flooded %d messages with KeyTtl 0", lr.FloodMsgs)
 	}
 }
 
@@ -130,26 +130,6 @@ func TestTTLResetKeepsPopularKeysAlive(t *testing.T) {
 		if lr := pi.Lookup(2, key); !lr.Hit {
 			t.Fatalf("popular key fell out at cycle %d", cycle)
 		}
-	}
-}
-
-func TestNoResetWhenDisabled(t *testing.T) {
-	cfg := ttlConfig()
-	cfg.ResetTTLOnHit = false
-	pi, net, _ := testIndex(t, cfg, 6)
-	key := k("fixed-lease")
-	pi.Insert(0, key, 1)
-	for r := 0; r < 30; r++ {
-		net.AdvanceRound()
-	}
-	if lr := pi.Lookup(1, key); !lr.Hit {
-		t.Fatal("entry gone before TTL")
-	}
-	for r := 0; r < 25; r++ { // round 55 > insert TTL of 50
-		net.AdvanceRound()
-	}
-	if lr := pi.Lookup(1, key); lr.Hit {
-		t.Fatal("hit at round 55: TTL was reset despite ResetTTLOnHit=false")
 	}
 }
 

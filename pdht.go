@@ -37,8 +37,9 @@
 //   - Metadata keys: ParseQuery, NewsQuery and QueryKey map the paper's
 //     element=value metadata predicates to index keys.
 //
-// Behind Open, internal/node, internal/gossip, internal/replica and
-// internal/transport serve the selection algorithm as a live system —
+// Behind Open, internal/node (whose query engine holds the replica-set
+// reads and writes), internal/gossip and internal/transport serve the
+// selection algorithm as a live system —
 // peers exchanging Query/Insert/Refresh/Broadcast/Gossip RPCs over TCP,
 // every index entry replicated at an r-member replica set (writes fan out,
 // reads fail over from the primary through the backups in ring order
