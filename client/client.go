@@ -193,31 +193,20 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 		st = fs
 	}
 	nodeCfg.Store = st
-	// Try the seeds in order — the first that joins wins; a node with no
-	// seeds starts its own cluster. A failed New leaves store ownership
-	// here (the store survives attempts unchanged), so it is released only
-	// when every seed fails.
-	seeds := cfg.seeds
-	if len(seeds) == 0 {
-		seeds = []string{""}
-	}
-	var lastErr error
-	for _, seed := range seeds {
-		nodeCfg.Seed = seed
-		nd, err := node.New(cfg.tr, nodeCfg)
-		if err == nil {
-			return &Client{h: nd}, nil
+	// The node tries the seeds in order — the first that joins wins; a
+	// node with no seeds starts its own cluster. A failed New leaves store
+	// ownership here.
+	nd, err := node.New(cfg.tr, nodeCfg)
+	if err != nil {
+		if st != nil {
+			st.Close()
 		}
-		lastErr = err
-		if err := ctx.Err(); err != nil {
-			lastErr = ctxErr(err)
-			break
+		if cerr := ctx.Err(); cerr != nil {
+			err = ctxErr(cerr)
 		}
+		return nil, fmt.Errorf("client: open: %w", err)
 	}
-	if st != nil {
-		st.Close()
-	}
-	return nil, fmt.Errorf("client: open: %w", lastErr)
+	return &Client{h: nd}, nil
 }
 
 // ctxErr translates a context failure into the typed taxonomy, exactly as

@@ -176,5 +176,7 @@ func (c *config) build() (node.Config, node.RemoteConfig, error) {
 		TraceHook:     c.node.TraceHook,
 		TraceSampling: c.node.TraceSampling,
 	}
-	return c.node, remoteCfg, nil
+	nodeCfg := c.node
+	nodeCfg.Seeds = c.seeds
+	return nodeCfg, remoteCfg, nil
 }

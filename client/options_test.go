@@ -33,9 +33,9 @@ func TestOptionsReachConfig(t *testing.T) {
 		{"WithListen", WithListen("10.0.0.1:7070"), func(_ *config, n node.Config, _ node.RemoteConfig) bool {
 			return n.Addr == "10.0.0.1:7070"
 		}},
-		{"WithSeeds", WithSeeds("a:1", "b:2"), func(c *config, _ node.Config, r node.RemoteConfig) bool {
-			// Member mode walks c.seeds itself (Open tries each in order).
-			return slices.Equal(r.Seeds, []string{"a:1", "b:2"}) && slices.Equal(c.seeds, r.Seeds)
+		{"WithSeeds", WithSeeds("a:1", "b:2"), func(c *config, n node.Config, r node.RemoteConfig) bool {
+			// Both hosts get every seed (each tries them in order).
+			return slices.Equal(r.Seeds, []string{"a:1", "b:2"}) && slices.Equal(n.Seeds, r.Seeds)
 		}},
 		{"WithClientOnly", WithClientOnly(), func(c *config, _ node.Config, _ node.RemoteConfig) bool {
 			return c.clientOnly

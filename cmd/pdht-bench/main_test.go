@@ -13,7 +13,7 @@ import (
 	"pdht/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite BENCH_node.json at the repo root")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files the selected tests compare against")
 
 // TestBenchGoldenIsCurrent pins BENCH_node.json: every experiment the
 // Makefile's BENCH_EXPERIMENTS names is regenerated in-process, from the
@@ -32,12 +32,40 @@ func TestBenchGoldenIsCurrent(t *testing.T) {
 	if m == nil {
 		t.Fatal("Makefile has no BENCH_EXPERIMENTS line")
 	}
-	list := experimentList(func() sim.Config { return simConfigFor(defaultScale, defaultSeed) })
+	got := experimentsJSON(t, defaultScale, strings.Fields(string(m[1])))
+	matchGolden(t, filepath.Join(root, "BENCH_node.json"), got, "run with -update, or make bench")
+}
+
+// matchGolden requires got to equal the file at path byte for byte, or
+// rewrites the file under -update.
+func matchGolden(t *testing.T, path string, got []byte, howToUpdate string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (%s): %v", howToUpdate, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s is stale (%s)", path, howToUpdate)
+	}
+}
+
+// experimentsJSON runs the named experiments at the given population and
+// the default seed, as the binary does, and returns their JSON tables
+// concatenated.
+func experimentsJSON(t *testing.T, scale int, names []string) []byte {
+	t.Helper()
+	list := experimentList(func() sim.Config { return simConfigFor(scale, defaultSeed) })
 	var got bytes.Buffer
-	for _, name := range strings.Fields(string(m[1])) {
+	for _, name := range names {
 		i := slices.IndexFunc(list, func(e experiment) bool { return e.name == name })
 		if i < 0 {
-			t.Fatalf("BENCH_EXPERIMENTS names %q, which pdht-bench does not know", name)
+			t.Fatalf("pdht-bench does not know experiment %q", name)
 		}
 		tbl, err := list[i].run()
 		if err != nil {
@@ -47,18 +75,19 @@ func TestBenchGoldenIsCurrent(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	path := filepath.Join(root, "BENCH_node.json")
-	if *updateGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	return got.Bytes()
+}
+
+// TestValidate20000IsCurrent pins V1 at the paper's own population, 20,000
+// peers (Table 1), in testdata/validate-20000.json, so that a change to
+// the simulator's numbers at that size shows up as a diff. It takes about
+// a minute and a gigabyte, so it is gated behind PDHT_SCALE=1:
+// `PDHT_SCALE=1 go test ./cmd/pdht-bench -run TestValidate20000IsCurrent`
+// (add -update after an intended change).
+func TestValidate20000IsCurrent(t *testing.T) {
+	if os.Getenv("PDHT_SCALE") == "" {
+		t.Skip("set PDHT_SCALE=1 to run V1 at 20,000 peers")
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update): %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("BENCH_node.json is stale (run with -update, or make bench)")
-	}
+	got := experimentsJSON(t, 20000, []string{"validate"})
+	matchGolden(t, filepath.Join("testdata", "validate-20000.json"), got, "run with -update")
 }

@@ -88,7 +88,9 @@ func run(args []string, out io.Writer) error {
 
 	cfg := node.DefaultConfig()
 	cfg.Addr = *listen
-	cfg.Seed = *seed
+	if *seed != "" {
+		cfg.Seeds = []string{*seed}
+	}
 	cfg.Repl = *repl
 	cfg.KeyTtl = *keyTtl
 	cfg.Capacity = *capacity

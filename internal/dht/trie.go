@@ -153,8 +153,9 @@ func (t *Trie) subtreeRange(leaf, lvl int) (lo, hi int) {
 // Depth returns the trie depth: key bits resolved by routing.
 func (t *Trie) Depth() int { return t.depth }
 
-// leafOf returns the leaf responsible for key: its first depth bits.
-func (t *Trie) leafOf(key keyspace.Key) int {
+// Leaf returns the leaf responsible for key: its first depth bits. Leaves
+// partition the active peers, so equal leaves mean equal replica groups.
+func (t *Trie) Leaf(key keyspace.Key) int {
 	if t.depth == 0 {
 		return 0
 	}
@@ -164,7 +165,7 @@ func (t *Trie) leafOf(key keyspace.Key) int {
 // ReplicaGroup returns every peer — online or not — responsible for key.
 // The slice is owned by the trie.
 func (t *Trie) ReplicaGroup(key keyspace.Key) []netsim.PeerID {
-	return t.leaves[t.leafOf(key)]
+	return t.leaves[t.Leaf(key)]
 }
 
 // ActivePeers returns the peers participating in the DHT. The slice is
@@ -199,7 +200,7 @@ func (t *Trie) Route(from netsim.PeerID, key keyspace.Key, rng *rand.Rand) Route
 		res.Hops++
 		curIdx = t.peers[entry]
 	}
-	target := t.leafOf(key)
+	target := t.Leaf(key)
 	// Each iteration either terminates at the responsible leaf or
 	// forwards to a ref that agrees with the key on strictly more bits;
 	// with a full routing table that is ≤ depth hops. Churn can force

@@ -93,7 +93,7 @@ func TestTrieReplicaGroupMatchesKeyPrefix(t *testing.T) {
 	rng := rand.New(rand.NewPCG(99, 100))
 	for i := 0; i < 200; i++ {
 		key := keyspace.Key(rng.Uint64())
-		leaf := trie.leafOf(key)
+		leaf := trie.Leaf(key)
 		group := trie.ReplicaGroup(key)
 		if len(group) == 0 {
 			t.Fatal("empty replica group")

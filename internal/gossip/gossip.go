@@ -99,10 +99,12 @@ type Config struct {
 	// 0.125; negative disables.
 	DeadSyncFraction float64
 	// OnChange fires after every confirmed membership change with the
-	// new alive set (sorted, self included) and the view version that
-	// produced it. It is called without internal locks held and may fire
-	// concurrently from the protocol loop and inbound handlers, so
-	// notifications can arrive out of order: receivers must use the
+	// new alive set (sorted, duplicate-free, self included) and the view
+	// version that produced it. The slice is freshly allocated for this
+	// call and never touched by the service again: the receiver may keep
+	// it without copying. It is called without internal locks held and
+	// may fire concurrently from the protocol loop and inbound handlers,
+	// so notifications can arrive out of order: receivers must use the
 	// version to discard stale ones.
 	OnChange func(alive []string, version uint64)
 }

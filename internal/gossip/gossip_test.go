@@ -589,3 +589,43 @@ func TestDeadSyncHealsPartition(t *testing.T) {
 	setCut(false)
 	waitFor(t, 10*time.Second, allAlive, "post-heal re-merge via dead-member anti-entropy")
 }
+
+// TestOnChangeHandsOverAFreshSortedList pins the contract the node's view
+// path reads OnChange's slice under without copying it: the list is sorted
+// and duplicate-free however the updates arrive, and it is the receiver's
+// to keep — writing into it changes neither Alive nor the next
+// notification.
+func TestOnChangeHandsOverAFreshSortedList(t *testing.T) {
+	noNet := func(context.Context, string, transport.Gossip) (transport.Gossip, bool, error) {
+		return transport.Gossip{}, false, errors.New("no network in this test")
+	}
+	alive := func(addrs ...string) transport.Gossip {
+		var g transport.Gossip
+		for _, a := range addrs {
+			g.Updates = append(g.Updates, transport.PeerState{Addr: a, Status: uint8(StatusAlive)})
+		}
+		return g
+	}
+	var got [][]string
+	s, err := New(Config{Addr: "m", OnChange: func(alive []string, _ uint64) {
+		got = append(got, alive)
+	}}, noNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s.MergeState(alive("z", "b", "q", "b", "a"))
+	if want := []string{"a", "b", "m", "q", "z"}; len(got) != 1 || !sameMembers(got[0], want) {
+		t.Fatalf("notifications %v, want one of %v", got, want)
+	}
+	for i := range got[0] {
+		got[0][i] = "scribbled"
+	}
+	if want := []string{"a", "b", "m", "q", "z"}; !sameMembers(s.Alive(), want) {
+		t.Fatalf("Alive after the receiver wrote its list = %v, want %v", s.Alive(), want)
+	}
+	s.MergeState(alive("c", "c"))
+	if want := []string{"a", "b", "c", "m", "q", "z"}; len(got) != 2 || !sameMembers(got[1], want) {
+		t.Fatalf("next notification %v, want %v", got[1:], want)
+	}
+}

@@ -53,7 +53,7 @@ type ringVnode struct {
 // can keep serving reads from the old view while the next is assembled.
 type MemberRing struct {
 	vnodes  []ringVnode // sorted by pos, ties by addr
-	members map[string]struct{}
+	members []string    // sorted, duplicate-free
 	repl    int
 }
 
@@ -76,29 +76,50 @@ func sortVnodes(v []ringVnode) {
 	})
 }
 
+// sortedSet returns addrs sorted and without repeats: addrs itself when it
+// already is (the node's deltas are), a fresh copy otherwise.
+func sortedSet(addrs []string) []string {
+	for i := 1; i < len(addrs); i++ {
+		if addrs[i-1] < addrs[i] {
+			continue
+		}
+		out := slices.Clone(addrs)
+		slices.Sort(out)
+		uniq := out[:0]
+		for _, a := range out {
+			if len(uniq) == 0 || a != uniq[len(uniq)-1] {
+				uniq = append(uniq, a)
+			}
+		}
+		return uniq
+	}
+	return addrs
+}
+
 // NewMemberRing builds a ring from scratch over the given members (order
-// irrelevant, duplicates ignored). repl is the replica-group size Group
-// targets; it is clamped to the member count at query time, so a ring can
-// be built before the cluster has grown past repl members.
+// irrelevant, duplicates ignored; the slice is not retained). repl is the
+// replica-group size Group targets; it is clamped to the member count at
+// query time, so a ring can be built before the cluster has grown past
+// repl members.
 func NewMemberRing(members []string, repl int) *MemberRing {
 	if repl < 1 {
 		repl = 1
 	}
 	r := &MemberRing{
 		vnodes:  make([]ringVnode, 0, len(members)*RingVnodes),
-		members: make(map[string]struct{}, len(members)),
+		members: slices.Clip(slices.Clone(sortedSet(members))),
 		repl:    repl,
 	}
-	for _, m := range members {
-		if _, dup := r.members[m]; dup {
-			continue
-		}
-		r.members[m] = struct{}{}
+	for _, m := range r.members {
 		r.vnodes = append(r.vnodes, memberVnodes(m)...)
 	}
 	sortVnodes(r.vnodes)
 	return r
 }
+
+// Members returns the ring's members, sorted and duplicate-free. The slice
+// is the ring's own: callers read it and never write it.
+func (r *MemberRing) Members() []string { return r.members }
 
 // Size returns the number of members on the ring.
 func (r *MemberRing) Size() int { return len(r.members) }
@@ -108,63 +129,83 @@ func (r *MemberRing) Repl() int { return r.repl }
 
 // Contains reports whether addr is a ring member.
 func (r *MemberRing) Contains(addr string) bool {
-	_, ok := r.members[addr]
+	_, ok := slices.BinarySearch(r.members, addr)
 	return ok
 }
 
 // Apply returns a new ring with joined added and left removed. Only the
-// changed members' vnodes are hashed; everything else is a single merge
-// pass over the old sorted array — O(n + changed·log changed) with small
-// constants, versus the full rebuild's O(n·v) hashing + O(n·v log n·v)
-// sort. Joins already present and leaves not present are ignored.
+// changed members' vnodes are hashed — the joiners' to insert, the
+// leavers' to find by binary search — and everything else is one merge
+// pass over the old sorted member list and a copy of the old vnode array
+// in runs between the changes: O(n + changed·log n) with small constants,
+// versus the full rebuild's O(n·v) hashing + O(n·v log n·v) sort. Joins
+// already present and leaves not present are ignored.
 func (r *MemberRing) Apply(joined, left []string) *MemberRing {
-	rm := make(map[string]struct{}, len(left))
-	for _, a := range left {
-		if _, ok := r.members[a]; ok {
-			rm[a] = struct{}{}
-		}
-	}
-	var add []ringVnode
-	added := make(map[string]struct{}, len(joined))
-	for _, a := range joined {
-		if _, ok := r.members[a]; ok {
-			continue
-		}
-		if _, dup := added[a]; dup {
-			continue
-		}
-		added[a] = struct{}{}
-		add = append(add, memberVnodes(a)...)
-	}
-	sortVnodes(add)
-
+	joined, left = sortedSet(joined), sortedSet(left)
 	next := &MemberRing{
-		vnodes:  make([]ringVnode, 0, len(r.vnodes)-len(rm)*RingVnodes+len(add)),
-		members: make(map[string]struct{}, len(r.members)-len(rm)+len(added)),
+		members: make([]string, 0, len(r.members)+len(joined)),
 		repl:    r.repl,
 	}
-	for m := range r.members {
-		if _, gone := rm[m]; !gone {
-			next.members[m] = struct{}{}
+	var add []ringVnode
+	var drop []int // indices of the leavers' vnodes in r.vnodes
+	i, l := 0, 0
+	for _, m := range r.members {
+		for ; i < len(joined) && joined[i] < m; i++ {
+			next.members = append(next.members, joined[i])
+			add = append(add, memberVnodes(joined[i])...)
 		}
-	}
-	for m := range added {
-		next.members[m] = struct{}{}
-	}
-	// Merge the surviving old vnodes with the sorted additions.
-	i := 0
-	for _, v := range r.vnodes {
-		if _, gone := rm[v.addr]; gone {
+		if i < len(joined) && joined[i] == m {
+			i++ // already a member
+		}
+		for l < len(left) && left[l] < m {
+			l++
+		}
+		if l < len(left) && left[l] == m {
+			for _, v := range memberVnodes(m) {
+				drop = append(drop, r.vnodeIndex(v))
+			}
 			continue
 		}
-		for i < len(add) && (add[i].pos < v.pos || (add[i].pos == v.pos && add[i].addr < v.addr)) {
-			next.vnodes = append(next.vnodes, add[i])
-			i++
-		}
-		next.vnodes = append(next.vnodes, v)
+		next.members = append(next.members, m)
 	}
-	next.vnodes = append(next.vnodes, add[i:]...)
+	for _, a := range joined[i:] {
+		next.members = append(next.members, a)
+		add = append(add, memberVnodes(a)...)
+	}
+	next.members = slices.Clip(next.members)
+	sortVnodes(add)
+	slices.Sort(drop)
+
+	// Copy the old vnode array in runs: up to each addition's place,
+	// skipping the leavers' vnodes.
+	next.vnodes = make([]ringVnode, 0, len(next.members)*RingVnodes)
+	keep := func(from, to int) {
+		for ; len(drop) > 0 && drop[0] < to; drop = drop[1:] {
+			next.vnodes = append(next.vnodes, r.vnodes[from:drop[0]]...)
+			from = drop[0] + 1
+		}
+		next.vnodes = append(next.vnodes, r.vnodes[from:to]...)
+	}
+	from := 0
+	for _, v := range add {
+		k := r.vnodeIndex(v)
+		keep(from, k)
+		next.vnodes = append(next.vnodes, v)
+		from = k
+	}
+	keep(from, len(r.vnodes))
 	return next
+}
+
+// vnodeIndex returns the index of the vnode v in the sorted vnode array,
+// or of the first vnode after it when v is not on the ring.
+func (r *MemberRing) vnodeIndex(v ringVnode) int {
+	return sort.Search(len(r.vnodes), func(i int) bool {
+		if r.vnodes[i].pos != v.pos {
+			return r.vnodes[i].pos > v.pos
+		}
+		return r.vnodes[i].addr >= v.addr
+	})
 }
 
 // successor returns the index of the first vnode at or clockwise after k,
@@ -214,7 +255,7 @@ func (r *MemberRing) RouteHops(from string, key Key) int {
 	if len(r.vnodes) == 0 {
 		return 0
 	}
-	if _, ok := r.members[from]; !ok {
+	if !r.Contains(from) {
 		// A non-member origin (external client) reaches the primary in one
 		// logical hop: it dials Group[0] directly.
 		return 1
@@ -294,15 +335,10 @@ func Everything() ArcSet { return ArcSet{All: true} }
 // the walk wraps and the whole key space is affected (All=true).
 func (r *MemberRing) Affected(changed []string) ArcSet {
 	var out ArcSet
-	seen := make(map[string]struct{}, len(changed))
-	for _, addr := range changed {
-		if _, ok := r.members[addr]; !ok {
+	for _, addr := range sortedSet(changed) {
+		if !r.Contains(addr) {
 			continue
 		}
-		if _, dup := seen[addr]; dup {
-			continue
-		}
-		seen[addr] = struct{}{}
 		for _, vn := range memberVnodes(addr) {
 			lo, all := r.replPredecessor(vn.pos, addr)
 			if all {
@@ -320,23 +356,18 @@ func (r *MemberRing) Affected(changed []string) ArcSet {
 // walk wrapped without finding repl distinct others — the arc is the whole
 // ring.
 func (r *MemberRing) replPredecessor(pos Key, addr string) (lo Key, all bool) {
-	i := sort.Search(len(r.vnodes), func(i int) bool {
-		if r.vnodes[i].pos != pos {
-			return r.vnodes[i].pos > pos
-		}
-		return r.vnodes[i].addr >= addr
-	})
-	others := make(map[string]struct{}, r.repl)
+	i := r.vnodeIndex(ringVnode{pos: pos, addr: addr})
+	others := make([]string, 0, r.repl)
 	for steps := 0; steps < len(r.vnodes); steps++ {
 		i--
 		if i < 0 {
 			i = len(r.vnodes) - 1
 		}
 		v := r.vnodes[i]
-		if v.addr == addr {
+		if v.addr == addr || slices.Contains(others, v.addr) {
 			continue
 		}
-		others[v.addr] = struct{}{}
+		others = append(others, v.addr)
 		if len(others) >= r.repl {
 			return v.pos, false
 		}

@@ -2,6 +2,7 @@ package keyspace
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -236,5 +237,41 @@ func TestMemberRingSortedMergeKeepsOrder(t *testing.T) {
 		return r.vnodes[a].addr < r.vnodes[b].addr
 	}) {
 		t.Fatal("vnode array lost sort order across deltas")
+	}
+}
+
+// Apply must land on the rebuild of the final set for any delta: hundreds
+// of joins and leaves at once (a healed partition), repeats, leaves of
+// non-members and joins of members.
+func TestMemberRingLargeDeltaEqualsRebuild(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 41))
+	for trial := 0; trial < 200; trial++ {
+		addrs := ringAddrs(2 + rng.IntN(400))
+		old := map[string]bool{}
+		for _, a := range addrs[:rng.IntN(len(addrs))] {
+			old[a] = true
+		}
+		want := maps.Clone(old)
+		var joined, left []string
+		for k := rng.IntN(300); k > 0; k-- {
+			if a := addrs[rng.IntN(len(addrs))]; rng.IntN(2) == 0 {
+				joined = append(joined, a)
+			} else {
+				left = append(left, a)
+			}
+		}
+		for _, a := range left {
+			delete(want, a)
+		}
+		for _, a := range joined {
+			if !old[a] {
+				want[a] = true // a join beats a leave of a non-member
+			}
+		}
+		next := NewMemberRing(slices.Collect(maps.Keys(old)), 3).Apply(joined, left)
+		rebuilt := NewMemberRing(slices.Collect(maps.Keys(want)), 3)
+		if !slices.Equal(next.Members(), rebuilt.Members()) || !slices.Equal(next.vnodes, rebuilt.vnodes) {
+			t.Fatalf("trial %d: Apply of %d joins and %d leaves diverged from the rebuild", trial, len(joined), len(left))
+		}
 	}
 }

@@ -135,13 +135,13 @@ func (blackholeClient) Close() error { return nil }
 func bootWithTransport(t *testing.T, mem *transport.Memory, nutTr transport.Transport, peers int, cfg Config) (nut *Node, others []*Node) {
 	t.Helper()
 	seedCfg := cfg
-	seedCfg.Seed = ""
+	seedCfg.Seeds = nil
 	seed, err := New(mem, seedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	others = []*Node{seed}
-	cfg.Seed = seed.Addr()
+	cfg.Seeds = []string{seed.Addr()}
 	for i := 1; i < peers; i++ {
 		nd, err := New(mem, cfg)
 		if err != nil {
@@ -326,7 +326,7 @@ func TestQueryCancellationAbortsBroadcast(t *testing.T) {
 	}
 	defer seed.Close()
 	joinCfg := cfg
-	joinCfg.Seed = seed.Addr()
+	joinCfg.Seeds = []string{seed.Addr()}
 	victim, err := New(mem, joinCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -221,9 +221,9 @@ func BenchmarkHandoff(b *testing.B) {
 	for i := range members {
 		members[i] = "node-" + strconv.Itoa(i)
 	}
-	old := buildView(members, 3, 0)
+	old := buildView(members, 3)
 	survivors := append(append([]string(nil), members[:3]...), members[4:]...)
-	next := buildView(survivors, 3, 0)
+	next := buildView(survivors, 3)
 	for _, size := range []int{256, 4096} {
 		b.Run("entries="+strconv.Itoa(size), func(b *testing.B) {
 			entries := make([]core.Entry, size)
@@ -264,7 +264,7 @@ func BenchmarkViewDelta(b *testing.B) {
 		for i := range members {
 			members[i] = fmt.Sprintf("peer-%04d", i)
 		}
-		base := buildView(members, 3, 0)
+		base := buildView(members, 3)
 		joined := []string{fmt.Sprintf("peer-%04d", n)}
 		left := []string{members[n/2]}
 		alive := make([]string, 0, n)
@@ -276,13 +276,13 @@ func BenchmarkViewDelta(b *testing.B) {
 		alive = append(alive, joined...)
 		sort.Strings(alive)
 		// Sanity: the delta must land on the ring a rebuild produces.
-		if dv := base.applyDelta(alive, joined, left, 2); dv == nil || dv.hash != buildView(alive, 3, 0).hash {
+		if dv := base.applyDelta(joined, left, 2); dv == nil || dv.hash != buildView(alive, 3).hash {
 			b.Fatal("delta view diverged from rebuild")
 		}
 		b.Run(fmt.Sprintf("delta/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if base.applyDelta(alive, joined, left, 2) == nil {
+				if base.applyDelta(joined, left, 2) == nil {
 					b.Fatal("applyDelta returned nil")
 				}
 			}
@@ -290,7 +290,7 @@ func BenchmarkViewDelta(b *testing.B) {
 		b.Run(fmt.Sprintf("rebuild/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buildView(alive, 3, 0)
+				buildView(alive, 3)
 			}
 		})
 	}

@@ -182,7 +182,7 @@ func (c *RemoteClient) install(updates []transport.PeerState) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	c.view.Store(buildView(alive, c.cfg.Repl, 0))
+	c.view.Store(buildView(alive, c.cfg.Repl))
 	return nil
 }
 

@@ -125,7 +125,7 @@ func publishRecovers(t *testing.T, tr transport.Transport) {
 	defer client.Close()
 
 	joinCfg := cfg
-	joinCfg.Seed = c.Addr(0)
+	joinCfg.Seeds = []string{c.Addr(0)}
 	joiner, err := New(tr, joinCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ func closeToBaseline(t *testing.T, tr transport.Transport) {
 		joined := make(chan *Node)
 		go func() {
 			joinCfg := cfg
-			joinCfg.Addr, joinCfg.Seed = "", seed.Addr()
+			joinCfg.Addr, joinCfg.Seeds = "", []string{seed.Addr()}
 			// nil when the seed closed first: a refused join is an outcome.
 			nd, _ := New(tr, joinCfg)
 			joined <- nd

@@ -44,7 +44,7 @@ type SlotFactory func(slot int) (Slot, error)
 // boots. Returning (nil, nil) leaves the slot in-memory.
 type StoreFactory func(slot int) (store.Store, error)
 
-// NewCluster boots n in-memory-store nodes on tr. cfg.Addr and cfg.Seed
+// NewCluster boots n in-memory-store nodes on tr. cfg.Addr and cfg.Seeds
 // are overwritten per node; all other fields apply to every node.
 func NewCluster(tr transport.Transport, n int, cfg Config) (*Cluster, error) {
 	return NewClusterStores(tr, n, cfg, nil)
@@ -84,7 +84,7 @@ func NewClusterSlots(n int, cfg Config, slots SlotFactory) (*Cluster, error) {
 		return nil, fmt.Errorf("node: cluster size %d must be positive", n)
 	}
 	c := &Cluster{cfg: cfg, slots: slots, nodes: make([]*Node, n), addrs: make([]string, n)}
-	if err := c.boot(0, ""); err != nil {
+	if err := c.boot(0, nil); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewPCG(0xb007, 0))
@@ -95,7 +95,14 @@ func NewClusterSlots(n int, cfg Config, slots SlotFactory) (*Cluster, error) {
 			if lo >= bootWave {
 				j = rng.IntN(lo)
 			}
-			go func(seed string) { errs <- c.boot(i, seed) }(c.addrs[j])
+			// The slot after the drawn one is the fallback seed: a
+			// joiner whose seed is too starved to answer in time still
+			// boots, and the draws stay those of a single-seed boot.
+			seeds := []string{c.addrs[j]}
+			if lo > 1 {
+				seeds = append(seeds, c.addrs[(j+1)%lo])
+			}
+			go func() { errs <- c.boot(i, seeds) }()
 		}
 		var first error
 		for range hi - lo {
@@ -111,15 +118,15 @@ func NewClusterSlots(n int, cfg Config, slots SlotFactory) (*Cluster, error) {
 	return c, nil
 }
 
-// boot starts slot i joined through seed ("" starts a cluster), at the
-// address the slot held before if it has one.
-func (c *Cluster) boot(i int, seed string) error {
+// boot starts slot i joined through the first of seeds that answers (none
+// starts a cluster), at the address the slot held before if it has one.
+func (c *Cluster) boot(i int, seeds []string) error {
 	s, err := c.slots(i)
 	if err != nil {
 		return fmt.Errorf("node: cluster boot %d/%d: %w", i, len(c.nodes), err)
 	}
 	cfg := c.cfg
-	cfg.Addr, cfg.Seed, cfg.Store = s.Addr, seed, s.Store
+	cfg.Addr, cfg.Seeds, cfg.Store = s.Addr, seeds, s.Store
 	if c.addrs[i] != "" {
 		cfg.Addr = c.addrs[i]
 	}
@@ -164,14 +171,13 @@ func (c *Cluster) Restart(i int) error {
 	if c.nodes[i] != nil {
 		return fmt.Errorf("node: slot %d is alive", i)
 	}
-	seed := ""
+	var seeds []string
 	for j, nd := range c.nodes {
-		if j != i && nd != nil {
-			seed = c.addrs[j]
-			break
+		if j != i && nd != nil && len(seeds) < 2 {
+			seeds = append(seeds, c.addrs[j])
 		}
 	}
-	return c.boot(i, seed)
+	return c.boot(i, seeds)
 }
 
 // LiveAddrs returns the sorted addresses of the currently live slots.

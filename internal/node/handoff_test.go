@@ -248,8 +248,8 @@ func pushTargets(plan destinations) []string {
 
 func TestPlanPushesDesignatedPusher(t *testing.T) {
 	// Set moves from {a,b,c} to {a,b,d}: c died, d is the new member.
-	old := buildView([]string{"a", "b", "c"}, 3, 0)
-	next := buildView([]string{"a", "b", "d"}, 3, 0)
+	old := buildView([]string{"a", "b", "c"}, 3)
+	next := buildView([]string{"a", "b", "d"}, 3)
 	k := keyWhere(t, func(k keyspace.Key) bool { return old.Replicas(k)[0] == "a" })
 	const now = 3
 	entries := []core.Entry{{Key: k, Value: 10, Expires: now + 7}}
@@ -275,8 +275,8 @@ func TestPlanPushesDesignatedPusher(t *testing.T) {
 
 func TestPlanPushesFirstSurvivorWins(t *testing.T) {
 	// a died: b becomes the designated pusher, c stays silent.
-	old := buildView([]string{"a", "b", "c"}, 3, 0)
-	next := buildView([]string{"b", "c", "d"}, 3, 0)
+	old := buildView([]string{"a", "b", "c"}, 3)
+	next := buildView([]string{"b", "c", "d"}, 3)
 	k := keyWhere(t, func(k keyspace.Key) bool { return slices.Equal(old.Replicas(k), []string{"a", "b", "c"}) })
 	entries := []core.Entry{{Key: k, Value: 20, Expires: 3}}
 	if plan := planPushes(old, next, "b", entries, 0); !reflect.DeepEqual(pushTargets(plan), []string{"d"}) {
@@ -290,8 +290,8 @@ func TestPlanPushesFirstSurvivorWins(t *testing.T) {
 func TestPlanPushesOrphanRescue(t *testing.T) {
 	// The entire old set {x,y} died; self holds a copy from an even older
 	// view. Without rescue the entry is unreachable despite being alive.
-	old := buildView([]string{"x", "y"}, 2, 0)
-	next := buildView([]string{"a", "b", "self"}, 2, 0)
+	old := buildView([]string{"x", "y"}, 2)
+	next := buildView([]string{"a", "b", "self"}, 2)
 	k := keyWhere(t, func(k keyspace.Key) bool { return !slices.Contains(next.Replicas(k), "self") })
 	entries := []core.Entry{{Key: k, Value: 30, Expires: 5}}
 	plan := planPushes(old, next, "self", entries, 0)
@@ -299,7 +299,7 @@ func TestPlanPushesOrphanRescue(t *testing.T) {
 		t.Fatalf("orphan rescue plans %v, want %v", pushTargets(plan), want)
 	}
 	// A rescuer inside the new set does not push to itself.
-	next2 := buildView([]string{"a", "self"}, 2, 0)
+	next2 := buildView([]string{"a", "self"}, 2)
 	plan = planPushes(old, next2, "self", entries, 0)
 	if want := []string{"a"}; !reflect.DeepEqual(pushTargets(plan), want) {
 		t.Fatalf("in-set rescuer plans %v, want %v", pushTargets(plan), want)
@@ -307,13 +307,13 @@ func TestPlanPushesOrphanRescue(t *testing.T) {
 }
 
 func TestPlanPushesSkipsLapsedAndUnmovedEntries(t *testing.T) {
-	old := buildView([]string{"a", "b"}, 2, 0)
+	old := buildView([]string{"a", "b"}, 2)
 	k := keyWhere(t, func(k keyspace.Key) bool { return old.Replicas(k)[0] == "a" })
 	// Set unchanged: nothing to push even for the designated pusher.
 	if plan := planPushes(old, old, "a", []core.Entry{{Key: k, Expires: 9}}, 0); len(plan.addrs) != 0 {
 		t.Fatalf("unmoved set plans %v, want nothing", pushTargets(plan))
 	}
-	next := buildView([]string{"a", "c"}, 2, 0)
+	next := buildView([]string{"a", "c"}, 2)
 	// Lapsed between snapshot and planning: dropped.
 	if plan := planPushes(old, next, "a", []core.Entry{{Key: k, Expires: 5}}, 5); len(plan.addrs) != 0 {
 		t.Fatalf("lapsed entry planned %v, want nothing", pushTargets(plan))
@@ -437,7 +437,7 @@ func TestHandoffAppendsNothingToThePushersWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seed.Close()
-	cfg.Seed = seed.Addr()
+	cfg.Seeds = []string{seed.Addr()}
 	victim, err := New(mem, cfg)
 	if err != nil {
 		t.Fatal(err)

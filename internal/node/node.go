@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -26,9 +26,9 @@ const slowQueryCapacity = 64
 type Config struct {
 	// Addr is the address to serve on; empty lets the transport pick.
 	Addr string
-	// Seed is an existing cluster member to join, empty for the first
-	// node of a cluster.
-	Seed string
+	// Seeds are existing cluster members to join through, tried in turn
+	// until one answers; none for the first node of a cluster.
+	Seeds []string
 	// Repl is the replica-group size (the paper's repl), clamped to the
 	// cluster size. Default 3.
 	Repl int
@@ -329,22 +329,25 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 	n.gossip = g
 	// The lifetime is read first by a handoff, which needs a view.
 	n.lifetime, n.stop = context.WithCancel(context.Background())
-	n.view.Store(buildView([]string{n.cfg.Addr}, cfg.Repl, cfg.MaintainEnv))
-	if cfg.Seed != "" {
+	n.view.Store(buildView([]string{n.cfg.Addr}, cfg.Repl))
+	if len(cfg.Seeds) > 0 {
 		// The bootstrap join is one RPC on a network that may well be
-		// lossy — a single dropped packet must not kill the boot, so the
-		// exchange retries a few times, each attempt bounded by
-		// CallTimeout, before giving up.
+		// lossy — a single dropped packet must not kill the boot, so each
+		// seed gets a few attempts, each bounded by CallTimeout, before
+		// the next seed is tried.
 		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if err = n.gossip.Join(n.lifetime, cfg.Seed); err == nil {
-				break
+	join:
+		for _, seed := range cfg.Seeds {
+			for attempt := 0; attempt < 3; attempt++ {
+				if err = n.gossip.Join(n.lifetime, seed); err == nil {
+					break join
+				}
 			}
 		}
 		if err != nil {
 			n.stop()
 			srv.Close()
-			n.pool.close() // join may have pooled a connection to the seed
+			n.pool.close() // join may have pooled connections to the seeds
 			return nil, fmt.Errorf("node: %w", err)
 		}
 	}
@@ -492,22 +495,21 @@ func (n *Node) gossipCall(ctx context.Context, addr string, msg transport.Gossip
 // The notification carries the full alive set, not a delta — deltas from
 // concurrent out-of-order notifications could not be replayed safely — so
 // the node computes its OWN delta against the view it actually holds (a
-// linear walk of two sorted lists) and applies it incrementally: only the
-// changed members' vnodes are spliced, and only
+// linear walk of two sorted lists; gossip hands over a fresh sorted list
+// it never touches again, so it is read as is) and applies it
+// incrementally: only the changed members' vnodes are spliced, and only
 // cache entries inside the transition's affected arcs are snapshotted for
 // handoff planning. At a thousand members this turns every membership
 // event from an O(n) rebuild plus a full-index scan into work proportional
 // to the change.
 func (n *Node) applyMembership(alive []string, version uint64) {
-	sorted := append([]string(nil), alive...)
-	sort.Strings(sorted)
 	n.mu.Lock()
 	old := n.view.Load()
 	if n.closed.Load() || version <= old.version {
 		n.mu.Unlock()
 		return
 	}
-	joined, left := diffSorted(old.members, sorted)
+	joined, left := diffSorted(old.members, alive)
 	if len(joined) == 0 && len(left) == 0 {
 		// Same membership at a newer version (e.g. an incarnation-only
 		// change): adopt the version, nothing to hand off. The view is
@@ -518,7 +520,7 @@ func (n *Node) applyMembership(alive []string, version uint64) {
 		n.mu.Unlock()
 		return
 	}
-	v := old.applyDelta(sorted, joined, left, version)
+	v := old.applyDelta(joined, left, version)
 	arcs := transitionArcs(old, v, joined, left)
 	n.view.Store(v)
 	var entries []core.Entry
@@ -904,6 +906,8 @@ func (n *Node) sweeper() {
 	defer n.done.Done()
 	tick := time.NewTicker(n.cfg.RoundDuration)
 	defer tick.Stop()
+	// Only this goroutine draws maintenance probes.
+	rng := rand.New(rand.NewPCG(uint64(keyspace.HashString(n.self)), 0x9e3779b97f4a7c15))
 	for {
 		select {
 		case <-n.lifetime.Done():
@@ -912,13 +916,29 @@ func (n *Node) sweeper() {
 			n.mu.Lock()
 			live := n.cache.Live(n.now()) // prunes expired entries
 			n.mu.Unlock()
-			// Only this goroutine draws from a view's mrng. 0 unless
-			// MaintainEnv is set.
-			probes := n.view.Load().maintain()
+			probes := maintenanceProbes(len(n.view.Load().members), n.cfg.MaintainEnv, rng)
 			n.m.indexSize.Set(int64(live))
 			n.m.addMsgs(stats.MsgMaintenance, probes)
 		}
 	}
+}
+
+// maintenanceProbes runs one round of routing-table probing over members
+// and reports how many probe messages it cost; 0 when env is 0. The ring
+// has no per-peer routing state to repair (fingers are computed on demand
+// from the vnode array), so it charges eq. 8's cost model for the tables a
+// Chord ring would keep — each of ≈ vnodes·log₂(vnodes) ideal finger
+// entries probed with probability env per round — sampled from a normal
+// approximation of the binomial so a thousand-node fleet does not burn CPU
+// drawing per-entry Bernoulli variables.
+func maintenanceProbes(members int, env float64, rng *rand.Rand) int {
+	if env <= 0 {
+		return 0
+	}
+	vn := float64(members * keyspace.RingVnodes)
+	entries := vn * math.Ceil(math.Log2(vn+1))
+	mean := entries * env
+	return max(0, int(mean+math.Sqrt(mean*(1-env))*rng.NormFloat64()+0.5))
 }
 
 // retuner is the adaptive control loop: every RetuneInterval it closes the

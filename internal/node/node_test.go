@@ -227,7 +227,7 @@ func TestJoinPropagatesMembership(t *testing.T) {
 	}
 	defer seed.Close()
 	cfg2 := cfg
-	cfg2.Seed = seed.Addr()
+	cfg2.Seeds = []string{seed.Addr()}
 	a, err := New(tr, cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +242,26 @@ func TestJoinPropagatesMembership(t *testing.T) {
 	// arrival to a without a ever talking to b.
 	waitFor(t, 5*time.Second, func() bool { return len(a.Members()) == 3 }, "join forwarding to earlier member")
 	waitFor(t, 5*time.Second, func() bool { return len(b.Members()) == 3 }, "joiner adopting full view")
+}
+
+// TestJoinFallsBackToTheNextSeed: a seed that never answers costs the
+// joiner its attempts there, not its boot — one New reaches the cluster
+// through the next seed.
+func TestJoinFallsBackToTheNextSeed(t *testing.T) {
+	tr := transport.NewMemory()
+	cfg := testConfig()
+	live, err := New(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	cfg.Seeds = []string{"mem-unreachable", live.Addr()}
+	nd, err := New(tr, cfg)
+	if err != nil {
+		t.Fatalf("New with an unreachable first seed: %v", err)
+	}
+	defer nd.Close()
+	waitFor(t, 5*time.Second, func() bool { return len(nd.Members()) == 2 }, "joiner adopting the live seed's view")
 }
 
 // stallingTransport wraps a transport; a Dial to addr blocks until release
@@ -513,7 +533,7 @@ func TestCloseIsIdempotentAndStopsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.Seed = addr
+	cfg.Seeds = []string{addr}
 	if _, err := New(tr, cfg); err == nil {
 		t.Fatal("joining a closed node succeeded")
 	}

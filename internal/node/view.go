@@ -43,9 +43,6 @@ package node
 
 import (
 	"hash/fnv"
-	"math"
-	"math/rand/v2"
-	"sort"
 	"strings"
 
 	"pdht/internal/keyspace"
@@ -82,12 +79,13 @@ import (
 // without changing which peer answers.
 //
 // A view is immutable once installed (version is fixed before it is
-// published; mrng says who may draw from it); concurrent readers —
-// in-flight queries, handoff pushers, report snapshots — share it freely,
-// without a lock.
+// published); concurrent readers — in-flight queries, handoff pushers,
+// report snapshots — share it freely, without a lock.
 type view struct {
-	members []string // sorted; includes self on a member
-	repl    int      // effective replication (clamped to cluster size)
+	// members is the ring's own sorted member list (includes self on a
+	// member): one list per view, read and never written.
+	members []string
+	repl    int // effective replication (clamped to cluster size)
 	// hash fingerprints the membership list — equal hashes mean equal
 	// lists mean identical replica-group arithmetic on both ends.
 	hash uint64
@@ -97,62 +95,42 @@ type view struct {
 	version uint64
 
 	ring *keyspace.MemberRing // the incremental overlay
-	env  float64              // maintenance environment (probe probability)
-	mrng *rand.Rand           // maintenance cost model rng; only the sweeper goroutine draws from it
 }
 
-// viewSeed derives the shared rng seed from the membership list.
+// viewSeed fingerprints a sorted membership list.
 func viewSeed(members []string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(strings.Join(members, "\n")))
 	return h.Sum64()
 }
 
-// buildView constructs routing state over members from scratch. repl is
-// clamped to the cluster size — a 2-node cluster cannot hold 3 replicas.
-func buildView(members []string, repl int, env float64) *view {
-	sorted := append([]string(nil), members...)
-	sort.Strings(sorted)
-	if repl < 1 {
-		repl = 1
-	}
-	effective := repl
-	if effective > len(sorted) {
-		effective = len(sorted)
-	}
-	seed := viewSeed(sorted)
+// newView wraps ring as the view at version. The ring keeps the UNclamped
+// repl target so growth past repl members un-clamps naturally on delta
+// application; the view's repl is clamped to the cluster size — a 2-node
+// cluster cannot hold 3 replicas.
+func newView(ring *keyspace.MemberRing, version uint64) *view {
+	members := ring.Members()
 	return &view{
-		members: sorted,
-		repl:    effective,
-		hash:    seed,
-		// The ring keeps the UNclamped target so growth past repl members
-		// un-clamps naturally on delta application.
-		ring: keyspace.NewMemberRing(sorted, repl),
-		env:  env,
-		mrng: rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15)),
+		members: members,
+		repl:    min(ring.Repl(), len(members)),
+		hash:    viewSeed(members),
+		version: version,
+		ring:    ring,
 	}
+}
+
+// buildView constructs routing state over members (any order) from
+// scratch.
+func buildView(members []string, repl int) *view {
+	return newView(keyspace.NewMemberRing(members, repl), 0)
 }
 
 // applyDelta derives the successor view from this one by splicing a
 // membership delta — the incremental path that replaced the full rebuild
-// per membership event. alive must be sorted; joined/left are the sorted
-// set differences versus v.members.
-func (v *view) applyDelta(alive, joined, left []string, version uint64) *view {
-	ring := v.ring.Apply(joined, left)
-	seed := viewSeed(alive)
-	effective := ring.Repl()
-	if effective > len(alive) {
-		effective = len(alive)
-	}
-	return &view{
-		members: alive,
-		repl:    effective,
-		hash:    seed,
-		version: version,
-		ring:    ring,
-		env:     v.env,
-		mrng:    rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15)),
-	}
+// per membership event. joined/left are the set differences versus
+// v.members.
+func (v *view) applyDelta(joined, left []string, version uint64) *view {
+	return newView(v.ring.Apply(joined, left), version)
 }
 
 // transitionArcs returns the set of key arcs whose replica group can
@@ -212,25 +190,3 @@ func (v *view) Replicas(key keyspace.Key) []string { return v.ring.Group(key) }
 
 // Contains reports whether addr is a member of this view.
 func (v *view) Contains(addr string) bool { return v.ring.Contains(addr) }
-
-// maintain runs one round of routing-table probing and reports how many
-// probe messages it cost. The ring has no per-peer routing state to repair
-// (fingers are computed on demand from the vnode array), so it charges
-// eq. 8's cost model for the tables a Chord ring would keep — each of ≈
-// vnodes·log₂(vnodes) ideal finger entries probed with probability env per
-// round — sampled from a normal approximation of the binomial so a
-// thousand-node fleet does not burn CPU drawing per-entry Bernoulli
-// variables.
-func (v *view) maintain() (probes int) {
-	if v.env <= 0 {
-		return 0
-	}
-	vn := float64(len(v.members) * keyspace.RingVnodes)
-	entries := vn * math.Ceil(math.Log2(vn+1))
-	mean := entries * v.env
-	probes = int(mean + math.Sqrt(mean*(1-v.env))*v.mrng.NormFloat64() + 0.5)
-	if probes < 0 {
-		probes = 0
-	}
-	return probes
-}

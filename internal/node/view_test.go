@@ -19,8 +19,8 @@ func TestRankShiftDisagreement(t *testing.T) {
 	full := []string{"n0", "n1", "n2", "n3", "n4", "n5"}
 	short := []string{"n0", "n1", "n3", "n4", "n5"} // n2 evicted
 
-	vFull := buildView(full, 3, 0)
-	vShort := buildView(short, 3, 0)
+	vFull := buildView(full, 3)
+	vShort := buildView(short, 3)
 
 	disagreements := 0
 	for k := uint64(0); k < 200; k++ {
@@ -49,7 +49,7 @@ func TestRankShiftDisagreement(t *testing.T) {
 		t.Fatal("different membership lists produced the same view hash")
 	}
 	// And hashing is stable: rebuilding the same list reproduces it.
-	vAgain := buildView(append([]string(nil), full...), 3, 0)
+	vAgain := buildView(append([]string(nil), full...), 3)
 	if vAgain.hash != vFull.hash {
 		t.Fatal("same membership list produced different view hashes")
 	}

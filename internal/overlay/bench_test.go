@@ -32,7 +32,7 @@ func BenchmarkFlood(b *testing.B) {
 func BenchmarkRandomWalkSearch(b *testing.B) {
 	g, store, rng := benchGraph(b, 2000)
 	key := keyspace.HashString("bench")
-	if _, err := store.ReplicateRandom(key, 100, rng); err != nil {
+	if _, err := store.ReplicateRandom(key, 0, 100, rng); err != nil {
 		b.Fatal(err)
 	}
 	match := store.OnlineHolderMatch(key)
@@ -49,7 +49,7 @@ func BenchmarkRandomWalkSearch(b *testing.B) {
 func BenchmarkSearchWithFallback(b *testing.B) {
 	g, store, rng := benchGraph(b, 2000)
 	key := keyspace.HashString("bench2")
-	if _, err := store.ReplicateRandom(key, 100, rng); err != nil {
+	if _, err := store.ReplicateRandom(key, 0, 100, rng); err != nil {
 		b.Fatal(err)
 	}
 	match := store.OnlineHolderMatch(key)

@@ -221,7 +221,7 @@ func TestRandomWalksFindPlantedContent(t *testing.T) {
 	g, _, rng := newGraph(t, 1000, 4, 7)
 	store := NewStore(g.Net())
 	key := keyspace.HashString("title=weather iraklion")
-	if _, err := store.ReplicateRandom(key, 50, rng); err != nil {
+	if _, err := store.ReplicateRandom(key, 0, 50, rng); err != nil {
 		t.Fatal(err)
 	}
 	res := g.RandomWalks(0, 16, 200, store.OnlineHolderMatch(key), rng, stats.MsgBroadcast)
@@ -288,7 +288,7 @@ func TestSearchFallsBackToFlood(t *testing.T) {
 	g, _, rng := newGraph(t, 400, 4, 12)
 	store := NewStore(g.Net())
 	key := keyspace.HashString("rare")
-	if _, err := store.ReplicateRandom(key, 1, rng); err != nil {
+	if _, err := store.ReplicateRandom(key, 0, 1, rng); err != nil {
 		t.Fatal(err)
 	}
 	// One replica in 400 peers with a starved walk budget: the fallback
@@ -308,7 +308,7 @@ func TestSearchDefaultBudget(t *testing.T) {
 	g, _, rng := newGraph(t, 1000, 4, 13)
 	store := NewStore(g.Net())
 	key := keyspace.HashString("common")
-	if _, err := store.ReplicateRandom(key, 100, rng); err != nil {
+	if _, err := store.ReplicateRandom(key, 0, 100, rng); err != nil {
 		t.Fatal(err)
 	}
 	found, msgs := g.Search(0, SearchConfig{}, 100, store.OnlineHolderMatch(key), rng)
@@ -326,7 +326,7 @@ func TestStoreReplicateRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 15))
 	store := NewStore(net)
 	key := keyspace.HashString("k")
-	holders, err := store.ReplicateRandom(key, 10, rng)
+	holders, err := store.ReplicateRandom(key, 7, 10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,8 +343,8 @@ func TestStoreReplicateRandom(t *testing.T) {
 			t.Errorf("HasAt(%d) = false for a holder", p)
 		}
 	}
-	if store.Keys() != 1 {
-		t.Errorf("Keys = %d, want 1", store.Keys())
+	if store.Keys() != 1 || store.Value(key) != 7 {
+		t.Errorf("Keys = %d, Value = %d, want 1 and 7", store.Keys(), store.Value(key))
 	}
 }
 
@@ -353,8 +353,8 @@ func TestStoreReplacePlacement(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 17))
 	store := NewStore(net)
 	key := keyspace.HashString("k")
-	first, _ := store.ReplicateRandom(key, 5, rng)
-	second, _ := store.ReplicateRandom(key, 5, rng)
+	first, _ := store.ReplicateRandom(key, 0, 5, rng)
+	second, _ := store.ReplicateRandom(key, 0, 5, rng)
 	// Old holders that are not re-chosen must no longer hold the key.
 	inSecond := make(map[netsim.PeerID]bool)
 	for _, p := range second {
@@ -372,10 +372,10 @@ func TestStoreValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 19))
 	store := NewStore(net)
 	key := keyspace.HashString("k")
-	if _, err := store.ReplicateRandom(key, 0, rng); err == nil {
+	if _, err := store.ReplicateRandom(key, 0, 0, rng); err == nil {
 		t.Error("repl=0 accepted")
 	}
-	if _, err := store.ReplicateRandom(key, 11, rng); err == nil {
+	if _, err := store.ReplicateRandom(key, 0, 11, rng); err == nil {
 		t.Error("repl>n accepted")
 	}
 }
@@ -395,7 +395,7 @@ func TestMeasuredDupFactorPlausible(t *testing.T) {
 	// near the paper's 1.8, not the flood's 5.
 	store := NewStore(g.Net())
 	key := keyspace.HashString("planted")
-	if _, err := store.ReplicateRandom(key, 50, rng); err != nil {
+	if _, err := store.ReplicateRandom(key, 0, 50, rng); err != nil {
 		t.Fatal(err)
 	}
 	var visits, msgs int

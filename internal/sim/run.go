@@ -22,7 +22,6 @@ import (
 type overlayBroadcaster struct {
 	graph *overlay.Graph
 	store *overlay.Store
-	byKey map[keyspace.Key]int
 	cfg   overlay.SearchConfig
 	repl  int
 }
@@ -32,7 +31,7 @@ func (b *overlayBroadcaster) Search(from netsim.PeerID, key keyspace.Key, rng *r
 	if !found {
 		return 0, false, msgs
 	}
-	return core.Value(b.byKey[key]), true, msgs
+	return core.Value(b.store.Value(key)), true, msgs
 }
 
 // run holds the wired-up state of one simulation.
@@ -96,26 +95,22 @@ func setup(cfg Config) (*run, error) {
 	for i := range r.keys {
 		r.keys[i] = keyspace.HashString(fmt.Sprintf("key:%d", i))
 	}
-	byKey := make(map[keyspace.Key]int, cfg.Keys)
-	for i, k := range r.keys {
-		byKey[k] = i
-	}
 
-	// Unstructured overlay with randomly replicated content.
+	// Unstructured overlay with randomly replicated content; key i
+	// resolves to value i.
 	graph, err := overlay.NewRandomGraph(r.net, r.net.Peers(), overlayDegree, r.rng)
 	if err != nil {
 		return nil, err
 	}
 	store := overlay.NewStore(r.net)
-	for _, key := range r.keys {
-		if _, err := store.ReplicateRandom(key, cfg.Repl, r.rng); err != nil {
+	for i, key := range r.keys {
+		if _, err := store.ReplicateRandom(key, uint64(i), cfg.Repl, r.rng); err != nil {
 			return nil, err
 		}
 	}
 	r.bc = &overlayBroadcaster{
 		graph: graph,
 		store: store,
-		byKey: byKey,
 		cfg:   overlay.SearchConfig{Walkers: walkers, FloodTTL: 64},
 		repl:  cfg.Repl,
 	}

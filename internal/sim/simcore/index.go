@@ -15,7 +15,6 @@ package simcore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand/v2"
 
 	"pdht/internal/core"
@@ -78,9 +77,8 @@ type PartialIndex struct {
 	cfg IndexConfig
 	rng *rand.Rand
 
-	caches  map[netsim.PeerID]*core.Cache
-	subnets map[uint64]*overlay.Graph
-	byKey   map[keyspace.Key]*overlay.Graph
+	caches  []*core.Cache          // by peer ID; nil at inactive peers
+	subnets map[int]*overlay.Graph // by trie leaf: one per replica group
 	// liveUntil tracks, per key, the latest expiry of any replica — the
 	// index-size bookkeeping behind Fig. 3's "index size" series.
 	liveUntil map[keyspace.Key]int
@@ -96,9 +94,8 @@ func NewPartialIndex(net *netsim.Network, idx *dht.Trie, cfg IndexConfig, rng *r
 		idx:       idx,
 		cfg:       cfg,
 		rng:       rng,
-		caches:    make(map[netsim.PeerID]*core.Cache),
-		subnets:   make(map[uint64]*overlay.Graph),
-		byKey:     make(map[keyspace.Key]*overlay.Graph),
+		caches:    make([]*core.Cache, net.Size()),
+		subnets:   make(map[int]*overlay.Graph),
 		liveUntil: make(map[keyspace.Key]int),
 	}
 	for _, p := range idx.ActivePeers() {
@@ -128,39 +125,18 @@ func (pi *PartialIndex) expiry(now int) int {
 	return now + pi.cfg.KeyTtl
 }
 
-// groupSignature fingerprints a replica group so subnets are shared between
-// keys with the same group (every key of a trie leaf, for instance).
-func groupSignature(members []netsim.PeerID) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, p := range members {
-		v := uint64(p)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
 // subnetFor returns (building lazily) the replica subnetwork of key's
-// group.
+// group: one per trie leaf.
 func (pi *PartialIndex) subnetFor(key keyspace.Key) (*overlay.Graph, error) {
-	if s, ok := pi.byKey[key]; ok {
+	leaf := pi.idx.Leaf(key)
+	if s, ok := pi.subnets[leaf]; ok {
 		return s, nil
 	}
-	group := pi.idx.ReplicaGroup(key)
-	sig := groupSignature(group)
-	s, ok := pi.subnets[sig]
-	if !ok {
-		var err error
-		s, err = overlay.NewRandomGraph(pi.net, group, subnetDegree, pi.rng)
-		if err != nil {
-			return nil, err
-		}
-		pi.subnets[sig] = s
+	s, err := overlay.NewRandomGraph(pi.net, pi.idx.ReplicaGroup(key), subnetDegree, pi.rng)
+	if err != nil {
+		return nil, err
 	}
-	pi.byKey[key] = s
+	pi.subnets[leaf] = s
 	return s, nil
 }
 
@@ -319,6 +295,9 @@ func (pi *PartialIndex) ExactIndexedKeys() int {
 	now := pi.net.Round()
 	live := make(map[keyspace.Key]bool)
 	for _, c := range pi.caches {
+		if c == nil {
+			continue
+		}
 		for _, key := range c.Keys(now) {
 			live[key] = true
 		}
