@@ -11,7 +11,7 @@
 # tables yet.
 BENCH_EXPERIMENTS := table1 fig1 fig2 fig3 fig4 ttlsens alpha kary maintenance validate topk
 
-.PHONY: all build test race fuzz-smoke examples bench bench-check live-deps orphans loc fmt vet
+.PHONY: all build test race fuzz-smoke bench-smoke examples bench bench-check live-deps orphans loc fmt vet
 
 all: build test
 
@@ -57,6 +57,12 @@ fuzz-smoke:
 		echo "fuzz: $$pt"; \
 		go test "$${pt%%:*}" -run '^$$' -fuzz "^$${pt##*:}$$" -fuzztime 20s || exit 1; \
 	done
+
+# Every Go benchmark of the module, one iteration each: a benchmark that
+# panics, fails or no longer compiles fails here, not on the day someone
+# next measures with it. Timings at -benchtime 1x mean nothing.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./...
 
 # The example programs are executed, not just compiled: each boots what it
 # shows (a loopback cluster, a data directory, a debug plane) and must exit

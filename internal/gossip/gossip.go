@@ -25,7 +25,8 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -154,19 +155,14 @@ func (c Config) validate() error {
 	return nil
 }
 
-// memberState is the mutable side of one table row.
-type memberState struct {
-	status      Status
-	incarnation uint64
-	// since is when the current status was entered — the suspicion
-	// clock while suspect, the retention clock while dead.
+// member is one table row. since is when the current status was entered:
+// the suspicion clock while suspect, the retention clock while dead. left is
+// how many more messages piggyback the row's current claim (0 once spent),
+// so a newer claim about an address replaces the older one by construction.
+type member struct {
+	Member
 	since time.Time
-}
-
-// queuedUpdate is one membership delta awaiting piggyback dissemination.
-type queuedUpdate struct {
-	state transport.PeerState
-	left  int // transmissions remaining
+	left  int
 }
 
 // Service is one node's membership state machine plus its protocol loop.
@@ -175,8 +171,9 @@ type Service struct {
 	call Caller
 
 	mu      sync.Mutex
-	members map[string]*memberState // every address ever heard of, incl. self
-	queue   []*queuedUpdate
+	table   []member // one row per address ever heard of, self included, by address
+	hint    int      // where findLocked looks first: the row after the last one found
+	pending int      // rows with left > 0
 	version uint64
 	ring    []string // shuffled probe order over non-dead, non-self members
 	ringIdx int
@@ -208,7 +205,7 @@ func New(cfg Config, call Caller) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		call:    call,
-		members: map[string]*memberState{cfg.Addr: {status: StatusAlive}},
+		table:   []member{{Member: Member{Addr: cfg.Addr, Status: StatusAlive}}},
 		version: 1,
 		rng:     rand.New(rand.NewPCG(h.Sum64()|1, 0x2545f4914f6cdd1d)),
 		stop:    make(chan struct{}),
@@ -336,11 +333,10 @@ func (s *Service) Version() uint64 {
 func (s *Service) Snapshot() []Member {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Member, 0, len(s.members))
-	for addr, m := range s.members {
-		out = append(out, Member{Addr: addr, Status: m.status, Incarnation: m.incarnation})
+	out := make([]Member, len(s.table))
+	for i := range s.table {
+		out[i] = s.table[i].Member
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
@@ -437,9 +433,9 @@ func (s *Service) probeRound() {
 // Config.DeadSyncFraction).
 func (s *Service) syncRound() {
 	s.mu.Lock()
-	peers := s.otherAliveLocked()
+	peers := s.addrsLocked(s.isPeerLocked)
 	if s.cfg.DeadSyncFraction > 0 && s.rng.Float64() < s.cfg.DeadSyncFraction {
-		if dead := s.deadLocked(); len(dead) > 0 {
+		if dead := s.addrsLocked(func(m *member) bool { return m.Status == StatusDead }); len(dead) > 0 {
 			peers = dead
 		}
 	}
@@ -465,22 +461,29 @@ func (s *Service) syncRound() {
 // closed, and forgets dead members whose retention lapsed.
 func (s *Service) expireSuspects() {
 	now := time.Now()
+	expired := func(m member) bool {
+		return m.Status == StatusDead && now.Sub(m.since) >= deadRetentionSyncs*s.cfg.SyncInterval
+	}
 	s.mu.Lock()
-	changed := false
-	for addr, m := range s.members {
+	changed, forget := false, false
+	for i := range s.table {
+		m := &s.table[i]
 		switch {
-		case m.status == StatusSuspect && now.Sub(m.since) >= s.cfg.SuspicionTimeout:
-			m.status = StatusDead
-			m.since = now
+		case m.Status == StatusSuspect && now.Sub(m.since) >= s.cfg.SuspicionTimeout:
+			m.Status, m.since = StatusDead, now
 			s.version++
-			s.enqueueLocked(transport.PeerState{Addr: addr, Status: uint8(StatusDead), Incarnation: m.incarnation})
+			s.queueLocked(m)
 			if s.metrics != nil {
 				s.metrics.deaths.Inc()
 			}
 			changed = true
-		case m.status == StatusDead && now.Sub(m.since) >= deadRetentionSyncs*s.cfg.SyncInterval:
-			delete(s.members, addr)
+		case expired(*m):
+			s.pending -= min(m.left, 1)
+			forget = true
 		}
+	}
+	if forget {
+		s.table = slices.DeleteFunc(s.table, expired)
 	}
 	s.finishMutationLocked(changed)
 }
@@ -489,11 +492,10 @@ func (s *Service) expireSuspects() {
 // the alive set is unchanged until the suspicion is confirmed.
 func (s *Service) suspect(addr string) {
 	s.mu.Lock()
-	m, known := s.members[addr]
-	if known && m.status == StatusAlive {
-		m.status = StatusSuspect
-		m.since = time.Now()
-		s.enqueueLocked(transport.PeerState{Addr: addr, Status: uint8(StatusSuspect), Incarnation: m.incarnation})
+	if i, known := s.findLocked(addr); known && s.table[i].Status == StatusAlive {
+		m := &s.table[i]
+		m.Status, m.since = StatusSuspect, time.Now()
+		s.queueLocked(m)
 		if s.metrics != nil {
 			s.metrics.suspicions.Inc()
 		}
@@ -547,27 +549,24 @@ func (s *Service) applyLocked(u transport.PeerState) bool {
 		return false
 	}
 	status := Status(u.Status)
+	i, known := s.findLocked(u.Addr)
 	if u.Addr == s.cfg.Addr {
-		self := s.members[s.cfg.Addr]
+		self := &s.table[i]
 		switch {
-		case status != StatusAlive && u.Incarnation >= self.incarnation:
-			self.incarnation = u.Incarnation + 1
-			s.enqueueLocked(transport.PeerState{Addr: s.cfg.Addr, Status: uint8(StatusAlive), Incarnation: self.incarnation})
+		case status != StatusAlive && u.Incarnation >= self.Incarnation:
+			self.Incarnation = u.Incarnation + 1
+			s.queueLocked(self)
 			if s.metrics != nil {
 				s.metrics.refutations.Inc()
 			}
-		case status == StatusAlive && u.Incarnation > self.incarnation:
-			self.incarnation = u.Incarnation
+		case status == StatusAlive && u.Incarnation > self.Incarnation:
+			self.Incarnation = u.Incarnation
 		}
 		return false
 	}
-	m, known := s.members[u.Addr]
 	if !known {
-		s.members[u.Addr] = &memberState{
-			status: status, incarnation: u.Incarnation,
-			since: time.Now(),
-		}
-		s.enqueueLocked(u)
+		s.table = slices.Insert(s.table, i, member{Member: Member{u.Addr, status, u.Incarnation}, since: time.Now()})
+		s.queueLocked(&s.table[i])
 		if status != StatusDead {
 			s.version++
 			return true
@@ -577,18 +576,19 @@ func (s *Service) applyLocked(u transport.PeerState) bool {
 		// resurrection by stale alive claims.
 		return false
 	}
-	newer := u.Incarnation > m.incarnation ||
-		(u.Incarnation == m.incarnation && status > m.status)
+	m := &s.table[i]
+	newer := u.Incarnation > m.Incarnation ||
+		(u.Incarnation == m.Incarnation && status > m.Status)
 	if !newer {
 		return false
 	}
-	wasDead := m.status == StatusDead
-	m.incarnation = u.Incarnation
-	if status != m.status {
+	wasDead := m.Status == StatusDead
+	m.Incarnation = u.Incarnation
+	if status != m.Status {
 		m.since = time.Now()
 	}
-	m.status = status
-	s.enqueueLocked(u)
+	m.Status = status
+	s.queueLocked(m)
 	if (status == StatusDead) != wasDead {
 		s.version++
 		return true
@@ -596,91 +596,96 @@ func (s *Service) applyLocked(u transport.PeerState) bool {
 	return false
 }
 
-// enqueueLocked queues one update for piggyback dissemination, superseding
-// any older queued claim about the same address.
-func (s *Service) enqueueLocked(u transport.PeerState) {
-	kept := s.queue[:0]
-	for _, q := range s.queue {
-		if q.state.Addr != u.Addr {
-			kept = append(kept, q)
-		}
+// findLocked returns the index of addr's row and true, or the index where
+// the row belongs and false. It tries the row after the last one found
+// before searching, because full-state payloads arrive in address order.
+func (s *Service) findLocked(addr string) (i int, found bool) {
+	i, n := s.hint, len(s.table)
+	switch {
+	case i < n && s.table[i].Addr == addr:
+		found = true
+	case i <= n && (i == 0 || s.table[i-1].Addr < addr) && (i == n || addr < s.table[i].Addr):
+	default:
+		i, found = slices.BinarySearchFunc(s.table, addr, func(m member, a string) int { return strings.Compare(m.Addr, a) })
 	}
-	s.queue = kept
-	limit := retransmitMult * int(math.Ceil(math.Log2(float64(len(s.members)+1))))
-	if limit < retransmitMult {
-		limit = retransmitMult
-	}
-	s.queue = append(s.queue, &queuedUpdate{state: u, left: limit})
+	s.hint = i + 1
+	return i, found
 }
 
-// takePiggybackLocked selects up to maxPiggyback queued updates —
-// freshest (most transmissions remaining) first — and spends one
-// transmission on each.
+// queueLocked gives row m's current claim a fresh budget of retransmitMult ×
+// ⌈log₂(n+1)⌉ transmissions, replacing what was left of an older claim.
+func (s *Service) queueLocked(m *member) {
+	if m.left == 0 {
+		s.pending++
+	}
+	m.left = max(retransmitMult, retransmitMult*int(math.Ceil(math.Log2(float64(len(s.table)+1)))))
+}
+
+// takePiggybackLocked selects up to maxPiggyback pending claims — freshest
+// (most transmissions remaining) first, ties in address order — and spends
+// one transmission on each.
 func (s *Service) takePiggybackLocked() []transport.PeerState {
-	if len(s.queue) == 0 {
+	if s.pending == 0 {
 		return nil
 	}
-	sort.SliceStable(s.queue, func(i, j int) bool { return s.queue[i].left > s.queue[j].left })
-	n := len(s.queue)
-	if n > maxPiggyback {
-		n = maxPiggyback
+	// One pass keeps picked ordered by left, descending; a row passes only
+	// rows with strictly fewer left, so ties stay in address order.
+	var picked [maxPiggyback]int
+	n, seen := 0, 0
+	for i := 0; i < len(s.table) && seen < s.pending; i++ {
+		left := s.table[i].left
+		if left == 0 {
+			continue
+		}
+		seen++
+		j := min(n, maxPiggyback-1)
+		if n == maxPiggyback && left <= s.table[picked[j]].left {
+			continue
+		}
+		for ; j > 0 && left > s.table[picked[j-1]].left; j-- {
+			picked[j] = picked[j-1]
+		}
+		picked[j] = i
+		n = min(n+1, maxPiggyback)
 	}
-	out := make([]transport.PeerState, 0, n)
-	for _, q := range s.queue[:n] {
-		out = append(out, q.state)
-		q.left--
-	}
-	kept := s.queue[:0]
-	for _, q := range s.queue {
-		if q.left > 0 {
-			kept = append(kept, q)
+	out := make([]transport.PeerState, n)
+	for k, i := range picked[:n] {
+		m := &s.table[i]
+		out[k] = transport.PeerState{Addr: m.Addr, Status: uint8(m.Status), Incarnation: m.Incarnation}
+		if m.left--; m.left == 0 {
+			s.pending--
 		}
 	}
-	s.queue = kept
 	return out
 }
 
-// fullStateLocked renders the whole table as a wire payload.
+// fullStateLocked renders the whole table, in address order, as a wire payload.
 func (s *Service) fullStateLocked() []transport.PeerState {
-	out := make([]transport.PeerState, 0, len(s.members))
-	for addr, m := range s.members {
-		out = append(out, transport.PeerState{Addr: addr, Status: uint8(m.status), Incarnation: m.incarnation})
+	out := make([]transport.PeerState, len(s.table))
+	for i, m := range s.table {
+		out[i] = transport.PeerState{Addr: m.Addr, Status: uint8(m.Status), Incarnation: m.Incarnation}
+	}
+	return out
+}
+
+// addrsLocked returns, in a fresh slice, the addresses keep accepts, in order.
+func (s *Service) addrsLocked(keep func(*member) bool) []string {
+	out := make([]string, 0, len(s.table))
+	for i := range s.table {
+		if keep(&s.table[i]) {
+			out = append(out, s.table[i].Addr)
+		}
 	}
 	return out
 }
 
 func (s *Service) aliveLocked() []string {
-	out := make([]string, 0, len(s.members))
-	for addr, m := range s.members {
-		if m.status != StatusDead {
-			out = append(out, addr)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return s.addrsLocked(func(m *member) bool { return m.Status != StatusDead })
 }
 
-// deadLocked returns the addresses of retained dead members.
-func (s *Service) deadLocked() []string {
-	var out []string
-	for addr, m := range s.members {
-		if m.status == StatusDead {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// otherAliveLocked is aliveLocked minus self.
-func (s *Service) otherAliveLocked() []string {
-	alive := s.aliveLocked()
-	out := alive[:0]
-	for _, a := range alive {
-		if a != s.cfg.Addr {
-			out = append(out, a)
-		}
-	}
-	return out
+// isPeerLocked accepts the members probed, synced with and asked for help.
+func (s *Service) isPeerLocked(m *member) bool {
+	return m.Status != StatusDead && m.Addr != s.cfg.Addr
 }
 
 // rebuildRingLocked reshuffles the probe order over current non-dead
@@ -688,7 +693,7 @@ func (s *Service) otherAliveLocked() []string {
 // picks) bounds the time between two probes of the same member — SWIM's
 // deterministic detection-latency trick.
 func (s *Service) rebuildRingLocked() {
-	s.ring = s.otherAliveLocked()
+	s.ring = s.addrsLocked(s.isPeerLocked)
 	s.rng.Shuffle(len(s.ring), func(i, j int) { s.ring[i], s.ring[j] = s.ring[j], s.ring[i] })
 	s.ringIdx = 0
 }
@@ -705,7 +710,7 @@ func (s *Service) nextTargetLocked() string {
 	s.ringIdx++
 	// The ring can lag the table (rebuilt only on alive-set changes and
 	// wrap-around); skip members that died since the last shuffle.
-	if m, ok := s.members[t]; !ok || m.status == StatusDead {
+	if i, ok := s.findLocked(t); !ok || s.table[i].Status == StatusDead {
 		return ""
 	}
 	return t
@@ -714,12 +719,7 @@ func (s *Service) nextTargetLocked() string {
 // pickHelpersLocked selects up to k live members other than self and the
 // probe target.
 func (s *Service) pickHelpersLocked(target string, k int) []string {
-	candidates := make([]string, 0, len(s.members))
-	for _, a := range s.otherAliveLocked() {
-		if a != target {
-			candidates = append(candidates, a)
-		}
-	}
+	candidates := s.addrsLocked(func(m *member) bool { return s.isPeerLocked(m) && m.Addr != target })
 	s.rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
 	if len(candidates) > k {
 		candidates = candidates[:k]

@@ -335,14 +335,12 @@ func TestMergePrecedence(t *testing.T) {
 	if st, inc := statusOf(s, "self"); st != StatusAlive || inc != 8 {
 		t.Fatalf("self = %v inc %d after death claim, want alive inc 8", st, inc)
 	}
-	s.mu.Lock()
 	refuted := false
-	for _, q := range s.queue {
-		if q.state.Addr == "self" && Status(q.state.Status) == StatusAlive && q.state.Incarnation == 8 {
+	for _, c := range pendingClaims(s) {
+		if c.Addr == "self" && Status(c.Status) == StatusAlive && c.Incarnation == 8 {
 			refuted = true
 		}
 	}
-	s.mu.Unlock()
 	if !refuted {
 		t.Fatal("refutation of own death never entered the piggyback queue")
 	}
@@ -379,18 +377,15 @@ func TestPiggybackBatching(t *testing.T) {
 	s.MergeState(transport.Gossip{Updates: []transport.PeerState{
 		{Addr: "m0", Status: uint8(StatusDead), Incarnation: 2},
 	}})
-	s.mu.Lock()
 	claims := 0
-	for _, q := range s.queue {
-		if q.state.Addr == "m0" {
+	for _, c := range pendingClaims(s) {
+		if c.Addr == "m0" {
 			claims++
-			if Status(q.state.Status) != StatusDead || q.state.Incarnation != 2 {
-				s.mu.Unlock()
-				t.Fatalf("queued claim about m0 = %+v, want the superseding death", q.state)
+			if Status(c.Status) != StatusDead || c.Incarnation != 2 {
+				t.Fatalf("queued claim about m0 = %+v, want the superseding death", c)
 			}
 		}
 	}
-	s.mu.Unlock()
 	if claims != 1 {
 		t.Fatalf("%d queued claims about m0, want exactly 1", claims)
 	}
@@ -400,9 +395,8 @@ func TestPiggybackBatching(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.mu.Lock()
 		b := s.takePiggybackLocked()
-		empty := len(s.queue) == 0
 		s.mu.Unlock()
-		if len(b) == 0 && empty {
+		if len(b) == 0 && len(pendingClaims(s)) == 0 {
 			return
 		}
 	}

@@ -37,5 +37,15 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.Version()) })
 	reg.GaugeFunc("pdht_gossip_members_alive",
 		"Non-dead members in the view, self included.",
-		func() float64 { return float64(len(s.Alive())) })
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			n := 0
+			for i := range s.table {
+				if s.table[i].Status != StatusDead {
+					n++
+				}
+			}
+			return float64(n)
+		})
 }

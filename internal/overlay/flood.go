@@ -38,15 +38,19 @@ func (g *Graph) Flood(origin netsim.PeerID, ttl int, match func(netsim.PeerID) b
 	if !ok || !g.net.Online(origin) {
 		return res
 	}
-	visited := make([]bool, len(g.adj))
-	visited[start] = true
+	g.mark++
+	if g.mark == 0 || g.marks == nil { // first flood, or the mark wrapped
+		g.marks, g.mark = make([]uint32, len(g.adj)), 1
+	}
+	g.marks[start] = g.mark
 	res.Reached = 1
 	if match != nil && match(origin) {
 		res.Found, res.FoundAt = true, origin
 	}
-	frontier := []int{start}
+	frontier := append(g.frontier[:0], start)
+	next := g.next[:0]
 	for depth := 0; depth < ttl && len(frontier) > 0; depth++ {
-		var next []int
+		next = next[:0]
 		for _, i := range frontier {
 			for _, q := range g.adj[i] {
 				if !g.net.Online(q) {
@@ -56,10 +60,10 @@ func (g *Graph) Flood(origin netsim.PeerID, ttl int, match func(netsim.PeerID) b
 				}
 				res.Messages++
 				j, _ := g.at(q)
-				if visited[j] {
+				if g.marks[j] == g.mark {
 					continue // duplicate delivery
 				}
-				visited[j] = true
+				g.marks[j] = g.mark
 				res.Reached++
 				if match != nil && !res.Found && match(q) {
 					res.Found, res.FoundAt = true, q
@@ -67,8 +71,9 @@ func (g *Graph) Flood(origin netsim.PeerID, ttl int, match func(netsim.PeerID) b
 				next = append(next, j)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
+	g.frontier, g.next = frontier, next
 	g.net.Send(class, int64(res.Messages))
 	return res
 }

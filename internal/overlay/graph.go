@@ -30,6 +30,12 @@ type Graph struct {
 	// then its position, and the random walks need no lookup.
 	pos map[netsim.PeerID]int
 	adj [][]netsim.PeerID // by position
+	// Flood's scratch, reused across calls (the simulator is
+	// single-threaded): a position is visited in the current flood when
+	// its mark equals mark, and the two frontier buffers swap per depth.
+	marks          []uint32
+	mark           uint32
+	frontier, next []int
 }
 
 // NewRandomGraph builds a random overlay over members in which every

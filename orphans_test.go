@@ -50,6 +50,7 @@ var orphanAllowed = map[string]string{
 	"RoutingEntries":   "dht.Trie: trie_test holds maintenance volume to eq. 8 through it",
 	"DHT":              "simcore.PartialIndex: failure tests take peers of a key's group offline",
 	"ExactIndexedKeys": "simcore.PartialIndex: index_test's reference for IndexedKeys",
+	"Alive":            "gossip.Service: the gossip tests read the alive set through it",
 	"Degree":           "overlay.Graph: overlay_test checks the degree distribution",
 	"MeanDegree":       "overlay.Graph: flood duplication is checked against it",
 	"HasAt":            "overlay.Store: overlay_test checks where replicas landed",
