@@ -335,25 +335,6 @@ func (c *Cache) Entries(now int) []Entry {
 	return out
 }
 
-// EntriesWhere is Entries restricted to keys satisfying keep (nil keeps
-// everything). Expired entries are collected exactly as Entries does. The
-// handoff path uses it to snapshot only the keys inside the arcs a
-// membership change can actually move (keyspace.ArcSet.Contains) instead
-// of copying the whole index per view transition.
-func (c *Cache) EntriesWhere(now int, keep func(keyspace.Key) bool) []Entry {
-	if keep == nil {
-		return c.Entries(now)
-	}
-	c.collect(now)
-	var out []Entry
-	for _, s := range c.order {
-		if keep(s.key) {
-			out = append(out, Entry{Key: s.key, Value: s.value, Expires: s.expires})
-		}
-	}
-	return out
-}
-
 // Expires returns the expiry round of a live entry, with ok=false when the
 // key is absent or expired.
 func (c *Cache) Expires(key keyspace.Key, now int) (int, bool) {

@@ -210,23 +210,15 @@ func runCacheOps(t *testing.T, ops []byte) {
 			got, want = c.Live(now), ref.Live(now)
 		case 6:
 			w := sortedEntries(ref.Entries(now))
-			even := func(k keyspace.Key) bool { return k%2 == 0 }
 			var wKeys []keyspace.Key
-			var wEven []Entry
 			for _, e := range w {
 				wKeys = append(wKeys, e.Key)
-				if even(e.Key) {
-					wEven = append(wEven, e)
-				}
 			}
 			if g := sortedEntries(c.Entries(now)); !slices.Equal(g, w) {
 				t.Fatalf("step %d: Entries(%d) = %v, reference %v", step, now, g, w)
 			}
 			if g := c.Keys(now); !slices.Equal(slices.Sorted(slices.Values(g)), wKeys) {
 				t.Fatalf("step %d: Keys(%d) = %v, reference %v", step, now, g, wKeys)
-			}
-			if g := sortedEntries(c.EntriesWhere(now, even)); !slices.Equal(g, wEven) {
-				t.Fatalf("step %d: EntriesWhere(%d, even) = %v, reference %v", step, now, g, wEven)
 			}
 		case 7:
 			now += next() % 8

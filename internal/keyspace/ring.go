@@ -14,7 +14,7 @@ import (
 // node that knows the same membership set derives byte-identical rings with
 // no extra protocol, because positions are pure hashes of addresses.
 //
-// The ring answers three questions for the live node layer:
+// The ring answers two questions for the live node layer:
 //
 //   - Group(key): the first repl distinct members clockwise from the key —
 //     the replica set, Group[0] the route primary and the rest the backups
@@ -25,10 +25,6 @@ import (
 //     demand from the vnode array (a binary search per hop), not from
 //     materialized per-peer finger tables that would need O(n) repair on
 //     every change.
-//   - Affected(changed): the exact set of key arcs whose replica group can
-//     differ because of the changed members — the basis for handoff
-//     planning that scans only the affected fraction of the index instead
-//     of every entry (see internal/node's handoff.go).
 //
 // Why addresses and not ranks: a ring that hashes vnode positions from a
 // peer's *rank* in the sorted member list lets one join shift every later
@@ -282,95 +278,4 @@ func (r *MemberRing) RouteHops(from string, key Key) int {
 		curAddr = v.addr
 	}
 	return hops
-}
-
-// Arc is the clockwise key interval (Lo, Hi]: Lo excluded, Hi included,
-// wrapping through the top of the key space when Hi < Lo.
-type Arc struct {
-	Lo, Hi Key
-}
-
-// Contains reports whether k lies in the arc.
-func (a Arc) Contains(k Key) bool {
-	d := uint64(k) - uint64(a.Lo)
-	return d != 0 && d <= uint64(a.Hi)-uint64(a.Lo)
-}
-
-// ArcSet is a union of arcs, with All short-circuiting to the whole key
-// space (the conservative answer when a change touches everything — tiny
-// clusters).
-type ArcSet struct {
-	All  bool
-	Arcs []Arc
-}
-
-// Contains reports whether k lies in any arc of the set.
-func (s ArcSet) Contains(k Key) bool {
-	if s.All {
-		return true
-	}
-	for _, a := range s.Arcs {
-		if a.Contains(k) {
-			return true
-		}
-	}
-	return false
-}
-
-// Everything is the ArcSet covering the whole key space.
-func Everything() ArcSet { return ArcSet{All: true} }
-
-// Affected returns the exact set of keys whose replica group includes any
-// of the given members on THIS ring: for each vnode p of a changed member,
-// the arc (q, p] where q is the position at which a counterclockwise walk
-// from p has seen repl distinct members other than the changed one. A key
-// outside the returned set provably has the changed member outside its
-// replica group here, so a transition that removes (or, evaluated on the
-// new ring, adds) these members cannot alter that key's group — the
-// property node handoff planning relies on, pinned by
-// TestAffectedArcsCoverGroupChanges.
-//
-// Call it on the old ring for leavers and on the new ring for joiners;
-// union the results. If the ring has at most repl distinct other members
-// the walk wraps and the whole key space is affected (All=true).
-func (r *MemberRing) Affected(changed []string) ArcSet {
-	var out ArcSet
-	for _, addr := range sortedSet(changed) {
-		if !r.Contains(addr) {
-			continue
-		}
-		for _, vn := range memberVnodes(addr) {
-			lo, all := r.replPredecessor(vn.pos, addr)
-			if all {
-				return Everything()
-			}
-			out.Arcs = append(out.Arcs, Arc{Lo: lo, Hi: vn.pos})
-		}
-	}
-	return out
-}
-
-// replPredecessor walks counterclockwise from the vnode at pos (owned by
-// addr) until it has passed repl distinct members other than addr, and
-// returns the position where the count was reached. all=true means the
-// walk wrapped without finding repl distinct others — the arc is the whole
-// ring.
-func (r *MemberRing) replPredecessor(pos Key, addr string) (lo Key, all bool) {
-	i := r.vnodeIndex(ringVnode{pos: pos, addr: addr})
-	others := make([]string, 0, r.repl)
-	for steps := 0; steps < len(r.vnodes); steps++ {
-		i--
-		if i < 0 {
-			i = len(r.vnodes) - 1
-		}
-		v := r.vnodes[i]
-		if v.addr == addr || slices.Contains(others, v.addr) {
-			continue
-		}
-		others = append(others, v.addr)
-		if len(others) >= r.repl {
-			return v.pos, false
-		}
-	}
-	return 0, true
 }

@@ -137,89 +137,6 @@ func TestMemberRingRouteHops(t *testing.T) {
 	}
 }
 
-// The handoff-planning contract: Affected(changed) on the appropriate ring
-// must cover every key whose replica group differs across a transition —
-// keys outside the arcs provably keep their exact group, so the node skips
-// them without looking.
-func TestAffectedArcsCoverGroupChanges(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 23))
-	for trial := 0; trial < 20; trial++ {
-		n := 8 + rng.IntN(120)
-		addrs := ringAddrs(n + 8)
-		old := NewMemberRing(addrs[:n], 3)
-		var joined, left []string
-		for _, a := range addrs[n : n+1+rng.IntN(7)] {
-			joined = append(joined, a)
-		}
-		for i := 0; i < 1+rng.IntN(3) && i < n-1; i++ {
-			left = append(left, addrs[rng.IntN(n)])
-		}
-		next := old.Apply(joined, left)
-
-		arcs := old.Affected(left)
-		if !arcs.All {
-			more := next.Affected(joined)
-			if more.All {
-				arcs = more
-			} else {
-				arcs.Arcs = append(arcs.Arcs, more.Arcs...)
-			}
-		}
-
-		for i := 0; i < 2000; i++ {
-			k := Key(rng.Uint64())
-			same := reflect.DeepEqual(old.Group(k), next.Group(k))
-			if !same && !arcs.Contains(k) {
-				t.Fatalf("trial %d: key %v changed group outside affected arcs\nold=%v\nnew=%v",
-					trial, k, old.Group(k), next.Group(k))
-			}
-		}
-	}
-}
-
-// Affected must be exact per member on a single ring too: a key is inside
-// a member's arcs iff the member is in its group.
-func TestAffectedArcsExactForOneMember(t *testing.T) {
-	addrs := ringAddrs(40)
-	r := NewMemberRing(addrs, 3)
-	rng := rand.New(rand.NewPCG(29, 31))
-	for _, m := range []string{addrs[0], addrs[17], addrs[39]} {
-		arcs := r.Affected([]string{m})
-		if arcs.All {
-			t.Fatal("40-member ring should not be fully affected by one member")
-		}
-		for i := 0; i < 4000; i++ {
-			k := Key(rng.Uint64())
-			inGroup := slices.Contains(r.Group(k), m)
-			if inGroup != arcs.Contains(k) {
-				t.Fatalf("member %s key %v: inGroup=%v inArcs=%v", m, k, inGroup, !inGroup)
-			}
-		}
-	}
-	// Changing a member a tiny cluster depends on everywhere → whole space.
-	tiny := NewMemberRing(addrs[:3], 3)
-	if !tiny.Affected([]string{addrs[0]}).All {
-		t.Fatal("3-member ring with repl 3: every key is affected")
-	}
-}
-
-func TestArcContains(t *testing.T) {
-	a := Arc{Lo: 100, Hi: 200}
-	for k, want := range map[Key]bool{100: false, 101: true, 200: true, 201: false, 50: false} {
-		if a.Contains(k) != want {
-			t.Fatalf("Arc(100,200].Contains(%d) = %v, want %v", k, !want, want)
-		}
-	}
-	// Wrapping arc.
-	w := Arc{Lo: ^Key(0) - 10, Hi: 10}
-	if !w.Contains(0) || !w.Contains(^Key(0)) || w.Contains(11) || w.Contains(^Key(0)-10) {
-		t.Fatal("wrapping arc membership wrong")
-	}
-	if !Everything().Contains(12345) {
-		t.Fatal("Everything must contain every key")
-	}
-}
-
 func TestMemberRingSortedMergeKeepsOrder(t *testing.T) {
 	addrs := ringAddrs(200)
 	r := NewMemberRing(addrs[:100], 3)

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -250,6 +251,35 @@ func BenchmarkHandoff(b *testing.B) {
 			}
 		})
 	}
+	// What one view change costs a member of a large fleet: snapshot the
+	// whole cache (under Node.mu in applyMembership) and plan over it. The
+	// member holds 1,024 keys of its own replica sets and one peer joins a
+	// 1000-member ring, so most entries do not move and planPushes skips
+	// them.
+	b.Run("scan/n=1000/entries=1024", func(b *testing.B) {
+		members := make([]string, 1000)
+		for i := range members {
+			members[i] = fmt.Sprintf("peer-%04d", i)
+		}
+		old := buildView(members, 3)
+		next := old.applyDelta([]string{"peer-1000"}, nil, 1)
+		self := members[0]
+		cache, err := core.NewCache(1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; cache.Live(0) < 1024; i++ {
+			k := keyspace.HashString("handoff-scan:" + strconv.Itoa(i))
+			if slices.Contains(old.Replicas(k), self) {
+				cache.Put(k, core.Value(i), 1000, 0)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			planPushes(old, next, self, cache.Entries(0), 0)
+		}
+	})
 }
 
 // BenchmarkViewDelta pins the refactor that makes thousand-node fleets

@@ -2,6 +2,8 @@ package node
 
 import (
 	"context"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sort"
@@ -317,6 +319,81 @@ func TestPlanPushesSkipsLapsedAndUnmovedEntries(t *testing.T) {
 	// Lapsed between snapshot and planning: dropped.
 	if plan := planPushes(old, next, "a", []core.Entry{{Key: k, Expires: 5}}, 5); len(plan.addrs) != 0 {
 		t.Fatalf("lapsed entry planned %v, want nothing", pushTargets(plan))
+	}
+}
+
+// planPushes is the only handoff filter: over random ring transitions it
+// must push nothing for a key whose replica set did not move, leave exactly
+// the first survivor of the old set pushing to the set's new members, and,
+// when the whole old set is gone, have every holder rescue the key into the
+// new set. Holders are the members of the key's old set. Random leavers
+// almost never take a whole set, so odd trials retire the old set of their
+// first key.
+func TestPlanPushesMatchesReplicaSetChanges(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 23))
+	var unmoved, moved, orphaned int
+	for trial := 0; trial < 20; trial++ {
+		n := 8 + rng.IntN(120)
+		addrs := make([]string, n+8)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("10.0.%d.%d:7000", i/256, i%256)
+		}
+		old := buildView(addrs[:n], 3)
+		joined := addrs[n : n+1+rng.IntN(7)]
+		keys := make([]keyspace.Key, 2000)
+		for i := range keys {
+			keys[i] = keyspace.Key(rng.Uint64())
+		}
+		var left []string
+		if trial%2 == 1 {
+			left = old.Replicas(keys[0])
+		} else {
+			for i := 0; i < 1+rng.IntN(3) && i < n-1; i++ {
+				left = append(left, addrs[rng.IntN(n)])
+			}
+		}
+		next := old.applyDelta(joined, left, 1)
+
+		for i, k := range keys {
+			e := core.Entry{Key: k, Value: core.Value(i), Expires: 5}
+			oldSet, newSet := old.Replicas(e.Key), next.Replicas(e.Key)
+			pusher := ""
+			for _, a := range oldSet {
+				if next.Contains(a) {
+					pusher = a
+					break
+				}
+			}
+			var owed []string // what each pushing holder plans
+			switch {
+			case slices.Equal(oldSet, newSet):
+				unmoved++
+			case pusher == "":
+				orphaned++
+				owed = slices.Sorted(slices.Values(newSet))
+			default:
+				moved++
+				for _, a := range newSet {
+					if !slices.Contains(oldSet, a) {
+						owed = append(owed, a)
+					}
+				}
+				sort.Strings(owed)
+			}
+			for _, holder := range oldSet {
+				var want []string
+				if pusher == "" || holder == pusher {
+					want = owed
+				}
+				if got := pushTargets(planPushes(old, next, holder, []core.Entry{e}, 0)); !slices.Equal(got, want) {
+					t.Fatalf("trial %d key %v holder %s: plans %v, want %v\nold=%v\nnew=%v",
+						trial, e.Key, holder, got, want, oldSet, newSet)
+				}
+			}
+		}
+	}
+	if unmoved == 0 || moved == 0 || orphaned == 0 {
+		t.Fatalf("generator missed a case: %d unmoved, %d moved, %d orphaned keys", unmoved, moved, orphaned)
 	}
 }
 

@@ -487,7 +487,7 @@ func (n *Node) gossipCall(ctx context.Context, addr string, msg transport.Gossip
 
 // applyMembership is the gossip OnChange hook: a confirmed membership
 // change arrived, so derive the next view at the new version and, if
-// replica groups moved, hand the affected index entries to their new
+// replica groups moved, hand the moved index entries to their new
 // owners. Notifications can arrive out of order (gossip fires them from
 // the protocol loop and inbound handlers concurrently); stale versions are
 // discarded.
@@ -497,11 +497,10 @@ func (n *Node) gossipCall(ctx context.Context, addr string, msg transport.Gossip
 // the node computes its OWN delta against the view it actually holds (a
 // linear walk of two sorted lists; gossip hands over a fresh sorted list
 // it never touches again, so it is read as is) and applies it
-// incrementally: only the changed members' vnodes are spliced, and only
-// cache entries inside the transition's affected arcs are snapshotted for
-// handoff planning. At a thousand members this turns every membership
-// event from an O(n) rebuild plus a full-index scan into work proportional
-// to the change.
+// incrementally: only the changed members' vnodes are spliced. When the
+// list changed, the whole cache is snapshotted under mu and planned off
+// the lock by the pusher (planPushes), which skips every entry whose
+// replica set did not move.
 func (n *Node) applyMembership(alive []string, version uint64) {
 	n.mu.Lock()
 	old := n.view.Load()
@@ -521,15 +520,10 @@ func (n *Node) applyMembership(alive []string, version uint64) {
 		return
 	}
 	v := old.applyDelta(joined, left, version)
-	arcs := transitionArcs(old, v, joined, left)
 	n.view.Store(v)
 	var entries []core.Entry
 	if old.hash != v.hash {
-		if arcs.All {
-			entries = n.cache.Entries(n.now())
-		} else {
-			entries = n.cache.EntriesWhere(n.now(), arcs.Contains)
-		}
+		entries = n.cache.Entries(n.now())
 	}
 	if len(entries) > 0 {
 		n.handoffs.Add(1)

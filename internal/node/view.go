@@ -28,11 +28,10 @@
 //
 // Membership is owned by internal/gossip (SWIM: probing, suspicion,
 // incarnations, anti-entropy). Every confirmed change produces a new view
-// at a new version — by DELTA application (only the changed members'
-// virtual nodes are spliced, and only index entries in the affected key
-// arcs are even considered for handoff) — and a repair
-// pass (handoff.go) pushes index entries whose replica set moved to the
-// set's new members with their remaining TTL, one batched round per
+// at a new version by DELTA application (only the changed members' virtual
+// nodes are spliced), and a repair pass (handoff.go) walks the index
+// entries the node holds and pushes each one whose replica set moved to
+// the set's new members with its remaining TTL, one batched round per
 // transition, so the paper's expiry semantics survive the transfer.
 //
 // Rounds: the paper's clock unit (one round = one second) maps to a
@@ -131,24 +130,6 @@ func buildView(members []string, repl int) *view {
 // v.members.
 func (v *view) applyDelta(joined, left []string, version uint64) *view {
 	return newView(v.ring.Apply(joined, left), version)
-}
-
-// transitionArcs returns the set of key arcs whose replica group can
-// differ across the transition old→next: the arcs owned by leavers on the
-// old ring plus those owned by joiners on the new ring. Keys outside the
-// set provably keep their exact replica group (see keyspace.Affected), so
-// handoff planning skips them without looking.
-func transitionArcs(old, next *view, joined, left []string) keyspace.ArcSet {
-	arcs := old.ring.Affected(left)
-	if arcs.All {
-		return arcs
-	}
-	more := next.ring.Affected(joined)
-	if more.All {
-		return more
-	}
-	arcs.Arcs = append(arcs.Arcs, more.Arcs...)
-	return arcs
 }
 
 // diffSorted returns the set differences between two sorted string slices:

@@ -185,6 +185,7 @@ func TestNoOrphanedExports(t *testing.T) {
 var knobAllowed = map[string]string{
 	"adapt.Config.TTLMax":             "forces the shrink in TestRetuneShrinkKeepsGrantedTTLs",
 	"chaos.Config.Duplicate":          "TestDuplicateDelivery",
+	"node.Config.DeadSyncFraction":    "TestChaosHeadline1000 widens the dead-sync channel for its stretched timescales",
 	"overlay.SearchConfig.MaxSteps":   "the flood-fallback test",
 	"store.FileOptions.SnapshotBytes": "keeps compaction out of the store benchmarks",
 }
@@ -193,7 +194,9 @@ var knobAllowed = map[string]string{
 // field of an exported *Config or *Options struct declared under internal/
 // or client/ must be set by some non-test Go file other than the declaring
 // one (bench/ included) — as a composite-literal key or as an assignment
-// target. A field nothing sets has one value in use, and is a constant.
+// target. An assignment through the receiver of a *Config/*Options method
+// (its defaulting) sets nothing. A field nothing sets has one value in use,
+// and is a constant.
 // The match is by field name, not by type, so it errs towards silence,
 // like TestNoOrphanedExports.
 func TestNoOrphanedKnobs(t *testing.T) {
@@ -246,26 +249,34 @@ func TestNoOrphanedKnobs(t *testing.T) {
 				}
 			}
 		}
+		// recv is the receiver of the *Config/*Options method being walked:
+		// a struct defaulting its own fields sets no knob.
+		var recv string
 		target := func(e ast.Expr) {
 			if sel, ok := e.(*ast.SelectorExpr); ok {
-				set(sel.Sel.Name, path)
+				if id, ok := sel.X.(*ast.Ident); !ok || recv == "" || id.Name != recv {
+					set(sel.Sel.Name, path)
+				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
-					set(id.Name, path)
+		for _, d := range f.Decls {
+			recv = knobReceiver(d)
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						set(id.Name, path)
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						target(e)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
 				}
-			case *ast.AssignStmt:
-				for _, e := range n.Lhs {
-					target(e)
-				}
-			case *ast.IncDecStmt:
-				target(n.X)
-			}
-			return true
-		})
+				return true
+			})
+		}
 		return nil
 	})
 	if err != nil {
@@ -293,4 +304,22 @@ func TestNoOrphanedKnobs(t *testing.T) {
 	for name := range stale {
 		t.Errorf("knobAllowed lists %s, which some non-test file sets: drop the entry", name)
 	}
+}
+
+// knobReceiver returns the receiver name of d when d is a method of a
+// *Config or *Options type, and "" otherwise.
+func knobReceiver(d ast.Decl) string {
+	fd, ok := d.(*ast.FuncDecl)
+	if !ok || fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+		return ""
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	id, ok := typ.(*ast.Ident)
+	if !ok || !strings.HasSuffix(id.Name, "Config") && !strings.HasSuffix(id.Name, "Options") {
+		return ""
+	}
+	return fd.Recv.List[0].Names[0].Name
 }
