@@ -26,8 +26,9 @@ test:
 # pooled frame buffer aliasing a returned value would race, ten of the
 # split round trip, where a reply routed to a request its waiter abandoned
 # would race, five of the Close test, where a handoff spawned during
-# Close would race its Wait, five of the one-round QueryMany tests,
-# whose follow-up, repair and fallback legs share one batch's state, and
+# Close would race its Wait, five of the one-round search tests, unary
+# and batched, whose follow-up, repair and miss-path legs share one
+# round's state, and
 # five of the one-round handoff test, whose pusher runs beside the sweeper,
 # gossip and Close on the same node, and five of the two-wave cluster boot,
 # whose joiners write their slots from concurrent goroutines.
@@ -37,7 +38,7 @@ race:
 		./internal/replica/ ./internal/store/ ./internal/topk/ \
 		./internal/transport/ ./cmd/pdht-node/
 	go test -race -count=10 -run 'TestTCPSharedConnectionNeverAliases|TestSendDoesNotWaitForReply|TestWaitKeepsReplyDeliveredBeforeDeadline' ./internal/transport/
-	go test -race -count=5 -run 'TestCloseReturnsGoroutinesToBaseline|TestQueryManyWarmBatchIsOneRound|TestQueryManyCostsNoMoreThanUnary|TestQueryManyWarmBatchAllocs|TestHandoffIsOneRoundPerTransition|TestClusterConvergedMeansTheLiveSet' ./internal/node/
+	go test -race -count=5 -run 'TestCloseReturnsGoroutinesToBaseline|TestQueryHitIsOneRound|TestEngineParity|TestQueryManyWarmBatchIsOneRound|TestQueryManyCostsNoMoreThanUnary|TestQueryManyWarmBatchAllocs|TestHandoffIsOneRoundPerTransition|TestClusterConvergedMeansTheLiveSet' ./internal/node/
 
 # Each fuzz target, as package:target, for 20 s from its committed seed
 # corpus (<package>/testdata/fuzz). `go test -fuzz` takes one target per

@@ -36,9 +36,10 @@ type Inputs struct {
 	// hold, fMin is zero, and the tuner recommends TTLMax with no gating.
 	Env float64
 	// RefreshFanout reports that the node keeps replica sets TTL-coherent
-	// by fanning the reset-on-hit refresh out to the whole set
-	// (internal/node's engine: syncHit, and QueryMany's one round per
-	// batch): every index hit then costs Repl−1 extra write legs, which
+	// by fanning the reset-on-hit refresh out to the whole set in the
+	// search's one round (internal/node's engine: search; the primary's
+	// refresh rides the probe): every index hit then costs Repl−1 extra
+	// write legs, which
 	// the fitted model charges against the benefit of indexing so the
 	// derived fMin — and through it the keyTtl actuation and the
 	// insert gate — stays honest about what a hit really costs.

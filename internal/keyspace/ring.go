@@ -214,31 +214,31 @@ func (r *MemberRing) successor(k Key) int {
 	return i
 }
 
-// Group returns the replica group of key: the first min(repl, Size)
-// distinct members encountered walking clockwise from key. Group[0] is the
-// route primary. Returns nil on an empty ring.
-func (r *MemberRing) Group(key Key) []string {
+// Group appends the replica group of key to dst and returns the extended
+// slice: the first min(repl, Size) distinct members encountered walking
+// clockwise from key, the route primary first. A caller with a buffer
+// passes it as Group(key, buf[:0]...) and the group lands in it without a
+// heap allocation; Group(key) returns a fresh slice. An empty ring appends
+// nothing.
+func (r *MemberRing) Group(key Key, dst ...string) []string {
 	n := len(r.members)
 	if n == 0 {
-		return nil
+		return dst
 	}
-	want := r.repl
-	if want > n {
-		want = n
-	}
-	out := make([]string, 0, want)
-	i := r.successor(key)
-	for len(out) < want {
+	want := min(r.repl, n)
+	dst = slices.Grow(dst, want)
+	group := len(dst)
+	for i := r.successor(key); len(dst)-group < want; {
 		v := r.vnodes[i]
-		if !slices.Contains(out, v.addr) {
-			out = append(out, v.addr)
+		if !slices.Contains(dst[group:], v.addr) {
+			dst = append(dst, v.addr)
 		}
 		i++
 		if i == len(r.vnodes) {
 			i = 0
 		}
 	}
-	return out
+	return dst
 }
 
 // RouteHops simulates an ideal-finger Chord walk from `from` to the replica
@@ -256,7 +256,7 @@ func (r *MemberRing) RouteHops(from string, key Key) int {
 		// logical hop: it dials Group[0] directly.
 		return 1
 	}
-	group := r.Group(key)
+	group := r.Group(key, make([]string, 0, 8)...) // on the stack up to repl 8
 	cur := uint64(HashString(from + "#0"))
 	curAddr := from
 	target := uint64(key)

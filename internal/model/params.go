@@ -45,10 +45,11 @@ type Params struct {
 	Dup2 float64
 	// WriteFanout is the number of extra write messages an index HIT costs
 	// on top of the search — the live deployment's replica-coherent
-	// reset-on-hit refresh, which fans out to the other repl−1 members of
-	// the key's replica set (internal/node's engine: syncHit, and
-	// QueryMany's one round per batch) instead of piggybacking on the
-	// answer. Zero is the paper-exact model, where the refresh is free. The fan-out charges against the benefit of indexing: both fMin
+	// reset-on-hit refresh: the primary's rides the probe, and the other
+	// repl−1 members of the key's replica set each get a refresh in the
+	// search's own round (internal/node's engine: search). Zero is the
+	// paper-exact model, where the refresh is free. The fan-out charges
+	// against the benefit of indexing: both fMin
 	// (eq. 2's break-even frequency) and the eq. 17 total cost see it.
 	WriteFanout float64
 	// TopKRound is the distributed top-k query rate per peer per round,

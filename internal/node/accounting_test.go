@@ -252,12 +252,12 @@ func messageAccountingParity(t *testing.T, tr transport.Transport) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !r.FromIndex || r.failoverMsgs != 2 || r.RepairMsgs != 1 {
-				t.Fatalf("%s: %+v, want a hit after 2 failover probes with 1 read repair", h.name, r)
+			if !r.FromIndex || r.failoverMsgs != 1 || r.RepairMsgs != 1 {
+				t.Fatalf("%s: %+v, want a hit after 1 failover probe with 1 read repair", h.name, r)
 			}
 			add(h, r)
-			// The batch leg to the dead primary fails; both keys fall back
-			// to the failover walk.
+			// The batch leg to the dead primary fails; both keys are
+			// fetched from the backup holding them.
 			many, err := h.q.QueryMany(ctx, keys[1:])
 			if err != nil {
 				t.Fatal(err)
@@ -299,6 +299,7 @@ func TestUnaryAndBatchItemsAgree(t *testing.T) {
 		{"insert then query", []transport.BatchItem{ins(1, 10, 5), q(1, 0), q(2, 0)}, 0},
 		{"overwrite", []transport.BatchItem{ins(1, 10, 5), ins(1, 11, 9), q(1, 0)}, 0},
 		{"refresh live and missing", []transport.BatchItem{ins(1, 10, 5), ref(1, 40), ref(2, 40)}, 1},
+		{"query with ttl, live and missing", []transport.BatchItem{ins(1, 10, 5), q(1, 40), q(2, 40), q(1, 0)}, 1},
 		{"insert without ttl", []transport.BatchItem{ins(1, 10, 0), q(1, 0)}, 0},
 		{"refresh without ttl", []transport.BatchItem{ins(1, 10, 5), ref(1, 0), ref(1, -3)}, 0},
 		{"eviction at capacity", []transport.BatchItem{ins(1, 10, 5), ins(2, 20, 9), ins(3, 30, 7), q(1, 0), q(2, 0), q(3, 0)}, 0},

@@ -405,7 +405,7 @@ func TestQueryAfterCloseFailsTyped(t *testing.T) {
 
 // TestFanoutDeadlineDoesNotStack pins that a round collects its replies one
 // after another under one shared deadline: with two of a key's three
-// replicas blackholed, a hit's refresh round and a miss's insert round each
+// replicas blackholed, a hit's search round and a miss's insert round each
 // hold the caller for one CallTimeout, not one per dead member — and still
 // spend their three messages.
 func TestFanoutDeadlineDoesNotStack(t *testing.T) {
@@ -432,7 +432,7 @@ func TestFanoutDeadlineDoesNotStack(t *testing.T) {
 	defer client.Close()
 
 	// A key whose primary stays healthy, so the probe answers at once and
-	// only the refresh round meets the dead members.
+	// only the backups' refresh legs meet the dead members.
 	v := client.view.Load()
 	var key uint64
 	for i := uint64(1); v.Replicas(keyspace.Key(key))[0] != healthy; i++ {
@@ -457,8 +457,8 @@ func TestFanoutDeadlineDoesNotStack(t *testing.T) {
 	if err != nil || !res.FromIndex {
 		t.Fatalf("hit = %+v, %v; want an index hit at the primary", res, err)
 	}
-	if res.RefreshMsgs != 3 {
-		t.Errorf("hit spent %d refresh messages, want 3", res.RefreshMsgs)
+	if res.RefreshMsgs != 2 {
+		t.Errorf("hit spent %d refresh messages, want 2: the backups' (the primary's rode the probe)", res.RefreshMsgs)
 	}
 	if took >= 2*callTimeout {
 		t.Errorf("hit with two dead replicas took %v, want < %v: the refresh legs' deadlines stacked", took, 2*callTimeout)
@@ -531,11 +531,11 @@ func TestFanoutKeepsRepliesBehindADeadLeg(t *testing.T) {
 	}
 }
 
-// TestTracedRefreshLegsEndWhenCollected pins the refresh round's trace: a
+// TestTracedRefreshLegsEndWhenCollected pins the search round's trace: a
 // leg ends when the round collects it, not when the whole round is done, so
 // the healthy primary's leg stays short beside a blackholed backup's; and a
 // leg the round never issued, because the caller had already given up,
-// records nothing.
+// records nothing and costs nothing.
 func TestTracedRefreshLegsEndWhenCollected(t *testing.T) {
 	const callTimeout = 100 * time.Millisecond
 	mem := transport.NewMemory()
@@ -565,9 +565,13 @@ func TestTracedRefreshLegsEndWhenCollected(t *testing.T) {
 	}
 	set := v.Replicas(keyspace.Key(key))
 	bt.victim = set[1] // nothing has dialed it yet
+	rawInsert(t, mem, healthy, key, 7, cfg.KeyTtl)
 
 	tr := obs.NewTrace(key)
-	client.syncHit(obs.WithTrace(ctx, tr), v, set, keyspace.Key(key), 7)
+	results := make([]QueryResult, 1)
+	if _, err := client.search(obs.WithTrace(ctx, tr), v, []uint64{key}, results, nil); err != nil || !results[0].FromIndex {
+		t.Fatalf("search = %+v, %v; want a hit at the primary", results[0], err)
+	}
 	legs := tr.Finish("hit").Legs
 	refresh := map[string]obs.Leg{}
 	for _, l := range legs {
@@ -588,11 +592,13 @@ func TestTracedRefreshLegsEndWhenCollected(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	tr = obs.NewTrace(key)
-	if msgs, _ := client.syncHit(obs.WithTrace(cancelled, tr), v, set, keyspace.Key(key), 7); msgs != 0 {
-		t.Errorf("a cancelled refresh round sent %d messages, want 0", msgs)
+	results = make([]QueryResult, 1)
+	client.search(obs.WithTrace(cancelled, tr), v, []uint64{key}, results, nil)
+	if msgs := results[0].Total(); msgs != 0 {
+		t.Errorf("a cancelled search round cost %d messages, want 0", msgs)
 	}
 	if legs := tr.Finish("error").Legs; len(legs) != 0 {
-		t.Errorf("a cancelled refresh round recorded legs it never sent: %+v", legs)
+		t.Errorf("a cancelled search round recorded legs it never sent: %+v", legs)
 	}
 }
 
@@ -651,6 +657,80 @@ func TestQueryManyWarmBatchIsOneRound(t *testing.T) {
 	for addr := range remote {
 		if calls[addr][transport.OpBatch] != 1 {
 			t.Errorf("set member %s saw %d OpBatch requests, want 1", addr, calls[addr][transport.OpBatch])
+		}
+	}
+}
+
+// TestQueryHitIsOneRound pins the unary search: a warm hit, from a member
+// and from a RemoteClient, sends each remote member of the key's replica
+// set exactly one request — the probe, carrying keyTtl, to the primary and
+// a refresh to each backup — and nothing else: no second refresh round,
+// no one-item OpBatch — and reports one refresh message per remote backup.
+func TestQueryHitIsOneRound(t *testing.T) {
+	mem := transport.NewMemory()
+	ct := newCountingTransport(mem)
+	cfg := testConfig()
+	cfg.Repl = 3
+	cfg.KeyTtl = 1 << 20 // nothing expires between the warm-up and the hit
+	nut, others := bootWithTransport(t, mem, ct, 4, cfg)
+	defer nut.Close()
+	for _, nd := range others {
+		defer nd.Close()
+	}
+	ctx := context.Background()
+	client, err := DialRemote(ctx, ct, RemoteConfig{Seeds: []string{others[0].Addr()}, Repl: cfg.Repl, KeyTtl: cfg.KeyTtl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	for _, h := range []struct {
+		name  string
+		self  string
+		query func(context.Context, uint64) (QueryResult, error)
+	}{{"member", nut.Addr(), nut.Query}, {"client", "", client.Query}} {
+		for i := range 8 {
+			key := uint64(keyspace.HashString("one-round-hit:" + h.name + ":" + strconv.Itoa(i)))
+			mustPublish(t, others[i%len(others)], key, uint64(i))
+			if res, err := h.query(ctx, key); err != nil || !res.Answered {
+				t.Fatalf("%s: warm-up of key %d = %+v, %v", h.name, key, res, err)
+			}
+			ct.snapshot() // discard the warm-up and membership traffic
+			res, err := h.query(ctx, key)
+			if err != nil || !res.FromIndex || res.RepairMsgs != 0 {
+				t.Fatalf("%s: warm key %d = %+v, %v; want an index hit and nothing to repair", h.name, key, res, err)
+			}
+			set := nut.ReplicaSet(key)
+			want := make(map[string]transport.Op) // every remote member's one request
+			for j, addr := range set {
+				switch {
+				case addr == h.self:
+				case j == 0:
+					want[addr] = transport.OpQuery
+				default:
+					want[addr] = transport.OpRefresh
+				}
+			}
+			sent := 0
+			for addr, ops := range ct.snapshot() {
+				for op, n := range ops {
+					if op == transport.OpGossip {
+						continue // background membership traffic is not the query path
+					}
+					sent += n
+					if w, ok := want[addr]; !ok || op != w || n != 1 {
+						t.Errorf("%s: key %d: %s saw %d %v requests, want one %v (set %v)", h.name, key, addr, n, op, want[addr], set)
+					}
+				}
+			}
+			refreshes := len(want)
+			if _, ok := want[set[0]]; ok {
+				refreshes--
+			}
+			if sent != len(want) || res.RefreshMsgs != refreshes {
+				t.Errorf("%s: key %d: %d requests sent and %d refresh messages reported, want %d and %d (set %v)",
+					h.name, key, sent, res.RefreshMsgs, len(want), refreshes, set)
+			}
 		}
 	}
 }
@@ -802,10 +882,11 @@ func queryManyCostsNoMoreThanUnary(t *testing.T, tr transport.Transport) {
 // AllocsPerRun reads process-wide mallocs, so the minimum of several
 // measurements keeps background gossip ticks out of the verdict.
 func TestQueryManyWarmBatchAllocs(t *testing.T) {
-	// 115 measured: one round of a query item per key at its primary and a
-	// refresh item per backup (152 while the backups' refreshes took a
-	// second round).
-	const ceiling = 115
+	// 46 measured: one round of a query item per key at its primary and a
+	// refresh item per backup, the replica sets end to end in one slice
+	// (115 while each key's set and route group were slices of their own,
+	// 152 while the backups' refreshes took a second round).
+	const ceiling = 46
 	cfg := DefaultConfig()
 	cfg.RoundDuration = time.Second
 	cfg.KeyTtl = 1 << 20

@@ -227,12 +227,13 @@ func (c *RemoteClient) PublishMany(ctx context.Context, pairs []KV) error {
 // publish is one routing pass of PublishMany under view v.
 func (c *RemoteClient) publish(ctx context.Context, v *view, pairs []KV) error {
 	var dests destinations
+	var set [replBuf]string
 	for i, p := range pairs {
-		for _, addr := range v.Replicas(keyspace.Key(p.Key)) {
+		for _, addr := range v.Replicas(keyspace.Key(p.Key), set[:0]...) {
 			dests.add(addr, i)
 		}
 	}
-	legs := c.batchLegs(v.hash, &dests, func(i int) transport.BatchItem {
+	legs := c.batchLegs(nil, v.hash, &dests, func(i int) transport.BatchItem {
 		return transport.BatchItem{Op: transport.OpInsert, Key: pairs[i].Key, Value: pairs[i].Value, TTL: c.cfg.KeyTtl}
 	})
 	c.round(ctx, legs)
@@ -242,10 +243,12 @@ func (c *RemoteClient) publish(ctx context.Context, v *view, pairs []KV) error {
 	stored := make([]bool, len(pairs))
 	acked := make([]bool, len(pairs))
 	for j := range legs {
-		for n, r := range c.batchResults(ctx, &legs[j]) {
-			i := dests.idxs[j][n]
+		if ok, _ := c.usable(ctx, &legs[j]); !ok {
+			continue
+		}
+		for n, i := range dests.idxs[j] {
 			acked[i] = true
-			if r.OK {
+			if itemResult(&legs[j], n).OK {
 				stored[i] = true
 			}
 		}

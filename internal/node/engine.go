@@ -252,13 +252,13 @@ func (e *engine) call(ctx context.Context, addr string, req transport.Request) (
 }
 
 // accept inspects an application-level reply: a StaleView refusal goes to
-// the host (refused), and it or any other application error makes the reply
-// unusable.
-func (e *engine) accept(ctx context.Context, addr string, resp transport.Response) bool {
+// the host (refused), which reports what it made of it in act, and it or
+// any other application error makes the reply unusable.
+func (e *engine) accept(ctx context.Context, addr string, resp transport.Response) (ok bool, act staleAction) {
 	if resp.Err == transport.StaleView {
-		e.refused(ctx, addr, resp)
+		act = e.refused(ctx, addr, resp)
 	}
-	return resp.Err == ""
+	return resp.Err == "", act
 }
 
 // refused handles one StaleView refusal: counted, handed to the host with
@@ -377,9 +377,10 @@ type QueryResult struct {
 	Responsible string
 	AnsweredBy  string
 	// IndexMsgs, BroadcastMsgs and InsertMsgs break down the cost in the
-	// legs of eq. 17; RefreshMsgs counts the reset-on-hit refresh legs a
-	// hit fans out to the key's replica set, and RepairMsgs the read-repair
-	// re-inserts sent to set members that answered the refresh without
+	// legs of eq. 17; RefreshMsgs counts the reset-on-hit refresh legs the
+	// search sends the backups of a key it finds (the primary's refresh
+	// rides the probe, which IndexMsgs prices), and RepairMsgs the
+	// read-repair re-inserts sent to set members that answered without
 	// holding the entry (the primary after losing it to churn). Legs a
 	// member serves itself are not messages and count nowhere.
 	IndexMsgs     int
@@ -402,9 +403,10 @@ func (r QueryResult) Total() int {
 }
 
 // Query resolves key with the selection algorithm of §5.1: search the
-// index (routing locally, asking the responsible peer — and on a miss the
-// rest of the replica group — one RPC each), broadcast on a miss, insert
-// the broadcast result with keyTtl, and refresh the TTL on a hit.
+// index — one round asks the key's whole replica set, the responsible peer
+// a probe that also resets the entry's TTL on a hit, each backup a refresh
+// whose reply says whether it holds the entry (search) — then broadcast on
+// a miss and insert the broadcast result with keyTtl.
 //
 // The context bounds the whole request: cancellation or deadline expiry
 // aborts the in-flight index, broadcast and insert legs and returns
@@ -425,14 +427,21 @@ func (e *engine) Query(ctx context.Context, key uint64) (QueryResult, error) {
 		// Feed the frequency sketches — O(1), allocation-free.
 		e.tuner.Observe(key)
 	}
-	var res QueryResult
-	err := e.resolve(ctx, key, &res, nil)
-	e.m.observeQuery(res, time.Since(start))
-	e.m.fileMessages(res)
-	if owned {
-		e.deliver(tr, queryOutcome(res, err))
+	var res [1]QueryResult
+	v, err := e.currentView()
+	if err == nil {
+		keys := [1]uint64{key}
+		var miss []int
+		if miss, err = e.search(ctx, v, keys[:], res[:], nil); len(miss) > 0 {
+			err = e.missPath(ctx, keyspace.Key(key), &res[0])
+		}
 	}
-	return res, err
+	e.m.observeQuery(res[0], time.Since(start))
+	e.m.fileMessages(res[0])
+	if owned {
+		e.deliver(tr, queryOutcome(res[0], err))
+	}
+	return res[0], err
 }
 
 // queryOutcome labels a finished query for its trace.
@@ -451,92 +460,286 @@ func queryOutcome(res QueryResult, err error) string {
 	}
 }
 
-// resolve runs the selection algorithm for one key into res: the index
-// search — the primary, failing over through the backups in ring order on a
-// miss, refusal or timeout — then the miss path. asked names the set
-// members a batch has already asked for this key (nil on the unary path):
-// the walk skips them, and the route to the primary is already priced in
-// res.
-func (e *engine) resolve(ctx context.Context, key uint64, res *QueryResult, asked []string) error {
-	k := keyspace.Key(key)
+// A setAnswer is what one member of a key's replica set told the search
+// round about the key.
+type setAnswer uint8
+
+const (
+	// unanswered: the leg failed or was refused, or the item was.
+	unanswered setAnswer = iota
+	notHeld
+	held
+)
+
+// replBuf is the replica-set size a one-key search, and every fan-out of
+// one key's set, fits in without a heap allocation; a larger Repl spills
+// over.
+const replBuf = 4
+
+// oneKey is the slot table of a one-key search round, read-only: the
+// members of one set are distinct, so member j is slot j, alone at its peer.
+var oneKey = [replBuf][]int{{0}, {1}, {2}, {3}}
+
+// search is the index search of §5.1 for keys under view v, results
+// aligned. One round asks every key's whole replica set at once, one
+// request per destination peer: the primary gets a query carrying keyTtl
+// (the probe, with the reset-on-hit refresh riding it), each backup a
+// refresh carrying the same TTL, whose reply says whether the backup holds
+// the entry. From those answers each key takes one of three paths:
+//
+//   - a hit at the primary is done;
+//   - when the primary misses or fails but a backup holds the key, one
+//     follow-up round asks the first holder in set order for the value;
+//   - a key no member holds goes to the miss path (broadcast and gated
+//     insert): its backup legs were the failover probes, and no member is
+//     asked twice.
+//
+// Set members that answered without the entry are read-repaired from the
+// value the hit supplied, in one more round. The fan-out is synchronous —
+// the read-repair guarantee is "the set is whole when Query returns" — so
+// a SILENTLY partitioned member (no RST) can hold a round for up to
+// callTimeout until suspicion convicts it; the legs of a round share that
+// deadline, so it does not stack per member. When a stale-view refusal
+// installed a fresher view and a key is still unresolved, the search runs
+// again over that view, once.
+//
+// search appends to miss the indexes of the keys left to the miss path.
+// One key's round runs in fixed buffers; a batch allocates its own.
+func (e *engine) search(ctx context.Context, v *view, keys []uint64, results []QueryResult, miss []int) ([]int, error) {
+	tr := obs.TraceFrom(ctx)
+	var legBuf [replBuf]fanLeg
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return ctxErr(err)
+		// One routing pass places every key, the sets end to end in flat:
+		// slot i*stride+j stands for member j of key i's set, the primary
+		// at j = 0, the backups after it.
+		stride := v.repl
+		var flatBuf [replBuf]string
+		var ansBuf [replBuf]setAnswer
+		flat, answers := flatBuf[:0], ansBuf[:]
+		if n := len(keys) * stride; n > replBuf {
+			flat, answers = make([]string, 0, n), make([]setAnswer, n)
 		}
-		v, err := e.currentView()
-		if err != nil {
-			return err
+		for i, key := range keys {
+			flat = v.Replicas(keyspace.Key(key), flat...)
+			r := &results[i]
+			r.Answered, r.FromIndex, r.Value, r.AnsweredBy = false, false, 0, "" // a rerouted attempt asks again
+			r.Responsible = flat[i*stride]
 		}
-		probes := v.Replicas(k)
-		if asked == nil {
-			if len(probes) > 0 {
-				res.Responsible = probes[0]
+		set := func(i int) []string { return flat[i*stride : (i+1)*stride] }
+		row := func(i int) []setAnswer { return answers[i*stride : (i+1)*stride] }
+		// One key's slots index its own set, which add never writes to, so
+		// the set stays in flatBuf.
+		one := destinations{addrs: flat, idxs: oneKey[:min(len(flat), len(oneKey))]}
+		var many destinations
+		dests := &one
+		if len(keys) > 1 || len(flat) > len(oneKey) {
+			for i := range keys {
+				for j, addr := range set(i) {
+					many.add(addr, i*stride+j)
+				}
 			}
-			res.IndexMsgs += v.hops(e.self, k)
+			dests = &many
 		}
+		ttl := e.keyTtl()
+		legs := e.batchLegs(legBuf[:0], v.hash, dests, func(s int) transport.BatchItem {
+			if s%stride == 0 {
+				return transport.BatchItem{Op: transport.OpQuery, Key: keys[s/stride], TTL: ttl}
+			}
+			return transport.BatchItem{Op: transport.OpRefresh, Key: keys[s/stride], TTL: ttl}
+		})
+		e.round(ctx, legs)
 		rerouted, failed := false, false
-	walk:
-		for i, addr := range probes {
-			if slices.Contains(asked, addr) {
-				continue
+		for j := range legs {
+			l := &legs[j]
+			ok, act := e.usable(ctx, l)
+			rerouted = rerouted || act == staleReroute
+			failed = failed || act == staleFail
+			for n, s := range dests.idxs[j] {
+				i, primary := s/stride, s%stride == 0
+				switch {
+				case primary && l.wire:
+					// The route to the primary, priced once the probe went
+					// out (a member that is the primary routes nowhere).
+					results[i].IndexMsgs += v.hops(e.self, keyspace.Key(keys[i]))
+				case l.wire:
+					// Re-filed as a failover probe below when no member
+					// holds the key.
+					results[i].RefreshMsgs++
+				}
+				if !ok {
+					continue
+				}
+				switch r := itemResult(l, n); {
+				case r.Err != "":
+				case primary && r.Found:
+					answers[s] = held
+					results[i].Answered, results[i].FromIndex = true, true
+					results[i].Value, results[i].AnsweredBy = r.Value, l.addr
+				case !primary && r.OK:
+					answers[s] = held
+				default:
+					answers[s] = notHeld
+				}
 			}
-			if err := ctx.Err(); err != nil {
-				return ctxErr(err)
-			}
-			if (i > 0 || asked != nil) && addr != e.self {
-				// Hops priced the path to the primary; each failover probe
-				// is one more message.
-				res.IndexMsgs++
-				res.failoverMsgs++
-			}
-			value, found, act := e.probe(ctx, v, addr, k)
-			switch act {
-			case staleReroute:
-				rerouted = true
-				break walk
-			case staleFail:
-				failed = true
-			}
-			if !found {
-				continue
-			}
-			res.Answered, res.FromIndex, res.Value, res.AnsweredBy = true, true, value, addr
-			e.m.hits.Add(1)
-			refreshMsgs, repairMsgs := e.syncHit(ctx, v, probes, k, value)
-			res.RefreshMsgs += refreshMsgs
-			res.RepairMsgs += repairMsgs
-			return nil
 		}
-		if rerouted && attempt == 0 {
+
+		// Keys a backup holds ask the first holder for the value; keys no
+		// member holds are left to the miss path, their backup legs having
+		// been failover probes after all.
+		var fetch destinations
+		for i := range keys {
+			switch h := slices.Index(row(i), held); {
+			case h == 0:
+			case h > 0:
+				fetch.add(set(i)[h], i)
+			default:
+				r := &results[i]
+				r.IndexMsgs += r.RefreshMsgs
+				r.failoverMsgs += r.RefreshMsgs
+				r.RefreshMsgs = 0
+			}
+		}
+		if tr != nil {
+			for j := range legs {
+				for _, s := range dests.idxs[j] {
+					traceSlot(tr, &legs[j], answers[s], s%stride == 0, slices.Contains(row(s/stride), held))
+				}
+			}
+		}
+		e.fetch(ctx, v, keys, results, &fetch)
+		// Read-repair the hits.
+		var repairs destinations
+		unresolved := 0
+		for i := range keys {
+			if !results[i].FromIndex {
+				unresolved++
+				continue
+			}
+			for j, a := range row(i) {
+				if a == notHeld {
+					repairs.add(set(i)[j], i)
+				}
+			}
+		}
+		if ctx.Err() == nil {
+			e.repair(ctx, v, keys, results, &repairs, ttl)
+		}
+		if rerouted && attempt == 0 && unresolved > 0 && ctx.Err() == nil {
+			var err error
+			if v, err = e.currentView(); err != nil {
+				return miss, err
+			}
 			continue
 		}
-		if failed && !rerouted {
-			return ErrStaleView
+		e.m.hits.Add(uint64(len(keys) - unresolved))
+		// The check runs before the miss paths so a cancelled batch returns
+		// without firing len(keys) broadcasts.
+		switch {
+		case ctx.Err() != nil:
+			return miss, ctxErr(ctx.Err())
+		case unresolved > 0 && failed && !rerouted:
+			return miss, ErrStaleView
 		}
-		e.m.misses.Add(1)
-		return e.missPath(ctx, k, res)
+		for i := range results {
+			if !results[i].FromIndex {
+				e.m.misses.Add(1)
+				miss = append(miss, i)
+			}
+		}
+		return miss, nil
 	}
 }
 
-// probe asks one peer whether key is live in its index cache. The probe
-// carries the view's membership hash; a refusal or any other failure is a
-// miss, and act reports what the host made of a stale-view refusal.
-func (e *engine) probe(ctx context.Context, v *view, addr string, k keyspace.Key) (value uint64, found bool, act staleAction) {
-	l := startLeg(obs.TraceFrom(ctx))
-	resp, err := e.call(ctx, addr, transport.Request{Op: transport.OpQuery, Key: uint64(k), ViewHash: v.hash})
-	switch {
-	case err != nil:
-		l.end("probe", addr, "failed")
-		return 0, false, staleMiss
-	case resp.Err != "":
-		l.end("probe", addr, "refused")
-		if resp.Err == transport.StaleView {
-			act = e.refused(ctx, addr, resp)
+// fetch is a search's follow-up round: each key in d asks the first member
+// of its set that holds it for the value, in one more failover probe. The
+// holder's refresh item reset its TTL, so this query carries none.
+func (e *engine) fetch(ctx context.Context, v *view, keys []uint64, results []QueryResult, d *destinations) {
+	tr := obs.TraceFrom(ctx)
+	var buf [replBuf]fanLeg
+	legs := e.batchLegs(buf[:0], v.hash, d, func(i int) transport.BatchItem {
+		return transport.BatchItem{Op: transport.OpQuery, Key: keys[i]}
+	})
+	e.round(ctx, legs)
+	for j := range legs {
+		l := &legs[j]
+		ok, _ := e.usable(ctx, l)
+		for n, i := range d.idxs[j] {
+			r := &results[i]
+			if l.wire {
+				r.IndexMsgs++
+				r.failoverMsgs++
+			}
+			outcome := "failed"
+			if ok {
+				if it := itemResult(l, n); it.Err == "" {
+					outcome = hitMiss(it.Found)
+					if it.Found {
+						r.Answered, r.FromIndex, r.Value, r.AnsweredBy = true, true, it.Value, l.addr
+					}
+				}
+			}
+			if tr != nil && !l.start.IsZero() {
+				tr.LegEnded("probe", l.addr, outcome, l.start, l.end)
+			}
 		}
-		return 0, false, act
 	}
-	l.end("probe", addr, hitMiss(resp.Found))
-	return resp.Value, resp.Found, staleMiss
+}
+
+// repair is a search's read-repair round: each key in d is re-inserted,
+// at the set members that answered without the entry, from the value the
+// hit supplied, one round trip per destination. Members that did not
+// answer at all are left alone: repairing a dead peer would burn a
+// callTimeout per query on an address the membership layer is already
+// evicting.
+func (e *engine) repair(ctx context.Context, v *view, keys []uint64, results []QueryResult, d *destinations, ttl int) {
+	tr := obs.TraceFrom(ctx)
+	var buf [replBuf]fanLeg
+	legs := e.batchLegs(buf[:0], v.hash, d, func(i int) transport.BatchItem {
+		return transport.BatchItem{Op: transport.OpInsert, Key: keys[i], Value: results[i].Value, TTL: ttl}
+	})
+	for _, idxs := range d.idxs {
+		e.m.readRepairs.Add(uint64(len(idxs)))
+	}
+	e.round(ctx, legs)
+	for j := range legs {
+		l := &legs[j]
+		ok, _ := e.usable(ctx, l)
+		for n, i := range d.idxs[j] {
+			if l.wire {
+				results[i].RepairMsgs++
+			}
+			if tr != nil && !l.start.IsZero() {
+				outcome := "failed"
+				if ok && itemResult(l, n).OK {
+					outcome = "ok"
+				}
+				tr.LegEnded("read-repair", l.addr, outcome, l.start, l.end)
+			}
+		}
+	}
+}
+
+// traceSlot records what one slot of a search round told a traced query,
+// named once the round has classified the answers: the primary's reply is
+// a "probe" leg, plus a "refresh" leg when it hit (the reset rode the
+// probe); a backup's item is a "refresh" leg when some member holds the
+// key and a "probe" leg when none does — it was the failover probe. A leg
+// the round never issued records nothing.
+func traceSlot(tr *obs.Trace, l *fanLeg, a setAnswer, primary, setHolds bool) {
+	switch {
+	case l.start.IsZero():
+	case !primary && setHolds:
+		tr.LegEnded("refresh", l.addr, [...]string{"failed", "missing", "ok"}[a], l.start, l.end)
+	default:
+		outcome := [...]string{"failed", "miss", "hit"}[a]
+		if a == unanswered && l.err == nil && l.resp.Err != "" {
+			outcome = "refused"
+		}
+		tr.LegEnded("probe", l.addr, outcome, l.start, l.end)
+		if a == held {
+			tr.LegEnded("refresh", l.addr, "ok", l.start, l.end)
+		}
+	}
 }
 
 // hitMiss is the probe-leg outcome label.
@@ -545,69 +748,6 @@ func hitMiss(found bool) string {
 		return "hit"
 	}
 	return "miss"
-}
-
-// replBuf is the replica-set size a fan-out's legs fit in without a heap
-// allocation; a larger Repl spills over.
-const replBuf = 4
-
-// syncHit applies the reset-on-hit rule across the key's whole replica set
-// (set, in probe order) and read-repairs the holes it finds: one round
-// refreshes every member's TTL, keeping the set's expiry coherent so a
-// failover probe after the primary dies still finds a live entry, and a
-// second round re-inserts the value the hit supplied at every member that
-// answered the refresh without holding the entry — the primary after losing
-// it to churn, a restart or a failed insert leg. Members that do not answer
-// at all are left alone: repairing a dead peer would burn a callTimeout per
-// query on an address the membership layer is already evicting.
-//
-// The fan-out is synchronous — the read-repair guarantee is "the set is
-// whole when Query returns", which the tests pin — so a SILENTLY
-// partitioned member (no RST; a crashed process refuses in microseconds)
-// can hold a hit for up to callTimeout per round until suspicion convicts
-// it. The legs of a round share that deadline, so it does not stack per
-// member.
-func (e *engine) syncHit(ctx context.Context, v *view, set []string, k keyspace.Key, value uint64) (refreshMsgs, repairMsgs int) {
-	ttl := e.keyTtl()
-	tr := obs.TraceFrom(ctx)
-	var buf [replBuf]fanLeg
-	legs := legsTo(buf[:0], set, transport.Request{Op: transport.OpRefresh, Key: uint64(k), TTL: ttl, ViewHash: v.hash})
-	refreshMsgs = e.round(ctx, legs)
-	// The repair legs overwrite the refresh legs already read.
-	repairs := legs[:0]
-	for i := range legs {
-		addr, start, end, resp := legs[i].addr, legs[i].start, legs[i].end, legs[i].resp
-		outcome := "failed"
-		switch {
-		case legs[i].err != nil || !e.accept(ctx, addr, resp):
-		case resp.OK:
-			outcome = "ok"
-		default:
-			outcome = "missing"
-			repairs = append(repairs, fanLeg{addr: addr, req: transport.Request{
-				Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: ttl, ViewHash: v.hash,
-			}})
-		}
-		if tr != nil && !start.IsZero() {
-			tr.LegEnded("refresh", addr, outcome, start, end)
-		}
-	}
-	if len(repairs) == 0 {
-		return refreshMsgs, 0
-	}
-	e.m.readRepairs.Add(uint64(len(repairs)))
-	repairMsgs = e.round(ctx, repairs)
-	for i := range repairs {
-		l := &repairs[i]
-		outcome := "failed"
-		if l.err == nil && e.accept(ctx, l.addr, l.resp) && l.resp.OK {
-			outcome = "ok"
-		}
-		if tr != nil && !l.start.IsZero() {
-			tr.LegEnded("read-repair", l.addr, outcome, l.start, l.end)
-		}
-	}
-	return refreshMsgs, repairMsgs
 }
 
 // missPath runs legs 2 and 3 of the selection algorithm after the index
@@ -703,7 +843,8 @@ func (e *engine) broadcast(ctx context.Context, k keyspace.Key, members []string
 // entries — they expire on their own.
 func (e *engine) insert(ctx context.Context, v *view, k keyspace.Key, value uint64) (msgs int) {
 	var buf [replBuf]fanLeg
-	legs := legsTo(buf[:0], v.Replicas(k), transport.Request{
+	var set [replBuf]string
+	legs := legsTo(buf[:0], v.Replicas(k, set[:0]...), transport.Request{
 		Op: transport.OpInsert, Key: uint64(k), Value: value, TTL: e.keyTtl(), ViewHash: v.hash,
 	})
 	msgs = e.round(ctx, legs)
@@ -717,19 +858,8 @@ func (e *engine) insert(ctx context.Context, v *view, k keyspace.Key, value uint
 
 // ---- the batched form ----
 
-// batchResults is the reply of a collected OpBatch leg, passed through
-// accept like every routed leg's. Nil means the reply was unusable — the
-// call failed, the peer refused it, or the results do not align with the
-// items.
-func (e *engine) batchResults(ctx context.Context, l *fanLeg) []transport.BatchResult {
-	if l.err != nil || !e.accept(ctx, l.addr, l.resp) || len(l.resp.Batch) != len(l.req.Batch) {
-		return nil
-	}
-	return l.resp.Batch
-}
-
-// destinations groups item indexes into slots, one OpBatch request each,
-// slots in the order they are opened — the order their legs are issued and
+// destinations groups item indexes into slots, one request each, slots in
+// the order they are opened — the order their legs are issued and
 // collected in. A peer has one slot until it holds transport.MaxBatchItems
 // indexes; the next index opens it another, so no request outgrows a frame.
 type destinations struct {
@@ -752,54 +882,56 @@ func (d *destinations) add(addr string, i int) {
 	d.idxs[j] = append(d.idxs[j], i)
 }
 
-// batchLegs builds one OpBatch leg per slot, item(i) the item of index i:
-// the items of a slot go to its peer in a single request carrying hash —
-// that of the view they were routed by, or 0 for writes that span a view
-// change (handoff).
-func (e *engine) batchLegs(hash uint64, d *destinations, item func(i int) transport.BatchItem) []fanLeg {
-	legs := make([]fanLeg, len(d.addrs))
+// batchLegs appends one leg per slot to legs, item(i) the item of index i:
+// the items of a slot go to its peer in a single OpBatch request carrying
+// hash — that of the view they were routed by, or 0 for writes that span a
+// view change (handoff). A slot of one item goes out as the plain unary
+// request instead (OpQuery, OpRefresh or OpInsert), which the peer serves
+// exactly as that item and which is a few bytes shorter on the wire.
+func (e *engine) batchLegs(legs []fanLeg, hash uint64, d *destinations, item func(i int) transport.BatchItem) []fanLeg {
+	legs = slices.Grow(legs, len(d.addrs))
 	for j, addr := range d.addrs {
-		items := make([]transport.BatchItem, len(d.idxs[j]))
-		for n, i := range d.idxs[j] {
-			items[n] = item(i)
+		req := transport.Request{Op: transport.OpBatch, ViewHash: hash}
+		if idxs := d.idxs[j]; len(idxs) == 1 {
+			it := item(idxs[0])
+			req.Op, req.Key, req.Value, req.TTL = it.Op, it.Key, it.Value, it.TTL
+		} else {
+			req.Batch = make([]transport.BatchItem, len(idxs))
+			for n, i := range idxs {
+				req.Batch[n] = item(i)
+			}
 		}
-		legs[j] = fanLeg{addr: addr, req: transport.Request{
-			Op: transport.OpBatch, ViewHash: hash, Batch: items,
-		}}
+		legs = append(legs, fanLeg{addr: addr, req: req})
 	}
 	return legs
 }
 
-// A setAnswer is what one member of a key's replica set told QueryMany's
-// round about the key.
-type setAnswer uint8
+// usable reports whether a collected batchLegs leg can be read item by item
+// (itemResult): the call succeeded, the peer accepted it — a StaleView
+// refusal goes to the host, and act is what the host made of it — and an
+// OpBatch reply's results align with its items.
+func (e *engine) usable(ctx context.Context, l *fanLeg) (ok bool, act staleAction) {
+	if l.err != nil {
+		return false, staleMiss
+	}
+	ok, act = e.accept(ctx, l.addr, l.resp)
+	return ok && (l.req.Op != transport.OpBatch || len(l.resp.Batch) == len(l.req.Batch)), act
+}
 
-const (
-	// unanswered: the leg failed or was refused, or the item was.
-	unanswered setAnswer = iota
-	notHeld
-	held
-)
+// itemResult is the outcome of item n of a leg usable accepted; a unary
+// reply is its one item's.
+func itemResult(l *fanLeg, n int) transport.BatchResult {
+	if l.req.Op != transport.OpBatch {
+		return transport.BatchResult{OK: l.resp.OK, Found: l.resp.Found, Value: l.resp.Value}
+	}
+	return l.resp.Batch[n]
+}
 
-// QueryMany resolves a batch of keys in one round of one OpBatch request
-// per destination peer (per transport.MaxBatchItems items of it). Every key's whole replica set is asked at once: the
-// primary gets a query item carrying keyTtl (the probe, with the
-// reset-on-hit refresh amortized into it), each backup a refresh item
-// carrying the same TTL, whose reply says whether the backup holds the
-// entry. From those answers each key takes one of three paths:
-//
-//   - a hit at the primary is done; backups that answered without the
-//     entry are read-repaired;
-//   - when the primary misses or fails but a backup holds the key, one
-//     follow-up round asks the first holder in set order for the value,
-//     and the members that answered without the entry are read-repaired;
-//   - a key no member holds falls back to the unary walk, which skips the
-//     primary and the backups that answered without the entry — so a key
-//     every member answered for goes straight to the broadcast and the
-//     gated insert of the unary path.
-//
-// Follow-up and repair legs are batched per destination too, and the keys
-// left to the broadcast or the unary walk run concurrently, per key.
+// QueryMany resolves a batch of keys with the search Query runs for one:
+// one round of one request per destination peer (per
+// transport.MaxBatchItems items of it) asks every key's whole replica set,
+// follow-up and repair legs are batched per destination too, and the keys
+// left to the broadcast run their miss paths concurrently, per key.
 //
 // Results align with keys. The context governs the whole fan-out exactly
 // as in Query; on cancellation the partial results gathered so far are
@@ -823,180 +955,30 @@ func (e *engine) QueryMany(ctx context.Context, keys []uint64) ([]QueryResult, e
 			e.tuner.Observe(key)
 		}
 	}
-
 	results := make([]QueryResult, len(keys))
 	// Deferred: partial results returned with an error spent their messages
 	// too. The slots are filled in place, so the deferred call sees them.
 	defer e.m.fileMessages(results...)
-	// One routing pass places every key; nothing routes the batch again.
-	sets := make([][]string, len(keys))
-	stride := 0
-	for i, key := range keys {
-		sets[i] = v.Replicas(keyspace.Key(key))
-		stride = max(stride, len(sets[i]))
+	miss, err := e.search(ctx, v, keys, results, nil)
+	if err != nil || len(miss) == 0 {
+		return results, err
 	}
-	// Slot i*stride+j stands for member j of key i's set: the primary at
-	// j = 0, the backups after it.
-	var dests destinations
-	for i, set := range sets {
-		if len(set) == 0 {
-			continue // no route; the fallback still broadcasts
-		}
-		results[i].Responsible = set[0]
-		results[i].IndexMsgs = v.hops(e.self, keyspace.Key(keys[i]))
-		for j, addr := range set {
-			dests.add(addr, i*stride+j)
-		}
-	}
-	ttl := e.keyTtl()
-	legs := e.batchLegs(v.hash, &dests, func(s int) transport.BatchItem {
-		if s%stride == 0 {
-			return transport.BatchItem{Op: transport.OpQuery, Key: keys[s/stride], TTL: ttl}
-		}
-		return transport.BatchItem{Op: transport.OpRefresh, Key: keys[s/stride], TTL: ttl}
-	})
-	e.round(ctx, legs)
-	answers := make([]setAnswer, len(keys)*stride)
-	for j := range legs {
-		// An unusable reply leaves every slot it carried unanswered.
-		brs := e.batchResults(ctx, &legs[j])
-		for n, s := range dests.idxs[j] {
-			i, primary := s/stride, s%stride == 0
-			if !primary && legs[j].wire {
-				// Re-filed as failover probes below when no member holds
-				// the key.
-				results[i].RefreshMsgs++
-			}
-			switch {
-			case brs == nil || brs[n].Err != "":
-			case primary && brs[n].Found:
-				answers[s] = held
-				results[i].Answered, results[i].FromIndex = true, true
-				results[i].Value, results[i].AnsweredBy = brs[n].Value, legs[j].addr
-			case !primary && brs[n].OK:
-				answers[s] = held
-			default:
-				answers[s] = notHeld
-			}
-		}
-	}
-	// setOf is key i's row of answers, aligned with sets[i].
-	setOf := func(i int) []setAnswer { return answers[i*stride : i*stride+len(sets[i])] }
-
-	// Keys a backup holds ask the first holder for the value; keys no
-	// member holds are left to the fallback, their backup legs having been
-	// failover probes after all.
-	var fetch destinations
-	var fallbacks []int
-	for i := range keys {
-		switch h := slices.Index(setOf(i), held); {
-		case h == 0:
-		case h > 0:
-			fetch.add(sets[i][h], i)
-		default:
-			r := &results[i]
-			r.IndexMsgs += r.RefreshMsgs
-			r.failoverMsgs += r.RefreshMsgs
-			r.RefreshMsgs = 0
-			fallbacks = append(fallbacks, i)
-		}
-	}
-	if len(fetch.addrs) > 0 {
-		// The holder's TTL was reset by the refresh item; this query item
-		// carries none.
-		legs := e.batchLegs(v.hash, &fetch, func(i int) transport.BatchItem {
-			return transport.BatchItem{Op: transport.OpQuery, Key: keys[i]}
-		})
-		e.round(ctx, legs)
-		for j := range legs {
-			brs := e.batchResults(ctx, &legs[j])
-			for n, i := range fetch.idxs[j] {
-				r := &results[i]
-				if legs[j].wire {
-					r.IndexMsgs++
-					r.failoverMsgs++
-				}
-				if brs == nil || brs[n].Err != "" || !brs[n].Found {
-					fallbacks = append(fallbacks, i)
-					continue
-				}
-				r.Answered, r.FromIndex, r.Value, r.AnsweredBy = true, true, brs[n].Value, legs[j].addr
-			}
-		}
-	}
-
-	// Count the hits and read-repair them: members that answered without
-	// the entry get it re-inserted from the value the hit supplied, one
-	// more round trip per destination.
-	var repairs destinations
-	for i := range results {
-		if !results[i].FromIndex {
-			continue
-		}
-		e.m.hits.Add(1)
-		for j, a := range setOf(i) {
-			if a == notHeld {
-				repairs.add(sets[i][j], i)
-			}
-		}
-	}
-	if len(repairs.addrs) > 0 && ctx.Err() == nil {
-		legs := e.batchLegs(v.hash, &repairs, func(i int) transport.BatchItem {
-			return transport.BatchItem{Op: transport.OpInsert, Key: keys[i], Value: results[i].Value, TTL: ttl}
-		})
-		for _, idxs := range repairs.idxs {
-			e.m.readRepairs.Add(uint64(len(idxs)))
-		}
-		e.round(ctx, legs)
-		for j := range legs {
-			if legs[j].wire {
-				for _, i := range repairs.idxs[j] {
-					results[i].RepairMsgs++
-				}
-			}
-			e.batchResults(ctx, &legs[j])
-		}
-	}
-
-	// The check runs before spawning fallbacks so a cancelled batch returns
-	// without firing len(keys) broadcasts.
-	if err := ctx.Err(); err != nil {
-		return results, ctxErr(err)
-	}
-	var ferr error
-	var errMu sync.Mutex
 	var wg sync.WaitGroup
-	for _, i := range fallbacks {
+	errs := make([]error, len(miss))
+	for n, i := range miss {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if err := e.resolve(ctx, keys[i], &results[i], settled(sets[i], setOf(i))); err != nil {
-				errMu.Lock()
-				if ferr == nil {
-					ferr = err
-				}
-				errMu.Unlock()
-			}
-		}(i)
+			errs[n] = e.missPath(ctx, keyspace.Key(keys[i]), &results[i])
+		}()
 	}
 	wg.Wait()
-	return results, ferr
-}
-
-// settled lists the members of a key's set (row holds their answers) that
-// the unary walk skips: every backup that answered without the entry, and
-// the primary, whose batch item priced the route. These members are
-// skipped on every attempt of the walk, even after a stale-view reroute,
-// where Query probes the new view's whole set again. When every member
-// answered without the entry the walk probes no one and goes straight to
-// the miss path.
-func settled(set []string, row []setAnswer) (asked []string) {
-	for j, a := range row {
-		if j == 0 || a == notHeld {
-			asked = append(asked, set[j])
+	for _, err := range errs {
+		if err != nil {
+			return results, err
 		}
 	}
-	return asked
+	return results, nil
 }
 
 // ---- the top-k form ----

@@ -325,10 +325,13 @@ func TestQueryHitPathAllocsUnchangedBySampling(t *testing.T) {
 	}
 	// And an absolute ceiling, as TestRemoteClientHitPathAllocs holds the
 	// client's: 3 members, r=3, so the querier sits in the set and one of
-	// the three refresh legs stays in-process. 21 measured (33 while every
+	// the three legs of the search round stays in-process. 11 measured: the
+	// round's deadline context (5) and memClient.Send's reply plumbing, 3
+	// per remote leg (21 while the refreshes took a second round and the
+	// replica set and the route's group were fresh slices, 33 while every
 	// leg derived its own deadline context and ran on a goroutine of its
 	// own, 40 while the engine also re-ranked the replica group per query).
-	const ceiling = 21
+	const ceiling = 11
 	if off > ceiling {
 		t.Errorf("member hit path allocates %.0f per query, want at most %d", off, ceiling)
 	}

@@ -54,11 +54,12 @@ import (
 // a pusher only when that leaves nobody.
 func planPushes(old, next *view, self string, entries []core.Entry, now int) destinations {
 	var plan destinations
+	var oldBuf, nextBuf [replBuf]string
 	for i, e := range entries {
 		if e.Expires-now < 1 {
 			continue
 		}
-		oldSet := old.Replicas(e.Key)
+		oldSet := old.Replicas(e.Key, oldBuf[:0]...)
 		pusher := ""
 		for _, a := range oldSet {
 			if next.Contains(a) {
@@ -70,7 +71,7 @@ func planPushes(old, next *view, self string, entries []core.Entry, now int) des
 			// The whole old set is gone, but self still holds a copy (the
 			// no-deletion rule keeps entries through set changes): rescue
 			// it into the current set.
-			for _, a := range next.Replicas(e.Key) {
+			for _, a := range next.Replicas(e.Key, nextBuf[:0]...) {
 				if a != self {
 					plan.add(a, i)
 				}
@@ -82,7 +83,7 @@ func planPushes(old, next *view, self string, entries []core.Entry, now int) des
 			// even older view — the current set members handle those keys.
 			continue
 		}
-		for _, a := range next.Replicas(e.Key) {
+		for _, a := range next.Replicas(e.Key, nextBuf[:0]...) {
 			if a != self && !slices.Contains(oldSet, a) {
 				plan.add(a, i)
 			}
@@ -93,8 +94,8 @@ func planPushes(old, next *view, self string, entries []core.Entry, now int) des
 
 // runHandoff carries out the plan for one view transition. It runs on its
 // own goroutine (registered in n.handoffs before spawn) and sends the whole
-// plan as one round of OpBatch inserts, one request per destination, each
-// entry with its remaining TTL. A lost push degrades to the pre-handoff
+// plan as one round of inserts, one request per destination (batchLegs),
+// each entry with its remaining TTL. A lost push degrades to the pre-handoff
 // behavior — the key's next query misses and re-inserts (or a later hit
 // read-repairs it). The round is bounded by CallTimeout and aborted by
 // Close, so a destination that blackholes traffic cannot pin the pusher
@@ -107,19 +108,19 @@ func (n *Node) runHandoff(old, next *view, entries []core.Entry) {
 	defer n.handoffs.Done()
 	now := n.now()
 	plan := planPushes(old, next, n.cfg.Addr, entries, now)
-	legs := n.batchLegs(0, &plan, func(i int) transport.BatchItem { return pushItem(entries[i], now) })
+	legs := n.batchLegs(nil, 0, &plan, func(i int) transport.BatchItem { return pushItem(entries[i], now) })
 	n.m.addMsgs(stats.MsgControl, n.round(n.lifetime, legs))
 	for j := range legs {
 		l := &legs[j]
 		if !l.wire {
 			continue // not sent: Close came first
 		}
-		n.m.handoffMsgs.Add(uint64(len(l.req.Batch)))
-		brs := n.batchResults(n.lifetime, l)
+		n.m.handoffMsgs.Add(uint64(len(plan.idxs[j])))
+		ok, _ := n.usable(n.lifetime, l)
 		for k := range plan.idxs[j] {
 			// A failed leg, or a peer that refused the item (full cache,
 			// malformed TTL): the push did not land.
-			if brs == nil || !brs[k].OK {
+			if !ok || !itemResult(l, k).OK {
 				n.m.handoffPushFailed.Add(1)
 				continue
 			}

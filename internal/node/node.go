@@ -707,11 +707,7 @@ func (n *Node) serveData(req transport.Request) transport.Response {
 		n.m.refreshes.Add(refreshed)
 		return transport.Response{OK: true, Batch: results}
 	}
-	it := transport.BatchItem{Op: req.Op, Key: req.Key, Value: req.Value, TTL: req.TTL}
-	if req.Op == transport.OpQuery {
-		it.TTL = 0 // only a batched query piggybacks the refresh
-	}
-	r := n.applyItem(now, it, &refreshed)
+	r := n.applyItem(now, transport.BatchItem{Op: req.Op, Key: req.Key, Value: req.Value, TTL: req.TTL}, &refreshed)
 	n.mu.Unlock()
 	if refreshed > 0 {
 		n.m.refreshes.Inc()
@@ -739,9 +735,9 @@ func (n *Node) applyItem(now int, it transport.BatchItem, refreshed *uint64) tra
 	case transport.OpQuery:
 		v, ok := n.cache.Get(k, now)
 		if ok && it.TTL > 0 {
-			// The amortized reset-on-hit rule: a batched query carries
-			// the TTL so the refresh the unary path pays a separate
-			// OpRefresh message for rides the same round trip.
+			// The reset-on-hit rule at the index peer: a query that
+			// carries a TTL refreshes the entry it finds, so the
+			// primary's refresh rides the probe's round trip.
 			if n.cache.Refresh(k, now+it.TTL, now) {
 				*refreshed++
 			}

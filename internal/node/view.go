@@ -20,11 +20,12 @@
 //
 // Every index entry lives at an r-member replica set: the first r distinct
 // members clockwise from the key on the ring (view.Replicas), the first of
-// them the primary. Writes — inserts and the reset-on-hit refresh, unary
-// and batched — fan out to the whole set concurrently; reads probe the
-// primary and fail over through the backups in that same ring order before
-// any broadcast, and a hit read-repairs set members that answered without
-// holding the entry. Config.Repl sizes the set.
+// them the primary. Inserts fan out to the whole set in one round; a read
+// asks the whole set in one round too — a probe at the primary that resets
+// the TTL on a hit, a refresh at each backup whose reply says whether it
+// holds the entry — falls back to the first backup holding it before any
+// broadcast, and read-repairs set members that answered without holding
+// the entry. Config.Repl sizes the set.
 //
 // Membership is owned by internal/gossip (SWIM: probing, suspicion,
 // incarnations, anti-entropy). Every confirmed change produces a new view
@@ -164,10 +165,11 @@ func (v *view) hops(self string, key keyspace.Key) int { return v.ring.RouteHops
 // the responsible peer first, then the backups in the order reads fail over
 // through them. It is the one placement answer of the live node — probes,
 // write fan-outs, handoff's designated-pusher rule (planPushes) and the
-// chaos placement audit all use this slice, identical on every member and
-// client that agrees on the membership list. The slice is freshly
-// allocated.
-func (v *view) Replicas(key keyspace.Key) []string { return v.ring.Group(key) }
+// chaos placement audit all use this order, identical on every member and
+// client that agrees on the membership list. The set is appended to dst,
+// as keyspace.MemberRing.Group does: Replicas(key, buf[:0]...) fills a
+// caller's buffer, Replicas(key) allocates a fresh slice.
+func (v *view) Replicas(key keyspace.Key, dst ...string) []string { return v.ring.Group(key, dst...) }
 
 // Contains reports whether addr is a member of this view.
 func (v *view) Contains(addr string) bool { return v.ring.Contains(addr) }
