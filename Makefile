@@ -31,7 +31,9 @@ test:
 # round's state, and
 # five of the one-round handoff test, whose pusher runs beside the sweeper,
 # gossip and Close on the same node, and five of the two-wave cluster boot,
-# whose joiners write their slots from concurrent goroutines.
+# whose joiners write their slots from concurrent goroutines. The store's
+# compaction tests run five times too: compaction reads the WAL under the
+# store lock, beside the interval flusher and Close.
 race:
 	go test -race ./client/ ./internal/adapt/ ./internal/chaos/ \
 		./internal/gossip/... ./internal/node/ ./internal/obs/ \
@@ -39,6 +41,7 @@ race:
 		./internal/transport/ ./cmd/pdht-node/
 	go test -race -count=10 -run 'TestTCPSharedConnectionNeverAliases|TestSendDoesNotWaitForReply|TestWaitKeepsReplyDeliveredBeforeDeadline' ./internal/transport/
 	go test -race -count=5 -run 'TestCloseReturnsGoroutinesToBaseline|TestQueryHitIsOneRound|TestEngineParity|TestQueryManyWarmBatchIsOneRound|TestQueryManyCostsNoMoreThanUnary|TestQueryManyWarmBatchAllocs|TestHandoffIsOneRoundPerTransition|TestClusterConvergedMeansTheLiveSet' ./internal/node/
+	go test -race -count=5 -run 'TestFileStoreCompactionTruncatesWALAndSurvivesReopen|TestFileStoreSnapshotBytesTriggersCompaction|TestWALTorture$$|TestFileStoreFailedWriteLeavesNoTornFrame' ./internal/store/
 
 # Each fuzz target, as package:target, for 20 s from its committed seed
 # corpus (<package>/testdata/fuzz). `go test -fuzz` takes one target per

@@ -86,3 +86,47 @@ func BenchmarkRecovery(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompaction measures one Compact of a full WAL (SnapshotBytes'
+// default, 4 MiB) on top of a snapshot the size of one miss-durable
+// member's durable state: 37,000 published keys and a 4,096-entry index
+// cache. The WAL is that cache churning through fresh keys, each insert
+// evicting the oldest.
+func BenchmarkCompaction(b *testing.B) {
+	const published, cache, walBytes = 37_000, 4096, 4 << 20
+	s, err := OpenFile(FileOptions{Dir: b.TempDir(), Fsync: SyncNever, SnapshotEvery: time.Hour, SnapshotBytes: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	d := time.Now().Add(24 * time.Hour)
+	appendOrFail := func(rec Record) {
+		if err := s.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < published; k++ {
+		appendOrFail(Record{Op: OpPublish, Key: k, Value: k})
+	}
+	const base = 1 << 40
+	for k := uint64(base); k < base+cache; k++ {
+		appendOrFail(Record{Op: OpInsert, Key: k, Value: k, Deadline: d})
+	}
+	if err := s.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(walBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := uint64(base + cache); s.WALSize() < walBytes; k++ {
+			appendOrFail(Record{Op: OpInsert, Key: k, Value: k, Deadline: d})
+			appendOrFail(Record{Op: OpExpire, Key: k - cache})
+		}
+		b.StartTimer()
+		if err := s.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -17,10 +17,10 @@ import (
 
 // FileStore is the file-backed Store: an append-only WAL of length-prefixed,
 // CRC32-framed records plus a periodically compacted snapshot, both under
-// one directory. It keeps an in-memory mirror of the durable state (the
-// same bounded universe as the index cache plus the content store), so
-// compaction never has to consult the owning node: a snapshot is the mirror
-// serialized, and WAL truncation follows the snapshot rename.
+// one directory. The files are the only copy of the durable state: after
+// open the store holds nothing per key but the recovered set, and
+// compaction folds the snapshot and the WAL it has written — the same fold
+// recovery runs — into the next snapshot, then truncates the WAL.
 //
 // Crash safety:
 //
@@ -44,8 +44,6 @@ type FileStore struct {
 	walSize   int64
 	dirty     bool // unsynced appends
 	closed    bool
-	index     map[uint64]mirrorEntry
-	content   map[uint64]uint64
 	recovered []Entry
 	stats     RecoveryStats
 
@@ -59,13 +57,6 @@ type FileStore struct {
 
 	stop chan struct{}
 	done sync.WaitGroup
-}
-
-// mirrorEntry is one row of the durable-state mirror; deadline is the
-// absolute expiry in Unix nanoseconds, carried exactly as journaled.
-type mirrorEntry struct {
-	value    uint64
-	deadline int64
 }
 
 // SyncPolicy selects when WAL appends reach stable storage.
@@ -184,53 +175,21 @@ func OpenFile(opts FileOptions) (*FileStore, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &FileStore{
-		opts:    opts,
-		index:   make(map[uint64]mirrorEntry),
-		content: make(map[uint64]uint64),
-		stop:    make(chan struct{}),
-	}
-	start := time.Now()
-	s.loadSnapshot()
-	if err := s.replayWAL(); err != nil {
+	s := &FileStore{opts: opts, stop: make(chan struct{})}
+	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	s.finishRecovery(start)
 	s.done.Add(1)
 	go s.background()
 	return s, nil
 }
 
-// loadSnapshot applies the snapshot file, if one exists, to the mirror. A
-// missing or empty file means "no snapshot yet"; a present-but-unreadable
-// one is ignored and reported (the WAL may still carry the state).
-func (s *FileStore) loadSnapshot() {
-	body, err := os.ReadFile(filepath.Join(s.opts.Dir, snapshotName))
-	if err != nil || len(body) == 0 {
-		return
-	}
-	if len(body) < len(snapshotMagic) || string(body[:len(snapshotMagic)]) != string(snapshotMagic) {
-		s.stats.SnapshotDropped = true
-		return
-	}
-	rest := body[len(snapshotMagic):]
-	for len(rest) > 0 {
-		rec, n, ok := decodeFrame(rest)
-		if !ok {
-			// A torn snapshot should be impossible (temp + rename); keep
-			// what decoded and report the anomaly.
-			s.stats.SnapshotDropped = true
-			return
-		}
-		s.apply(rec)
-		rest = rest[n:]
-	}
-}
-
-// replayWAL opens the WAL, applies every intact frame to the mirror, and
-// truncates the file at the first bad one — the torn tail a crash
-// mid-append leaves behind.
-func (s *FileStore) replayWAL() error {
+// recover folds the snapshot and the WAL, cuts the WAL's torn tail so
+// appends resume on a frame boundary, and freezes the recovered set and
+// stats.
+func (s *FileStore) recover() error {
+	start := time.Now()
+	snap, _ := os.ReadFile(filepath.Join(s.opts.Dir, snapshotName)) // unreadable: no snapshot
 	wal, err := os.OpenFile(filepath.Join(s.opts.Dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -240,82 +199,107 @@ func (s *FileStore) replayWAL() error {
 		wal.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	good := int64(0)
-	rest := body
-	for len(rest) > 0 {
-		rec, n, ok := decodeFrame(rest)
-		if !ok {
-			break
-		}
-		if rec.Op >= OpInsert && rec.Op <= OpHandoff {
-			s.apply(rec)
-		} else {
-			// CRC-valid but unknown op: a future format. Skip it but say so.
-			s.stats.DroppedRecords++
-		}
-		good += int64(n)
-		rest = rest[n:]
-	}
-	if tail := int64(len(body)) - good; tail > 0 {
-		// Torn or corrupt tail: cut it off so appends resume on a clean
-		// frame boundary. At least one record died here; the garbage may
-		// hide more, but their count is unknowable.
-		s.stats.DroppedRecords++
-		s.stats.TruncatedBytes = tail
-		if err := wal.Truncate(good); err != nil {
+	st := fold(snap, body, s.opts.now().UnixNano())
+	if st.stats.TruncatedBytes > 0 {
+		if err := wal.Truncate(st.walGood); err != nil {
 			wal.Close()
 			return fmt.Errorf("store: truncating torn WAL tail: %w", err)
 		}
 	}
-	if _, err := wal.Seek(good, io.SeekStart); err != nil {
+	if _, err := wal.Seek(st.walGood, io.SeekStart); err != nil {
 		wal.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	s.wal = wal
-	s.walSize = good
+	s.wal, s.walSize = wal, st.walGood
+	s.recovered, s.stats = st.entries, st.stats
+	s.stats.Replay = time.Since(start)
 	return nil
 }
 
-// finishRecovery drops index entries already expired at replay time and
-// freezes the recovered set and stats.
-func (s *FileStore) finishRecovery(start time.Time) {
-	now := s.opts.now().UnixNano()
-	for k, e := range s.index {
-		if e.deadline <= now {
-			delete(s.index, k)
-			s.stats.Expired++
-			continue
-		}
-		s.recovered = append(s.recovered, Entry{Key: k, Value: e.value, Deadline: time.Unix(0, e.deadline)})
-	}
-	s.stats.Recovered = len(s.recovered)
-	for k, v := range s.content {
-		s.recovered = append(s.recovered, Entry{Key: k, Value: v})
-	}
-	s.stats.Content = len(s.content)
-	s.stats.Replay = time.Since(start)
+// folded is what one fold of snapshot and WAL bytes arrives at.
+type folded struct {
+	// entries is the durable state in Recovered's form: index entries
+	// with their deadlines, then content entries with a zero one.
+	entries []Entry
+	stats   RecoveryStats // all but Replay
+	walGood int64         // length of the WAL's intact frame prefix
 }
 
-// apply folds one record into the mirror. WAL order is chronological, so
-// plain replay converges; the one duplicate window (snapshot renamed, WAL
-// not yet truncated) replays exactly the history the snapshot absorbed and
-// lands on the same state.
-func (s *FileStore) apply(rec Record) {
-	switch rec.Op {
-	case OpInsert:
-		s.index[rec.Key] = mirrorEntry{value: rec.Value, deadline: deadlineNanos(rec.Deadline)}
-	case OpRefresh:
-		if e, ok := s.index[rec.Key]; ok {
-			e.deadline = deadlineNanos(rec.Deadline)
-			s.index[rec.Key] = e
+// fold replays the snapshot's intact prefix, if it carries the magic, then
+// the WAL's, stopping at the WAL's first bad frame (the torn tail a crash
+// mid-append leaves behind), and drops index entries whose deadline is at
+// or before now. It has no side effects: recovery freezes its result as
+// the recovered set and stats, compaction writes it out as the next
+// snapshot. WAL order is chronological, so plain replay converges; the one
+// duplicate window (snapshot renamed, WAL not yet truncated) replays
+// exactly the history the snapshot absorbed and lands on the same state.
+func fold(snap, wal []byte, now int64) folded {
+	var st folded
+	index, content := make(map[uint64]Entry), make(map[uint64]uint64)
+	// apply applies every intact frame off the front of b and returns the
+	// rest, from the first bad frame on, and the number of frames skipped
+	// for an unknown op.
+	apply := func(b []byte) (rest []byte, unknown int) {
+		for len(b) > 0 {
+			rec, n, ok := decodeFrame(b)
+			if !ok {
+				break
+			}
+			b = b[n:]
+			switch rec.Op {
+			case OpInsert:
+				index[rec.Key] = Entry{Key: rec.Key, Value: rec.Value, Deadline: rec.Deadline}
+			case OpRefresh:
+				if e, ok := index[rec.Key]; ok {
+					e.Deadline = rec.Deadline
+					index[rec.Key] = e
+				}
+			case OpExpire:
+				delete(index, rec.Key)
+			case OpPublish:
+				content[rec.Key] = rec.Value
+			case OpHandoff:
+				// Audit only: the holder keeps its copy.
+			default:
+				unknown++
+			}
 		}
-	case OpExpire:
-		delete(s.index, rec.Key)
-	case OpPublish:
-		s.content[rec.Key] = rec.Value
-	case OpHandoff:
-		// Audit only: the holder keeps its copy.
+		return b, unknown
 	}
+	if len(snap) > 0 {
+		if len(snap) < len(snapshotMagic) || string(snap[:len(snapshotMagic)]) != string(snapshotMagic) {
+			st.stats.SnapshotDropped = true
+		} else {
+			// A torn snapshot should be impossible (temp + rename); keep
+			// what decoded and report the anomaly.
+			rest, _ := apply(snap[len(snapshotMagic):])
+			st.stats.SnapshotDropped = len(rest) > 0
+		}
+	}
+	rest, unknown := apply(wal)
+	st.walGood = int64(len(wal) - len(rest))
+	// A CRC-valid frame of an unknown op is a future format: skipped, and
+	// in the WAL counted dropped.
+	st.stats.DroppedRecords += unknown
+	if len(rest) > 0 {
+		// At least one record died in the torn tail; the garbage may hide
+		// more, but their count is unknowable.
+		st.stats.DroppedRecords++
+		st.stats.TruncatedBytes = int64(len(rest))
+	}
+	st.entries = make([]Entry, 0, len(index)+len(content))
+	for _, e := range index {
+		if deadlineNanos(e.Deadline) <= now {
+			st.stats.Expired++
+			continue
+		}
+		st.entries = append(st.entries, e)
+	}
+	st.stats.Recovered, st.stats.Content = len(st.entries), len(content)
+	for k, v := range content {
+		st.entries = append(st.entries, Entry{Key: k, Value: v})
+	}
+	return st
 }
 
 func deadlineNanos(t time.Time) int64 {
@@ -372,7 +356,7 @@ func (s *FileStore) Recovered() []Entry { return s.recovered }
 func (s *FileStore) Stats() RecoveryStats { return s.stats }
 
 // Append journals one mutation: encode, single write(2) into the WAL,
-// mirror update, fsync per policy. Safe for concurrent use.
+// fsync per policy. Safe for concurrent use.
 func (s *FileStore) Append(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,11 +368,10 @@ func (s *FileStore) Append(rec Record) error {
 	frame := encodeFrame(buf[:0], rec)
 	if _, err := s.wal.Write(frame); err != nil {
 		s.appendErrs.Add(1)
-		return fmt.Errorf("store: wal append: %w", err)
+		return fmt.Errorf("store: wal append: %w", errors.Join(err, s.rewindLocked()))
 	}
 	s.walSize += int64(len(frame))
 	s.dirty = true
-	s.apply(rec)
 	s.walAppends.Add(1)
 	s.walBytes.Add(uint64(len(frame)))
 	if s.opts.Fsync == SyncAlways {
@@ -401,6 +384,20 @@ func (s *FileStore) Append(rec Record) error {
 		if err := s.compactLocked(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// rewindLocked cuts the WAL back to its last whole frame after a failed
+// write. A short write leaves part of a frame behind and moves the file
+// offset past it; every later frame would land after the torn bytes, where
+// recovery and the compaction fold stop reading.
+func (s *FileStore) rewindLocked() error {
+	if err := s.wal.Truncate(s.walSize); err != nil {
+		return fmt.Errorf("store: wal rewind: %w", err)
+	}
+	if _, err := s.wal.Seek(s.walSize, io.SeekStart); err != nil {
+		return fmt.Errorf("store: wal rewind: %w", err)
 	}
 	return nil
 }
@@ -441,21 +438,26 @@ func (s *FileStore) Compact() error {
 
 func (s *FileStore) compactLocked() error {
 	start := time.Now()
-	now := s.opts.now().UnixNano()
-	buf := make([]byte, 0, len(snapshotMagic)+(len(s.index)+len(s.content))*(frameHeaderLen+payloadLen))
-	buf = append(buf, snapshotMagic...)
-	for k, e := range s.index {
-		if e.deadline <= now {
-			// Expired entries need no snapshot row; the owning cache
-			// journals its own expirations, this is just the mirror
-			// dropping lapsed state a beat earlier.
-			delete(s.index, k)
-			continue
-		}
-		buf = encodeFrame(buf, Record{Op: OpInsert, Key: k, Value: e.value, Deadline: time.Unix(0, e.deadline)})
+	snap, err := os.ReadFile(filepath.Join(s.opts.Dir, snapshotName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		// Folding without a snapshot that is there would lose its rows.
+		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	for k, v := range s.content {
-		buf = encodeFrame(buf, Record{Op: OpPublish, Key: k, Value: v})
+	wal := make([]byte, s.walSize)
+	if _, err := s.wal.ReadAt(wal, 0); err != nil {
+		return fmt.Errorf("store: compaction: %w", err)
+	}
+	// Lapsed index entries need no snapshot row; the owning cache journals
+	// its own expirations, this drops them a beat earlier.
+	entries := fold(snap, wal, s.opts.now().UnixNano()).entries
+	buf := make([]byte, 0, len(snapshotMagic)+len(entries)*(frameHeaderLen+payloadLen))
+	buf = append(buf, snapshotMagic...)
+	for _, e := range entries {
+		op := OpInsert
+		if e.Deadline.IsZero() {
+			op = OpPublish
+		}
+		buf = encodeFrame(buf, Record{Op: op, Key: e.Key, Value: e.Value, Deadline: e.Deadline})
 	}
 	tmpPath := filepath.Join(s.opts.Dir, snapshotTmp)
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -509,14 +511,6 @@ func (s *FileStore) WALSize() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.walSize
-}
-
-// Entries returns the number of rows in the durable-state mirror (index
-// plus content).
-func (s *FileStore) Entries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index) + len(s.content)
 }
 
 // background is the maintenance loop: interval fsync and periodic
@@ -573,9 +567,6 @@ func (s *FileStore) RegisterMetrics(reg *obs.Registry) {
 		reg.GaugeFunc("pdht_store_wal_size_bytes",
 			"Current WAL length; drops to zero at each compaction.",
 			func() float64 { return float64(s.WALSize()) })
-		reg.GaugeFunc("pdht_store_mirror_entries",
-			"Rows in the durable-state mirror (index plus content).",
-			func() float64 { return float64(s.Entries()) })
 		reg.Gauge("pdht_store_recovered_entries",
 			"Entries re-admitted by the opening replay (index at remaining TTL, plus content).").
 			Set(int64(s.stats.Recovered + s.stats.Content))

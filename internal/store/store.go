@@ -19,6 +19,9 @@
 // One implementation ships: FileStore (file.go — an append-only WAL of
 // CRC32-framed records with a configurable fsync policy, periodically
 // compacted into a snapshot file, with torn-tail-tolerant crash recovery).
+// Its files are the only copy of the durable state: recovery and
+// compaction run one fold of snapshot and WAL, recovery to re-admit what
+// survived, compaction to write it out as the next snapshot.
 // The default is no store at all: a node whose Config.Store is nil installs
 // no cache hook, so an in-memory node pays nothing for the seam. A node
 // with a store writes through the core.Cache mutation hook; nothing else in
@@ -110,8 +113,6 @@ type Store interface {
 	// survive a crash, not that the in-memory system is wrong — callers
 	// keep serving and watch the store's error counter.
 	Append(rec Record) error
-	// Sync forces buffered records to stable storage.
-	Sync() error
 	// RegisterMetrics installs the store's instruments (pdht_store_*) on
 	// reg. Idempotent; the owning node calls it once at construction.
 	RegisterMetrics(reg *obs.Registry)

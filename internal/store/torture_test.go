@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -29,6 +31,8 @@ func TestWALTorture(t *testing.T) {
 		{Op: OpInsert, Key: 2, Value: 22, Deadline: d},
 		{Op: OpPublish, Key: 9, Value: 99},
 	}
+	history := randomHistory(d)
+	afterHistory := refReplay(writeFrames(append(intact, history...)...), nil)
 
 	cases := []struct {
 		name string
@@ -137,6 +141,14 @@ func TestWALTorture(t *testing.T) {
 			},
 			wantRecovered: 3,
 		},
+		{
+			name: "compactions at random points between appends",
+			mutate: func(t *testing.T, dir string, wal []byte) []byte {
+				compactBetweenAppends(t, dir, history, afterHistory)
+				return nil
+			},
+			wantRecovered: len(afterHistory.index) + len(afterHistory.content),
+		},
 	}
 
 	for _, tc := range cases {
@@ -209,5 +221,48 @@ func TestWALTortureRandomTruncation(t *testing.T) {
 			t.Fatalf("cut at %d left a partial frame but nothing was reported dropped", cut)
 		}
 		s.Close()
+	}
+}
+
+// randomHistory is what a live store journals between compactions:
+// inserts, refreshes, expiries, publishes and handoffs at random over a
+// few keys, every deadline after d.
+func randomHistory(d time.Time) []Record {
+	rng := rand.New(rand.NewPCG(49, 1))
+	recs := make([]Record, 400)
+	for i := range recs {
+		rec := Record{Op: Op(1 + rng.IntN(int(OpHandoff))), Key: rng.Uint64N(24), Value: rng.Uint64()}
+		if rec.Op == OpInsert || rec.Op == OpRefresh {
+			rec.Deadline = d.Add(time.Duration(rng.IntN(3600)) * time.Second)
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
+// compactBetweenAppends journals history on the store in dir, compacting
+// at random points between the appends, then crashes it (no Close-time
+// compaction): a reopen must recover exactly want, the reference fold of
+// everything the WAL ever held.
+func compactBetweenAppends(t *testing.T, dir string, history []Record, want refState) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(49, 2))
+	s := openT(t, dir)
+	for _, rec := range history {
+		if rng.IntN(16) == 0 {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.closeRaw()
+	r := openT(t, dir)
+	defer r.Close()
+	index, content := splitRecovered(t, r)
+	if !reflect.DeepEqual(index, want.index) || !reflect.DeepEqual(content, want.content) {
+		t.Fatalf("reopen recovered index %v content %v, the reference fold says %v and %v", index, content, want.index, want.content)
 	}
 }
